@@ -4,6 +4,8 @@ Layers:
 
 * :mod:`repro.check.schedule` — crash-schedule hooks the simulator calls
   at every micro-step (dependency-free; imported by the hot modules).
+* :mod:`repro.check.explore` — the single-pass kernel: one run hands an
+  observer the durable image of every micro-step crash point.
 * :mod:`repro.check.checker` — exhaustive crash-state exploration with
   durable-image fingerprint pruning and differential oracles.
 * :mod:`repro.check.minimize` — ddmin counterexample minimization and the

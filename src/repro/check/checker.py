@@ -1,14 +1,14 @@
 """Exhaustive crash-state exploration with differential oracles.
 
 The model checker turns the crash-schedule hooks
-(:mod:`repro.check.schedule`) into a systematic search: a *counting run*
-executes a workload once with an unbounded schedule to learn how many
-micro-step crash points ``T`` the run reaches, then every point ``k`` in
-``1..T`` is re-executed on a fresh system with ``stop_at=k``.  Determinism
-of the simulator guarantees visit ``k`` is the same machine state every
-run, so the enumeration is exhaustive over the modelled micro-steps
-(mid-drain, the L1D-visible/bbPB-allocated window, the coherence
-forced-drain channel, WPQ acceptance, and every op boundary).
+(:mod:`repro.check.schedule`) into a systematic search over every
+micro-step crash point ``1..T`` a workload run reaches (mid-drain, the
+L1D-visible/bbPB-allocated window, the coherence forced-drain channel,
+WPQ acceptance, and every op boundary).  It executes the workload once:
+the single-pass kernel (:func:`repro.check.explore.sweep`) hands it the
+durable image a crash at each point would leave, the same image a fresh
+system crashed with ``stop_at=k`` recovers (:func:`replay_points` is that
+reference, and the smoke gate diffs sampled points against it).
 
 Each recovered durable image is checked against three oracles:
 
@@ -38,7 +38,7 @@ import random
 from dataclasses import asdict, astuple, dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.check.schedule import CrashSchedule
+from repro.check.schedule import SITE_OP, CrashSchedule
 from repro.core.recovery import (
     CONTRACT_DOCS,
     check_scheme_contract,
@@ -52,9 +52,15 @@ from repro.obs.events import CheckStateExplored, CheckViolation
 #: Versioned schema identifier of the model-checker report / artifact.
 CHECK_SCHEMA = "repro.crashcheck/v1"
 
-#: Crash points handed to one batch worker.  Small enough that per-shard
-#: timeouts stay meaningful, large enough to amortise trace construction.
+#: Scope of the prune cache in :func:`run_check_unit`: a fresh cache every
+#: this many consecutive checked points (the shard size of the per-point
+#: replay checker, kept so ``pruned`` flags and report counts stay
+#: comparable across revisions).
 POINTS_PER_SHARD = 64
+
+#: The smoke gate replays every non-``engine.op`` point and every this-th
+#: ``engine.op`` point through a real crash, against the sweep's verdict.
+SMOKE_REPLAY_OP_STRIDE = 16
 
 #: Violations recorded per point / per report before truncation.
 MAX_VIOLATIONS_PER_POINT = 8
@@ -249,13 +255,9 @@ def durable_fingerprint(scheme: str, media, committed, performed) -> str:
 # Exploration
 # ----------------------------------------------------------------------
 
-def count_micro_points(unit: CheckUnit) -> Tuple[int, Dict[str, int]]:
-    """Counting run: execute the unit's workload once under an unbounded
-    schedule and return ``(total visits, per-site visit counts)``."""
-    ctx = _UnitContext(unit)
-    schedule = CrashSchedule(stop_at=None, sites=unit.sites)
-    system = ctx.build_system(schedule)
-    result = system.run(ctx.trace)
+def _count(ctx: _UnitContext) -> Tuple[int, Dict[str, int]]:
+    schedule = CrashSchedule(stop_at=None, sites=ctx.unit.sites)
+    result = ctx.build_system(schedule).run(ctx.trace)
     if result.crashed:
         raise RuntimeError(
             "counting run crashed — an unbounded CrashSchedule must never fire"
@@ -263,34 +265,37 @@ def count_micro_points(unit: CheckUnit) -> Tuple[int, Dict[str, int]]:
     return schedule.visits, dict(schedule.site_counts)
 
 
-def _check_point(
-    unit: CheckUnit,
+def count_micro_points(unit: CheckUnit) -> Tuple[int, Dict[str, int]]:
+    """Counting run: execute the unit's workload once under an unbounded
+    schedule and return ``(total visits, per-site visit counts)``."""
+    return _count(_UnitContext(unit))
+
+
+def _verdict(
     ctx: _UnitContext,
-    k: int,
+    point: int,
+    site: str,
+    crash_op: int,
+    cycle: int,
+    crashed,
+    run,
     cache: Optional[Dict[str, Tuple[bool, Tuple[str, ...]]]],
 ) -> PointVerdict:
-    schedule = CrashSchedule(stop_at=k, sites=unit.sites)
-    system = ctx.build_system(schedule)
-    result = system.run(ctx.trace)
-    if not result.crashed or result.crash_point is None:
-        raise RuntimeError(
-            f"{unit.describe()}: point {k} did not fire — the counting run "
-            f"reached it, so the simulator is not deterministic"
-        )
-    point = result.crash_point
-    media = system.nvmm_media
-    claimed = claimed_persists(unit.scheme, result)
+    """Judge one crash state: ``crashed.nvmm_media`` is its durable image
+    and ``run`` carries its persist logs (a crashed system and its
+    ``RunResult``, or one :class:`~repro.check.explore.Visit` as both)."""
+    unit = ctx.unit
+    media = crashed.nvmm_media
+    claimed = claimed_persists(unit.scheme, run)
     fp = durable_fingerprint(
-        unit.scheme, media, result.committed_persists, result.performed_persists
+        unit.scheme, media, run.committed_persists, run.performed_persists
     )
 
     hit = cache.get(fp) if cache is not None else None
     if hit is not None:
         consistent, violations = hit
-        return PointVerdict(
-            k, point.site, result.crash_op or 0, point.cycle,
-            consistent, violations, fp, pruned=True,
-        )
+        return PointVerdict(point, site, crash_op, cycle,
+                            consistent, violations, fp, pruned=True)
 
     violations: List[str] = []
     info = scheme_info(unit.scheme)
@@ -307,12 +312,12 @@ def _check_point(
         # which prefix-or-stronger contracts promise.  Epoch-contract
         # schemes legitimately break them mid-epoch, so the invariant is
         # not an oracle for them.
-        ok, struct_violations = ctx.structural(system, result)
+        ok, struct_violations = ctx.structural(crashed, run)
         if not ok:
             violations.extend(struct_violations[:MAX_VIOLATIONS_PER_POINT])
 
     verdict = PointVerdict(
-        k, point.site, result.crash_op or 0, point.cycle,
+        point, site, crash_op, cycle,
         not violations, tuple(violations[:MAX_VIOLATIONS_PER_POINT]), fp,
         pruned=False,
     )
@@ -321,23 +326,58 @@ def _check_point(
     return verdict
 
 
-def check_unit_points(unit: CheckUnit, points: Sequence[int]) -> List[PointVerdict]:
-    """Batch worker: check one shard of crash points.  Module-level and
-    picklable so :func:`repro.analysis.batch.run_tasks` can fan shards
-    across processes.  The fingerprint cache is per-shard: parallel runs
-    may prune less than a serial run, but verdicts are identical."""
+def _explore(
+    unit: CheckUnit, prune_scope: Optional[int] = None
+) -> Tuple[List[PointVerdict], int, Dict[str, int]]:
+    """Check the unit's selected crash points in one sweep; the prune
+    cache starts afresh every ``prune_scope`` points (``None``: never)."""
+    from repro.check.explore import sweep
+
     ctx = _UnitContext(unit)
+    points = None
+    if unit.max_points is not None:
+        # Sampling needs the size of the space before the pass.
+        total, _ = _count(ctx)
+        points = _select_points(unit, total)
     cache: Optional[Dict] = {} if unit.prune else None
-    return [_check_point(unit, ctx, k, cache) for k in points]
+    verdicts: List[PointVerdict] = []
+
+    def observe(visit) -> None:
+        if cache and prune_scope and len(verdicts) % prune_scope == 0:
+            cache.clear()
+        verdicts.append(_verdict(
+            ctx, visit.point, visit.site, visit.crash_op, visit.cycle,
+            visit, visit, cache,
+        ))
+
+    schedule = CrashSchedule(stop_at=None, sites=unit.sites)
+    sweep(ctx.build_system(schedule), ctx.trace, observe, points)
+    return verdicts, schedule.visits, dict(schedule.site_counts)
 
 
 def explore(unit: CheckUnit) -> Tuple[List[PointVerdict], int, Dict[str, int]]:
-    """Serial in-process exploration of every reachable crash point.
-    Returns ``(verdicts, total_points, site_counts)`` — the test-friendly
-    core that :func:`run_check_unit` wraps with sharding and reporting."""
-    total, site_counts = count_micro_points(unit)
-    points = _select_points(unit, total)
-    return check_unit_points(unit, points), total, site_counts
+    """Serial in-process exploration of every reachable crash point, one
+    prune cache for the whole unit.  Returns ``(verdicts, total_points,
+    site_counts)`` — the test-friendly core that :func:`run_check_unit`
+    wraps with reporting."""
+    return _explore(unit)
+
+
+def replay_points(unit: CheckUnit, points: Sequence[int]) -> List[PointVerdict]:
+    """The reference for each point ``k``: crash a fresh system with
+    ``stop_at=k`` (the scheme's real ``crash_drain``) and judge the
+    recovered image, unpruned."""
+    ctx = _UnitContext(unit)
+    verdicts = []
+    for k in points:
+        system = ctx.build_system(CrashSchedule(stop_at=k, sites=unit.sites))
+        result = system.run(ctx.trace)
+        point = result.crash_point
+        if point is None:
+            raise RuntimeError(f"{unit.describe()}: point {k} did not fire")
+        verdicts.append(_verdict(ctx, k, point.site, result.crash_op or 0,
+                                 point.cycle, system, result, None))
+    return verdicts
 
 
 def _select_points(unit: CheckUnit, total: int) -> List[int]:
@@ -401,23 +441,16 @@ def run_check_unit(
     policy=None,
     progress=None,
 ) -> Tuple[Dict[str, Any], List[PointVerdict]]:
-    """Full model-checking run for one unit: count, shard, fan out through
-    the hardened batch runner, and fold into a report.  Returns
-    ``(report, verdicts)``; verdicts come back in point order."""
+    """Full model-checking run for one unit: one sweep through the
+    hardened batch runner (retries, checkpoint/resume), folded into a
+    report.  Returns ``(report, verdicts)``; verdicts come back in point
+    order.  The prune cache is scoped to :data:`POINTS_PER_SHARD` points."""
     from repro.analysis.batch import run_tasks
 
-    total, site_counts = count_micro_points(unit)
-    points = _select_points(unit, total)
-    shards = [
-        points[i:i + POINTS_PER_SHARD]
-        for i in range(0, len(points), POINTS_PER_SHARD)
-    ]
-    tasks = [(check_unit_points, (unit, shard), {}) for shard in shards]
-    shard_results = run_tasks(tasks, jobs=jobs, progress=progress, policy=policy)
-    verdicts: List[PointVerdict] = []
-    for shard in shard_results:
-        if isinstance(shard, list):
-            verdicts.extend(shard)
+    [(verdicts, total, site_counts)] = run_tasks(
+        [(_explore, (unit, POINTS_PER_SHARD), {})],
+        jobs=jobs, progress=progress, policy=policy,
+    )
     return build_report(unit, verdicts, total, site_counts), verdicts
 
 
@@ -476,14 +509,33 @@ def _smoke_spec():
     return WorkloadSpec(threads=2, ops=6, elements=128, seed=11)
 
 
+def _replay_mismatches(unit: CheckUnit, verdicts: Sequence[PointVerdict]
+                       ) -> List[str]:
+    """Diff the sweep's verdicts against real crashes: every
+    non-``engine.op`` point and every :data:`SMOKE_REPLAY_OP_STRIDE`-th
+    ``engine.op`` point is replayed through ``stop_at=k``."""
+    ops = [v for v in verdicts if v.site == SITE_OP]
+    sampled = {v.point for v in ops[::SMOKE_REPLAY_OP_STRIDE]}
+    chosen = [v for v in verdicts if v.site != SITE_OP or v.point in sampled]
+    replayed = replay_points(unit, [v.point for v in chosen])
+    return [
+        f"{unit.describe()}: point {v.point} ({v.site}): the single-pass "
+        f"verdict differs from a real crash there"
+        for v, ref in zip(chosen, replayed)
+        if replace(v, pruned=False) != ref
+    ]
+
+
 def smoke_check(jobs: Optional[int] = None, progress=None) -> Dict[str, Any]:
     """The CI gate: exhaustively check one small workload under every
-    shipped scheme (zero violations expected), assert the pruned run of
+    shipped scheme (zero violations expected), diff sampled single-pass
+    verdicts of every unit against real crashes, assert the pruned run of
     ``bbb`` reports the same per-point verdicts as the unpruned run, and
     assert the broken mutant is caught and minimizes to a tiny repro.
 
     Returns ``{"ok", "failures", "reports"}``; ``ok`` is False on any
-    violation, prune/exhaustive mismatch, or missed mutant.
+    violation, sweep/replay or prune/exhaustive mismatch, or missed
+    mutant.
     """
     from repro.api import SCHEMES
 
@@ -493,8 +545,9 @@ def smoke_check(jobs: Optional[int] = None, progress=None) -> Dict[str, Any]:
 
     for scheme in SCHEMES:
         unit = CheckUnit(scheme=scheme, spec=spec)
-        report, _ = run_check_unit(unit, jobs=jobs, progress=progress)
+        report, verdicts = run_check_unit(unit, jobs=jobs, progress=progress)
         reports.append(report)
+        failures.extend(_replay_mismatches(unit, verdicts))
         if report["num_violations"]:
             first = report["violations"][0]["violations"][0]
             failures.append(
@@ -520,6 +573,7 @@ def smoke_check(jobs: Optional[int] = None, progress=None) -> Dict[str, Any]:
         mutant_unit, jobs=jobs, progress=progress
     )
     reports.append(mutant_report)
+    failures.extend(_replay_mismatches(mutant_unit, mutant_verdicts))
     if not mutant_report["num_violations"]:
         failures.append("mutant bbb-delayed-alloc: no violation found")
     else:

@@ -34,6 +34,7 @@ from repro.check.checker import (
     diff_golden,
     golden_expected,
 )
+from repro.check.explore import sweep
 from repro.check.schedule import CrashSchedule
 from repro.core.recovery import check_scheme_contract, claimed_persists
 from repro.core.registry import scheme_info
@@ -112,37 +113,38 @@ def _build_seeded_system(unit: CheckUnit, config, seed_words, schedule):
     return system
 
 
-def _point_violations(unit, config, seed_words, trace, k):
-    """Crash ``trace`` at micro-step ``k``; return (site, violations)."""
-    schedule = CrashSchedule(stop_at=k, sites=unit.sites)
-    system = _build_seeded_system(unit, config, seed_words, schedule)
-    result = system.run(trace)
-    if not result.crashed or result.crash_point is None:
-        raise RuntimeError(f"minimization replay: point {k} did not fire")
-    media = system.nvmm_media
-    claimed = claimed_persists(unit.scheme, result)
+def _violations(unit, config, seed_words, media, run) -> List[str]:
+    """The contract and golden oracles over one crash state (``media``
+    its durable image, ``run`` its persist logs)."""
+    claimed = claimed_persists(unit.scheme, run)
     violations = list(check_scheme_contract(unit.scheme, media, claimed).violations)
     if scheme_info(unit.scheme).exact_durability:
         violations.extend(diff_golden(
             media, golden_expected(seed_words, claimed),
             config.mem.is_persistent,
         ))
-    return result.crash_point.site, violations
+    return violations
 
 
 def first_failing_point(
     unit: CheckUnit, config, seed_words, trace: ProgramTrace
 ) -> Optional[Tuple[int, str, Tuple[str, ...]]]:
-    """Exhaustive micro-step scan of ``trace``, stopping at the first
-    violating crash point.  ``None`` when every point is consistent."""
-    counting = CrashSchedule(stop_at=None, sites=unit.sites)
-    system = _build_seeded_system(unit, config, seed_words, counting)
-    system.run(trace)
-    for k in range(1, counting.visits + 1):
-        site, violations = _point_violations(unit, config, seed_words, trace, k)
+    """Exhaustive micro-step scan of ``trace`` in one sweep, stopping at
+    the first violating crash point.  ``None`` when every point is
+    consistent."""
+    found: List[Tuple[int, str, Tuple[str, ...]]] = []
+
+    def observe(visit) -> bool:
+        violations = _violations(unit, config, seed_words,
+                                 visit.nvmm_media, visit)
         if violations:
-            return k, site, tuple(violations)
-    return None
+            found.append((visit.point, visit.site, tuple(violations)))
+        return bool(violations)
+
+    schedule = CrashSchedule(stop_at=None, sites=unit.sites)
+    sweep(_build_seeded_system(unit, config, seed_words, schedule), trace,
+          observe)
+    return found[0] if found else None
 
 
 def _ddmin(
@@ -307,12 +309,17 @@ def replay_artifact(path: str, config=None) -> Dict[str, Any]:
         for rec in artifact["ops"]
     ]
     trace = rebuild_trace(ops, artifact["num_threads"])
-    site, violations = _point_violations(
-        unit, cfg, seed_words, trace, artifact["crash_point"]
-    )
+    # A real crash, not the sweep: the artifact must reproduce on its own.
+    schedule = CrashSchedule(stop_at=artifact["crash_point"], sites=unit.sites)
+    system = _build_seeded_system(unit, cfg, seed_words, schedule)
+    result = system.run(trace)
+    if result.crash_point is None:
+        raise RuntimeError(
+            f"replay: point {artifact['crash_point']} did not fire")
+    violations = _violations(unit, cfg, seed_words, system.nvmm_media, result)
     return {
         "reproduced": bool(violations),
-        "site": site,
+        "site": result.crash_point.site,
         "violations": violations,
         "artifact": artifact,
     }

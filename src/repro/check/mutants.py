@@ -61,31 +61,23 @@ class DelayedAllocBBB(BBBScheme):
         self._pending.clear()
         return super().finalize(now)
 
-    # crash_drain is inherited unchanged: pending stores are in no bbPB,
-    # so they are simply lost — the bug the checker must expose.
+    # battery_residue is inherited unchanged: pending stores are in no
+    # bbPB, so they are simply lost — the bug the checker must expose.
 
 
 class ForgetfulEADR(EADR):
     """eADR whose crash drain forgets the private caches.
 
     The battery nominally covers the whole hierarchy, but this mutant's
-    drain walks only the shared LLC (plus in-flight writebacks and store
-    buffers).  A committed persisting store whose dirty line still sits in
+    residue holds only the shared LLC (plus in-flight writebacks and store
+    buffers), as if the battery rail to the private caches had been left
+    unwired.  A committed persisting store whose dirty line still sits in
     an L1D — the common case for small working sets that never evict —
     is lost on crash, violating eADR's exact contract.
     """
 
-    def crash_drain(self, now: int):
-        h = self.hierarchy
-        assert h is not None
-        # Empty the L1Ds *before* the inherited drain walks them: the
-        # blocks vanish as if the battery rail to the private caches had
-        # been left unwired.
-        for l1 in h.l1s:
-            for blk in list(l1.dirty_blocks()):
-                blk.dirty = False
-                blk.data = BlockData()
-        return super().crash_drain(now)
+    def battery_residue(self):
+        return self._dirty_nvmm_lines(())
 
 
 #: Mutant name -> (base scheme name, constructor).  The base scheme is

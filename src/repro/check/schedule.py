@@ -15,10 +15,18 @@ A :class:`CrashSchedule` is threaded through the system (``build_system(
 volatile-state loss) exactly as if power failed at that micro-step.
 
 Because the simulator is deterministic, visit ``k`` denotes the same
-machine state on every run of the same (config, scheme, trace).  The model
-checker therefore enumerates the crash-state space exhaustively by running
-the trace once in *counting* mode (``stop_at=None``) to learn the total
-number of visits ``T``, then re-running with ``stop_at=1..T``.
+machine state on every run of the same (config, scheme, trace).  A
+schedule in *counting* mode (``stop_at=None``) never fires; with an
+``observer`` attached it reports every visit as it happens, which is how
+:func:`repro.check.explore.sweep` reads the crash state of all ``T``
+points from one execution instead of re-running with ``stop_at=1..T``.
+
+Every site is *crash-consistent*: when :meth:`CrashSchedule.reached` is
+called, the machine state already is exactly what a crash there must
+drain — nothing is reinstated while :class:`CrashNow` unwinds.  A new
+site must keep that rule (hold in-flight data where the battery drain
+finds it *before* calling ``reached``), or the single-pass sweep and a
+real crash at the same point disagree.
 
 This module is intentionally dependency-free (no imports from the rest of
 ``repro``): the hot simulator modules import it, so it must sit below all
@@ -30,7 +38,7 @@ run without a schedule executes the identical instruction stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 __all__ = [
     "ALL_SITES",
@@ -96,6 +104,12 @@ class CrashSchedule:
     ``sites`` optionally restricts which sites count (and can fire); a
     visit to an excluded site is invisible to the schedule, so a
     restricted enumeration is a projection of the full one.
+
+    ``observer``, when set, is called as ``observer(index, site, cycle,
+    addr)`` at every counted visit, before a scheduled crash would fire.
+    ``ops`` counts operation boundaries passed so far (every ``SITE_OP``
+    call, counted or filtered out) — the ``crash_op`` of the current
+    visit.
     """
 
     enabled = True
@@ -107,16 +121,22 @@ class CrashSchedule:
         self.stop_at = stop_at
         self.sites = frozenset(sites) if sites is not None else None
         self.visits = 0
+        self.ops = 0
         self.site_counts: Dict[str, int] = {}
         self.fired: Optional[FiredPoint] = None
+        self.observer: Optional[Callable[[int, str, int, int], None]] = None
 
     def reached(self, site: str, cycle: int = 0, addr: int = 0) -> None:
         """Record a visit to ``site``; raise :class:`CrashNow` if it is
         the scheduled one."""
+        if site == SITE_OP:
+            self.ops += 1
         if self.sites is not None and site not in self.sites:
             return
         self.visits += 1
         self.site_counts[site] = self.site_counts.get(site, 0) + 1
+        if self.observer is not None:
+            self.observer(self.visits, site, cycle, addr)
         if self.stop_at is not None and self.visits >= self.stop_at:
             self.fired = FiredPoint(self.visits, site, cycle, addr)
             raise CrashNow(self.fired)
@@ -133,7 +153,9 @@ class _NullSchedule:
     stop_at: Optional[int] = None
     sites: Optional[frozenset] = None
     visits = 0
+    ops = 0
     fired: Optional[FiredPoint] = None
+    observer = None
 
     @property
     def site_counts(self) -> Dict[str, int]:  # pragma: no cover - trivial

@@ -27,7 +27,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from repro.check.schedule import CrashNow
 from repro.mem.block import BlockData
 from repro.obs.bus import NULL_BUS, EventBus
 from repro.obs.events import (
@@ -192,17 +191,12 @@ class MemorySideBBPB:
     # Draining (Section III-F)
     # ------------------------------------------------------------------
     def _start_drain(self, entry: BBPBEntry, now: int) -> None:
+        """Drain resident ``entry``.  It leaves the resident set only once
+        the sink returns: until the WPQ accepts the block the battery still
+        owns it, so a crash point inside the sink finds it resident."""
+        entry.complete_at = self._drain(entry.block_addr, entry.data, now)
         entry.in_flight = True
-        try:
-            entry.complete_at = self._drain(entry.block_addr, entry.data, now)
-        except CrashNow:
-            # Scheduled crash with the drain packet in flight: the WPQ has
-            # not accepted the block, so the battery still owns it —
-            # reinstate the entry so crash_drain() persists it.
-            entry.in_flight = False
-            self._resident[entry.block_addr] = entry
-            self._resident.move_to_end(entry.block_addr, last=False)
-            raise
+        del self._resident[entry.block_addr]
         self._inflight.append(entry)
         self.drains += 1
         if self._bus.enabled:
@@ -217,10 +211,8 @@ class MemorySideBBPB:
         picks the entry idle the longest."""
         if self.config.drain_policy is DrainPolicy.LEAST_RECENTLY_WRITTEN:
             entry = min(self._resident.values(), key=lambda e: e.last_write)
-            del self._resident[entry.block_addr]
         else:
-            block_addr, entry = next(iter(self._resident.items()))
-            del self._resident[block_addr]
+            entry = next(iter(self._resident.values()))
         self._start_drain(entry, now)
         return entry
 
@@ -265,7 +257,7 @@ class MemorySideBBPB:
         push the block to the WPQ so the LLC may evict it.  Returns the
         completion cycle (0-cost if the block is absent; an in-flight drain
         just completes)."""
-        entry = self._resident.pop(block_addr, None)
+        entry = self._resident.get(block_addr)
         if entry is None:
             pending = [e for e in self._inflight if e.block_addr == block_addr]
             return max((e.complete_at for e in pending), default=now)
@@ -278,13 +270,23 @@ class MemorySideBBPB:
     # ------------------------------------------------------------------
     # Crash draining
     # ------------------------------------------------------------------
-    def crash_drain(self) -> List[Tuple[int, BlockData]]:
-        """Return every resident entry (battery guarantees all reach NVMM),
-        oldest first, and empty the buffer.  In-flight entries already
-        reached the WPQ (durable) and need no extra action."""
-        out = [(e.block_addr, e.data.copy()) for e in self._resident.values()]
+    def battery_entries(self) -> List[Tuple[int, BlockData]]:
+        """Every resident entry, oldest first: what the battery must move
+        to NVMM on a crash.  In-flight entries already reached the WPQ
+        (durable) and need no extra action.  Pure: the data is not copied
+        and the buffer is left as is."""
+        return [(e.block_addr, e.data) for e in self._resident.values()]
+
+    def clear(self) -> None:
+        """Power loss after the crash drain: the buffer is empty."""
         self._resident.clear()
         self._inflight.clear()
+
+    def crash_drain(self) -> List[Tuple[int, BlockData]]:
+        """Return (copies of) :meth:`battery_entries` and empty the
+        buffer."""
+        out = [(addr, data.copy()) for addr, data in self.battery_entries()]
+        self.clear()
         return out
 
     def drain_all(self, now: int) -> int:
@@ -394,14 +396,10 @@ class ProcessorSideBBPB:
         return stall, True
 
     def _start_drain(self, entry: BBPBEntry, now: int) -> None:
+        # Callers pop the entry only after the drain starts, so a crash
+        # point inside the sink finds it in the FIFO, battery-covered.
         entry.in_flight = True
-        try:
-            entry.complete_at = self._drain(entry.block_addr, entry.data, now)
-        except CrashNow:
-            # The entry is still in the FIFO (callers pop only after the
-            # drain starts); un-mark it so crash_drain() covers it.
-            entry.in_flight = False
-            raise
+        entry.complete_at = self._drain(entry.block_addr, entry.data, now)
         self.drains += 1
         if self._bus.enabled:
             self._bus.emit(DrainStart(now, self.core_id, entry.block_addr,
@@ -462,9 +460,18 @@ class ProcessorSideBBPB:
                 break
         return t
 
-    def crash_drain(self) -> List[Tuple[int, BlockData]]:
-        out = [(e.block_addr, e.data.copy()) for e in self._fifo]
+    def battery_entries(self) -> List[Tuple[int, BlockData]]:
+        """Every record, in program order — in-flight ones included — as
+        the battery drains them on a crash.  Pure, like
+        :meth:`MemorySideBBPB.battery_entries`."""
+        return [(e.block_addr, e.data) for e in self._fifo]
+
+    def clear(self) -> None:
         self._fifo.clear()
+
+    def crash_drain(self) -> List[Tuple[int, BlockData]]:
+        out = [(addr, data.copy()) for addr, data in self.battery_entries()]
+        self.clear()
         return out
 
     def drain_all(self, now: int) -> int:

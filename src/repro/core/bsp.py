@@ -14,8 +14,9 @@ memory controller, so programs still crash-recover only to a per-core
 Implementation notes:
 
 * the volatile buffer reuses :class:`~repro.core.bbpb.ProcessorSideBBPB`
-  (ordered records, in-order drain) without battery semantics: its
-  ``crash_drain`` is never called, the contents simply vanish;
+  (ordered records, in-order drain) without battery semantics: the
+  scheme declares no battery residue, so on a crash the contents simply
+  vanish;
 * remote invalidation/intervention of a buffered block synchronously
   drains the holder's buffer through that block and *charges the delay to
   the requesting core* (the paper: BSP "delays responses to external
@@ -33,7 +34,7 @@ from typing import List, Optional
 
 from repro.core.bbpb import ProcessorSideBBPB
 from repro.core.drain import wpq_drain_sink
-from repro.core.persistency import DrainReport, PersistencyScheme, SchemeTraits
+from repro.core.persistency import PersistencyScheme, SchemeTraits
 from repro.mem.block import BlockData, CacheBlock
 from repro.obs.events import STALL_BBPB_FULL, StallBegin, StallEnd
 from repro.sim.config import BBBConfig
@@ -173,14 +174,12 @@ class BSP(PersistencyScheme):
             self._record_latencies(buf.core_id, t)
         return t
 
-    def crash_drain(self, now: int) -> DrainReport:
-        """Volatile buffers: everything still buffered is LOST.  Durable
-        state is the per-core program-order prefix that already drained."""
-        assert self.hierarchy is not None
+    def clear_buffers(self) -> None:
+        """Volatile buffers: no battery residue, everything still buffered
+        is LOST.  Durable state is the per-core program-order prefix that
+        already drained."""
         for buf in self.buffers:
-            buf.crash_drain()  # discard, no battery
-        self.hierarchy.lose_volatile_state()
-        return DrainReport(scheme=self.name)
+            buf.clear()
 
     def traits(self) -> SchemeTraits:
         return SchemeTraits(

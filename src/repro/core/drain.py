@@ -52,12 +52,11 @@ def crash_scheduled_drain(drain: _DrainFn, schedule) -> _DrainFn:
     """Wrap a bbPB drain sink with the model checker's mid-drain crash
     point (:data:`~repro.check.schedule.SITE_DRAIN`).
 
-    The hook fires *before* the WPQ write: the entry has left the buffer
-    and its packet is in flight, which is exactly the window the bbPB's
-    crash-atomicity (entry reinstatement in
-    :meth:`repro.core.bbpb.MemorySideBBPB._start_drain`) must cover.
-    Returns ``drain`` unchanged when the schedule is disabled — the
-    NULL-object zero-cost rule.
+    The hook fires *before* the WPQ write: the entry's packet is in
+    flight, and the bbPB keeps it resident until the sink returns
+    (:meth:`repro.core.bbpb.MemorySideBBPB._start_drain`), so the battery
+    still covers it here.  Returns ``drain`` unchanged when the schedule
+    is disabled — the NULL-object zero-cost rule.
     """
     if not schedule.enabled:
         return drain

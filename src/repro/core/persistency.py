@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.bbpb import MemorySideBBPB, ProcessorSideBBPB
 from repro.core.drain import crash_scheduled_drain, wpq_drain_sink
@@ -76,6 +76,20 @@ class DrainReport:
     @property
     def total_units(self) -> int:
         return self.bbpb_blocks + self.store_buffer_entries + self.cache_blocks
+
+
+class ResidueBlock(NamedTuple):
+    """One block the battery moves to NVMM when power fails."""
+
+    #: True for a persist-buffer entry (or a coherence move between two
+    #: buffers): it counts as a ``bbpb_blocks`` drain unit and passes the
+    #: ``bbpb.entry`` fault site.  False for a cache line (or an eviction
+    #: writeback in flight), counted as ``cache_blocks``.
+    bbpb: bool
+    #: Owning buffer's core; -1 when no buffer holds the block.
+    core: int
+    block_addr: int
+    data: BlockData
 
 
 class PersistencyScheme:
@@ -164,10 +178,66 @@ class PersistencyScheme:
         state so the media image is complete.  Returns the settling time."""
         return now
 
+    def battery_residue(self) -> List[ResidueBlock]:
+        """What the battery would move to NVMM if power failed now, in
+        drain order, store buffers aside (the base class appends their
+        battery-backed words).  Must be pure — no copies needed, no state
+        touched: the crash-exploration kernel
+        (:func:`repro.check.explore.sweep`) reads it at every micro-step
+        crash point of a running system.  Schemes declare what survives a
+        crash here and never override :meth:`crash_drain`; the registry
+        rejects classes that do.  The base scheme covers nothing beyond
+        the (already folded) WPQ."""
+        return []
+
+    def clear_buffers(self) -> None:
+        """Power loss: empty the scheme's own buffers.  Whatever the
+        battery covers in them was already read through
+        :meth:`battery_residue`."""
+
     def crash_drain(self, now: int) -> DrainReport:
-        """Power failure: move whatever the battery covers to NVMM media.
-        Base scheme covers nothing beyond the (already folded) WPQ."""
-        return DrainReport(scheme=self.name)
+        """Power failure: move the battery residue, then the battery-backed
+        store-buffer words, to NVMM media (each drawing on the fault
+        injector's battery, when one is installed), then lose every
+        volatile structure."""
+        h = self.hierarchy
+        assert h is not None
+        injector = h.fault_injector
+        report = DrainReport(scheme=self.name)
+        residue = self.battery_residue()
+        # A scheme with nothing battery-backed never consults the battery.
+        battery = injector.enabled and (self.battery_backed_sb or bool(residue))
+        if battery:
+            injector.begin_crash_drain(
+                len(residue) + h.crash_sb_persistent_entries(), now
+            )
+        block_size = h.config.block_size
+        for block in residue:
+            data = block.data
+            if battery:
+                if not injector.battery_allows(now):
+                    continue  # battery died mid-drain: the block is lost
+                if block.bbpb:
+                    data, _ = injector.on_bbpb_crash_entry(
+                        block.core, block.block_addr, data, now
+                    )
+                    if data is None:  # parity caught a corrupt entry
+                        continue
+            h.nvmm.media.write_block(block.block_addr, data)
+            h.stats.nvmm_writes += 1
+            if block.bbpb:
+                report.bbpb_blocks += 1
+            else:
+                report.cache_blocks += 1
+            report.bytes_drained += block_size
+        # Section III-C: store buffers drain after the bbPB, preserving
+        # per-core program order of persists.
+        report.store_buffer_entries += h.crash_drain_store_buffers()
+        if battery:
+            injector.finish_crash_drain(now)
+        self.clear_buffers()
+        h.lose_volatile_state()
+        return report
 
     def traits(self) -> SchemeTraits:
         raise NotImplementedError
@@ -215,43 +285,34 @@ class EADR(PersistencyScheme):
     def on_llc_eviction(self, block: CacheBlock, now: int) -> bool:
         return False  # normal writebacks; nothing special
 
-    def crash_drain(self, now: int) -> DrainReport:
-        assert self.hierarchy is not None
+    def battery_residue(self) -> List[ResidueBlock]:
+        """Every dirty NVMM line of every cache level, plus eviction
+        writebacks in flight."""
         h = self.hierarchy
-        injector = h.fault_injector
-        report = DrainReport(scheme=self.name)
-        block_size = h.config.block_size
+        assert h is not None
+        return self._dirty_nvmm_lines(h.l1s)
+
+    def _dirty_nvmm_lines(self, l1s) -> List[ResidueBlock]:
+        """The residue with the private caches ``l1s`` covered."""
+        h = self.hierarchy
+        is_nvmm = h.config.mem.is_nvmm
         # L1 dirty copies take precedence over (possibly stale) LLC copies.
         drained: Dict[int, BlockData] = {}
-        for l1 in h.l1s:
+        for l1 in l1s:
             for blk in l1.dirty_blocks():
-                if h.config.mem.is_nvmm(blk.addr):
-                    drained[blk.addr] = blk.data.copy()
+                if is_nvmm(blk.addr):
+                    drained[blk.addr] = blk.data
         for blk in h.llc.dirty_blocks():
-            if h.config.mem.is_nvmm(blk.addr) and blk.addr not in drained:
-                drained[blk.addr] = blk.data.copy()
-        # Eviction writebacks caught in flight by a scheduled crash: the
-        # whole cache-to-controller path is inside eADR's battery domain,
-        # so the packet completes.  Cache copies (if any) are newer.
+            if is_nvmm(blk.addr) and blk.addr not in drained:
+                drained[blk.addr] = blk.data
+        # Eviction writebacks in flight to the controller: the whole
+        # cache-to-controller path is inside eADR's battery domain, so the
+        # packet completes.  Cache copies (if any) are newer.
         for addr, data in h.inflight_writebacks:
-            if h.config.mem.is_nvmm(addr) and addr not in drained:
-                drained[addr] = data.copy()
-        if injector.enabled:
-            injector.begin_crash_drain(
-                len(drained) + h.crash_sb_persistent_entries(), now
-            )
-        for addr, data in drained.items():
-            if injector.enabled and not injector.battery_allows(now):
-                continue  # battery died mid-drain: the block is lost
-            h.nvmm.media.write_block(addr, data)
-            h.stats.nvmm_writes += 1
-            report.cache_blocks += 1
-            report.bytes_drained += block_size
-        report.store_buffer_entries += h.crash_drain_store_buffers()
-        if injector.enabled:
-            injector.finish_crash_drain(now)
-        h.lose_volatile_state()
-        return report
+            if is_nvmm(addr) and addr not in drained:
+                drained[addr] = data
+        return [ResidueBlock(False, -1, addr, data)
+                for addr, data in drained.items()]
 
     def traits(self) -> SchemeTraits:
         return SchemeTraits(
@@ -436,48 +497,30 @@ class BBBScheme(PersistencyScheme):
             t = max(t, buf.drain_all(now))
         return t
 
-    def crash_drain(self, now: int) -> DrainReport:
-        assert self.hierarchy is not None
+    def battery_residue(self) -> List[ResidueBlock]:
+        """Every bbPB entry, plus coherence moves in flight."""
         h = self.hierarchy
-        injector = h.fault_injector
-        report = DrainReport(scheme=self.name)
-        entries = [
-            (buf.core_id, block_addr, data)
+        assert h is not None
+        residue = [
+            ResidueBlock(True, buf.core_id, block_addr, data)
             for buf in self.buffers
-            for block_addr, data in buf.crash_drain()
+            for block_addr, data in buf.battery_entries()
         ]
         # In-flight coherence moves (Fig. 6a/b) whose new owner never
         # allocated: the battery covers the packet, so they drain too —
         # unless some bbPB still holds a (necessarily fresher) copy.
-        resident = {block_addr for _, block_addr, _ in entries}
-        entries.extend(
-            (-1, block_addr, data)
-            for block_addr, data in h.inflight_bbpb_moves.items()
-            if block_addr not in resident
-        )
-        if injector.enabled:
-            injector.begin_crash_drain(
-                len(entries) + h.crash_sb_persistent_entries(), now
+        if h.inflight_bbpb_moves:
+            resident = {block.block_addr for block in residue}
+            residue.extend(
+                ResidueBlock(True, -1, block_addr, data)
+                for block_addr, data in h.inflight_bbpb_moves.items()
+                if block_addr not in resident
             )
-        for core, block_addr, data in entries:
-            if injector.enabled:
-                if not injector.battery_allows(now):
-                    continue  # battery died mid-drain: the entry is lost
-                data, _ = injector.on_bbpb_crash_entry(core, block_addr,
-                                                       data, now)
-                if data is None:  # parity caught a corrupt entry: discard
-                    continue
-            h.nvmm.media.write_block(block_addr, data)
-            h.stats.nvmm_writes += 1
-            report.bbpb_blocks += 1
-            report.bytes_drained += h.config.block_size
-        # Section III-C: store buffers drain after their bbPB, preserving
-        # per-core program order of persists.
-        report.store_buffer_entries += h.crash_drain_store_buffers()
-        if injector.enabled:
-            injector.finish_crash_drain(now)
-        h.lose_volatile_state()
-        return report
+        return residue
+
+    def clear_buffers(self) -> None:
+        for buf in self.buffers:
+            buf.clear()
 
     def traits(self) -> SchemeTraits:
         side = "memory-side" if self.bbb_config.memory_side else "processor-side"
@@ -582,13 +625,10 @@ class BEP(PersistencyScheme):
                 t = max(t, self._drain_one(core, t))
         return t
 
-    def crash_drain(self, now: int) -> DrainReport:
-        assert self.hierarchy is not None
-        # Volatile buffers: contents are LOST.
+    def clear_buffers(self) -> None:
+        # Volatile buffers: no battery residue, the contents are LOST.
         for buf in self._buffers:
             buf.clear()
-        self.hierarchy.lose_volatile_state()
-        return DrainReport(scheme=self.name)
 
     def traits(self) -> SchemeTraits:
         return SchemeTraits(

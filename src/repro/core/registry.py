@@ -328,7 +328,23 @@ class SchemeInfo:
                 f"unexpected keyword arguments for scheme {self.name!r}: "
                 f"{', '.join(unexpected)}"
             )
+        if scheme_cls is not None:
+            _check_crash_drain(self.name, scheme_cls)
         return self.factory(scheme_cls or self.cls, entries, **kwargs)
+
+
+def _check_crash_drain(name: str, cls: type) -> None:
+    """Schemes declare what survives a crash through ``battery_residue``:
+    the crash-exploration kernel reads it at every crash point instead of
+    crashing, so a ``crash_drain`` override would make single-pass
+    exploration silently disagree with real crashes."""
+    if getattr(cls, "crash_drain", None) is not _p.PersistencyScheme.crash_drain:
+        raise TypeError(
+            f"scheme {name!r}: class {cls.__name__} overrides crash_drain; "
+            f"override battery_residue() (what the battery moves to NVMM, "
+            f"read without side effects) and, for volatile buffers, "
+            f"clear_buffers() instead"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -403,6 +419,8 @@ def register_scheme(
             f"{', '.join(repr(k) for k in unknown_ordering)}; "
             f"expected members of {', '.join(ORDERING_KINDS)}"
         )
+
+    _check_crash_drain(name, cls)
 
     def decorator(factory: Callable) -> Callable:
         info = SchemeInfo(

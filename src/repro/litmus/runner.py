@@ -1,14 +1,12 @@
 """The litmus battery runner: corpus x every registered scheme.
 
 For each (scheme, test) cell the runner lowers the test to a
-:class:`~repro.sim.trace.ProgramTrace`, runs one *counting* pass under an
-unbounded :class:`~repro.check.schedule.CrashSchedule` to learn how many
-micro-step crash points ``T`` the run exposes, then re-executes the trace
-on a fresh system with ``stop_at=k`` for every ``k in 1..T`` (plus the
-crash-free completed run) and reads the durable image of the test's
-locations off the NVMM media.  The resulting observed-state set is
-classified against each formal model's complete allowed set
-(:mod:`repro.litmus.models`):
+:class:`~repro.sim.trace.ProgramTrace`, runs it once through the
+single-pass crash kernel (:func:`repro.check.explore.sweep`), and at
+every micro-step crash point ``k in 1..T`` reads the durable image of the
+test's locations a crash there would leave.  The resulting
+observed-state set is classified against each formal model's complete
+allowed set (:mod:`repro.litmus.models`):
 
 ``allowed``
     observed == allowed (the scheme realizes the model exactly);
@@ -70,6 +68,7 @@ __all__ = [
     "run_battery",
     "run_cell",
     "smoke_battery",
+    "sweep_states",
     "write_counterexample",
 ]
 
@@ -119,38 +118,43 @@ def run_cell(
     test = LitmusTest.from_payload(payload)
     config = _default_config()
     trace, addrs = lower(test, config)
-
-    observed: Dict[State, Dict[str, Any]] = {}
-
-    # Counting run: learn how many micro-step crash points the trace
-    # exposes.  Only crash points contribute observed states — a clean
-    # run's media image is *not* the durable state for schemes whose
-    # battery covers volatile structures (the final crash point, firing
-    # after the last op, yields the full-store image via crash_drain).
     schedule = CrashSchedule(stop_at=None)
     system = _build_system(scheme, mutant, entries, config, schedule)
-    system.run(trace)
-    total = schedule.visits
-
-    for k in range(1, total + 1):
-        schedule = CrashSchedule(stop_at=k)
-        system = _build_system(scheme, mutant, entries, config, schedule)
-        result = system.run(trace)
-        state = observe_state(system.nvmm_media, test, addrs)
-        if state not in observed:
-            site = result.crash_point.site if result.crash_point else ""
-            observed[state] = {"stop_at": k, "site": site}
-
+    observed = sweep_states(system, trace, test, addrs)
     return {
         "scheme": scheme,
         "mutant": mutant,
         "test": test.name,
-        "points": total,
+        "points": schedule.visits,
         "observed": [
             {"state": list(state), **prov}
             for state, prov in sorted(observed.items())
         ],
     }
+
+
+def sweep_states(system, trace, test: LitmusTest, addrs
+                 ) -> Dict[State, Dict[str, Any]]:
+    """The durable states of ``test``'s locations over every micro-step
+    crash point of one run of ``trace`` on ``system`` (built with a
+    counting schedule), each with its first-seen provenance
+    (``stop_at``, ``site``).
+
+    Only crash points contribute states — a clean run's media image is
+    *not* the durable state for schemes whose battery covers volatile
+    structures (the final crash point, after the last op, yields the
+    full-store image the battery drains)."""
+    from repro.check.explore import sweep
+
+    observed: Dict[State, Dict[str, Any]] = {}
+
+    def observe(visit) -> None:
+        state = observe_state(visit.nvmm_media, test, addrs)
+        if state not in observed:
+            observed[state] = {"stop_at": visit.point, "site": visit.site}
+
+    sweep(system, trace, observe)
+    return observed
 
 
 def classify_states(observed, allowed) -> Tuple[str, List[State]]:

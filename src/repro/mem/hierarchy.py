@@ -39,7 +39,7 @@ from repro.mem.block import (
     S,
     block_offset,
 )
-from repro.check.schedule import NULL_SCHEDULE, SITE_POV, CrashNow
+from repro.check.schedule import NULL_SCHEDULE, SITE_POV
 from repro.fault.injector import NULL_INJECTOR
 from repro.mem.cache import CacheArray
 from repro.mem.coherence import Directory, DrainMessageChannel
@@ -97,9 +97,10 @@ class MemoryHierarchy:
                                    schedule=crash_schedule)
         #: Functional contents of DRAM (volatile: lost on crash).
         self.volatile_image: Dict[int, BlockData] = {}
-        #: Writeback packets caught in flight by a scheduled crash
-        #: (LLC eviction -> NVMM).  Schemes whose battery covers the
-        #: cache-to-controller path (eADR) drain them; all others lose them.
+        #: Writeback packets in flight (LLC eviction -> NVMM), tracked
+        #: while a crash schedule can observe them.  Schemes whose battery
+        #: covers the cache-to-controller path (eADR) drain them; all
+        #: others lose them.
         self.inflight_writebacks: List[Tuple[int, BlockData]] = []
         #: Fig. 6(a)/(b) coherence moves caught in flight: a remote
         #: invalidation removed the block from the holder's bbPB and the
@@ -389,16 +390,16 @@ class MemoryHierarchy:
                 self.stats.llc_writebacks_dropped += 1
             else:
                 self.stats.llc_writebacks += 1
-                try:
+                if self.crash_schedule.enabled:
+                    # Until the controller accepts it, the writeback packet
+                    # is on the wire and the victim in no cache: a crash
+                    # point inside the write finds it here, for schemes
+                    # whose battery covers this path (eADR).
+                    self.inflight_writebacks.append((victim.addr, victim.data))
                     self._mem_write(victim.addr, victim.data, now)
-                except CrashNow:
-                    # The writeback packet is on the wire when power fails;
-                    # the victim is in no cache any more, so record it for
-                    # schemes whose battery covers this path (eADR).
-                    self.inflight_writebacks.append(
-                        (victim.addr, victim.data.copy())
-                    )
-                    raise
+                    self.inflight_writebacks.pop()
+                else:
+                    self._mem_write(victim.addr, victim.data, now)
 
     # ------------------------------------------------------------------
     # Memory access (functional + timing)
@@ -470,15 +471,24 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # Crash support
     # ------------------------------------------------------------------
+    def store_buffer_residue(self) -> List[Tuple[int, BlockData]]:
+        """The ``(block address, word)`` writes battery-backed store
+        buffers make on a crash: every persistent entry, per core in
+        program order (Section III-C).  Pure."""
+        writes = []
+        for sb in self.store_buffers:
+            for entry in sb.drain_order_on_crash():
+                if entry.persistent:
+                    data = BlockData()
+                    data.write_word(block_offset(entry.addr, self.block_size),
+                                    entry.value, entry.size)
+                    writes.append((self._baddr(entry.addr), data))
+        return writes
+
     def crash_sb_persistent_entries(self) -> int:
         """Persistent store-buffer entries the crash drain would move —
         the SB contribution to the battery's drain-unit budget."""
-        return sum(
-            1
-            for sb in self.store_buffers
-            for entry in sb.drain_order_on_crash()
-            if entry.persistent
-        )
+        return len(self.store_buffer_residue())
 
     def crash_drain_store_buffers(self) -> int:
         """Battery-backed store buffers drain to the WPQ in program order
@@ -487,19 +497,13 @@ class MemoryHierarchy:
         bbPB/cache drain that preceded it; a dead battery loses the tail."""
         count = 0
         injector = self.fault_injector
+        for baddr, data in self.store_buffer_residue():
+            if injector.enabled and not injector.battery_allows(0):
+                continue
+            self.nvmm.media.write_block(baddr, data)
+            self.stats.nvmm_writes += 1
+            count += 1
         for sb in self.store_buffers:
-            for entry in sb.drain_order_on_crash():
-                if not entry.persistent:
-                    continue
-                if injector.enabled and not injector.battery_allows(0):
-                    continue
-                baddr = self._baddr(entry.addr)
-                data = BlockData()
-                data.write_word(block_offset(entry.addr, self.block_size),
-                                entry.value, entry.size)
-                self.nvmm.media.write_block(baddr, data)
-                self.stats.nvmm_writes += 1
-                count += 1
             sb.clear()
         return count
 

@@ -53,6 +53,11 @@ class StoreBuffer:
         self._bus = bus
         self._fifo: Deque[SBEntry] = deque()
         self._seq = 0
+        #: The store whose L1D write (and persist hook) is in progress.  It
+        #: has left the FIFO, but until the write completes the hardware
+        #: still holds it here, so the crash drain counts it first.  The
+        #: engine sets it for the duration of each release.
+        self.releasing: Optional[SBEntry] = None
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -129,7 +134,10 @@ class StoreBuffer:
         (program order — the battery guarantees completion)."""
         if not self.battery_backed:
             return []
+        if self.releasing is not None:
+            return [self.releasing, *self._fifo]
         return list(self._fifo)
 
     def clear(self) -> None:
         self._fifo.clear()
+        self.releasing = None

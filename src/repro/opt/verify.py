@@ -431,24 +431,12 @@ def verify_workload_cell(
 
 def _sweep_states(trace, scheme: str, entries: int, config, test, addrs):
     """Crash-sweep ``trace`` exactly like the battery sweeps a cell;
-    returns ``{state: first-seen provenance}``."""
-    from repro.litmus.dsl import observe_state
-    from repro.litmus.runner import _build_system
+    returns ``({state: first-seen provenance}, crash points)``."""
+    from repro.litmus.runner import _build_system, sweep_states
 
     schedule = CrashSchedule(stop_at=None)
     system = _build_system(scheme, None, entries, config, schedule)
-    system.run(trace)
-    total = schedule.visits
-    observed: Dict[Tuple[int, ...], Dict[str, Any]] = {}
-    for k in range(1, total + 1):
-        schedule = CrashSchedule(stop_at=k)
-        system = _build_system(scheme, None, entries, config, schedule)
-        result = system.run(trace)
-        state = observe_state(system.nvmm_media, test, addrs)
-        if state not in observed:
-            site = result.crash_point.site if result.crash_point else ""
-            observed[state] = {"stop_at": k, "site": site}
-    return observed, total
+    return sweep_states(system, trace, test, addrs), schedule.visits
 
 
 def _minimize_removals(

@@ -34,6 +34,7 @@ from repro.check.schedule import SITE_OP, CrashNow, FiredPoint
 from repro.core.persistency import DrainReport
 from repro.mem.block import I as MESI_I, M as MESI_M, block_address
 from repro.mem.hierarchy import STORE_COMMIT_CYCLES, MemoryHierarchy
+from repro.mem.storebuffer import SBEntry
 from repro.obs.events import (
     STALL_EPOCH,
     STALL_FLUSH_FENCE,
@@ -121,7 +122,12 @@ class Engine:
         self._seq = 0
         # Hot-loop bound references (resolved once, not per executed op).
         self._tso = self.consistency is ConsistencyModel.TSO
+        #: TSO stores may bypass the store buffer (see _commit_store)
+        #: unless a crash schedule can observe one mid-flight.
+        self._tso_direct = self._tso and not hierarchy.crash_schedule.enabled
         self._is_persistent = self.config.mem.is_persistent
+        #: The result of the run in progress (or of the last run).
+        self.result: Optional[RunResult] = None
         self._store_buffers = hierarchy.store_buffers
         self._bus = hierarchy.bus
         #: Batched-interpreter telemetry for the last run that used the
@@ -210,7 +216,7 @@ class Engine:
             and not self.hierarchy.fault_injector.enabled
             and cols.fast_path_ok
         )
-        result = RunResult(stats=self.stats)
+        result = self.result = RunResult(stats=self.stats)
         num_threads = trace.num_threads
         clocks = [0] * num_threads
         indices = [0] * num_threads
@@ -786,7 +792,7 @@ class Engine:
         self, core: int, op: TraceOp, now: int, result: RunResult
     ) -> int:
         sb = self._store_buffers[core]
-        if self._tso and not len(sb):
+        if self._tso_direct and not len(sb):
             # TSO fast path: release is eager, so by the time a store
             # commits the buffer is empty again — the entry would be pushed
             # and immediately popped.  Skip the round trip; the observable
@@ -799,16 +805,7 @@ class Engine:
                     PersistRecord(core, addr, size, value, self._seq)
                 )
             now += 1  # commit cost
-            try:
-                done, persistent = self.hierarchy.store(
-                    core, addr, size, value, now
-                )
-            except CrashNow:
-                # The fast path models hardware that still routes stores
-                # through the SB; restore the entry so the crash drain
-                # sees exactly what the slow path would.
-                sb.push(addr, value, size, persistent, now)
-                raise
+            done, persistent = self.hierarchy.store(core, addr, size, value, now)
             if self._log_enabled:
                 result.log.append(LogRecord(LogKind.STORE, core, addr, size, value))
             if persistent:
@@ -817,6 +814,8 @@ class Engine:
                     PersistRecord(core, addr, size, value, self._seq)
                 )
             return done
+        if self._tso and not len(sb):
+            return self._commit_store_observed(core, op, now, result, sb)
 
         if sb.full:
             now = self._release_oldest(core, now, result)
@@ -832,6 +831,25 @@ class Engine:
         if self.consistency is ConsistencyModel.TSO:
             return self._release_all(core, now, result)
         return self._release_relaxed(core, now, result)
+
+    def _commit_store_observed(
+        self, core: int, op: TraceOp, now: int, result: RunResult, sb
+    ) -> int:
+        """The TSO fast path under a crash schedule: the same records,
+        stats, timing and event stream (no SB events), with the store held
+        in the SB's release slot while the hierarchy performs it — where a
+        crash point inside the store must find it."""
+        persistent = self._is_persistent(op.addr)
+        if persistent:
+            self._seq += 1
+            result.committed_persists.append(
+                PersistRecord(core, op.addr, op.size, op.value, self._seq)
+            )
+        entry = sb.releasing = SBEntry(op.addr, op.size, op.value, 0,
+                                       persistent)
+        now = self._release_entry(core, entry, now + 1, result)  # +1: commit
+        sb.releasing = None
+        return now
 
     def _release_entry(self, core: int, entry, now: int, result: RunResult) -> int:
         done, persistent = self.hierarchy.store(
@@ -849,28 +867,21 @@ class Engine:
         return done
 
     def _release_all(self, core: int, now: int, result: RunResult) -> int:
-        sb = self.hierarchy.store_buffers[core]
+        sb = self._store_buffers[core]
         while len(sb):
-            entry = sb.pop_oldest(now)
-            try:
-                now = self._release_entry(core, entry, now, result)
-            except CrashNow:
-                # Crash mid-release: the store never left the SB as far as
-                # the persistence domain is concerned — reinstate it ahead
-                # of the unreleased remainder for the crash drain.
-                sb.requeue([entry] + sb.entries())
-                raise
+            now = self._release_oldest(core, now, result)
         return now
 
     def _release_oldest(self, core: int, now: int, result: RunResult) -> int:
-        sb = self.hierarchy.store_buffers[core]
+        sb = self._store_buffers[core]
         entry = sb.pop_oldest(now)
         if entry is not None:
-            try:
-                now = self._release_entry(core, entry, now, result)
-            except CrashNow:
-                sb.requeue([entry] + sb.entries())
-                raise
+            # As far as the persistence domain is concerned the store leaves
+            # the SB only when its L1D write is done: it sits in the release
+            # slot, ahead of the unreleased remainder, until then.
+            sb.releasing = entry
+            now = self._release_entry(core, entry, now, result)
+            sb.releasing = None
         return now
 
     def _release_relaxed(self, core: int, now: int, result: RunResult) -> int:

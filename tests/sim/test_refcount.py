@@ -92,6 +92,53 @@ def test_crashed_run_with_bus_and_schedule_frees_the_system():
         assert freed() is None
 
 
+@pytest.mark.parametrize("stop_early", [False, True])
+def test_sweep_frees_the_system(stop_early):
+    """The sweep's visit hook lives on the system's own schedule; it must
+    come off again, even when the observer closes over the system and
+    ends the pass early."""
+    from repro.check.explore import sweep
+
+    info = next(i for i in SCHEMES if i.name == BBB)
+    trace = _trace(info)
+    with _collector_off():
+        system = _system(info, RunOptions(crash_schedule=CrashSchedule()))
+        seen = []
+
+        def observe(visit):
+            seen.append((visit.point, system.scheme.name))
+            return stop_early and visit.point == 5
+
+        assert sweep(system, trace, observe) is not stop_early
+        freed = weakref.ref(system.hierarchy)
+        del system, observe
+        assert freed() is None
+        assert seen
+        assert gc.collect() == 0
+
+
+def test_run_check_unit_frees_every_system(monkeypatch):
+    from repro.check import checker
+    from repro.check.checker import CheckUnit, run_check_unit
+
+    built = []
+    build = checker._UnitContext.build_system
+
+    def tracked(ctx, schedule):
+        system = build(ctx, schedule)
+        built.append(weakref.ref(system.hierarchy))
+        return system
+
+    monkeypatch.setattr(checker._UnitContext, "build_system", tracked)
+    unit = CheckUnit(scheme=BBB, spec=WorkloadSpec(threads=2, ops=2,
+                                                   elements=64, seed=3))
+    with _collector_off():
+        report, verdicts = run_check_unit(unit, jobs=1)
+        assert built and all(ref() is None for ref in built)
+        assert gc.collect() == 0
+    assert report["checked_points"] == len(verdicts) > 0
+
+
 def test_scheme_refers_to_its_hierarchy_weakly():
     info = next(i for i in SCHEMES if i.name == BBB)
     system = _system(info)

@@ -180,6 +180,27 @@ class TestRegistration:
                 "temp-bad-contract", cls=NoPersistency, contract="vibes"
             )(lambda cls, entries: cls())
 
+    def test_crash_drain_override_rejected(self):
+        """What survives a crash is declared through battery_residue: a
+        crash_drain override would make the single-pass crash sweep
+        disagree with real crashes, so neither registration nor mutant
+        construction accepts one."""
+
+        class DrainingScheme(NoPersistency):
+            def crash_drain(self, now):
+                return super().crash_drain(now)
+
+        with pytest.raises(TypeError, match="battery_residue"):
+            register_scheme(
+                "temp-crash-drain", cls=DrainingScheme,
+                contract=CONTRACT_EXACT,
+            )(lambda cls, entries: cls())
+        with pytest.raises(ValueError, match="unknown scheme"):
+            scheme_info("temp-crash-drain")
+        none = next(i for i in builtin_infos() if i.cls is NoPersistency)
+        with pytest.raises(TypeError, match="battery_residue"):
+            none.build_scheme(scheme_cls=DrainingScheme)
+
     def test_mutants_resolve_to_their_base_scheme(self):
         from repro.check.mutants import MUTANTS
 
