@@ -59,16 +59,7 @@ from repro.sim.config import (
 from repro.sim.crash import CrashInjector, CrashSweepReport
 from repro.sim.engine import Engine, PersistRecord, RunResult
 from repro.sim.stats import SimStats
-from repro.sim.system import (
-    System,
-    bbb,
-    bbb_processor_side,
-    bep,
-    bsp,
-    eadr,
-    no_persistency,
-    pmem_strict,
-)
+from repro.sim.system import System
 from repro.sim.reference import FlatMemory, LogRecord, check_against_reference
 from repro.sim.trace import OpKind, ProgramTrace, ThreadTrace, TraceOp, with_epochs
 from repro.sim.tracefile import load_trace, save_trace
@@ -125,15 +116,6 @@ __all__ = [
     "SimStats",
     "CrashInjector",
     "CrashSweepReport",
-    # deprecated per-scheme factories (names derived, not spelled: scheme
-    # name literals live only in repro.core.registry)
-    bbb.__name__,
-    "bbb_processor_side",
-    bsp.__name__,
-    eadr.__name__,
-    "pmem_strict",
-    bep.__name__,
-    "no_persistency",
     # traces & workloads
     "FlatMemory",
     "LogRecord",

@@ -2,14 +2,13 @@
 
 Instead of stepping the discrete simulator op by op, this module derives
 the headline metrics — execution cycles, NVMM write traffic, persist-buffer
-occupancy/drains/stalls — from *statistics of the columnar trace* plus the
-system configuration, in one cheap pass:
+occupancy/drains/stalls — from *statistics of the trace* plus the system
+configuration, in one cheap pass:
 
 1. **Structural pass** (O(total ops), no hierarchy objects): each thread's
-   column arrays are folded into *runs* — maximal chains of consecutive
-   same-block memory operations (the same notion the batched interpreter
-   uses).  Within a run only the leading access can miss the L1, so cache
-   behaviour is decided per run, not per op.
+   ops are folded into *runs* — maximal chains of consecutive same-block
+   memory operations.  Within a run only the leading access can miss the
+   L1, so cache behaviour is decided per run, not per op.
 2. **Cache-content estimate**: runs are interleaved across threads in
    estimated-clock order (a heap, exactly like the engine's scheduler) over
    small LRU models of the per-core L1s and the shared LLC, with a
@@ -25,11 +24,12 @@ system configuration, in one cheap pass:
      persisting stores − allocations, steady-state drains =
      ``max(0, allocations − cores·(threshold_entries − 1))`` (the
      threshold drainer parks each buffer just below the threshold).
-   * ``stall_free_persists`` — durability rides on natural eviction:
-     NVMM writes = dirty persistent LLC evictions observed in the pass.
    * ``pop == POP_FLUSH`` — write-through discipline: every persisting
      store is flushed, so NVMM writes ≈ persisting stores and each one
      stalls the core for roughly the WPQ round trip.
+   * otherwise (no persist buffer, PoP at store commit: eADR, no
+     persistency) — durability rides on natural eviction: NVMM writes =
+     dirty persistent LLC evictions observed in the pass.
 
 Accuracy contract
 -----------------
@@ -39,9 +39,9 @@ Accuracy contract
 :func:`validate_against_sim` checks an estimate against a discrete-sim
 :class:`~repro.sim.stats.SimStats` and is wired into the bench smoke gate.
 Op counts (loads / stores / persisting stores) are exact by construction.
-Schemes that stall on explicit persist instructions (write-through, epoch
-batching) fall outside the validated band; the model still produces an
-estimate but flags it ``calibrated=False``.
+Schemes that stall on explicit persist instructions (PoP at the flush)
+fall outside the validated band; the model still produces an estimate but
+flags it ``calibrated=False``.
 """
 
 from __future__ import annotations
@@ -54,18 +54,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.registry import POP_FLUSH, scheme_info
 from repro.mem.block import block_address
 from repro.mem.hierarchy import C2C_EXTRA_CYCLES, STORE_COMMIT_CYCLES
-from repro.sim.coltrace import (
-    K_COMPUTE,
-    K_EPOCH,
-    K_FENCE,
-    K_FLUSH,
-    K_LOAD,
-    K_STORE,
-    ColumnarTrace,
-    columnar_of,
-)
 from repro.sim.config import SystemConfig
 from repro.sim.stats import CoreStats, SimStats
+from repro.sim.trace import OpKind, ProgramTrace
 
 #: Mode string accepted by :class:`repro.sim.system.System` and the CLI.
 ANALYTICAL_MODE = "analytical"
@@ -117,60 +108,61 @@ class AnalyticalEstimate:
 
 
 # ----------------------------------------------------------------------
-# Structural pass: columns -> per-thread run lists
+# Structural pass: ops -> per-thread run lists
 # ----------------------------------------------------------------------
 
-def _thread_runs(cols: ColumnarTrace, config: SystemConfig):
-    """Fold each thread's columns into run tuples
+def _thread_runs(trace: ProgramTrace, config: SystemConfig):
+    """Fold each thread's ops into run tuples
     ``[baddr, leader_is_load, n_loads, n_stores, n_pstores, priv_cost]``
     plus per-thread op totals.
 
     ``priv_cost`` is the run's private execution floor: compute cycles and
-    cl3 ops accumulated since the previous run, plus the hit-priced cost of
-    the run's own memory ops.  Penalties for the (at most one) leading miss
-    are charged later by the interleave pass.
+    flush retire cycles accumulated since the previous run, plus the
+    hit-priced cost of the run's own memory ops.  Penalties for the (at
+    most one) leading miss are charged later by the interleave pass.
     """
     block_size = config.block_size
     is_p = config.mem.is_persistent
     load_cost = config.l1d.hit_latency
     store_cost = STORE_COMMIT_CYCLES + 1
+    LOAD, COMPUTE = OpKind.LOAD, OpKind.COMPUTE
+    FLUSH, FENCE, EPOCH = OpKind.FLUSH, OpKind.FENCE, OpKind.EPOCH
 
     runs_t: List[List[list]] = []
     totals_t: List[Dict[str, int]] = []
-    for t in cols.threads:
-        kinds, addrs, sizes, values, cycles = t.column_lists()
+    for thread in trace.threads:
         runs: List[list] = []
         tot = {"loads": 0, "stores": 0, "pstores": 0, "compute": 0,
                "flushes": 0, "fences": 0, "epochs": 0}
         pending = 0  # private cost accrued since the last run boundary
         cur = -1
         run = None
-        for i in range(t.n):
-            k = kinds[i]
-            if k == K_COMPUTE:
-                pending += cycles[i]
-                tot["compute"] += cycles[i]
+        for op in thread.ops:
+            k = op.kind
+            if k is COMPUTE:
+                pending += op.cycles
+                tot["compute"] += op.cycles
                 continue
-            if k == K_FLUSH:
+            if k is FLUSH:
                 tot["flushes"] += 1
                 pending += 1  # clwb retires in one cycle (async writeback)
                 cur = -1
                 continue
-            if k == K_FENCE:
+            if k is FENCE:
                 tot["fences"] += 1
                 cur = -1
                 continue
-            if k == K_EPOCH:
+            if k is EPOCH:
                 tot["epochs"] += 1
                 cur = -1
                 continue
-            baddr = block_address(addrs[i], block_size)
+            baddr = block_address(op.addr, block_size)
             if baddr != cur:
-                run = [baddr, k == K_LOAD, 0, 0, 0, pending]
+                run = [baddr, k is LOAD, 0, 0, 0, pending]
                 runs.append(run)
                 pending = 0
                 cur = baddr
-            if k == K_LOAD:
+            if k is LOAD:
                 tot["loads"] += 1
                 run[2] += 1
                 run[5] += load_cost
@@ -178,7 +170,7 @@ def _thread_runs(cols: ColumnarTrace, config: SystemConfig):
                 tot["stores"] += 1
                 run[3] += 1
                 run[5] += store_cost
-                if is_p(addrs[i]):
+                if is_p(op.addr):
                     tot["pstores"] += 1
                     run[4] += 1
         runs_t.append(runs)
@@ -398,18 +390,6 @@ def _persist_model(info, config: SystemConfig, totals_t, runs_t, shared,
     ``(occupancy, allocations, coalesces, drains, dropped, stalls,
     nvmm_writes, per_core_stall)``."""
     pstores = sum(t["pstores"] for t in totals_t)
-    persist_runs = sum(
-        1 for runs in runs_t for r in runs if r[4] > 0
-    )
-
-    if info.stall_free_persists and not info.has_persist_buffer:
-        # eADR-class (or no persistency): durability rides on natural
-        # eviction.  NVMM writes = dirty persistent blocks leaving the LLC,
-        # plus (on finalize) everything still resident.
-        writes = shared["evict_dirty_persistent"]
-        if finalize:
-            writes += shared["resident_dirty_persistent"]
-        return 0.0, 0, 0, 0, 0, 0, writes, [0] * num_cores
 
     if info.has_persist_buffer:
         bbb_cfg = config.bbb
@@ -458,9 +438,12 @@ def _persist_model(info, config: SystemConfig, totals_t, runs_t, shared,
         return (0.0, 0, 0, 0, 0, sum(per_core_stall), writes,
                 per_core_stall)
 
-    # Epoch/batch persistency without a registry-declared buffer shape:
-    # treat persist runs as the write unit (each epoch flushes its blocks).
-    writes = persist_runs
+    # eADR-class (or no persistency): durability rides on natural
+    # eviction.  NVMM writes = dirty persistent blocks leaving the LLC,
+    # plus (on finalize) everything still resident.
+    writes = shared["evict_dirty_persistent"]
+    if finalize:
+        writes += shared["resident_dirty_persistent"]
     return 0.0, 0, 0, 0, 0, 0, writes, [0] * num_cores
 
 
@@ -469,7 +452,7 @@ def _persist_model(info, config: SystemConfig, totals_t, runs_t, shared,
 # ----------------------------------------------------------------------
 
 def analytical_estimate(
-    trace,
+    trace: ProgramTrace,
     scheme: str,
     config: Optional[SystemConfig] = None,
     *,
@@ -478,8 +461,6 @@ def analytical_estimate(
 ) -> AnalyticalEstimate:
     """Estimate a run of ``trace`` under scheme ``scheme`` in closed form.
 
-    ``trace`` may be a :class:`~repro.sim.trace.ProgramTrace` or a
-    :class:`~repro.sim.coltrace.ColumnarTrace`; conversion is memoized.
     ``entries`` overrides the persist-buffer capacity (as
     ``build_system(..., entries=...)`` would); ``finalize`` mirrors
     ``System.run(finalize=...)`` — when True, buffered/resident persistent
@@ -487,10 +468,9 @@ def analytical_estimate(
     """
     config = config or SystemConfig()
     info = scheme_info(scheme)
-    cols = trace if isinstance(trace, ColumnarTrace) else columnar_of(trace)
     num_cores = config.num_cores
 
-    runs_t, totals_t = _thread_runs(cols, config)
+    runs_t, totals_t = _thread_runs(trace, config)
     persist_threshold = None
     if info.has_persist_buffer:
         cap = entries if entries is not None else config.bbb.entries
@@ -533,10 +513,6 @@ def analytical_estimate(
     if info.has_persist_buffer:
         stats.llc_writebacks_dropped = dropped
 
-    calibrated = bool(
-        (info.stall_free_persists or info.has_persist_buffer)
-        and info.pop != POP_FLUSH
-    )
     return AnalyticalEstimate(
         scheme=info.name,
         num_cores=num_cores,
@@ -544,7 +520,7 @@ def analytical_estimate(
         occupancy=occupancy,
         drains=drains,
         stall_cycles=stalls,
-        calibrated=calibrated,
+        calibrated=info.pop != POP_FLUSH,
         detail={
             "persist_runs": float(allocations),
             "evict_dirty_persistent": float(

@@ -66,16 +66,12 @@ __all__ = [
     "BatchFailure",
     "BatchItemError",
     "BatchPolicy",
-    "ColumnarShare",
     "Progress",
     "RunSpec",
-    "attach_columnar",
     "decide_jobs",
     "execute_spec",
     "run_batch",
     "run_tasks",
-    "share_columnar",
-    "share_specs",
 ]
 
 #: Progress callback: ``progress(done, total)``.
@@ -100,11 +96,6 @@ class RunSpec:
     spec: WorkloadSpec = field(default_factory=WorkloadSpec)
     config: Optional[SystemConfig] = None
     label: Optional[str] = None
-    #: Shared-memory columnar trace manifest (:func:`share_columnar`),
-    #: JSON-encoded so the spec stays hashable; when set, workers attach
-    #: the published trace zero-copy instead of rebuilding it, falling
-    #: back to the rebuild path if the segment cannot be attached.
-    trace_shm: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -228,200 +219,12 @@ def execute_spec(spec: RunSpec):
 
     cfg = spec.config or default_sim_config()
     kwargs = dict(spec.scheme_kwargs)
-    trace = initial_words = None
-    if spec.trace_shm is not None:
-        try:
-            trace, initial_words = attach_columnar(spec.trace_shm)
-        except Exception:
-            # Segment gone / numpy missing in the worker: rebuild locally.
-            trace = initial_words = None
     return run_workload(
         spec.workload,
         lambda: build_system(spec.scheme, config=cfg, **kwargs),
         spec.spec,
         cfg,
-        trace=trace,
-        initial_words=initial_words,
     )
-
-
-# ----------------------------------------------------------------------
-# Shared-memory columnar trace handoff
-# ----------------------------------------------------------------------
-#
-# A batch typically runs the same (workload, spec) trace under many
-# schemes.  Workers normally rebuild it from the workload generator
-# (deterministic, but each fresh pool worker pays the build); publishing
-# the columnar image to POSIX shared memory lets every worker attach the
-# identical trace zero-copy — no pickling, no rebuild.  Sharing is best
-# effort: any failure (no numpy, no multiprocessing.shared_memory, a
-# trace needing the wide side table) falls back to the rebuild path with
-# identical results.
-
-class ColumnarShare:
-    """Owner handle for one published trace; ``close()`` unlinks the
-    segment.  Usable as a context manager."""
-
-    def __init__(self, manifest: str, shm) -> None:
-        self.manifest = manifest
-        self._shm = shm
-
-    def close(self) -> None:
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except Exception:
-            pass
-        self._shm = None
-
-    def __enter__(self) -> "ColumnarShare":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def share_columnar(cols, initial_words: Optional[Dict[int, int]] = None
-                   ) -> ColumnarShare:
-    """Publish a :class:`~repro.sim.coltrace.ColumnarTrace` (plus the
-    workload's media pre-population words) to shared memory.
-
-    Returns a :class:`ColumnarShare` whose JSON ``manifest`` any process
-    on this machine can pass to :func:`attach_columnar`.  Raises
-    ``RuntimeError`` when sharing is unavailable (no numpy, no
-    ``multiprocessing.shared_memory``) or the trace does not fit the
-    fixed-width columns (wide side table in use).
-    """
-    from multiprocessing import shared_memory
-
-    from repro.sim.coltrace import OP_DTYPE
-    try:
-        import numpy as np
-    except Exception as exc:  # pragma: no cover - numpy-less build
-        raise RuntimeError("columnar sharing requires numpy") from exc
-    if OP_DTYPE is None or not cols.fast_path_ok:
-        raise RuntimeError("trace does not fit the fixed-width columns")
-
-    itemsize = OP_DTYPE.itemsize
-    total = max(1, sum(t.n for t in cols.threads) * itemsize)
-    shm = shared_memory.SharedMemory(create=True, size=total)
-    threads = []
-    offset = 0
-    try:
-        for t in cols.threads:
-            if t.n:
-                dst = np.ndarray(t.n, dtype=OP_DTYPE, buffer=shm.buf,
-                                 offset=offset)
-                dst[:] = t.rows
-            threads.append({
-                "n": t.n,
-                "offset": offset,
-                "tags": {str(k): v for k, v in t.tags.items()},
-            })
-            offset += t.n * itemsize
-        manifest = json.dumps({
-            "kind": "coltrace-shm",
-            "version": 1,
-            "name": shm.name,
-            "threads": threads,
-            "initial_words": (
-                {str(k): v for k, v in initial_words.items()}
-                if initial_words is not None else None
-            ),
-        }, sort_keys=True)
-    except Exception:
-        shm.close()
-        try:
-            shm.unlink()
-        except Exception:
-            pass
-        raise
-    return ColumnarShare(manifest, shm)
-
-
-#: Process-local attach cache: segment name -> (SharedMemory, trace,
-#: words).  The SharedMemory object must stay referenced for as long as
-#: the arrays built over its buffer are alive.
-_ATTACHED: Dict[str, Tuple[Any, Any, Optional[Dict[int, int]]]] = {}
-
-
-def attach_columnar(manifest: str):
-    """Attach a trace published by :func:`share_columnar` zero-copy.
-
-    Returns ``(ColumnarTrace, initial_words)``; repeated attaches of the
-    same segment in one process share a single mapping.  Raises on any
-    failure — callers fall back to rebuilding the trace.
-    """
-    from multiprocessing import shared_memory
-
-    from repro.sim.coltrace import OP_DTYPE, ColumnarTrace, ThreadColumns
-    import numpy as np
-
-    meta = json.loads(manifest)
-    if meta.get("kind") != "coltrace-shm" or meta.get("version") != 1:
-        raise ValueError("not a coltrace-shm manifest")
-    name = meta["name"]
-    cached = _ATTACHED.get(name)
-    if cached is not None:
-        return cached[1], cached[2]
-    shm = shared_memory.SharedMemory(name=name)
-    threads = []
-    for tmeta in meta["threads"]:
-        rows = np.ndarray(tmeta["n"], dtype=OP_DTYPE, buffer=shm.buf,
-                          offset=tmeta["offset"])
-        tags = {int(k): v for k, v in tmeta["tags"].items()}
-        threads.append(ThreadColumns.from_rows(rows, tags=tags, wide={}))
-    cols = ColumnarTrace(threads)
-    words = meta.get("initial_words")
-    if words is not None:
-        words = {int(k): v for k, v in words.items()}
-    _ATTACHED[name] = (shm, cols, words)
-    return cols, words
-
-
-def share_specs(
-    specs: Sequence[RunSpec],
-) -> Tuple[List[RunSpec], List[ColumnarShare]]:
-    """Publish each distinct trace of a batch once and annotate the specs.
-
-    Builds every distinct ``(workload, spec, config)`` trace in the
-    calling process (the builds are memoized anyway), shares its columnar
-    image, and returns ``(annotated specs, shares)``.  The caller owns the
-    shares and must ``close()`` them once the batch is done.  When sharing
-    is unavailable the original specs come back with no shares — workers
-    rebuild as before.
-    """
-    import dataclasses
-
-    from repro.analysis.experiments import default_sim_config
-    from repro.sim.coltrace import columnar_of
-    from repro.workloads.base import build_cached
-
-    out: List[RunSpec] = []
-    shares: List[ColumnarShare] = []
-    by_key: Dict[Any, Optional[str]] = {}
-    for spec in specs:
-        cfg = spec.config or default_sim_config()
-        # WorkloadSpec/MemConfig are plain-data but unhashable; their
-        # pickles are stable per-process, which is all dedup needs.
-        key = (spec.workload, pickle.dumps((spec.spec, cfg.mem)))
-        if key not in by_key:
-            try:
-                trace, words = build_cached(spec.workload, cfg.mem, spec.spec)
-                share = share_columnar(columnar_of(trace), words)
-            except Exception:
-                by_key[key] = None
-            else:
-                shares.append(share)
-                by_key[key] = share.manifest
-        manifest = by_key[key]
-        out.append(
-            dataclasses.replace(spec, trace_shm=manifest)
-            if manifest is not None else spec
-        )
-    return out, shares
 
 
 def _is_picklable(obj: Any) -> bool:
@@ -810,7 +613,6 @@ def run_batch(
     progress: Optional[Progress] = None,
     *,
     policy: Optional[BatchPolicy] = None,
-    share_traces: Optional[bool] = None,
 ) -> List[Any]:
     """Execute independent :class:`RunSpec` s, fanned across processes.
 
@@ -820,29 +622,8 @@ def run_batch(
     timeouts, retries, pool-death recovery and checkpoint/resume (see
     :class:`BatchPolicy`); a worker exception surfaces as
     :class:`BatchItemError` with the failing :class:`RunSpec` attached.
-
-    ``share_traces`` publishes each distinct trace to shared memory once
-    (:func:`share_specs`) so workers attach it zero-copy instead of
-    rebuilding; the default (``None``) enables it for multi-spec batches
-    without a checkpoint (checkpoint fingerprints hash the specs, and
-    per-run segment names would defeat resume).  Sharing is best effort —
-    any failure falls back to worker-side rebuilds with identical
-    results.
     """
-    if share_traces is None:
-        share_traces = (
-            len(specs) > 1
-            and not any(s.trace_shm for s in specs)
-            and (policy is None or policy.checkpoint is None)
-        )
-    shares: List[ColumnarShare] = []
-    if share_traces:
-        specs, shares = share_specs(specs)
-    try:
-        return _fan_out(execute_spec, specs, jobs, progress, policy)
-    finally:
-        for share in shares:
-            share.close()
+    return _fan_out(execute_spec, specs, jobs, progress, policy)
 
 
 def _apply_task(task: Tuple[Callable, tuple, dict]) -> Any:

@@ -10,13 +10,11 @@ Suites:
 * ``engine_tso``       — single-process engine throughput (trace ops/sec)
                          over a fixed (workload x scheme) grid under TSO,
                          timing ``System.run`` only (trace build excluded).
-                         Runs the object **and** columnar interpreter per
-                         cell, asserts their stats/records are bit-identical
-                         (fingerprint compare), and reports the per-cell
-                         ``columnar_speedup`` plus the batched-interpreter
-                         telemetry.
-* ``engine_relaxed``   — object interpreter under relaxed consistency (the
-                         columnar path is TSO-only and falls back).
+                         Each cell carries its run fingerprint and the
+                         closed-form estimate (:mod:`repro.analysis.
+                         analytical`) with its relative errors against the
+                         discrete result and the tolerance verdict.
+* ``engine_relaxed``   — the same engine under relaxed consistency.
 * ``trace_build``      — uncached workload trace generation for the full
                          Table IV suite.
 * ``batch_fig7``       — end-to-end Fig. 7 driver on a reduced workload
@@ -28,9 +26,6 @@ Suites:
                          scheme trio; ``ops_per_sec`` is requests served
                          per wall second, and the measured latency curves
                          ride along in ``extra``.
-* ``analytical``       — the closed-form model (:mod:`repro.analysis.
-                         analytical`) against the discrete results of the
-                         same grid: relative errors and the tolerance gate.
 * ``opt``              — the persist optimizer (:mod:`repro.opt`):
                          naive-instrumented vs pipeline-optimized rows per
                          (workload x scheme), carrying the elision
@@ -38,15 +33,9 @@ Suites:
                          stall deltas; ``ops_per_sec`` covers the whole
                          instrument + optimize + audit + measure cycle.
 
-The headline ``columnar_speedup`` is taken over *engine-bound* cells —
-those whose batched-path telemetry shows a private-op fraction of at least
-:data:`ENGINE_BOUND_FRACTION` (cells dominated by shared/coherence traffic
-measure the memory model, not the interpreter).  The cell set is derived
-from the measured telemetry, never from workload or scheme names.
-
 All suites use fixed seeds and sizes; the numbers are comparable across
-runs on the same machine.  ``run_smoke`` is the same equivalence +
-tolerance check on a tiny grid, cheap enough for CI.
+runs on the same machine.  ``run_smoke`` is the analytical tolerance check
+on a tiny grid, cheap enough for CI.
 """
 
 from __future__ import annotations
@@ -66,7 +55,7 @@ from repro.analysis.analytical import (
 from repro.analysis.experiments import default_sim_config, fig7
 from repro.core.registry import ADR, BBB, EADR
 from repro.ioutil import atomic_write_json
-from repro.api import RunOptions, build_system
+from repro.api import build_system
 from repro.sim.config import ConsistencyModel, SystemConfig
 from repro.workloads.base import (
     WORKLOAD_NAMES,
@@ -103,16 +92,6 @@ BATCH_SPEC = WorkloadSpec(threads=8, ops=100, elements=8192, seed=42)
 TRAFFIC_SCHEMES: Tuple[str, ...] = (BBB, EADR, ADR)
 TRAFFIC_LOADS: Tuple[float, ...] = (1.0, 4.0)
 TRAFFIC_REQUESTS = 120
-
-#: A cell counts as engine-bound when at least this fraction of its ops
-#: retired through the batched private-window path.
-ENGINE_BOUND_FRACTION = 0.9
-
-#: Headline gate: engine-bound cells must show at least this columnar
-#: speedup (checked in the report and by ``run_smoke``'s big sibling —
-#: CI does not gate on wall-clock ratios, which are noisy on shared
-#: runners).
-COLUMNAR_SPEEDUP_TARGET = 3.0
 
 #: Tiny grid for the CI smoke gate.
 SMOKE_SPEC = WorkloadSpec(threads=4, ops=40, elements=2048, seed=11)
@@ -157,133 +136,90 @@ def _suite_result(wall_s: float, ops: int, extra: Optional[Dict[str, Any]] = Non
     return result
 
 
-def _timed_run(scheme, kwargs, config, trace, initial_words, mode,
+def _timed_run(scheme, kwargs, config, trace, initial_words,
                repeats: int = 1):
     """Run the cell ``repeats`` times (fresh single-shot ``System`` each
-    time — only trace conversion and ``engine_prep`` stay warm, exactly
-    what grid/batch consumers amortise) and report the fastest run.
-    ``repeats=1`` therefore times a *cold* run, conversion included."""
+    time) and report the fastest run."""
     best = None
-    system = result = None
+    result = None
     for _ in range(max(1, repeats)):
-        system = build_system(scheme, config=config,
-                              options=RunOptions(mode=mode), **dict(kwargs))
+        system = build_system(scheme, config=config, **dict(kwargs))
         seed_media_words(system.nvmm_media, initial_words)
         t0 = time.perf_counter()
         result = system.run(trace, finalize=False)
         dt = time.perf_counter() - t0
         best = dt if best is None else min(best, dt)
-    return system, result, best
+    return result, best
+
+
+def _analytical_cell(trace, scheme, kwargs, config, sim_stats
+                     ) -> Dict[str, Any]:
+    """The closed-form estimate of one grid cell against its discrete
+    result: relative errors and the tolerance verdict."""
+    t0 = time.perf_counter()
+    est = analytical_estimate(
+        trace, scheme, config,
+        entries=dict(kwargs).get("entries"), finalize=False)
+    est_dt = time.perf_counter() - t0
+    verdict = validate_against_sim(est, sim_stats)
+    return {
+        "wall_s": round(est_dt, 4),
+        "execution_cycles": est.stats.execution_cycles,
+        "nvmm_writes": est.stats.nvmm_writes,
+        "occupancy": round(est.occupancy, 2),
+        "errors": {k: round(v, 4) for k, v in verdict["errors"].items()},
+        "ok": verdict["ok"],
+    }
 
 
 def _run_engine_grid(
     grid, spec: WorkloadSpec, config: SystemConfig,
-    modes: Tuple[str, ...] = ("object", "columnar"),
-    check_identical: bool = True,
     analytical: bool = False,
     repeats: int = 1,
 ) -> Dict[str, Any]:
     """Time ``System.run`` (only) for each grid cell; one process, serial.
 
-    With both discrete modes requested, each cell's stats/records are
-    fingerprint-compared — a mismatch raises, because every perf number in
-    the report is conditional on the two interpreters doing the same work.
-
-    ``repeats > 1`` reports each mode's best-of-N (steady state, one-time
-    conversion/prep costs amortised away, less scheduler noise); the
-    headline ``engine_tso`` suite uses it because its consumers — sweeps,
-    batches, campaigns — run each converted trace many times.
+    ``repeats > 1`` reports each cell's best-of-N (less scheduler noise);
+    the headline ``engine_tso`` suite uses it.  With ``analytical`` each
+    cell also carries the closed-form estimate checked against the
+    discrete result.
     """
     total_ops = 0
     total_s = 0.0
     per_run: List[Dict[str, Any]] = []
-    speedups: List[Tuple[float, float]] = []  # (private_fraction, speedup)
     analytical_ok = True
     for workload, scheme, kwargs in grid:
         trace, initial_words = build_cached(workload, config.mem, spec)
         n = trace.total_ops()
-        entry: Dict[str, Any] = {"workload": workload, "scheme": scheme}
-        fingerprints: Dict[str, str] = {}
-        last = None
-        for mode in modes:
-            system, result, dt = _timed_run(
-                scheme, kwargs, config, trace, initial_words, mode,
-                repeats=repeats)
-            fingerprints[mode] = fingerprint_run(result)
-            entry[f"wall_s_{mode}"] = round(dt, 4)
-            entry[f"ops_per_sec_{mode}"] = (
-                round(n / dt, 1) if dt > 0 else None)
-            if mode == "columnar":
-                counters = dict(system.engine.batch_counters)
-                priv = counters.get("private_ops", 0)
-                shared_ops = counters.get("shared_ops", 0)
-                denom = priv + shared_ops
-                counters["private_fraction"] = (
-                    round(priv / denom, 4) if denom else 0.0)
-                entry["batch"] = counters
-            last = (system, result, dt)
-        if check_identical and len(set(fingerprints.values())) > 1:
-            raise RuntimeError(
-                f"interpreter divergence on {workload}/{scheme}: "
-                f"{fingerprints}"
-            )
-        entry["fingerprint"] = next(iter(fingerprints.values()))
-        if "object" in modes and "columnar" in modes:
-            num = entry["wall_s_object"]
-            den = entry["wall_s_columnar"]
-            speedup = round(num / den, 2) if den else None
-            entry["columnar_speedup"] = speedup
-            if speedup is not None and "batch" in entry:
-                speedups.append(
-                    (entry["batch"]["private_fraction"], speedup))
-        if analytical and last is not None:
-            system, result, _ = last
-            t0 = time.perf_counter()
-            est = analytical_estimate(
-                trace, scheme, config,
-                entries=dict(kwargs).get("entries"), finalize=False)
-            est_dt = time.perf_counter() - t0
-            verdict = validate_against_sim(est, result.stats)
-            entry["analytical"] = {
-                "wall_s": round(est_dt, 4),
-                "execution_cycles": est.stats.execution_cycles,
-                "nvmm_writes": est.stats.nvmm_writes,
-                "occupancy": round(est.occupancy, 2),
-                "errors": {k: round(v, 4)
-                           for k, v in verdict["errors"].items()},
-                "ok": verdict["ok"],
-            }
-            analytical_ok = analytical_ok and verdict["ok"]
-        # Charge the suite clock with the preferred (last listed) mode.
+        result, dt = _timed_run(scheme, kwargs, config, trace,
+                                initial_words, repeats=repeats)
+        entry: Dict[str, Any] = {
+            "workload": workload, "scheme": scheme,
+            "wall_s": round(dt, 4),
+            "ops_per_sec": round(n / dt, 1) if dt > 0 else None,
+            "fingerprint": fingerprint_run(result),
+        }
+        if analytical:
+            entry["analytical"] = _analytical_cell(
+                trace, scheme, kwargs, config, result.stats)
+            analytical_ok = analytical_ok and entry["analytical"]["ok"]
         total_ops += n
-        total_s += entry[f"wall_s_{modes[-1]}"]
+        total_s += dt
         # Full counter set in the shared repro.simstats/v1 schema, so
         # perf numbers are comparable only when the work matched.
-        entry["stats"] = last[1].stats.to_dict()
+        entry["stats"] = result.stats.to_dict()
         per_run.append(entry)
-    extra: Dict[str, Any] = {"runs": per_run, "modes": list(modes)}
-    if speedups:
-        engine_bound = [s for frac, s in speedups
-                        if frac >= ENGINE_BOUND_FRACTION]
-        extra["engine_bound_speedup"] = (
-            round(max(engine_bound), 2) if engine_bound else None)
-        extra["engine_bound_cells"] = len(engine_bound)
-        extra["columnar_target"] = COLUMNAR_SPEEDUP_TARGET
-        extra["columnar_target_met"] = bool(
-            engine_bound and max(engine_bound) >= COLUMNAR_SPEEDUP_TARGET)
+    extra: Dict[str, Any] = {"runs": per_run}
     if analytical:
         extra["analytical_ok"] = analytical_ok
         extra["tolerance"] = dict(TOLERANCE)
     return _suite_result(total_s, total_ops, extra)
 
 
-def bench_engine_tso(
-    modes: Tuple[str, ...] = ("object", "columnar"),
-    analytical: bool = True,
-) -> Dict[str, Any]:
+def bench_engine_tso() -> Dict[str, Any]:
     return _run_engine_grid(
         ENGINE_GRID, ENGINE_SPEC, default_sim_config(),
-        modes=modes, analytical=analytical, repeats=3,
+        analytical=True, repeats=3,
     )
 
 
@@ -293,10 +229,7 @@ def bench_engine_relaxed() -> Dict[str, Any]:
     config = dataclasses.replace(
         default_sim_config(), consistency=ConsistencyModel.RELAXED
     )
-    return _run_engine_grid(
-        RELAXED_GRID, ENGINE_SPEC, config,
-        modes=("object",), check_identical=False,
-    )
+    return _run_engine_grid(RELAXED_GRID, ENGINE_SPEC, config)
 
 
 def bench_trace_build() -> Dict[str, Any]:
@@ -384,35 +317,10 @@ def bench_opt() -> Dict[str, Any]:
     })
 
 
-#: ``--mode`` values accepted by ``repro bench`` -> engine_tso modes.
-BENCH_MODES = ("all", "object", "columnar", "analytical")
-
-
-def run_bench(jobs: Optional[int] = None, mode: str = "all") -> Dict[str, Any]:
-    """Run every suite and return the full report structure.
-
-    ``mode`` narrows the engine_tso suite: ``object`` / ``columnar`` time
-    one interpreter only (no equivalence check possible with a single
-    mode), ``analytical`` skips the timing comparison and reports only the
-    closed-form model against the discrete sim, ``all`` (default) records
-    object, columnar, and analytical together.
-    """
-    if mode not in BENCH_MODES:
-        raise ValueError(
-            f"unknown bench mode {mode!r}; expected one of "
-            f"{', '.join(BENCH_MODES)}"
-        )
-    if mode == "all":
-        engine = bench_engine_tso()
-    elif mode == "analytical":
-        engine = _run_engine_grid(
-            ENGINE_GRID, ENGINE_SPEC, default_sim_config(),
-            modes=("columnar",), check_identical=False, analytical=True,
-        )
-    else:
-        engine = bench_engine_tso(modes=(mode,), analytical=False)
+def run_bench(jobs: Optional[int] = None) -> Dict[str, Any]:
+    """Run every suite and return the full report structure."""
     suites = {
-        "engine_tso": engine,
+        "engine_tso": bench_engine_tso(),
         "engine_relaxed": bench_engine_relaxed(),
         "trace_build": bench_trace_build(),
         "batch_fig7": bench_batch_fig7(jobs),
@@ -425,43 +333,29 @@ def run_bench(jobs: Optional[int] = None, mode: str = "all") -> Dict[str, Any]:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "jobs": jobs,
-        "mode": mode,
         "suites": suites,
     }
 
 
 def run_smoke() -> Dict[str, Any]:
-    """CI gate: columnar-vs-object bit-identity plus the analytical
-    tolerance band, on a tiny grid.  Returns ``{"ok": bool, ...}``; no
-    wall-clock ratios are checked (those are meaningless on shared CI
-    runners) — only correctness properties.
+    """CI gate: the analytical estimates of a tiny engine grid must sit
+    inside the declared tolerance band of the discrete results.  Returns
+    ``{"ok": bool, ...}``; no wall-clock figures are checked (those are
+    meaningless on shared CI runners).
     """
     config = default_sim_config()
     cells: List[Dict[str, Any]] = []
-    ok = True
     for workload, scheme, kwargs in ENGINE_GRID:
         trace, initial_words = build_cached(workload, config.mem, SMOKE_SPEC)
-        fps = {}
-        result = None
-        for mode in ("object", "columnar"):
-            _, result, _ = _timed_run(
-                scheme, kwargs, config, trace, initial_words, mode)
-            fps[mode] = fingerprint_run(result)
-        identical = fps["object"] == fps["columnar"]
-        est = analytical_estimate(
-            trace, scheme, config,
-            entries=dict(kwargs).get("entries"), finalize=False)
-        verdict = validate_against_sim(est, result.stats)
-        cell_ok = identical and verdict["ok"]
-        ok = ok and cell_ok
+        result, _ = _timed_run(scheme, kwargs, config, trace, initial_words)
+        cell = _analytical_cell(trace, scheme, kwargs, config, result.stats)
         cells.append({
             "workload": workload, "scheme": scheme,
-            "identical": identical,
-            "analytical_ok": verdict["ok"],
-            "errors": {k: round(v, 4) for k, v in verdict["errors"].items()},
+            "analytical_ok": cell["ok"],
+            "errors": cell["errors"],
         })
-    return {"ok": ok, "spec": "smoke", "cells": cells,
-            "tolerance": dict(TOLERANCE)}
+    return {"ok": all(c["analytical_ok"] for c in cells), "spec": "smoke",
+            "cells": cells, "tolerance": dict(TOLERANCE)}
 
 
 def write_bench(report: Dict[str, Any], out_path: Optional[str] = None) -> str:

@@ -157,8 +157,8 @@ def run_workload(
     if trace is None:
         # Trace generation is deterministic in (name, mem, spec); the
         # memoized build means sweeps and normalization baselines pay for
-        # it once.  Callers with a pre-built trace (the shared-memory
-        # batch handoff) pass it in and skip the build entirely.
+        # it once.  Callers with a pre-built trace (the optimizer's
+        # rewritten programs) pass it in and skip the build entirely.
         trace, initial_words = build_cached(name, cfg.mem, wspec)
     elif initial_words is None:
         # A trace without its media pre-population is not runnable

@@ -7,14 +7,12 @@
     system = build_system(Scheme.BBB, entries=32)
     system = build_system(Scheme.PMEM, config=my_config)
 
-:func:`build_system` replaces the seven per-scheme factory functions that
-used to live in :mod:`repro.sim.system` (``eadr()``, ``bbb()``, ...), which
-remain as deprecated wrappers around it.  Scheme names are stable strings
-(the same ones the CLI accepts); :class:`Scheme` enumerates the builtin
-comparison space, and both it and :data:`SCHEMES` are derived from the
-scheme registry (:mod:`repro.core.registry`), where every scheme —
-including plugins registered from outside this package — is described by
-a :class:`~repro.core.registry.SchemeInfo` capability descriptor.
+Scheme names are stable strings (the same ones the CLI accepts);
+:class:`Scheme` enumerates the builtin comparison space, and both it and
+:data:`SCHEMES` are derived from the scheme registry
+(:mod:`repro.core.registry`), where every scheme — including plugins
+registered from outside this package — is described by a
+:class:`~repro.core.registry.SchemeInfo` capability descriptor.
 
 Run-level wiring — observability bus, relaxed-release seed, fault
 injection, crash scheduling, execution mode — travels in one typed
@@ -22,7 +20,7 @@ injection, crash scheduling, execution mode — travels in one typed
 
     from repro.api import RunOptions, build_system
 
-    system = build_system("bbb", options=RunOptions(bus=bus, mode="object"))
+    system = build_system("bbb", options=RunOptions(bus=bus, reorder_seed=7))
 
 Scheme-specific keyword arguments accepted via ``**kw`` are declared by
 each scheme's registry entry (``SchemeInfo.accepted_kwargs``):
@@ -38,21 +36,15 @@ keyword                schemes                     meaning
 =====================  ==========================  ==========================
 
 ``entries`` sizes the persist buffer for the schemes whose registry entry
-sets ``has_persist_buffer`` and is ignored by the bufferless schemes,
-matching the old factories' behaviour.
-
-The run-level values (``bus``, ``reorder_seed``, ``fault_injector``,
-``crash_schedule``, ``mode``) are also still accepted as bare keyword
-arguments for backward compatibility; that spelling is **deprecated**
-(it warns ``DeprecationWarning``, and CI runs the tools with
-``-W error::DeprecationWarning``) — pass ``options=`` instead.
+sets ``has_persist_buffer`` and is ignored by the bufferless schemes.
+The run-level values travel only in ``options=``: a bare ``bus=`` or
+``mode=`` is an unexpected keyword argument (``TypeError``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -94,8 +86,8 @@ class RunOptions:
     """Run-level wiring of a :class:`~repro.sim.system.System`, as one
     typed value instead of loose keyword arguments.
 
-    Every field defaults to "off"/"auto", so ``RunOptions()`` is the plain
-    un-instrumented run.  The value is frozen — derive variants with
+    Every field defaults to "off" (and ``mode`` to ``"sim"``), so
+    ``RunOptions()`` is the plain un-instrumented run.  The value is frozen — derive variants with
     :meth:`replace`::
 
         base = RunOptions(bus=bus)
@@ -111,9 +103,9 @@ class RunOptions:
     fault_injector: FaultInjector = NULL_INJECTOR
     #: Micro-step crash schedule (model checker; default: never fires).
     crash_schedule: CrashSchedule = NULL_SCHEDULE
-    #: Execution mode: an engine interpreter mode (``auto`` / ``object``
-    #: / ``columnar``) or ``analytical`` (closed-form model).
-    mode: str = "auto"
+    #: Execution mode: ``sim`` (the discrete engine) or ``analytical``
+    #: (closed-form model).
+    mode: str = "sim"
 
     def __post_init__(self) -> None:
         if self.mode not in SYSTEM_MODES:
@@ -127,13 +119,8 @@ class RunOptions:
         return dataclasses.replace(self, **changes)
 
 
-#: The default (un-instrumented, ``auto``-mode) run wiring.
+#: The default (un-instrumented, discrete-sim) run wiring.
 DEFAULT_RUN_OPTIONS = RunOptions()
-
-#: Deprecated bare-kwarg spellings of the :class:`RunOptions` fields.
-_LEGACY_RUN_KWARGS = (
-    "bus", "reorder_seed", "fault_injector", "crash_schedule", "mode",
-)
 
 
 def build_system(
@@ -150,27 +137,10 @@ def build_system(
     alias.  ``entries`` sizes the scheme's persist buffer where it has
     one.  ``options`` carries the run-level wiring (:class:`RunOptions`);
     the remaining ``**kw`` are scheme-specific (see the module
-    docstring).  Passing ``RunOptions`` fields as bare keyword arguments
-    is deprecated.
+    docstring).
     """
     name = scheme.value if isinstance(scheme, Scheme) else str(scheme)
     info = scheme_info(name)  # raises ValueError on unknown schemes
-
-    legacy = {k: kw.pop(k) for k in _LEGACY_RUN_KWARGS if k in kw}
-    if legacy:
-        names = ", ".join(sorted(legacy))
-        if options is not None:
-            raise TypeError(
-                f"build_system() got options= and the legacy keyword "
-                f"argument(s) {names}; pass everything via options="
-            )
-        warnings.warn(
-            f"passing {names} to build_system() as bare keyword arguments "
-            f"is deprecated; pass options=RunOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        options = RunOptions(**legacy)
     opts = options if options is not None else DEFAULT_RUN_OPTIONS
 
     scheme_obj = info.build_scheme(entries=entries, **kw)

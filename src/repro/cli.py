@@ -89,11 +89,6 @@ from repro.obs.bus import NULL_BUS, EventBus, EventRecorder
 from repro.sim.crash import CrashInjector
 from repro.sim.system import SYSTEM_MODES, System
 from repro.sim.tracefile import save_trace
-
-#: Mirror of :data:`repro.analysis.bench.BENCH_MODES` — duplicated so the
-#: parser builds without importing the (heavier) bench module; the bench
-#: module asserts the two stay in sync.
-BENCH_MODES = ("all", "object", "columnar", "analytical")
 from repro.workloads.base import WORKLOAD_NAMES, WorkloadSpec, registry
 
 
@@ -117,7 +112,7 @@ def _spec(args) -> WorkloadSpec:
 
 
 def _make_system(scheme: str, entries: int, bus: EventBus = NULL_BUS,
-                 mode: str = "auto") -> System:
+                 mode: str = "sim") -> System:
     return build_system(
         scheme, entries=entries, config=default_sim_config(),
         options=RunOptions(bus=bus, mode=mode),
@@ -158,8 +153,7 @@ def cmd_run(args) -> int:
     workload = registry(config.mem, spec)[args.workload]
     trace = workload.build()
     bus, recorder = _observability(args)
-    system = _make_system(args.scheme, args.entries, bus=bus,
-                          mode=getattr(args, "mode", "auto"))
+    system = _make_system(args.scheme, args.entries, bus=bus, mode=args.mode)
     workload.seed_media(system.nvmm_media)
     result = system.run(trace, finalize=not args.no_finalize)
     stats = result.stats
@@ -330,26 +324,18 @@ def cmd_bench(args) -> int:
     # Imported here so the (slow-ish) bench module does not tax every other
     # CLI invocation.
     from repro.analysis.batch import decide_jobs
-    from repro.analysis.bench import (
-        BENCH_MODES as _BENCH_MODES,
-        run_bench,
-        run_smoke,
-        write_bench,
-    )
+    from repro.analysis.bench import run_bench, run_smoke, write_bench
 
-    assert BENCH_MODES == _BENCH_MODES, "cli/bench mode lists diverged"
     if args.smoke:
         report = run_smoke()
         for cell in report["cells"]:
-            status = "ok" if (cell["identical"] and cell["analytical_ok"]) \
-                else "FAIL"
+            status = "ok" if cell["analytical_ok"] else "FAIL"
             errs = ", ".join(f"{k}={v:.2%}" for k, v in cell["errors"].items())
             print(f"  {cell['workload']:>8s}/{cell['scheme']:<5s} "
-                  f"identical={cell['identical']} "
                   f"analytical=({errs}) {status}")
         if not report["ok"]:
-            print("bench smoke FAILED: interpreter divergence or analytical "
-                  "estimate out of tolerance", file=sys.stderr)
+            print("bench smoke FAILED: analytical estimate out of tolerance",
+                  file=sys.stderr)
             return 1
         print("bench smoke ok")
         return 0
@@ -367,7 +353,7 @@ def cmd_bench(args) -> int:
         print(f"error: output directory {out_dir!r} does not exist",
               file=sys.stderr)
         return 2
-    report = run_bench(jobs=jobs, mode=args.mode)
+    report = run_bench(jobs=jobs)
     path = write_bench(report, args.out)
     rows = [
         (name, f"{suite['wall_s']:.3f}", f"{suite['ops']:,}",
@@ -379,13 +365,7 @@ def cmd_bench(args) -> int:
         title=f"bench @ {report['revision']} (python {report['python']})",
     ))
     engine = report["suites"]["engine_tso"]
-    if "engine_bound_speedup" in engine:
-        met = "met" if engine.get("columnar_target_met") else "NOT met"
-        print(f"columnar speedup (engine-bound cells): "
-              f"{engine['engine_bound_speedup']}x "
-              f"(target {engine['columnar_target']}x {met})")
-    if "analytical_ok" in engine:
-        print(f"analytical within tolerance: {engine['analytical_ok']}")
+    print(f"analytical within tolerance: {engine['analytical_ok']}")
     print(f"wrote {path}")
     return 0
 
@@ -1063,10 +1043,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scheme", choices=sorted(scheme_names(include_aliases=True)),
                        default=DEFAULT_SCHEME)
     p_run.add_argument("--entries", type=int, default=32, help="bbPB entries")
-    p_run.add_argument("--mode", choices=SYSTEM_MODES, default="auto",
-                       help="interpreter mode: auto/object/columnar run the "
-                            "discrete engine, analytical uses the "
-                            "closed-form model")
+    p_run.add_argument("--mode", choices=SYSTEM_MODES, default="sim",
+                       help="sim runs the discrete engine, analytical uses "
+                            "the closed-form model")
     p_run.add_argument("--no-finalize", action="store_true",
                        help="measure the execution window only")
     p_run.add_argument("--json", action="store_true",
@@ -1177,15 +1156,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output path (default: BENCH_<rev>.json)")
     p_bench.add_argument("--jobs", type=int, default=None,
                          help="workers for the batch suite (default: REPRO_JOBS/CPUs)")
-    p_bench.add_argument("--mode", choices=BENCH_MODES, default="all",
-                         help="engine suite coverage: object / columnar "
-                              "time one interpreter, analytical reports the "
-                              "closed-form model only, all records "
-                              "everything (default)")
     p_bench.add_argument("--smoke", action="store_true",
-                         help="CI gate: tiny columnar-vs-object equivalence "
-                              "+ analytical tolerance check; exits non-zero "
-                              "on any mismatch (no timing)")
+                         help="CI gate: analytical tolerance check on a "
+                              "tiny grid; exits non-zero when an estimate "
+                              "leaves the band (no timing)")
     p_bench.set_defaults(func=cmd_bench)
 
     p_drill = sub.add_parser(

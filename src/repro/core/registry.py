@@ -238,26 +238,6 @@ class SchemeInfo:
     #: False for schemes that exist to demonstrate inconsistency (``none``)
     #: — comparison drivers skip them.
     crash_consistent: bool = True
-    #: Whether the scheme's persist-path hooks (``on_persisting_store``,
-    #: ``on_remote_invalidation``, ``on_llc_eviction``, epoch handling,
-    #: drains) leave L1 *contents* alone, touching only scheme-private
-    #: buffers, NVMM, and statistics.  The engine's batched columnar
-    #: interpreter relies on this to keep its per-core L1-residency scans
-    #: valid across shared ops; schemes that set it False stay fully
-    #: supported but force the interpreter to conservatively rescan every
-    #: core after each shared op.  All builtin schemes qualify as True.
-    cache_local_persists: bool = True
-    #: True when the scheme's persisting-store hook never stalls, keeps no
-    #: persist-side buffer state, and is insensitive to call order and the
-    #: ``now`` argument (its effects are commutative counters at most),
-    #: and ``bbpb_owner_of`` is always None.  The batched interpreter may
-    #: then retire M-state-hit persisting stores on the private fast path
-    #: (persist records are re-sequenced into exact global order
-    #: afterwards).  Schemes with persist-side buffering — whose drain
-    #: timing couples cores through the shared NVMM write ports — must
-    #: leave this False so every persisting store executes in exact global
-    #: order.
-    stall_free_persists: bool = False
     #: What the scheme degrades to when battery health is in doubt (one
     #: of :data:`DEGRADED_MODES`).  ``DEGRADED_WRITE_THROUGH`` lets the
     #: serving layer keep the scheme online with every persisting store
@@ -287,9 +267,6 @@ class SchemeInfo:
     display: str = ""
     #: One-line description of the scheme.
     doc: str = ""
-    #: Name of the deprecated per-scheme factory in ``repro.sim.system``
-    #: kept alive for backward compatibility (empty = none).
-    legacy_factory: str = ""
     #: True for the schemes shipped by this package; builtins cannot be
     #: unregistered and define the canonical comparison order.
     builtin: bool = False
@@ -367,8 +344,6 @@ def register_scheme(
     battery_domain: bool = False,
     comparison_baseline: bool = False,
     crash_consistent: bool = True,
-    cache_local_persists: bool = True,
-    stall_free_persists: bool = False,
     degraded_mode: str = DEGRADED_NONE,
     persistency_model: str = MODEL_UNDECLARED,
     ordering_contract: Tuple[str, ...] = (),
@@ -376,7 +351,6 @@ def register_scheme(
     accepted_kwargs: Tuple[str, ...] = (),
     display: str = "",
     doc: str = "",
-    legacy_factory: str = "",
     instance_name: Optional[str] = None,
     builtin: bool = False,
     replace: bool = False,
@@ -434,8 +408,6 @@ def register_scheme(
             battery_backed_sb=bool(getattr(cls, "battery_backed_sb", False)),
             comparison_baseline=comparison_baseline,
             crash_consistent=crash_consistent,
-            cache_local_persists=cache_local_persists,
-            stall_free_persists=stall_free_persists,
             degraded_mode=degraded_mode,
             persistency_model=persistency_model,
             ordering_contract=tuple(ordering_contract),
@@ -443,7 +415,6 @@ def register_scheme(
             accepted_kwargs=tuple(accepted_kwargs),
             display=display or name,
             doc=doc,
-            legacy_factory=legacy_factory,
             builtin=builtin,
         )
         _add(info, replace=replace)
@@ -555,7 +526,6 @@ def scheme_for_class(cls: type) -> SchemeInfo:
     ordering_contract=ORDERING_ALL,
     display="BBB",
     doc="memory-side battery-backed persist buffer (the paper's design)",
-    legacy_factory="bbb",
     builtin=True,
 )
 def _build_bbb(cls, entries, drain_threshold=0.75):
@@ -579,7 +549,6 @@ def _build_bbb(cls, entries, drain_threshold=0.75):
     ordering_contract=ORDERING_ALL,
     display="BBB (proc-side)",
     doc="processor-side bbPB (Section V-C baseline)",
-    legacy_factory="bbb_processor_side",
     builtin=True,
 )
 def _build_bbb_proc(cls, entries, coalesce_consecutive=True):
@@ -597,12 +566,10 @@ def _build_bbb_proc(cls, entries, coalesce_consecutive=True):
     pop=POP_STORE_COMMIT,
     battery_domain=True,
     comparison_baseline=True,
-    stall_free_persists=True,
     persistency_model=MODEL_STRICT,
     ordering_contract=ORDERING_ALL,
     display="Optimal (eADR)",
     doc='whole-hierarchy battery, the "Optimal" line of Fig. 7',
-    legacy_factory="eadr",
     builtin=True,
 )
 def _build_eadr(cls, entries):
@@ -620,7 +587,6 @@ def _build_eadr(cls, entries):
     ordering_contract=(ORDERING_EPOCH,),
     display="PMEM (strict)",
     doc="strict persistency via hardware clwb+sfence; PoP at the WPQ",
-    legacy_factory="pmem_strict",
     builtin=True,
 )
 def _build_pmem(cls, entries):
@@ -637,7 +603,6 @@ def _build_pmem(cls, entries):
     ordering_contract=(ORDERING_EPOCH,),
     display="BSP",
     doc="bulk strict persistency (MICRO'15), volatile ordered buffers",
-    legacy_factory="bsp",
     builtin=True,
 )
 def _build_bsp(cls, entries):
@@ -654,7 +619,6 @@ def _build_bsp(cls, entries):
     ordering_contract=(ORDERING_FLUSH, ORDERING_FENCE),
     display="BEP",
     doc="buffered epoch persistency, volatile buffers (DPO/HOPS-style)",
-    legacy_factory="bep",
     builtin=True,
 )
 def _build_bep(cls, entries):
@@ -667,12 +631,10 @@ def _build_bep(cls, entries):
     contract=CONTRACT_PREFIX,
     pop=POP_STORE_COMMIT,
     crash_consistent=False,
-    stall_free_persists=True,
     persistency_model=MODEL_PX86_TSO,
     ordering_contract=(ORDERING_EPOCH,),
     display="no persistency",
     doc="volatile caches, no ordering control (the motivating baseline)",
-    legacy_factory="no_persistency",
     builtin=True,
 )
 def _build_none(cls, entries):

@@ -80,13 +80,6 @@ class MemoryHierarchy:
         self.l1s = [
             CacheArray(config.l1d, name=f"L1D{c}") for c in range(config.num_cores)
         ]
-        #: Per-core generation counters, bumped whenever a core's L1
-        #: residency or MESI state changes for a reason *other than* that
-        #: core's own private-op fast path (installs, cross-core
-        #: invalidations/downgrades, LLC back-invalidation, power loss).
-        #: The engine's batched interpreter snapshots them to decide which
-        #: cores' look-ahead scans survived a shared operation.
-        self.l1_versions = [0] * config.num_cores
         self.llc = CacheArray(config.llc, name="LLC")
         self.directory = Directory(bus)
         self.drain_channel = DrainMessageChannel(fault_injector,
@@ -197,7 +190,6 @@ class MemoryHierarchy:
                 oblk.dirty = False
                 t += C2C_EXTRA_CYCLES
             oblk.state = S
-            self.l1_versions[owner] += 1
         self.directory.record_downgrade(baddr)
         delay = self.scheme.on_remote_intervention(owner, baddr, requester, t) or 0
         return t + delay
@@ -293,12 +285,10 @@ class MemoryHierarchy:
         for sharer in sorted(ent.sharers - {core}):
             sblk = self.l1s[sharer].remove(baddr)
             if sblk is not None:
-                self.l1_versions[sharer] += 1
                 if sblk.dirty:
                     self._merge_into_llc(sblk)
-                # Dead blocks are marked invalid so stale references (the
-                # batched engine's scan cache) can never be mistaken for
-                # resident ones.
+                # Dead blocks are marked invalid so a stale reference can
+                # never be mistaken for a resident one.
                 sblk.state = I
             self.directory.record_l1_eviction(baddr, sharer)
             delay = max(
@@ -323,7 +313,6 @@ class MemoryHierarchy:
                 owner = ent.owner
                 oblk = self.l1s[owner].remove(baddr)
                 if oblk is not None:
-                    self.l1_versions[owner] += 1
                     if oblk.dirty:
                         llc_blk.data.merge_from(oblk.data)
                         llc_blk.dirty = True
@@ -341,7 +330,6 @@ class MemoryHierarchy:
     # Cache installs / evictions
     # ------------------------------------------------------------------
     def _install_l1(self, core: int, blk: CacheBlock) -> None:
-        self.l1_versions[core] += 1
         victim = self.l1s[core].insert(blk)
         if victim is not None:
             if victim.dirty:
@@ -378,7 +366,6 @@ class MemoryHierarchy:
             for sharer in sorted(ent.sharers):
                 sblk = self.l1s[sharer].remove(victim.addr)
                 if sblk is not None:
-                    self.l1_versions[sharer] += 1
                     if sblk.dirty:
                         victim.data.merge_from(sblk.data)
                         victim.dirty = True
@@ -509,8 +496,6 @@ class MemoryHierarchy:
 
     def lose_volatile_state(self) -> None:
         """Power loss: everything outside the persistence domain vanishes."""
-        for core in range(len(self.l1s)):
-            self.l1_versions[core] += 1
         for l1 in self.l1s:
             l1.clear()
         self.llc.clear()

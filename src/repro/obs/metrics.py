@@ -246,13 +246,11 @@ class MetricsRegistry:
 def run_registry(system, registry: Optional[MetricsRegistry] = None
                  ) -> MetricsRegistry:
     """Project a finished :class:`~repro.sim.system.System` into one
-    registry: the run's ``SimStats`` counters, the engine's
-    ``engine.batch.*`` batched-interpreter telemetry, and — for
+    registry: the run's ``SimStats`` counters and — for
     ``mode="analytical"`` runs — the model's ``analytical.*`` gauges.
     """
     reg = registry if registry is not None else MetricsRegistry()
     system.stats.to_registry(reg)
-    system.engine.publish_batch_metrics(reg)
     estimate = getattr(system, "analytical", None)
     if estimate is not None:
         reg.gauge("analytical.occupancy",

@@ -8,8 +8,7 @@ checkable, measurable compiler-style transformation:
 
 - :mod:`repro.opt.ir` — one canonical :class:`~repro.opt.ir.Program`
   representation (per-op provenance + durable-location metadata),
-  lossless to and from executable traces, workloads, litmus tests, and
-  the columnar form;
+  lossless to and from executable traces, workloads and litmus tests;
 - :mod:`repro.opt.passes` — registered removal-only passes:
   scheme-independent redundancy elimination plus elision gated purely on
   :attr:`~repro.core.registry.SchemeInfo.ordering_contract`;

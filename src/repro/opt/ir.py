@@ -20,10 +20,8 @@ enriched with two pieces of metadata the executable trace never carried:
     to tell a persisting store from a volatile one.
 
 Conversions are lossless in both directions: ``to_trace``/``from_trace``
-map to the object representation the engine executes, and
-``to_columnar``/``from_columnar`` to the batched columnar one; only the
-metadata (which the engine ignores) is shed on the way out and must be
-re-derived on the way in.
+map to the trace the engine executes; only the metadata (which the engine
+ignores) is shed on the way out and must be re-derived on the way in.
 
 :func:`instrument_naive` is the optimizer's front step: it inserts the
 paper's Fig. 3 "naive persistent programming" instrumentation — a clwb of
@@ -208,26 +206,6 @@ class Program:
             for thread in trace.threads
         )
         return Program(threads=threads, name=name)
-
-    def to_columnar(self):
-        """The batched columnar form (via the object trace — same bytes
-        on disk, see :mod:`repro.sim.tracefile`)."""
-        from repro.sim.coltrace import columnar_of
-
-        return columnar_of(self.to_trace())
-
-    @staticmethod
-    def from_columnar(
-        coltrace,
-        *,
-        name: str = "",
-        origin: str = "",
-        is_persistent: Optional[Callable[[int], bool]] = None,
-    ) -> "Program":
-        return Program.from_trace(
-            coltrace.to_program(), name=name, origin=origin,
-            is_persistent=is_persistent,
-        )
 
     # -- serialization -------------------------------------------------
     def to_payload(self) -> Dict[str, Any]:

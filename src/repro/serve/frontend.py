@@ -51,9 +51,9 @@ streamed interleaving are all seeded/deterministic, so a (scheme, spec)
 pair always produces the same latencies and the same fingerprint-stable
 engine results.  With the overload features disabled the reactor issues
 the exact per-core call sequence it always has — fault-free default
-traffic is bit-identical run to run and release to release.  Open-loop
-runs use only ``feed``/``advance``/``end`` and interoperate with the
-batched columnar interpreter; closed-loop runs additionally use
+traffic is bit-identical run to run and release to release.  Streams run
+on the same per-op engine as ``Engine.run``.  Open-loop runs use only
+``feed``/``advance``/``end``; closed-loop runs additionally use
 ``idle``, whose wake policy has no materialized-trace equivalent (the
 run is still deterministic — it is just not claimed bit-identical to any
 ``Engine.run`` invocation).

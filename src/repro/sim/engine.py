@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -32,8 +31,8 @@ from typing import Deque, Iterable, List, NamedTuple, Optional, Sequence
 
 from repro.check.schedule import SITE_OP, CrashNow, FiredPoint
 from repro.core.persistency import DrainReport
-from repro.mem.block import I as MESI_I, M as MESI_M, block_address
-from repro.mem.hierarchy import STORE_COMMIT_CYCLES, MemoryHierarchy
+from repro.mem.block import block_address
+from repro.mem.hierarchy import MemoryHierarchy
 from repro.mem.storebuffer import SBEntry
 from repro.obs.events import (
     STALL_EPOCH,
@@ -42,18 +41,10 @@ from repro.obs.events import (
     StallBegin,
     StallEnd,
 )
-from repro.sim.coltrace import ColumnarTrace, columnar_of
 from repro.sim.config import ConsistencyModel
 from repro.sim.reference import LogKind, LogRecord
 from repro.sim.stats import SimStats
 from repro.sim.trace import OpKind, ProgramTrace, TraceOp
-
-#: Interpreter modes accepted by :class:`Engine`.  ``auto`` uses the
-#: batched columnar path whenever it is handed a :class:`ColumnarTrace`
-#: and the run is eligible; ``columnar`` additionally converts incoming
-#: ``ProgramTrace`` objects (memoized); ``object`` always interprets one
-#: ``TraceOp`` at a time.
-ENGINE_MODES = ("auto", "object", "columnar")
 
 
 class PersistRecord(NamedTuple):
@@ -104,18 +95,11 @@ class Engine:
         reorder_seed: int = 0,
         release_probability: float = 0.5,
         log: bool = False,
-        mode: str = "auto",
     ) -> None:
-        if mode not in ENGINE_MODES:
-            raise ValueError(
-                f"unknown engine mode {mode!r}; expected one of "
-                f"{', '.join(ENGINE_MODES)}"
-            )
         self.hierarchy = hierarchy
         self.config = hierarchy.config
         self.stats = hierarchy.stats
         self.consistency = consistency or self.config.consistency
-        self.mode = mode
         self._rng = random.Random(reorder_seed)
         self._release_probability = release_probability
         self._log_enabled = log
@@ -130,43 +114,6 @@ class Engine:
         self.result: Optional[RunResult] = None
         self._store_buffers = hierarchy.store_buffers
         self._bus = hierarchy.bus
-        #: Batched-interpreter telemetry for the last run that used the
-        #: columnar path (projected as ``engine.batch.*`` metrics by
-        #: :meth:`publish_batch_metrics`).  Zeroes mean "object path".
-        self.batch_counters = {
-            "phases": 0,
-            "private_ops": 0,
-            "shared_ops": 0,
-            "rescans": 0,
-            "scanned_ops": 0,
-        }
-
-    # ------------------------------------------------------------------
-    # Batched-path eligibility and telemetry
-    # ------------------------------------------------------------------
-    def _scheme_flags(self) -> "tuple[bool, bool]":
-        """``(cache_local_persists, stall_free_persists)`` of the active
-        scheme (see :class:`repro.core.registry.SchemeInfo`).  Unregistered
-        schemes get the conservative answers."""
-        from repro.core.registry import scheme_info
-
-        try:
-            info = scheme_info(getattr(self.hierarchy.scheme, "name", ""))
-        except ValueError:
-            return False, False
-        return info.cache_local_persists, info.stall_free_persists
-
-    def publish_batch_metrics(self, registry) -> None:
-        """Project the last run's batched-interpreter counters into an
-        :class:`~repro.obs.metrics.MetricsRegistry` as ``engine.batch.*``.
-        Counters live on the engine (not :class:`SimStats`): the batched
-        path must produce bit-identical stats, so its telemetry cannot
-        ride in them."""
-        for key, value in self.batch_counters.items():
-            registry.counter(
-                f"engine.batch.{key}",
-                f"batched columnar interpreter: {key.replace('_', ' ')}",
-            ).inc(value)
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -184,12 +131,6 @@ class Engine:
         it covers and the volatile state is lost; ``finalize`` is ignored.
         On a normal completion (``finalize=True``) the scheme settles all
         outstanding persistence-domain state so the media image is complete.
-
-        ``trace`` may be a :class:`ProgramTrace` or a
-        :class:`~repro.sim.coltrace.ColumnarTrace`; both representations
-        produce identical results.  In ``auto``/``columnar`` mode,
-        eligible runs (TSO, no crash scheduling, no fault injection, no
-        execution log) take the batched columnar path.
         """
         if trace.num_threads > self.config.num_cores:
             raise ValueError(
@@ -198,74 +139,46 @@ class Engine:
             )
         schedule = self.hierarchy.crash_schedule
         schedule_on = schedule.enabled
-        cols: Optional[ColumnarTrace] = (
-            trace if isinstance(trace, ColumnarTrace) else None
-        )
-        if self.mode == "object":
-            if cols is not None:
-                trace = cols.to_program()
-            cols = None
-        elif cols is None and self.mode == "columnar":
-            cols = columnar_of(trace)
-        batched = (
-            cols is not None
-            and self._tso
-            and crash_at_op is None
-            and not schedule_on
-            and not self._log_enabled
-            and not self.hierarchy.fault_injector.enabled
-            and cols.fast_path_ok
-        )
         result = self.result = RunResult(stats=self.stats)
         num_threads = trace.num_threads
         clocks = [0] * num_threads
         indices = [0] * num_threads
         flush_outstanding: List[List[int]] = [[] for _ in range(num_threads)]
         executed = 0
-        for key in self.batch_counters:
-            self.batch_counters[key] = 0
 
-        if batched:
-            executed = self._run_columnar(
-                cols, result, clocks, indices, flush_outstanding
-            )
-        else:
-            if cols is not None:
-                trace = cols.to_program()
-            # Min-heap scheduler: always step the core with the smallest
-            # clock, ties broken by core index — identical to a min() over
-            # live cores, but O(log n) per step and with no per-step
-            # liveness list-build.
-            ops_per_core = [t.ops for t in trace.threads]
-            lengths = [len(ops) for ops in ops_per_core]
-            heap = [(0, c) for c in range(num_threads) if lengths[c]]
-            execute = self._execute
-            while heap:
-                clock, core = heapq.heappop(heap)
-                i = indices[core]
-                op = ops_per_core[core][i]
-                indices[core] = i + 1
-                try:
-                    clock = execute(core, op, clock, result,
-                                    flush_outstanding[core])
-                    clocks[core] = clock
-                    executed += 1
-                    if schedule_on:
-                        schedule.reached(SITE_OP, clock)
-                except CrashNow as crash:
-                    # A scheduled micro-step crash fired inside (or right
-                    # after) this op: ``executed`` counts fully-executed ops.
-                    clocks[core] = max(clocks[core], clock)
-                    result.crashed = True
-                    result.crash_op = executed
-                    result.crash_point = crash.point
-                    break
-                if i + 1 < lengths[core]:
-                    heapq.heappush(heap, (clock, core))
-                if crash_at_op is not None and executed >= crash_at_op:
-                    result.crashed = True
-                    result.crash_op = executed
-                    break
+        # Min-heap scheduler: always step the core with the smallest clock,
+        # ties broken by core index — identical to a min() over live cores,
+        # but O(log n) per step and with no per-step liveness list-build.
+        ops_per_core = [t.ops for t in trace.threads]
+        lengths = [len(ops) for ops in ops_per_core]
+        heap = [(0, c) for c in range(num_threads) if lengths[c]]
+        execute = self._execute
+        while heap:
+            clock, core = heapq.heappop(heap)
+            i = indices[core]
+            op = ops_per_core[core][i]
+            indices[core] = i + 1
+            try:
+                clock = execute(core, op, clock, result,
+                                flush_outstanding[core])
+                clocks[core] = clock
+                executed += 1
+                if schedule_on:
+                    schedule.reached(SITE_OP, clock)
+            except CrashNow as crash:
+                # A scheduled micro-step crash fired inside (or right after)
+                # this op: ``executed`` counts fully-executed ops.
+                clocks[core] = max(clocks[core], clock)
+                result.crashed = True
+                result.crash_op = executed
+                result.crash_point = crash.point
+                break
+            if i + 1 < lengths[core]:
+                heapq.heappush(heap, (clock, core))
+            if crash_at_op is not None and executed >= crash_at_op:
+                result.crashed = True
+                result.crash_op = executed
+                break
 
         return self._epilogue(result, clocks, flush_outstanding, executed,
                               finalize)
@@ -302,414 +215,6 @@ class Engine:
         for core, clock in enumerate(clocks):
             self.stats.core[core].cycles = clock
         return result
-
-    # ------------------------------------------------------------------
-    # Batched columnar interpreter
-    # ------------------------------------------------------------------
-    def _run_columnar(
-        self,
-        cols: ColumnarTrace,
-        result: RunResult,
-        clocks: List[int],
-        indices: List[int],
-        flush_outstanding: List[List[int]],
-    ) -> int:
-        """Scan/cut batched execution of an eligible (TSO, crash-free) run.
-        Returns the number of executed ops.
-
-        Correctness rests on the *private-ops-commute* property: an L1-hit
-        LOAD, an M-state-hit non-persisting STORE, and a COMPUTE touch only
-        core-private state (the core's own L1 array and per-array LRU
-        clock, its own ``CoreStats`` counters, its own clock, data the core
-        holds exclusively), so reordering them across cores cannot change
-        any observable.  MESI guarantees a cross-core conflict on the same
-        block always involves a *shared* op (a miss or an upgrade) on at
-        least one side, and private ops never change L1 residency or MESI
-        state — so whether each upcoming op is private can be *scanned*
-        without executing anything.
-
-        Each phase therefore: (1) rescans cores whose previous scan was
-        invalidated, parking each at its first shared op with the clock it
-        would reach it at (private costs are deterministic); (2) picks the
-        globally next shared op S* = min over (park clock, core); (3)
-        retires every core's scanned private ops whose heap position
-        ``(clock, core)`` orders *before* S* — exactly the ops the min-heap
-        would have popped first; (4) executes S* through the unchanged
-        per-op path, preserving the exact global order of every shared op
-        (and with it persist-record sequencing, coherence traffic, stats,
-        and LRU decisions bit for bit); (5) invalidates the scan of S*'s
-        core and of any core whose L1 the shared op touched (tracked by
-        ``MemoryHierarchy.l1_versions``; schemes without
-        ``cache_local_persists`` invalidate everyone).
-
-        Schemes declaring ``stall_free_persists`` (their persist hook is a
-        stall-free, order-insensitive counter at most — eADR, the
-        no-persistency baseline) additionally retire M-state-hit
-        *persisting* stores on the private path: the persist hook still
-        runs per store, but the (committed, performed) record pair is
-        captured with the op's heap position ``(clock, core)`` and the
-        full record list is re-sequenced into exact global order after the
-        run (record-producing ops advance their core's clock, so heap
-        positions are unique and totally ordered).
-        """
-        h = self.hierarchy
-        config = self.config
-        mem = config.mem
-        load_cost = config.l1d.hit_latency
-        store_cost = STORE_COMMIT_CYCLES + 1
-        cache_local, persists_private = self._scheme_flags()
-        (prefix_t, mord_t, mcls_t, mbaddr_t, mset_t, rix_t, rend_t,
-         nst_t, sord_t, soff_t, sval_t, ssiz_t, spst_t,
-         sbyt_t) = cols.engine_prep(
-            config.block_size - 1,
-            mem.persistent_base,
-            mem.nvmm_limit,
-            config.l1d.block_size.bit_length() - 1,
-            config.l1d.num_sets,
-            load_cost,
-            store_cost,
-            persists_private,
-        )
-        n = cols.num_threads
-        lengths = [t.n for t in cols.threads]
-        mlens = [len(m) for m in mord_t]
-        prog = cols.known_program()  # ops for shared dispatch, if built
-        ops_pc = [t.ops for t in prog.threads] if prog is not None else None
-        sets_c = [h.l1s[c]._sets for c in range(n)]
-        l1_versions = h.l1_versions
-        core_stats = self.stats.core
-        execute = self._execute
-        conservative = not cache_local
-        counters = self.batch_counters
-        # Private-persist support (stall_free_persists schemes only).
-        on_pstore = h.scheme.on_persisting_store
-        llc = h.llc
-        llc_sets = llc._sets
-        llc_shift = llc._block_shift
-        llc_mask = llc._set_mask
-        llc_nsets = llc.config.num_sets
-        seq_base = self._seq
-        committed = result.committed_persists
-        #: Deferred private persist records: (pop clock, core, addr, size,
-        #: value) — merged with the shared-op records at the end.
-        priv_records: List["tuple"] = []
-        #: Heap position of each shared-op (committed, performed) pair, in
-        #: append order, for the same merge.
-        shared_tags: List["tuple"] = []
-
-        mpos = [0] * n            # current memory-op position per core
-        park_idx = [0] * n        # park point as an op index
-        park_mem = [0] * n        # park point as a memory-op position
-        park_clock = [0] * n
-        #: Block refs captured by the last scan, one per *run* of
-        #: same-block ops, indexed ``rix[m] - scan_rix0``.  Safe across
-        #: phases: any mutation of the core's L1 bumps its
-        #: ``l1_versions`` entry and forces a rescan before the next use.
-        scan_blks: List[list] = [[] for _ in range(n)]
-        scan_rix0 = [0] * n       # run index of the first cached ref
-        scan_hi = [0] * n         # mem position the cached refs extend to
-        valid = [False] * n
-        seen = [0] * n
-        executed = 0
-        phases = 0
-        rescans = 0
-        scanned_ops = 0
-        shared_ops = 0
-        cores = list(range(n))
-        _I = MESI_I
-        _M = MESI_M
-
-        while True:
-            # -- (1) rescan invalidated cores to their park points --------
-            # Only memory ops can be shared or change privacy, so the scan
-            # walks the memory-op columns; the park clock comes from the
-            # cost prefix sum in O(1).
-            for c in cores:
-                if valid[c]:
-                    continue
-                rescans += 1
-                mp = mpos[c]
-                mcls = mcls_t[c]
-                mlen = mlens[c]
-                hi = scan_hi[c]
-                if mp < hi and not conservative:
-                    # The core still sits inside its cached scan window, so
-                    # this rescan was forced by a *remote* version bump.
-                    # Dead blocks are state-I-marked and remote activity
-                    # can only invalidate or downgrade this core's blocks
-                    # (never install), so a state-only recheck of the
-                    # cached refs is exact — no dict walks, and the park
-                    # point can only move earlier.
-                    sblks = scan_blks[c]
-                    rix = rix_t[c]
-                    rend = rend_t[c]
-                    nst = nst_t[c]
-                    sord = sord_t[c]
-                    nstores = len(sord)
-                    rbase = scan_rix0[c]
-                    while mp < hi:
-                        st = sblks[rix[mp] - rbase].state
-                        if st is _I:
-                            break
-                        e = rend[mp]
-                        if e > hi:
-                            e = hi
-                        if st is not _M:
-                            # Loads stay private on any valid state, but
-                            # the run parks at its first store.
-                            s0 = nst[mp]
-                            fs = sord[s0] if s0 < nstores else mlen
-                            if fs < e:
-                                mp = fs
-                                break
-                        mp = e
-                else:
-                    # First scan, or the core consumed its window (its
-                    # parked op was dispatched): walk fresh from mpos.
-                    mbad = mbaddr_t[c]
-                    msets = mset_t[c]
-                    sets = sets_c[c]
-                    rend = rend_t[c]
-                    nst = nst_t[c]
-                    sord = sord_t[c]
-                    nstores = len(sord)
-                    sblks = scan_blks[c] = []
-                    sapp = sblks.append
-                    scan_rix0[c] = rix_t[c][mp] if mp < mlen else 0
-                    while mp < mlen:
-                        cl = mcls[mp] & 7
-                        if cl == 3:
-                            break
-                        frames = sets.get(msets[mp])
-                        if frames is None:
-                            break
-                        blk = frames.get(mbad[mp])
-                        if blk is None or blk.state is _I:
-                            break
-                        e = rend[mp]
-                        if blk.state is not _M:
-                            # Loads stay private on any valid state; the
-                            # run parks at its first store (an upgrade is
-                            # a shared op).
-                            s0 = nst[mp]
-                            fs = sord[s0] if s0 < nstores else mlen
-                            if fs < e:
-                                if fs == mp:
-                                    break
-                                sapp(blk)
-                                mp = fs
-                                break
-                        sapp(blk)
-                        mp = e
-                    scan_hi[c] = mp
-                park_mem[c] = mp
-                P = prefix_t[c]
-                pidx = mord_t[c][mp] if mp < mlen else lengths[c]
-                park_idx[c] = pidx
-                idx = indices[c]
-                park_clock[c] = clocks[c] + P[pidx] - P[idx]
-                scanned_ops += pidx - idx
-                valid[c] = True
-                seen[c] = l1_versions[c]
-
-            # -- (2) the globally next shared op ---------------------------
-            # The ascending-core scan with a strict ``<`` reproduces the
-            # heap's (clock, core) tie-break exactly.
-            s_core = -1
-            s_clock = 0
-            for c in cores:
-                if park_idx[c] >= lengths[c]:
-                    continue
-                pc = park_clock[c]
-                if s_core < 0 or pc < s_clock:
-                    s_core = c
-                    s_clock = pc
-
-            # -- (3) retire private ops ordered before S* ------------------
-            phases += 1
-            for c in cores:
-                idx = indices[c]
-                stop = park_idx[c]
-                if idx >= stop:
-                    continue
-                clock = clocks[c]
-                P = prefix_t[c]
-                if s_core < 0 or c == s_core:
-                    # Drain (no shared op left) or same core (program
-                    # order): everything scanned retires.
-                    j = stop
-                else:
-                    # (clock, c) < (s_clock, s_core) ⇔ clock < limit.
-                    limit = s_clock + 1 if c < s_core else s_clock
-                    if clock >= limit:
-                        continue
-                    # First op whose pop clock reaches the limit; the pop
-                    # clock of op i is clock + P[i] - P[idx].
-                    j = bisect_left(P, P[idx] + limit - clock, idx, stop)
-                    if j <= idx:
-                        continue
-                mp = mpos[c]
-                me = (park_mem[c] if j >= stop
-                      else bisect_left(mord_t[c], j, mp, park_mem[c]))
-                sblks = scan_blks[c]
-                rix = rix_t[c]
-                rbase = scan_rix0[c]
-                nst = nst_t[c]
-                l1 = h.l1s[c]
-                use0 = l1._use
-                s0 = nst[mp]
-                s1 = nst[me]
-                stores = s1 - s0
-                loads = (me - mp) - stores
-                pstores = 0
-                if stores:
-                    sord = sord_t[c]
-                    sbyt = sbyt_t[c]
-                    spst = spst_t[c]
-                    mbad = mbaddr_t[c]
-                    mord = mord_t[c]
-                    for si in range(s0, s1):
-                        m = sord[si]
-                        blk = sblks[rix[m] - rbase]
-                        blk.data.bytes.update(sbyt[si])
-                        blk.dirty = True
-                        if spst[si]:
-                            # M-state-hit persisting store of a
-                            # stall_free_persists scheme: same L1 effects
-                            # as cl 2, plus the persistent flags, the
-                            # (stall-free) scheme hook, and a deferred
-                            # record pair at the op's heap position.
-                            blk.persistent = True
-                            b = mbad[m]
-                            bi = b >> llc_shift
-                            frames = llc_sets.get(
-                                bi & llc_mask if llc_mask is not None
-                                else bi % llc_nsets
-                            )
-                            lblk = (frames.get(b)
-                                    if frames is not None else None)
-                            if lblk is not None and lblk.state is not _I:
-                                lblk.persistent = True
-                            pclk = clock + P[mord[m]] - P[idx]
-                            on_pstore(c, b, blk.data, pclk + 1)
-                            priv_records.append(
-                                (pclk, c, b + soff_t[c][si], ssiz_t[c][si],
-                                 sval_t[c][si]))
-                            pstores += 1
-                # LRU: each op stamps the array use-clock in order, but
-                # only a block's *last* stamp in the window is observable
-                # — one write per run instead of one per op.
-                rend = rend_t[c]
-                m = mp
-                while m < me:
-                    e = rend[m]
-                    if e > me:
-                        e = me
-                    sblks[rix[m] - rbase].last_use = use0 + e - mp
-                    m = e
-                l1._use = use0 + (me - mp)
-                new_clock = clock + P[j] - P[idx]
-                cs = core_stats[c]
-                if loads:
-                    cs.loads += loads
-                    cs.l1_hits += loads
-                if stores:
-                    cs.stores += stores
-                    if pstores:
-                        cs.persisting_stores += pstores
-                # Loads and stores have fixed private costs, so compute
-                # cycles are the remainder of the clock advance.
-                comp = (new_clock - clock - loads * load_cost
-                        - stores * store_cost)
-                if comp:
-                    cs.compute_cycles += comp
-                clocks[c] = new_clock
-                indices[c] = j
-                mpos[c] = me
-                executed += j - idx
-
-            if s_core < 0:
-                break  # drained
-
-            # -- (4) the shared op runs through the exact per-op path ------
-            i = indices[s_core]
-            op = (ops_pc[s_core][i] if ops_pc is not None
-                  else cols.op_at(s_core, i))
-            indices[s_core] = i + 1
-            mpos[s_core] = park_mem[s_core] + 1
-            shared_ops += 1
-            s_pop = park_clock[s_core]
-            pairs_before = len(committed)
-            try:
-                clock = execute(s_core, op, s_pop, result,
-                                flush_outstanding[s_core])
-                clocks[s_core] = clock
-                executed += 1
-                if persists_private and len(committed) > pairs_before:
-                    shared_tags.append((s_pop, s_core))
-            except CrashNow as crash:  # pragma: no cover - defensive: the
-                # eligibility gate excludes every built-in crash source, but
-                # a plugin scheme hook could still raise.
-                clocks[s_core] = max(clocks[s_core], s_pop)
-                result.crashed = True
-                result.crash_op = executed
-                result.crash_point = crash.point
-                if persists_private and len(committed) > pairs_before:
-                    shared_tags.append((s_pop, s_core))
-                break
-
-            # -- (5) invalidate scans the shared op may have stale-ified ---
-            valid[s_core] = False
-            if conservative:
-                for c in cores:
-                    valid[c] = False
-            else:
-                for c in cores:
-                    if valid[c] and l1_versions[c] != seen[c]:
-                        valid[c] = False
-
-        if priv_records:
-            # Records were captured out of global order (private persists
-            # are deferred): rebuild both lists in exact heap order.  Every
-            # record-producing op advances its core's clock, so the
-            # (pop clock, core) keys are unique and the sort reproduces the
-            # object interpreter's pop order — and with it the seq
-            # numbering — exactly.  Only the last committed record can lack
-            # its performed twin (defensive crash path).
-            performed = result.performed_persists
-            npairs = len(performed)
-            entries = [
-                (tag[0], tag[1], rec.addr, rec.size, rec.value, j < npairs)
-                for j, (rec, tag) in enumerate(zip(committed, shared_tags))
-            ]
-            entries.extend(
-                (clk, cr, addr, sz, v, True)
-                for clk, cr, addr, sz, v in priv_records
-            )
-            # Keys are unique, so the bare lexicographic tuple sort never
-            # compares past (clock, core) — no key function needed.
-            entries.sort()
-            seq = seq_base
-            committed_rows = []
-            performed_rows = []
-            capp = committed_rows.append
-            papp = performed_rows.append
-            for clk, cr, addr, sz, v, paired in entries:
-                seq += 1
-                capp((cr, addr, sz, v, seq))
-                if paired:
-                    seq += 1
-                    papp((cr, addr, sz, v, seq))
-            committed[:] = map(PersistRecord._make, committed_rows)
-            performed[:] = map(PersistRecord._make, performed_rows)
-            self._seq = seq
-
-        counters["phases"] = phases
-        counters["private_ops"] = executed - shared_ops
-        counters["shared_ops"] = shared_ops
-        counters["rescans"] = rescans
-        counters["scanned_ops"] = scanned_ops
-        return executed
 
     # ------------------------------------------------------------------
     # Per-op execution
@@ -1000,10 +505,6 @@ class EngineStream:
     core's clock is exactly the completion cycle of the last op it was
     fed — per-request latency falls out of ``clock(core)`` with no per-op
     completion callbacks (:mod:`repro.serve` builds on this).
-
-    Sessions always run on the per-op interpreter, whatever the engine's
-    mode: a columnar window per pump would rebuild its prep tables for
-    every request-sized batch of ops, which costs far more than it saves.
     """
 
     def __init__(self, engine: Engine) -> None:

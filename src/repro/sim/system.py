@@ -9,31 +9,27 @@
     print(result.stats.nvmm_writes, result.execution_cycles)
 
 Systems for the paper's comparison space are built by name through
-:func:`repro.api.build_system`; the per-scheme factory functions that used
-to live here (``eadr()``, ``bbb()``, ...) remain as deprecated wrappers and
-will be removed in a future release.
+:func:`repro.api.build_system`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from repro.check.schedule import NULL_SCHEDULE
-from repro.core import registry as _registry
 from repro.core.persistency import BBBScheme, PersistencyScheme
 from repro.fault.injector import NULL_INJECTOR
 from repro.mem.hierarchy import MemoryHierarchy
 from repro.obs.bus import NULL_BUS, EventBus
 from repro.sim.config import SystemConfig
-from repro.sim.engine import ENGINE_MODES, Engine, EngineStream, RunResult
+from repro.sim.engine import Engine, EngineStream, RunResult
 from repro.sim.stats import SimStats
 from repro.sim.trace import ProgramTrace
 
-#: Modes accepted by :class:`System`: the engine's interpreter modes plus
-#: ``"analytical"`` (closed-form estimate, no discrete simulation —
-#: :mod:`repro.analysis.analytical`).
-SYSTEM_MODES = ENGINE_MODES + ("analytical",)
+#: Modes accepted by :class:`System`: ``"sim"`` runs the discrete
+#: engine; ``"analytical"`` fills the stats from the closed-form estimate
+#: with no discrete simulation (:mod:`repro.analysis.analytical`).
+SYSTEM_MODES = ("sim", "analytical")
 
 
 class System:
@@ -47,7 +43,7 @@ class System:
         bus: EventBus = NULL_BUS,
         fault_injector=NULL_INJECTOR,
         crash_schedule=NULL_SCHEDULE,
-        mode: str = "auto",
+        mode: str = "sim",
     ) -> None:
         if mode not in SYSTEM_MODES:
             raise ValueError(
@@ -68,9 +64,7 @@ class System:
         self.hierarchy = MemoryHierarchy(self.config, self.scheme, self.stats,
                                          bus=bus, fault_injector=fault_injector,
                                          crash_schedule=crash_schedule)
-        engine_mode = mode if mode in ENGINE_MODES else "auto"
-        self.engine = Engine(self.hierarchy, reorder_seed=reorder_seed,
-                             mode=engine_mode)
+        self.engine = Engine(self.hierarchy, reorder_seed=reorder_seed)
 
     def run(
         self,
@@ -88,8 +82,8 @@ class System:
         if self.mode == "analytical":
             if crash_at_op is not None:
                 raise ValueError(
-                    "analytical mode cannot crash mid-run; use a discrete "
-                    "engine mode for crash-consistency experiments"
+                    "analytical mode cannot crash mid-run; use mode='sim' "
+                    "for crash-consistency experiments"
                 )
             from repro.analysis.analytical import run_analytical
 
@@ -104,8 +98,8 @@ class System:
         has no op-level execution, so it cannot stream."""
         if self.mode == "analytical":
             raise ValueError(
-                "analytical mode has no streaming ingestion path; use a "
-                "discrete engine mode"
+                "analytical mode has no streaming ingestion path; use "
+                "mode='sim'"
             )
         return self.engine.stream()
 
@@ -117,8 +111,8 @@ class System:
         :meth:`repro.sim.engine.Engine.run_stream`."""
         if self.mode == "analytical":
             raise ValueError(
-                "analytical mode has no streaming ingestion path; use a "
-                "discrete engine mode"
+                "analytical mode has no streaming ingestion path; use "
+                "mode='sim'"
             )
         return self.engine.run_stream(streams, chunk=chunk, finalize=finalize)
 
@@ -126,45 +120,3 @@ class System:
     def nvmm_media(self):
         return self.hierarchy.nvmm.media
 
-
-# ----------------------------------------------------------------------
-# Deprecated per-scheme factories (use repro.api.build_system instead)
-# ----------------------------------------------------------------------
-
-def _warn_factory(old: str, scheme: str) -> None:
-    warnings.warn(
-        f"repro.sim.system.{old}() is deprecated; use "
-        f"repro.api.build_system({scheme!r}, ...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _make_legacy_factory(info):
-    """One deprecated wrapper per registered builtin: ``name(config, **kw)``
-    warns, then routes through :func:`repro.api.build_system`."""
-
-    def factory(config: Optional[SystemConfig] = None, **kw) -> System:
-        _warn_factory(info.legacy_factory, info.name)
-        from repro.api import build_system
-
-        return build_system(info.name, config=config, **kw)
-
-    factory.__name__ = factory.__qualname__ = info.legacy_factory
-    factory.__doc__ = (
-        f"Deprecated: use ``repro.api.build_system({info.name!r}, ...)``."
-    )
-    return factory
-
-
-#: Deprecated scheme-name -> factory registry, generated from the scheme
-#: registry's ``legacy_factory`` declarations.  Kept so old callers keep
-#: working (each entry warns); new code resolves schemes by name through
-#: :func:`repro.api.build_system`.
-SCHEME_FACTORIES = {}
-for _info in _registry.iter_schemes():
-    if _info.legacy_factory:
-        _factory = _make_legacy_factory(_info)
-        globals()[_info.legacy_factory] = _factory
-        SCHEME_FACTORIES[_info.name] = _factory
-del _info, _factory

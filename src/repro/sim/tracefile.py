@@ -1,18 +1,12 @@
-"""Trace file I/O: save and load program traces in either representation.
+"""Trace file I/O: save and load program traces.
 
 Format: one JSON object per line (JSONL).  The first line is a header
 ``{"repro-trace": 1, "threads": N}``; every other line is one operation
 ``{"t": thread, "k": kind, "a": addr, "s": size, "v": value, "c": cycles}``
 with zero-valued fields omitted.  The format is deliberately plain so
 traces can be produced or consumed by external tools (or hand-written for
-directed experiments).
-
-Both trace representations are first-class: :func:`save_trace` accepts a
-:class:`ProgramTrace` or a :class:`~repro.sim.coltrace.ColumnarTrace`
-(written column-wise, without materialising per-op objects), and
-:func:`load_trace_columnar` decodes a file straight into columns — the
-bytes on disk are identical either way, so the two loaders round-trip
-each other's files.
+directed experiments).  The loaders validate every field and raise
+:class:`TraceFormatError` naming the offending line.
 
 IR programs (:class:`repro.opt.ir.Program` — e.g. optimizer output) use
 the same format via :func:`save_program` / :func:`load_program`, with
@@ -44,12 +38,17 @@ _KIND_CODES = {
 }
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
+#: Integer op fields: (key, default, minimum or None for unbounded).
+_INT_FIELDS = (("a", 0, 0), ("s", 8, 1), ("v", 0, None), ("c", 0, 0))
+
 
 class TraceFormatError(ValueError):
     """The file is not a valid repro trace."""
 
 
-def _encode_op(thread: int, op: TraceOp) -> str:
+def _encode_op(thread: int, op, origin: str = "",
+               durable: bool = False) -> str:
+    """One op line; ``origin``/``durable`` are the IR metadata fields."""
     record = {"t": thread, "k": _KIND_CODES[op.kind]}
     if op.addr:
         record["a"] = op.addr
@@ -61,72 +60,51 @@ def _encode_op(thread: int, op: TraceOp) -> str:
         record["c"] = op.cycles
     if op.tag:
         record["g"] = op.tag
+    if origin:
+        record["p"] = origin
+    if durable:
+        record["d"] = 1
     return json.dumps(record, separators=(",", ":"))
 
 
-def _decode_op(record: dict) -> TraceOp:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _decode_op(line_no: int, record: dict) -> TraceOp:
     try:
-        kind = _CODE_KINDS[record["k"]]
-    except KeyError as exc:
-        raise TraceFormatError(f"unknown op kind {record.get('k')!r}") from exc
-    return TraceOp(
-        kind,
-        addr=record.get("a", 0),
-        size=record.get("s", 8),
-        value=record.get("v", 0),
-        cycles=record.get("c", 0),
-        tag=record.get("g"),
-    )
+        kind = _CODE_KINDS[record.get("k")]
+    except (KeyError, TypeError) as exc:
+        raise TraceFormatError(
+            f"line {line_no}: unknown op kind {record.get('k')!r}") from exc
+    fields = {}
+    for key, default, minimum in _INT_FIELDS:
+        value = record.get(key, default)
+        if not _is_int(value) or (minimum is not None and value < minimum):
+            bound = "" if minimum is None else f" >= {minimum}"
+            raise TraceFormatError(
+                f"line {line_no}: field {key!r} must be an integer{bound}, "
+                f"got {value!r}")
+        fields[key] = value
+    tag = record.get("g")
+    if tag is not None and not isinstance(tag, str):
+        raise TraceFormatError(
+            f"line {line_no}: field 'g' must be a string, got {tag!r}")
+    return TraceOp(kind, addr=fields["a"], size=fields["s"],
+                   value=fields["v"], cycles=fields["c"], tag=tag)
 
 
-def _encode_columns(thread_id: int, t, fh) -> int:
-    """Write one :class:`~repro.sim.coltrace.ThreadColumns` column-wise.
-    Wide ops (the rare ones that overflow the fixed-width columns) fall
-    back to the exact per-op encoder."""
-    from repro.sim.coltrace import CODE_TO_KIND
-
-    kinds, addrs, sizes, values, cycles = t.column_lists()
-    tags, wide = t.tags, t.wide
-    dumps = json.dumps
-    for i in range(t.n):
-        if i in wide:
-            fh.write(_encode_op(thread_id, wide[i]) + "\n")
-            continue
-        record = {"t": thread_id, "k": _KIND_CODES[CODE_TO_KIND[kinds[i]]]}
-        if addrs[i]:
-            record["a"] = addrs[i]
-        if sizes[i] != 8:
-            record["s"] = sizes[i]
-        if values[i]:
-            record["v"] = values[i]
-        if cycles[i]:
-            record["c"] = cycles[i]
-        tag = tags.get(i)
-        if tag:
-            record["g"] = tag
-        fh.write(dumps(record, separators=(",", ":")) + "\n")
-    return t.n
-
-
-def save_trace(trace, path: Union[str, Path]) -> int:
-    """Write ``trace`` (either representation) to ``path``; returns the
-    number of ops written.  A columnar trace is written column-wise —
-    same bytes, no per-op object materialisation."""
-    from repro.sim.coltrace import ColumnarTrace
-
+def save_trace(trace: ProgramTrace, path: Union[str, Path]) -> int:
+    """Write ``trace`` to ``path``; returns the number of ops written."""
     path = Path(path)
     count = 0
     with path.open("w") as fh:
         header = {"repro-trace": FORMAT_VERSION, "threads": trace.num_threads}
         fh.write(json.dumps(header) + "\n")
-        if isinstance(trace, ColumnarTrace):
-            for thread_id, t in enumerate(trace.threads):
-                count += _encode_columns(thread_id, t, fh)
-        else:
-            for thread_id, thread in enumerate(trace.threads):
-                for op in thread:
-                    fh.write(_encode_op(thread_id, op) + "\n")
-                    count += 1
+        for thread_id, thread in enumerate(trace.threads):
+            for op in thread:
+                fh.write(_encode_op(thread_id, op) + "\n")
+                count += 1
     return count
 
 
@@ -146,22 +124,8 @@ def save_program(program, path: Union[str, Path]) -> int:
         fh.write(json.dumps(header) + "\n")
         for thread_id, ops in enumerate(program.threads):
             for op in ops:
-                record = {"t": thread_id, "k": _KIND_CODES[op.kind]}
-                if op.addr:
-                    record["a"] = op.addr
-                if op.size != 8:
-                    record["s"] = op.size
-                if op.value:
-                    record["v"] = op.value
-                if op.cycles:
-                    record["c"] = op.cycles
-                if op.tag:
-                    record["g"] = op.tag
-                if op.origin:
-                    record["p"] = op.origin
-                if op.durable:
-                    record["d"] = 1
-                fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+                fh.write(_encode_op(thread_id, op, op.origin, op.durable)
+                         + "\n")
                 count += 1
     return count
 
@@ -176,7 +140,7 @@ def load_program(path: Union[str, Path]):
     _, (num_threads, name) = next(records)
     threads: List[List[Op]] = [[] for _ in range(num_threads)]
     for line_no, record in records:
-        base = _decode_op(record)
+        base = _decode_op(line_no, record)
         threads[record.get("t", 0)].append(Op.from_trace_op(
             base,
             origin=str(record.get("p", "")),
@@ -194,12 +158,14 @@ def _load_records(path: Path, want_name: bool = False):
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError("missing/invalid trace header") from exc
+        if not isinstance(header, dict):
+            raise TraceFormatError("missing/invalid trace header")
         if header.get("repro-trace") != FORMAT_VERSION:
             raise TraceFormatError(
                 f"unsupported trace version {header.get('repro-trace')!r}"
             )
         num_threads = header.get("threads")
-        if not isinstance(num_threads, int) or num_threads < 1:
+        if not _is_int(num_threads) or num_threads < 1:
             raise TraceFormatError(f"bad thread count {num_threads!r}")
         if want_name:
             yield 0, (num_threads, str(header.get("program", "")))
@@ -213,7 +179,13 @@ def _load_records(path: Path, want_name: bool = False):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceFormatError(f"line {line_no}: invalid JSON") from exc
+            if not isinstance(record, dict):
+                raise TraceFormatError(
+                    f"line {line_no}: an op must be a JSON object")
             thread_id = record.get("t", 0)
+            if not _is_int(thread_id):
+                raise TraceFormatError(
+                    f"line {line_no}: thread {thread_id!r} is not an integer")
             if not 0 <= thread_id < num_threads:
                 raise TraceFormatError(
                     f"line {line_no}: thread {thread_id} out of range"
@@ -227,43 +199,6 @@ def load_trace(path: Union[str, Path]) -> ProgramTrace:
     _, num_threads = next(records)
     threads: List[ThreadTrace] = [ThreadTrace() for _ in range(num_threads)]
     for line_no, record in records:
-        threads[record.get("t", 0)].append(_decode_op(record))
+        threads[record.get("t", 0)].append(_decode_op(line_no, record))
     return ProgramTrace(threads)
 
-
-def load_trace_columnar(path: Union[str, Path]):
-    """Read a trace file straight into a
-    :class:`~repro.sim.coltrace.ColumnarTrace` — no intermediate
-    :class:`TraceOp` objects for ops that fit the fixed-width columns.
-    Loads the same files as :func:`load_trace`; round-trips are exact."""
-    from repro.sim.coltrace import (KIND_TO_CODE, ColumnarTrace,
-                                    ThreadColumns, _fits)
-
-    records = _load_records(Path(path))
-    _, num_threads = next(records)
-    cols = [([], [], [], [], [], {}, {}) for _ in range(num_threads)]
-    for line_no, record in records:
-        kinds, addrs, sizes, values, cycles, tags, wide = cols[
-            record.get("t", 0)]
-        try:
-            kind = _CODE_KINDS[record["k"]]
-        except KeyError as exc:
-            raise TraceFormatError(
-                f"unknown op kind {record.get('k')!r}") from exc
-        i = len(kinds)
-        kinds.append(KIND_TO_CODE[kind])
-        op = _decode_op(record)
-        if _fits(op):
-            addrs.append(op.addr)
-            sizes.append(op.size)
-            values.append(op.value)
-            cycles.append(op.cycles)
-        else:
-            wide[i] = op
-            addrs.append(0)
-            sizes.append(0)
-            values.append(0)
-            cycles.append(0)
-        if op.tag is not None:
-            tags[i] = op.tag
-    return ColumnarTrace([ThreadColumns(*c) for c in cols])

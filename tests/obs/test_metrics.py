@@ -96,14 +96,13 @@ class TestRunRegistry:
         system.run(trace, finalize=False)
         return system
 
-    def test_projects_stats_and_batch_counters(self):
+    def test_projects_run_stats(self):
         from repro.obs import run_registry
 
-        system = self._run("columnar")
+        system = self._run("sim")
         reg = run_registry(system)
-        assert reg.get("engine.batch.phases").value > 0
-        assert reg.get("engine.batch.private_ops").value > 0
         assert reg.get("nvmm_writes").value == system.stats.nvmm_writes
+        assert not any(name.startswith("analytical.") for name in reg.names())
 
     def test_analytical_runs_add_model_gauges(self):
         from repro.obs import run_registry
@@ -112,5 +111,3 @@ class TestRunRegistry:
         reg = run_registry(system)
         assert "analytical.occupancy" in reg
         assert "analytical.drains" in reg
-        # No interpretation happened, so the batch counters stay zero.
-        assert reg.get("engine.batch.phases").value == 0

@@ -76,15 +76,6 @@ class TestProgram:
                   if op.kind is OpKind.STORE]
         assert all(op.durable for op in stores)
 
-    def test_columnar_round_trip(self):
-        program = sample_program()
-        back = Program.from_columnar(
-            program.to_columnar(), name=program.name,
-            is_persistent=CFG.mem.is_persistent,
-        )
-        assert back.to_trace().threads[1].ops == \
-            program.to_trace().threads[1].ops
-
     def test_payload_round_trip_exact(self):
         program = sample_program()
         assert Program.from_payload(program.to_payload()) == program

@@ -4,8 +4,8 @@ Feeding a workload's per-thread op streams incrementally through
 ``System.run_stream`` (chunked pulls on engine backpressure) must produce
 bit-identical ``SimStats`` and persist records to materializing the same
 ops into a ``ProgramTrace`` and calling ``System.run`` — for every
-registered builtin scheme, across chunk sizes, in both interpreter modes,
-and under relaxed consistency.  The manual-session tests pin the
+registered builtin scheme, across chunk sizes, and under relaxed
+consistency.  The manual-session tests pin the
 ``EngineStream`` protocol itself (starve/feed/advance/idle/end).
 """
 
@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.bench import fingerprint_run
 from repro.analysis.experiments import default_sim_config
-from repro.api import RunOptions, build_system
+from repro.api import build_system
 from repro.core.registry import BBB, CONTRACT_EPOCH, iter_schemes
 from repro.sim.config import ConsistencyModel
 from repro.sim.trace import TraceOp, with_epochs
@@ -24,10 +24,10 @@ SPEC = WorkloadSpec(threads=2, ops=25, elements=512, seed=13)
 SCHEMES = [info for info in iter_schemes() if info.builtin]
 
 
-def _system(info, mode="auto", config=None):
+def _system(info, config=None):
     kwargs = {"entries": 8} if info.has_persist_buffer else {}
     return build_system(info.name, config=config or default_sim_config(),
-                        options=RunOptions(mode=mode), **kwargs)
+                        **kwargs)
 
 
 def _prepared(info, workload, config=None):
@@ -38,15 +38,14 @@ def _prepared(info, workload, config=None):
     return trace, initial_words
 
 
-def _run_materialized(info, trace, initial_words, mode="auto", config=None):
-    system = _system(info, mode, config)
+def _run_materialized(info, trace, initial_words, config=None):
+    system = _system(info, config)
     seed_media_words(system.nvmm_media, initial_words)
     return system.run(trace, finalize=False)
 
 
-def _run_streamed(info, trace, initial_words, mode="auto", chunk=7,
-                  config=None):
-    system = _system(info, mode, config)
+def _run_streamed(info, trace, initial_words, chunk=7, config=None):
+    system = _system(info, config)
     seed_media_words(system.nvmm_media, initial_words)
     streams = [iter(thread.ops) for thread in trace.threads]
     return system.run_stream(streams, chunk=chunk, finalize=False)
@@ -69,27 +68,6 @@ def test_chunk_size_is_invisible(chunk):
     ref = _run_materialized(info, trace, words)
     streamed = _run_streamed(info, trace, words, chunk=chunk)
     assert fingerprint_run(ref) == fingerprint_run(streamed)
-
-
-@pytest.mark.parametrize("mode", ["object", "columnar"])
-def test_streamed_interpreter_modes_agree(mode):
-    info = next(i for i in SCHEMES if i.name == BBB)
-    trace, words = _prepared(info, "hashmap")
-    ref = _run_materialized(info, trace, words, mode="object")
-    streamed = _run_streamed(info, trace, words, mode=mode)
-    assert fingerprint_run(ref) == fingerprint_run(streamed)
-
-
-@pytest.mark.parametrize("mode", ["auto", "columnar"])
-def test_streams_run_on_the_per_op_interpreter(mode):
-    """Streams never take the batched columnar path, whatever the mode:
-    its counters stay zero even where a materialized run would batch."""
-    info = next(i for i in SCHEMES if i.name == BBB)
-    trace, words = _prepared(info, "hashmap")
-    system = _system(info, mode)
-    seed_media_words(system.nvmm_media, words)
-    system.run_stream([iter(t.ops) for t in trace.threads], finalize=False)
-    assert not any(system.engine.batch_counters.values())
 
 
 def test_streamed_relaxed_consistency():

@@ -9,7 +9,7 @@ from repro.api import SCHEMES, RunOptions, Scheme, build_system
 from repro.core.bsp import BSP
 from repro.core.persistency import BBBScheme, BEP, EADR, NoPersistency, StrictPMEM
 from repro.obs.bus import NULL_BUS, EventBus
-from repro.sim.system import SCHEME_FACTORIES, System
+from repro.sim.system import System
 from repro.sim.trace import TraceOp
 from tests.conftest import paddr, single_thread_trace
 
@@ -81,41 +81,37 @@ class TestBuildSystem:
         assert not system.bus.enabled
 
 
-class TestDeprecatedFactories:
-    """The old per-scheme factories still work, but warn."""
+#: The per-scheme factory functions that ``repro.sim.system`` (and the
+#: package root) used to export, by the scheme each one built.
+OLD_FACTORIES = {
+    "bbb": "bbb",
+    "bbb-proc": "bbb_processor_side",
+    "eadr": "eadr",
+    "pmem": "pmem_strict",
+    "bsp": "bsp",
+    "bep": "bep",
+    "none": "no_persistency",
+}
 
-    @pytest.mark.parametrize("name", sorted(SCHEME_FACTORIES))
-    def test_every_factory_warns_and_builds(self, small_config, name):
-        with pytest.warns(DeprecationWarning, match="build_system"):
-            system = SCHEME_FACTORIES[name](small_config)
-        assert isinstance(system, System)
 
-    def test_bbb_shim_forwards_kwargs(self, small_config):
-        from repro.sim.system import bbb
+class TestRemovedFactories:
+    """The old per-scheme factories are gone: schemes are built by name
+    through ``build_system`` only."""
 
-        with pytest.warns(DeprecationWarning):
-            system = bbb(small_config, entries=8, drain_threshold=0.5)
-        assert system.scheme.bbb_config.entries == 8
-        assert system.scheme.bbb_config.drain_threshold == 0.5
+    @pytest.mark.parametrize("name", sorted(OLD_FACTORIES))
+    def test_old_factory_is_gone(self, name):
+        import repro
+        import repro.sim.system as system_module
 
-    def test_processor_side_shim_forwards_kwargs(self, small_config):
-        from repro.sim.system import bbb_processor_side
+        old = OLD_FACTORIES[name]
+        assert not hasattr(system_module, old)
+        assert not hasattr(repro, old)
+        assert old not in repro.__all__
 
-        with pytest.warns(DeprecationWarning):
-            system = bbb_processor_side(
-                small_config, entries=8, coalesce_consecutive=False
-            )
-        assert not system.scheme.bbb_config.memory_side
-        assert not system.scheme.bbb_config.proc_coalesce_consecutive
+    def test_factory_table_is_gone(self):
+        import repro.sim.system as system_module
 
-    def test_shim_matches_build_system(self, small_config):
-        from repro.sim.system import bep
-
-        with pytest.warns(DeprecationWarning):
-            old = bep(small_config, entries=16)
-        new = build_system("bep", entries=16, config=small_config)
-        assert type(old.scheme) is type(new.scheme)
-        assert old.scheme.entries == new.scheme.entries
+        assert not hasattr(system_module, "SCHEME_FACTORIES")
 
 
 class TestAssembly:
@@ -155,7 +151,7 @@ class TestAssembly:
         assert not sb0("none").battery_backed
 
     def test_internal_construction_does_not_warn(self, small_config):
-        """build_system must not route through the deprecated shims."""
+        """Building any scheme by name emits no DeprecationWarning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             for name in SCHEMES:

@@ -69,6 +69,16 @@ class TestRoundTrip:
         assert r1.execution_cycles == r2.execution_cycles
         assert r1.stats.nvmm_writes == r2.stats.nvmm_writes
 
+    def test_wide_values_roundtrip(self, tmp_path):
+        """Values beyond 64 bits (and negative ones) survive as written."""
+        wide = ProgramTrace.single(
+            [TraceOp.store(0, 1 << 70, tag="w"), TraceOp.store(64, -3),
+             TraceOp.load(64)]
+        )
+        path = tmp_path / "wide.trace"
+        save_trace(wide, path)
+        assert ops_tuple(load_trace(path)) == ops_tuple(wide)
+
 
 class TestFormat:
     def test_header_line(self, tmp_path):
@@ -116,7 +126,7 @@ class TestErrors:
         path.write_text(
             '{"repro-trace": 1, "threads": 1}\n{"t": 0, "k": "Z"}\n'
         )
-        with pytest.raises(TraceFormatError, match="unknown op kind"):
+        with pytest.raises(TraceFormatError, match="line 2: unknown op kind"):
             load_trace(path)
 
     def test_invalid_json_line(self, tmp_path):
@@ -133,48 +143,34 @@ class TestErrors:
         trace = load_trace(path)
         assert trace.total_ops() == 1
 
+    @pytest.mark.parametrize("line, message", [
+        ('[0, "L"]', "must be a JSON object"),
+        ('"L"', "must be a JSON object"),
+        ('{"t": "1", "k": "L"}', "thread '1' is not an integer"),
+        ('{"t": true, "k": "L"}', "thread True is not an integer"),
+        ('{"t": 0.0, "k": "L"}', "thread 0.0 is not an integer"),
+        ('{"k": ["L"]}', "unknown op kind"),
+        ('{"k": "L", "a": "0x40"}', "field 'a' must be an integer >= 0"),
+        ('{"k": "L", "a": -64}', "field 'a' must be an integer >= 0"),
+        ('{"k": "L", "s": -3}', "field 's' must be an integer >= 1"),
+        ('{"k": "L", "s": 0}', "field 's' must be an integer >= 1"),
+        ('{"k": "S", "v": 1.5}', "field 'v' must be an integer,"),
+        ('{"k": "S", "v": false}', "field 'v' must be an integer,"),
+        ('{"k": "C", "c": -1}', "field 'c' must be an integer >= 0"),
+        ('{"k": "L", "g": 7}', "field 'g' must be a string"),
+    ])
+    def test_malformed_op_names_the_line(self, tmp_path, line, message):
+        from repro.sim.tracefile import load_program
 
-class TestColumnarIO:
-    def test_columnar_save_is_byte_identical(self, tmp_path):
-        from repro.sim.coltrace import columnar_of
-
-        trace = sample_trace()
-        obj_path = tmp_path / "obj.trace"
-        col_path = tmp_path / "col.trace"
-        n_obj = save_trace(trace, obj_path)
-        n_col = save_trace(columnar_of(trace), col_path)
-        assert n_obj == n_col == trace.total_ops()
-        assert obj_path.read_bytes() == col_path.read_bytes()
-
-    def test_load_trace_columnar_roundtrip(self, tmp_path):
-        from repro.sim.coltrace import columnar_of
-        from repro.sim.tracefile import load_trace_columnar
-
-        trace = sample_trace()
-        path = tmp_path / "t.trace"
-        save_trace(trace, path)
-        cols = load_trace_columnar(path)
-        want = columnar_of(trace)
-        assert [t.column_lists() for t in cols.threads] == \
-            [t.column_lists() for t in want.threads]
-        assert [t.tags for t in cols.threads] == \
-            [t.tags for t in want.threads]
-        back = cols.to_program()
-        assert [list(t) for t in back.threads] == \
-            [list(t) for t in trace.threads]
-
-    def test_wide_op_survives_columnar_io(self, tmp_path):
-        from repro.sim.coltrace import columnar_of
-        from repro.sim.tracefile import load_trace_columnar
-
-        wide = ProgramTrace.single(
-            [TraceOp.store(0, 1 << 70, tag="w"), TraceOp.load(64)]
+        path = tmp_path / "bad.trace"
+        path.write_text(
+            '{"repro-trace": 1, "threads": 2}\n{"k": "B"}\n' + line + "\n"
         )
-        path = tmp_path / "wide.trace"
-        save_trace(columnar_of(wide), path)
-        cols = load_trace_columnar(path)
-        assert not cols.fast_path_ok
-        assert cols.threads[0].op_at(0) == wide.threads[0][0]
+        with pytest.raises(TraceFormatError, match="^line 3: ") as info:
+            load_trace(path)
+        assert message in str(info.value)
+        with pytest.raises(TraceFormatError, match="^line 3: "):
+            load_program(path)
 
 
 class TestProgramIO:
@@ -216,7 +212,7 @@ class TestProgramIO:
         assert first.read_bytes() == second.read_bytes()
 
     def test_program_file_loads_as_plain_trace(self, tmp_path):
-        from repro.sim.tracefile import load_trace_columnar, save_program
+        from repro.sim.tracefile import save_program
 
         program = self.sample_program()
         path = tmp_path / "p.trace"
@@ -224,8 +220,6 @@ class TestProgramIO:
         trace = load_trace(path)
         assert [list(t) for t in trace.threads] == \
             [list(t) for t in program.to_trace().threads]
-        cols = load_trace_columnar(path)
-        assert cols.to_program().total_ops() == program.total_ops
 
     def test_plain_trace_loads_as_metadata_free_program(self, tmp_path):
         from repro.sim.tracefile import load_program

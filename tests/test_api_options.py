@@ -1,5 +1,5 @@
-"""RunOptions surface: the typed run-wiring value, the deprecation shim
-for the old bare keyword arguments, and the options-vs-legacy conflict."""
+"""RunOptions surface: the typed run-wiring value, its two modes, and the
+removed bare keyword spelling of its fields."""
 
 import warnings
 
@@ -7,20 +7,11 @@ import pytest
 
 from repro.api import DEFAULT_RUN_OPTIONS, RunOptions, build_system
 from repro.obs.bus import EventBus
-from repro.workloads.base import WorkloadSpec, make_workload
-
-
-def _trace():
-    system = build_system("bbb", entries=8)
-    cfg = system.config
-    wl = make_workload("mutateNC", cfg.mem,
-                       WorkloadSpec(threads=2, ops=10, elements=256, seed=1))
-    return wl.build()
 
 
 def test_run_options_defaults_are_the_plain_run():
     opts = RunOptions()
-    assert opts.mode == "auto"
+    assert opts.mode == "sim"
     assert not opts.bus.enabled
     assert not opts.fault_injector.enabled
     assert opts == DEFAULT_RUN_OPTIONS
@@ -29,10 +20,10 @@ def test_run_options_defaults_are_the_plain_run():
 def test_run_options_is_frozen_and_replace_derives():
     opts = RunOptions(reorder_seed=3)
     with pytest.raises(AttributeError):
-        opts.mode = "object"
-    derived = opts.replace(mode="object")
-    assert derived.reorder_seed == 3 and derived.mode == "object"
-    assert opts.mode == "auto"  # original untouched
+        opts.mode = "analytical"
+    derived = opts.replace(mode="analytical")
+    assert derived.reorder_seed == 3 and derived.mode == "analytical"
+    assert opts.mode == "sim"  # original untouched
 
 
 def test_run_options_rejects_unknown_mode():
@@ -40,33 +31,26 @@ def test_run_options_rejects_unknown_mode():
         RunOptions(mode="warp")
 
 
-def test_legacy_kwargs_warn_and_still_work():
-    bus = EventBus()
-    with pytest.warns(DeprecationWarning, match="options=RunOptions"):
-        system = build_system("bbb", entries=8, bus=bus)
-    assert system.bus is bus
-    result = system.run(_trace())
-    assert result.execution_cycles > 0
+@pytest.mark.parametrize("mode", ["auto", "object", "columnar"])
+def test_removed_interpreter_modes_are_rejected(mode):
+    with pytest.raises(ValueError, match="unknown system mode"):
+        RunOptions(mode=mode)
 
 
-def test_legacy_kwargs_equal_options_spelling():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = build_system("bbb", entries=8, reorder_seed=9,
-                              mode="object")
-    typed = build_system("bbb", entries=8,
-                         options=RunOptions(reorder_seed=9, mode="object"))
-    a = legacy.run(_trace())
-    b = typed.run(_trace())
-    assert a.stats.to_dict() == b.stats.to_dict()
+@pytest.mark.parametrize("kwargs", [
+    {"bus": EventBus()}, {"mode": "sim"}, {"reorder_seed": 9},
+], ids=lambda kw: next(iter(kw)))
+def test_bare_run_kwargs_are_rejected(kwargs):
+    with pytest.raises(TypeError, match="unexpected keyword arguments"):
+        build_system("bbb", entries=8, **kwargs)
 
 
 def test_mixing_options_and_legacy_kwargs_is_an_error():
-    with pytest.raises(TypeError, match="options="):
-        build_system("bbb", options=RunOptions(), mode="object")
+    with pytest.raises(TypeError, match="unexpected keyword arguments"):
+        build_system("bbb", options=RunOptions(), mode="sim")
 
 
 def test_options_spelling_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        build_system("bbb", entries=8, options=RunOptions(mode="object"))
+        build_system("bbb", entries=8, options=RunOptions(mode="analytical"))
