@@ -10,7 +10,8 @@ obligation scales with cache dirtiness while BBB's is bounded by
 
 from repro.analysis.experiments import default_sim_config
 from repro.analysis.tables import render_table
-from repro.api import build_system
+from repro.api import RunOptions, build_system
+from repro.check import SITE_OP, CrashSchedule
 from repro.workloads.base import registry
 
 WORKLOADS = ("swapNC", "hashmap", "rtree")
@@ -23,11 +24,15 @@ def test_crash_drain_footprint(benchmark, report, sim_config, sweep_spec):
             trace = registry(sim_config.mem, sweep_spec)[name].build()
             crash_at = trace.total_ops() // 2
 
-            e_sys = build_system("eadr", config=sim_config)
-            e_res = e_sys.run(trace, crash_at_op=crash_at)
+            def crashed_run(scheme, **kw):
+                schedule = CrashSchedule(stop_at=crash_at, sites=(SITE_OP,))
+                return build_system(
+                    scheme, config=sim_config,
+                    options=RunOptions(crash_schedule=schedule), **kw,
+                ).run(trace)
 
-            b_sys = build_system("bbb", entries=32, config=sim_config)
-            b_res = b_sys.run(trace, crash_at_op=crash_at)
+            e_res = crashed_run("eadr")
+            b_res = crashed_run("bbb", entries=32)
 
             bound = sim_config.num_cores * 32
             rows.append(

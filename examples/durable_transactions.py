@@ -20,7 +20,8 @@ Run:  python examples/durable_transactions.py
 
 import random
 
-from repro import SystemConfig, build_system
+from repro import RunOptions, SystemConfig, build_system
+from repro.check import SITE_OP, CrashSchedule
 from repro.core.txn import TransactionContext, recover
 from repro.mem.block import BlockData, block_address, block_offset
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
@@ -77,9 +78,12 @@ def crash_sweep(config, scheme, barriers):
     bad = []
     total_ops = trace.total_ops()
     for crash_at in range(1, total_ops + 1):
-        system = build_system(scheme, config=config)
+        # Power fails right after op ``crash_at``.
+        schedule = CrashSchedule(stop_at=crash_at, sites=(SITE_OP,))
+        system = build_system(scheme, config=config,
+                              options=RunOptions(crash_schedule=schedule))
         seed(system, words)
-        system.run(trace, crash_at_op=crash_at)
+        system.run(trace)
         result = recover(system.nvmm_media, ctx.layout, accounts)
         total = sum(result.state.values())
         if total != ACCOUNTS * INITIAL:

@@ -17,8 +17,9 @@ program under three designs and try to recover:
 Run:  python examples/linked_list_crash.py
 """
 
-from repro import SystemConfig, WorkloadSpec, build_system
-from repro.sim.crash import CrashInjector
+from repro import RunOptions, SystemConfig, WorkloadSpec, build_system
+from repro.check import SITE_OP, CrashSchedule
+from repro.check.explore import sweep
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
 from repro.workloads.linkedlist import LinkedListAppend
 
@@ -51,38 +52,49 @@ def build_trace(config, barriers: bool):
     return workload, ProgramTrace([ThreadTrace(ops)])
 
 
-def sweep(config, scheme, barriers: bool):
+def crash_sweep(config, scheme, barriers: bool):
+    """Crash after every op, all in one run: each visit of an op-boundary
+    crash schedule carries the durable image a crash there leaves.
+    Returns ``(crash points, [(op, violations)] of inconsistent ones)``."""
     workload, trace = build_trace(config, barriers)
-    checker_fn = workload.make_checker()
+    checker = workload.make_checker()
+    total = trace.total_ops()
+    inconsistent = []
 
-    def checker(system, result):
-        return checker_fn(system, result)
+    def observe(visit):
+        ok, violations = checker(visit, visit)
+        if not ok:
+            inconsistent.append((visit.point, violations))
+        return visit.point == total  # stop: no crash point is left
 
-    def factory():
-        system = build_system(scheme, config=config)
-        workload.seed_media(system.nvmm_media)
-        return system
+    schedule = CrashSchedule(sites=(SITE_OP,))
+    system = build_system(scheme, config=config,
+                          options=RunOptions(crash_schedule=schedule))
+    workload.seed_media(system.nvmm_media)
+    sweep(system, trace, observe)
+    return total, inconsistent
 
-    injector = CrashInjector(factory, trace, checker)
-    return injector.sweep()
+
+def summary(total, inconsistent) -> str:
+    bad = len(inconsistent)
+    return (f"{total} crash points, {total - bad} consistent, "
+            f"{bad} inconsistent")
 
 
 def main() -> None:
     config = SystemConfig(num_cores=2).scaled_for_testing()
 
     print("Figure 2 code (no flushes/fences), volatile caches + ADR:")
-    report = sweep(config, "none", barriers=False)
-    print(f"  {report.summary()}")
-    for outcome in report.inconsistent[:3]:
-        print(f"  crash after op {outcome.crash_op}: {outcome.violations[0]}")
+    total, inconsistent = crash_sweep(config, "none", barriers=False)
+    print(f"  {summary(total, inconsistent)}")
+    for crash_op, violations in inconsistent[:3]:
+        print(f"  crash after op {crash_op}: {violations[0]}")
 
     print("\nFigure 2 code (no flushes/fences), BBB:")
-    report = sweep(config, "bbb", barriers=False)
-    print(f"  {report.summary()}")
+    print(f"  {summary(*crash_sweep(config, 'bbb', barriers=False))}")
 
     print("\nFigure 3 code (explicit writeBack + persistBarrier), ADR only:")
-    report = sweep(config, "none", barriers=True)
-    print(f"  {report.summary()}")
+    print(f"  {summary(*crash_sweep(config, 'none', barriers=True))}")
 
     print(
         "\nBBB makes the *plain* code safe: the store that publishes the\n"

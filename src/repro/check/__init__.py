@@ -11,7 +11,8 @@ Layers:
 * :mod:`repro.check.minimize` — ddmin counterexample minimization and the
   replayable ``repro.crashcheck/v1`` artifact.
 * :mod:`repro.check.mutants` — deliberately broken scheme variants the
-  checker must catch (its own end-to-end validation).
+  checker must catch (its own end-to-end validation), and the one system
+  builder every crash harness uses.
 
 Only the schedule vocabulary is re-exported eagerly: the simulator core
 imports this package's submodule at startup, so anything heavier here

@@ -34,7 +34,6 @@ deliberately broken scheme mutant (:mod:`repro.check.mutants`) is caught.
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import asdict, astuple, dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -146,23 +145,14 @@ class _UnitContext:
         self.structural = self.workload.make_checker()
 
     def build_system(self, schedule: CrashSchedule):
-        from repro.api import RunOptions, build_system
+        from repro.check.mutants import build_crash_system
 
         unit = self.unit
-        if unit.mutant is not None:
-            from repro.check.mutants import build_mutant_system
-
-            system = build_mutant_system(
-                unit.mutant, entries=unit.entries, config=self.config,
-                crash_schedule=schedule,
-            )
-        else:
-            system = build_system(
-                unit.scheme, entries=unit.entries, config=self.config,
-                options=RunOptions(crash_schedule=schedule),
-            )
-        self.workload.seed_media(system.nvmm_media)
-        return system
+        return build_crash_system(
+            unit.scheme, mutant=unit.mutant, entries=unit.entries,
+            config=self.config, crash_schedule=schedule,
+            seed_words=self.seed_words,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -331,14 +321,14 @@ def _explore(
 ) -> Tuple[List[PointVerdict], int, Dict[str, int]]:
     """Check the unit's selected crash points in one sweep; the prune
     cache starts afresh every ``prune_scope`` points (``None``: never)."""
-    from repro.check.explore import sweep
+    from repro.check.explore import sample_points, sweep
 
     ctx = _UnitContext(unit)
     points = None
     if unit.max_points is not None:
         # Sampling needs the size of the space before the pass.
         total, _ = _count(ctx)
-        points = _select_points(unit, total)
+        points = sample_points(total, unit.max_points, unit.sample_seed)
     cache: Optional[Dict] = {} if unit.prune else None
     verdicts: List[PointVerdict] = []
 
@@ -378,14 +368,6 @@ def replay_points(unit: CheckUnit, points: Sequence[int]) -> List[PointVerdict]:
         verdicts.append(_verdict(ctx, k, point.site, result.crash_op or 0,
                                  point.cycle, system, result, None))
     return verdicts
-
-
-def _select_points(unit: CheckUnit, total: int) -> List[int]:
-    points = list(range(1, total + 1))
-    if unit.max_points is not None and len(points) > unit.max_points:
-        rng = random.Random(unit.sample_seed)
-        points = sorted(rng.sample(points, unit.max_points))
-    return points
 
 
 # ----------------------------------------------------------------------

@@ -19,11 +19,12 @@ hold it to that), at the cost of one execution plus the per-visit reads.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.mem.block import BlockData
 
-__all__ = ["DurableImage", "Visit", "crash_writes", "sweep"]
+__all__ = ["DurableImage", "Visit", "crash_writes", "sample_points", "sweep"]
 
 
 class DurableImage:
@@ -91,6 +92,17 @@ def crash_writes(system) -> List[Tuple[int, BlockData]]:
               for block in system.scheme.battery_residue()]
     writes.extend(system.hierarchy.store_buffer_residue())
     return writes
+
+
+def sample_points(total: int, sample: Optional[int] = None,
+                  seed: int = 0) -> List[int]:
+    """Visit indices to sweep: all of ``1..total``, or a sorted sample of
+    ``sample`` of them drawn from ``random.Random(seed)`` (never the
+    module-global generator, so equal seeds select equal points)."""
+    points = list(range(1, total + 1))
+    if sample is not None and sample < len(points):
+        points = sorted(random.Random(seed).sample(points, sample))
+    return points
 
 
 class _Stop(Exception):

@@ -25,7 +25,8 @@ re-check, and report whether the violation reproduces.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from repro.check.checker import (
     CHECK_SCHEMA,
@@ -35,6 +36,7 @@ from repro.check.checker import (
     golden_expected,
 )
 from repro.check.explore import sweep
+from repro.check.mutants import build_crash_system
 from repro.check.schedule import CrashSchedule
 from repro.core.recovery import check_scheme_contract, claimed_persists
 from repro.core.registry import scheme_info
@@ -44,6 +46,8 @@ from repro.sim.trace import OpKind, ProgramTrace, ThreadTrace, TraceOp
 #: Oracle invocations allowed per minimization (each is an exhaustive
 #: micro-step scan of the reduced trace, so the budget bounds total work).
 DEFAULT_TEST_BUDGET = 256
+
+T = TypeVar("T")
 
 #: One (thread id, operation) element of a flattened trace.
 FlatOp = Tuple[int, TraceOp]
@@ -67,50 +71,35 @@ class Counterexample:
         return len(self.ops)
 
 
+def interleave(programs: Sequence[Sequence[T]]) -> List[Tuple[int, T]]:
+    """Flatten per-thread programs to ``(thread, item)`` pairs, round-robin
+    across threads, so a ddmin chunk removes a contiguous window of
+    *interleaved* execution."""
+    longest = max((len(p) for p in programs), default=0)
+    return [(tid, program[i]) for i in range(longest)
+            for tid, program in enumerate(programs) if i < len(program)]
+
+
+def deinterleave(items: Iterable[Tuple[int, T]], num_threads: int
+                 ) -> List[List[T]]:
+    """Inverse of :func:`interleave` for a (possibly reduced) subset:
+    per-thread order is preserved and the thread count is kept constant
+    (empty threads are legal)."""
+    per: List[List[T]] = [[] for _ in range(num_threads)]
+    for tid, item in items:
+        per[tid].append(item)
+    return per
+
+
 def flatten_trace(trace: ProgramTrace) -> List[FlatOp]:
-    """Flatten to ``(thread, op)`` pairs; round-robin across threads so a
-    ddmin chunk removes a contiguous window of *interleaved* execution."""
-    out: List[FlatOp] = []
-    cursors = [0] * trace.num_threads
-    remaining = sum(len(t.ops) for t in trace.threads)
-    while remaining:
-        for tid, thread in enumerate(trace.threads):
-            if cursors[tid] < len(thread.ops):
-                out.append((tid, thread.ops[cursors[tid]]))
-                cursors[tid] += 1
-                remaining -= 1
-    return out
+    """:func:`interleave` of a trace's threads."""
+    return interleave([thread.ops for thread in trace.threads])
 
 
 def rebuild_trace(ops: Sequence[FlatOp], num_threads: int) -> ProgramTrace:
-    """Inverse of :func:`flatten_trace` for a (possibly reduced) subset:
-    per-thread order is preserved, thread count is kept constant (empty
-    threads are legal)."""
-    per: List[List[TraceOp]] = [[] for _ in range(num_threads)]
-    for tid, op in ops:
-        per[tid].append(op)
-    return ProgramTrace([ThreadTrace(t) for t in per])
-
-
-def _build_seeded_system(unit: CheckUnit, config, seed_words, schedule):
-    from repro.workloads.base import seed_media_words
-
-    if unit.mutant is not None:
-        from repro.check.mutants import build_mutant_system
-
-        system = build_mutant_system(
-            unit.mutant, entries=unit.entries, config=config,
-            crash_schedule=schedule,
-        )
-    else:
-        from repro.api import RunOptions, build_system
-
-        system = build_system(
-            unit.scheme, entries=unit.entries, config=config,
-            options=RunOptions(crash_schedule=schedule),
-        )
-    seed_media_words(system.nvmm_media, seed_words)
-    return system
+    """:func:`deinterleave` back into a trace of ``num_threads`` threads."""
+    return ProgramTrace([ThreadTrace(t)
+                         for t in deinterleave(ops, num_threads)])
 
 
 def _violations(unit, config, seed_words, media, run) -> List[str]:
@@ -141,20 +130,24 @@ def first_failing_point(
             found.append((visit.point, visit.site, tuple(violations)))
         return bool(violations)
 
-    schedule = CrashSchedule(stop_at=None, sites=unit.sites)
-    sweep(_build_seeded_system(unit, config, seed_words, schedule), trace,
-          observe)
+    system = build_crash_system(
+        unit.scheme, mutant=unit.mutant, entries=unit.entries, config=config,
+        crash_schedule=CrashSchedule(stop_at=None, sites=unit.sites),
+        seed_words=seed_words,
+    )
+    sweep(system, trace, observe)
     return found[0] if found else None
 
 
-def _ddmin(
-    ops: List[FlatOp],
-    test: Callable[[List[FlatOp]], Optional[Tuple]],
+def ddmin(
+    ops: List[T],
+    test: Callable[[List[T]], Optional[Tuple]],
     budget: int,
-) -> Tuple[List[FlatOp], Tuple, int]:
-    """Classic ddmin to 1-minimality, bounded by ``budget`` oracle calls.
-    ``test`` returns failure info for a failing subset, ``None`` otherwise;
-    the full ``ops`` list must fail."""
+) -> Tuple[List[T], Tuple, int]:
+    """Classic ddmin [Zeller & Hildebrandt 2002] to 1-minimality, bounded
+    by ``budget`` oracle calls.  ``test`` returns failure info for a
+    failing subset, ``None`` otherwise; the full ``ops`` list must fail.
+    Returns ``(minimal subset, its failure info, oracle calls made)``."""
     tests = 0
     info = test(ops)
     tests += 1
@@ -228,7 +221,7 @@ def minimize_counterexample(
             unit, config, seed_words, rebuild_trace(ops, num_threads)
         )
 
-    minimal, (point, site, violations), tests = _ddmin(flat, test, budget)
+    minimal, (point, site, violations), tests = ddmin(flat, test, budget)
     return Counterexample(
         unit=unit, ops=minimal, num_threads=num_threads,
         point=point, site=site, violations=violations,
@@ -310,8 +303,12 @@ def replay_artifact(path: str, config=None) -> Dict[str, Any]:
     ]
     trace = rebuild_trace(ops, artifact["num_threads"])
     # A real crash, not the sweep: the artifact must reproduce on its own.
-    schedule = CrashSchedule(stop_at=artifact["crash_point"], sites=unit.sites)
-    system = _build_seeded_system(unit, cfg, seed_words, schedule)
+    system = build_crash_system(
+        unit.scheme, mutant=unit.mutant, entries=unit.entries, config=cfg,
+        crash_schedule=CrashSchedule(stop_at=artifact["crash_point"],
+                                     sites=unit.sites),
+        seed_words=seed_words,
+    )
     result = system.run(trace)
     if result.crash_point is None:
         raise RuntimeError(

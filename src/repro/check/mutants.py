@@ -10,12 +10,13 @@ require the checker to find and minimize these.
 Mutants keep their base scheme's ``name`` so the contract machinery
 applies the contract the mutant *pretends* to honour; they are only
 reachable through :func:`build_mutant_system`, never through
-:func:`repro.api.build_system`.
+:func:`repro.api.build_system`.  :func:`build_crash_system` is the one
+builder every crash harness uses, honest scheme or mutant alike.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.check.schedule import NULL_SCHEDULE
 from repro.core.persistency import BBBScheme, EADR
@@ -110,3 +111,34 @@ def build_mutant_system(
     # mutants construct exactly like the scheme they sabotage.
     scheme = scheme_info(base).build_scheme(entries=entries, scheme_cls=cls)
     return System(config, scheme, crash_schedule=crash_schedule)
+
+
+def build_crash_system(
+    scheme: str,
+    *,
+    mutant: Optional[str] = None,
+    entries: int = 8,
+    config=None,
+    crash_schedule=NULL_SCHEDULE,
+    seed_words: Optional[Mapping[int, int]] = None,
+):
+    """Build the system a crash harness runs: scheme ``scheme`` (or, when
+    ``mutant`` is given, that mutant of its base scheme) wired to
+    ``crash_schedule``, with ``seed_words`` installed in the NVMM media as
+    already durable.  The checker, the minimizer, the litmus battery, the
+    optimizer's verifier and the drills all build through here."""
+    if mutant is not None:
+        system = build_mutant_system(mutant, entries=entries, config=config,
+                                     crash_schedule=crash_schedule)
+    else:
+        from repro.api import RunOptions, build_system
+
+        system = build_system(
+            scheme, entries=entries, config=config,
+            options=RunOptions(crash_schedule=crash_schedule),
+        )
+    if seed_words is not None:
+        from repro.workloads.base import seed_media_words
+
+        seed_media_words(system.nvmm_media, seed_words)
+    return system

@@ -85,9 +85,9 @@ from repro.core.registry import (
 from repro.core.recovery import check_prefix_consistency
 from repro.energy import battery, model
 from repro.energy.platforms import MOBILE, SERVER
+from repro.ioutil import atomic_write_json
 from repro.obs.bus import NULL_BUS, EventBus, EventRecorder
-from repro.sim.crash import CrashInjector
-from repro.sim.system import SYSTEM_MODES, System
+from repro.sim.system import SYSTEM_MODES
 from repro.sim.tracefile import save_trace
 from repro.workloads.base import WORKLOAD_NAMES, WorkloadSpec, registry
 
@@ -108,14 +108,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 def _spec(args) -> WorkloadSpec:
     return WorkloadSpec(
         threads=args.threads, ops=args.ops, elements=args.elements, seed=args.seed
-    )
-
-
-def _make_system(scheme: str, entries: int, bus: EventBus = NULL_BUS,
-                 mode: str = "sim") -> System:
-    return build_system(
-        scheme, entries=entries, config=default_sim_config(),
-        options=RunOptions(bus=bus, mode=mode),
     )
 
 
@@ -153,7 +145,8 @@ def cmd_run(args) -> int:
     workload = registry(config.mem, spec)[args.workload]
     trace = workload.build()
     bus, recorder = _observability(args)
-    system = _make_system(args.scheme, args.entries, bus=bus, mode=args.mode)
+    system = build_system(args.scheme, entries=args.entries, config=config,
+                          options=RunOptions(bus=bus, mode=args.mode))
     workload.seed_media(system.nvmm_media)
     result = system.run(trace, finalize=not args.no_finalize)
     stats = result.stats
@@ -242,32 +235,45 @@ def cmd_profile(args) -> int:
 
 
 def cmd_crash(args) -> int:
+    from repro.check.explore import sample_points, sweep
+    from repro.check.mutants import build_crash_system
+    from repro.check.schedule import SITE_OP, CrashSchedule
+
     config = default_sim_config()
     spec = _spec(args)
     workload = registry(config.mem, spec)[args.workload]
     trace = workload.build()
     structural = workload.make_checker()
+    points = sample_points(trace.total_ops(), args.sample, args.seed)
 
-    def checker(system, result):
+    inconsistent = []
+
+    def observe(visit) -> bool:
         ok, violations = (True, [])
         if structural is not None:
-            ok, violations = structural(system, result)
+            ok, violations = structural(visit, visit)
         prefix = check_prefix_consistency(
-            system.nvmm_media, result.committed_persists
+            visit.nvmm_media, visit.committed_persists
         )
-        return (ok and prefix.consistent, list(violations) + prefix.violations)
+        if not (ok and prefix.consistent):
+            inconsistent.append(
+                (visit.point, list(violations) + prefix.violations))
+        return visit.point == points[-1]
 
-    def factory():
-        system = _make_system(args.scheme, args.entries)
-        workload.seed_media(system.nvmm_media)
-        return system
-
-    injector = CrashInjector(factory, trace, checker)
-    report = injector.sweep(sample=args.sample, seed=args.seed)
-    print(f"{args.workload} under {args.scheme}: {report.summary()}")
-    for outcome in report.inconsistent[: args.show]:
-        print(f"  crash after op {outcome.crash_op}: {outcome.violations[0]}")
-    return 0 if report.all_consistent else 1
+    if points:
+        # One run; each visit's image is what a crash there would leave.
+        system = build_crash_system(
+            args.scheme, entries=args.entries, config=config,
+            crash_schedule=CrashSchedule(sites=(SITE_OP,)),
+            seed_words=workload.initial_words,
+        )
+        sweep(system, trace, observe, points)
+    bad = len(inconsistent)
+    print(f"{args.workload} under {args.scheme}: {len(points)} crash points, "
+          f"{len(points) - bad} consistent, {bad} inconsistent")
+    for crash_op, violations in inconsistent[: args.show]:
+        print(f"  crash after op {crash_op}: {violations[0]}")
+    return 0 if not inconsistent else 1
 
 
 def cmd_energy(args) -> int:
@@ -481,7 +487,7 @@ def _traffic_smoke() -> int:
 
 def cmd_drill(args) -> int:
     # Imported here: the serving stack should not tax other commands.
-    from repro.serve.drill import run_drills, smoke_drill, write_report
+    from repro.serve.drill import run_drills, smoke_drill
     from repro.serve.loadgen import TrafficSpec
 
     def progress(done: int, total: int, label: str) -> None:
@@ -531,7 +537,7 @@ def cmd_drill(args) -> int:
               f"seed {report['seed']})",
     ))
     if args.out:
-        print(f"wrote {write_report(report, args.out)}")
+        print(f"wrote {atomic_write_json(args.out, report)}")
 
     failures = []
     domain = report["battery_domain"]
@@ -573,7 +579,6 @@ def cmd_faults(args) -> int:
         canonical_plans,
         run_campaign,
         smoke_campaign,
-        write_report,
     )
     from repro.fault.plan import BATTERY_DOMAIN_SITES, random_plan
 
@@ -641,7 +646,7 @@ def cmd_faults(args) -> int:
     print(f"battery-domain units: {domain['units']}, "
           f"silent corruption: {domain['silent_corruption']}")
     if args.out:
-        print(f"wrote {write_report(report, args.out)}")
+        print(f"wrote {atomic_write_json(args.out, report)}")
     if domain["silent_corruption"]:
         print("error: battery-domain fault produced SILENT corruption",
               file=sys.stderr)
@@ -652,7 +657,7 @@ def cmd_faults(args) -> int:
 def cmd_check(args) -> int:
     # Imported here: the model-checker stack (batch runner, oracles,
     # minimizer) should not tax the other commands' startup.
-    from repro.analysis.batch import BatchPolicy, decide_jobs
+    from repro.analysis.batch import BatchPolicy
     from repro.check.checker import (
         CheckUnit,
         publish_report,
@@ -660,13 +665,6 @@ def cmd_check(args) -> int:
         smoke_check,
     )
     from repro.check.mutants import MUTANTS
-    from repro.ioutil import atomic_write_json
-
-    try:
-        jobs = decide_jobs(args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     def progress(done: int, total: int) -> None:
         if sys.stderr.isatty():
@@ -691,7 +689,7 @@ def cmd_check(args) -> int:
         return 0 if out["reproduced"] else 1
 
     if args.smoke:
-        out = smoke_check(jobs=jobs, progress=progress)
+        out = smoke_check(progress=progress)
         print(render_table(
             ["unit", "points", "explored", "pruned", "unique", "violations"],
             [
@@ -706,6 +704,8 @@ def cmd_check(args) -> int:
         ))
         for failure in out["failures"]:
             print(f"error: {failure}", file=sys.stderr)
+        if args.out:
+            print(f"wrote {atomic_write_json(args.out, out)}")
         return 0 if out["ok"] else 1
 
     try:
@@ -733,12 +733,10 @@ def cmd_check(args) -> int:
         sample_seed=args.seed,
     )
     policy = BatchPolicy(
-        timeout=args.timeout, retries=args.retries,
-        checkpoint=args.checkpoint, on_error="raise", seed=args.seed,
+        retries=args.retries, checkpoint=args.checkpoint, on_error="raise",
+        seed=args.seed,
     )
-    report, verdicts = run_check_unit(
-        unit, jobs=jobs, policy=policy, progress=progress
-    )
+    report, verdicts = run_check_unit(unit, policy=policy, progress=progress)
     publish_report(report)
     print(render_table(
         ["metric", "value"],
@@ -782,7 +780,6 @@ def cmd_litmus(args) -> int:
     # Imported here: the litmus battery rides on the model-checker stack
     # and should not tax the other commands' startup.
     from repro.analysis.batch import BatchPolicy, decide_jobs
-    from repro.ioutil import atomic_write_json
     from repro.litmus.corpus import corpus
     from repro.litmus.runner import (
         battery_failures,
@@ -884,7 +881,6 @@ def cmd_opt(args) -> int:
         run_pipeline,
         smoke_opt,
         verify_workload_cell,
-        write_report,
     )
 
     try:
@@ -938,8 +934,6 @@ def cmd_opt(args) -> int:
         for failure in out["failures"]:
             print(f"error: {failure}", file=sys.stderr)
         if args.out:
-            from repro.ioutil import atomic_write_json
-
             print(f"wrote {atomic_write_json(args.out, out)}")
         return 0 if out["ok"] else 1
 
@@ -970,7 +964,7 @@ def cmd_opt(args) -> int:
             print(f"error: {r['workload']} x {r['scheme']} failed "
                   f"verification", file=sys.stderr)
         if args.out:
-            print(f"wrote {write_report(report, args.out)}")
+            print(f"wrote {atomic_write_json(args.out, report)}")
         return 1 if bad else 0
 
     # Single cell: optimize one workload under one scheme, verified.
@@ -1275,17 +1269,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip ddmin counterexample minimization")
     p_check.add_argument("--cex-out", default=None, metavar="PATH",
                          help="write the minimized counterexample artifact")
-    p_check.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: REPRO_JOBS or cores)")
-    p_check.add_argument("--timeout", type=float, default=None,
-                         help="seconds per shard before retry")
     p_check.add_argument("--retries", type=int, default=1,
-                         help="retries per shard (timeouts & crashes)")
+                         help="retries of the unit's sweep after an error")
     p_check.add_argument("--checkpoint", default=None, metavar="PATH",
                          help="JSONL checkpoint; rerun with the same path "
                               "to resume an interrupted check")
     p_check.add_argument("--out", default=None, metavar="PATH",
-                         help="write the JSON report atomically to PATH")
+                         help="write the JSON report atomically to PATH "
+                              "(with --smoke: {ok, failures, reports})")
     p_check.set_defaults(func=cmd_check)
 
     p_litmus = sub.add_parser(

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.batch import BatchPolicy, Progress, run_tasks
+from repro.check.schedule import SITE_OP, CrashSchedule
 from repro.core.recovery import (
     CONTRACT_DOCS,
     Outcome,
@@ -41,7 +42,7 @@ from repro.core.recovery import (
     classify_outcome,
 )
 from repro.core.registry import scheme_info
-from repro.fault.injector import FaultInjector
+from repro.fault.injector import NULL_INJECTOR, FaultInjector
 from repro.fault.plan import (
     BATTERY_DOMAIN_SITES,
     FaultPlan,
@@ -52,7 +53,6 @@ from repro.fault.plan import (
     SITE_NVMM_WRITE,
     random_plan,
 )
-from repro.ioutil import atomic_write_json
 from repro.workloads.base import WorkloadSpec, build_cached, seed_media_words
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "execute_fault_unit",
     "run_campaign",
     "smoke_campaign",
-    "write_report",
 ]
 
 #: Version tag of the campaign report format.
@@ -152,20 +151,22 @@ def execute_fault_unit(unit: FaultUnit) -> Dict[str, Any]:
     trace, initial_words = build_cached(unit.workload, cfg.mem, unit.spec)
     crash_at = min(unit.crash_at, max(1, trace.total_ops() - 1))
 
-    def crashed_run(injector: Optional[FaultInjector]):
-        options = (RunOptions(fault_injector=injector)
-                   if injector is not None else RunOptions())
+    def crashed_run(injector: FaultInjector):
+        options = RunOptions(
+            fault_injector=injector,
+            crash_schedule=CrashSchedule(stop_at=crash_at, sites=(SITE_OP,)),
+        )
         system = build_system(unit.scheme, entries=unit.entries, config=cfg,
                               options=options)
         seed_media_words(system.nvmm_media, initial_words)
-        result = system.run(trace, crash_at_op=crash_at, finalize=False)
+        result = system.run(trace, finalize=False)
         contract = check_scheme_contract(
             unit.scheme, system.nvmm_media, result.committed_persists,
             cfg.block_size,
         )
         return contract
 
-    baseline = crashed_run(None)
+    baseline = crashed_run(NULL_INJECTOR)
     injector = FaultInjector(unit.plan)
     contract = crashed_run(injector)
     outcome = classify_outcome(
@@ -298,8 +299,3 @@ def smoke_campaign(
         seed=seed, jobs=jobs, progress=progress,
         policy=BatchPolicy(retries=1),
     )
-
-
-def write_report(report: Dict[str, Any], path: str) -> str:
-    """Atomically write a campaign report as JSON."""
-    return atomic_write_json(path, report)

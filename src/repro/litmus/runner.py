@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.check.minimize import ddmin, deinterleave, interleave
+from repro.check.mutants import build_crash_system
 from repro.check.schedule import CrashSchedule
 from repro.core.registry import (
     MODEL_UNDECLARED,
@@ -46,7 +48,6 @@ from repro.core.registry import (
 )
 from repro.litmus.dsl import (
     LITMUS_SCHEMA,
-    LitmusOp,
     LitmusTest,
     State,
     lower,
@@ -69,7 +70,6 @@ __all__ = [
     "run_cell",
     "smoke_battery",
     "sweep_states",
-    "write_counterexample",
 ]
 
 CLASS_ALLOWED = "allowed"
@@ -84,23 +84,6 @@ def _default_config():
     from repro.analysis.experiments import default_sim_config
 
     return default_sim_config()
-
-
-def _build_system(
-    scheme: str, mutant: Optional[str], entries: int, config, schedule
-):
-    if mutant is not None:
-        from repro.check.mutants import build_mutant_system
-
-        return build_mutant_system(
-            mutant, entries=entries, config=config, crash_schedule=schedule
-        )
-    from repro.api import RunOptions, build_system
-
-    return build_system(
-        scheme, entries=entries, config=config,
-        options=RunOptions(crash_schedule=schedule),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +102,8 @@ def run_cell(
     config = _default_config()
     trace, addrs = lower(test, config)
     schedule = CrashSchedule(stop_at=None)
-    system = _build_system(scheme, mutant, entries, config, schedule)
+    system = build_crash_system(scheme, mutant=mutant, entries=entries,
+                                config=config, crash_schedule=schedule)
     observed = sweep_states(system, trace, test, addrs)
     return {
         "scheme": scheme,
@@ -345,27 +329,6 @@ def run_battery(
 # ddmin minimization + replayable artifacts
 # ----------------------------------------------------------------------
 
-def _flatten(test: LitmusTest) -> List[Tuple[int, LitmusOp]]:
-    """Round-robin flatten of the per-core programs (mirrors the checker's
-    trace flattening, so ddmin chunks interleave cores)."""
-    flat: List[Tuple[int, LitmusOp]] = []
-    longest = max(len(p) for p in test.programs)
-    for i in range(longest):
-        for core, prog in enumerate(test.programs):
-            if i < len(prog):
-                flat.append((core, prog[i]))
-    return flat
-
-
-def _rebuild(
-    ops: Sequence[Tuple[int, LitmusOp]], num_cores: int
-) -> Tuple[Tuple[LitmusOp, ...], ...]:
-    programs: List[List[LitmusOp]] = [[] for _ in range(num_cores)]
-    for core, op in ops:
-        programs[core].append(op)
-    return tuple(tuple(p) for p in programs)
-
-
 def minimize_cell(
     scheme: str,
     mutant: Optional[str],
@@ -381,13 +344,14 @@ def minimize_cell(
     reduced candidate (removing ops changes what the model allows), so a
     candidate only counts as failing if it observes a state forbidden for
     its own reduced programs."""
-    from repro.check.minimize import _ddmin
-
     num_cores = len(test.programs)
+
+    def programs(ops):
+        return tuple(tuple(p) for p in deinterleave(ops, num_cores))
 
     def oracle(ops):
         try:
-            candidate = test.without_expectations(_rebuild(ops, num_cores))
+            candidate = test.without_expectations(programs(ops))
         except ValueError:
             return None
         allowed = allowed_states(candidate, model)
@@ -398,9 +362,10 @@ def minimize_cell(
                 return (state, rec["stop_at"], rec["site"], cell["points"])
         return None
 
-    minimal, info, tests_run = _ddmin(_flatten(test), oracle, budget)
+    minimal, info, tests_run = ddmin(interleave(test.programs), oracle,
+                                     budget)
     state, stop_at, site, points = info
-    reduced = test.without_expectations(_rebuild(minimal, num_cores))
+    reduced = test.without_expectations(programs(minimal))
     return {
         "schema": LITMUS_SCHEMA,
         "kind": "counterexample",
@@ -416,13 +381,6 @@ def minimize_cell(
         "points": points,
         "tests_run": tests_run,
     }
-
-
-def write_counterexample(artifact: Dict[str, Any], path: str) -> str:
-    """Atomically write a litmus counterexample artifact."""
-    from repro.ioutil import atomic_write_json
-
-    return atomic_write_json(path, artifact)
 
 
 def replay_counterexample(path: str) -> Dict[str, Any]:

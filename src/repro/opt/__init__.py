@@ -57,7 +57,6 @@ from repro.opt.report import (
     render_compare_table,
     replay_report,
     smoke_opt,
-    write_report,
 )
 from repro.opt.verify import (
     AuditResult,
@@ -105,5 +104,4 @@ __all__ = [
     "store_is_coalescible",
     "verify_litmus_cell",
     "verify_workload_cell",
-    "write_report",
 ]

@@ -48,7 +48,6 @@ __all__ = [
     "render_compare_table",
     "replay_report",
     "smoke_opt",
-    "write_report",
 ]
 
 #: Versioned schema identifier of optimizer reports and artifacts.
@@ -100,9 +99,9 @@ def compare_cell(
             trace=program.to_trace(), initial_words=wl.initial_words,
         )
     fp_naive = _run_to_completion(naive, scheme, entries, cfg,
-                                  wl.seed_media)
+                                  wl.initial_words)
     fp_opt = _run_to_completion(result.optimized, scheme, entries, cfg,
-                                wl.seed_media)
+                                wl.initial_words)
 
     def stall(run) -> int:
         return sum(int(core["stall_cycles_flush_fence"])
@@ -230,15 +229,8 @@ def render_compare_table(report: Dict[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Artifacts: write + replay
+# Artifacts: replay
 # ----------------------------------------------------------------------
-
-def write_report(report: Dict[str, Any], path: str) -> str:
-    """Atomically write a versioned optimizer report; returns ``path``."""
-    from repro.ioutil import atomic_write_json
-
-    return atomic_write_json(path, report)
-
 
 def replay_report(path: str, jobs: Optional[int] = None) -> Dict[str, Any]:
     """Re-execute a compare artifact: validate the envelope (schema
@@ -342,9 +334,9 @@ def smoke_opt(jobs: Optional[int] = None, progress=None,
             audit = audit_pipeline(naive, scheme,
                                    block_size=cfg.block_size)
             fp_equal = (
-                _run_to_completion(naive, scheme, 8, cfg, wl.seed_media)
+                _run_to_completion(naive, scheme, 8, cfg, wl.initial_words)
                 == _run_to_completion(result.optimized, scheme, 8, cfg,
-                                      wl.seed_media)
+                                      wl.initial_words)
             )
             image_ok = fp_equal or not info.exact_durability
             pct = result.flush_fence_elision_pct

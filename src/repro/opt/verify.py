@@ -51,6 +51,7 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.check.mutants import build_crash_system
 from repro.check.schedule import CrashSchedule
 from repro.core.registry import (
     MODEL_UNDECLARED,
@@ -274,7 +275,7 @@ def final_image_fingerprint(
 
 
 def _run_to_completion(program: Program, scheme: str, entries, config,
-                       seed_media=None) -> str:
+                       seed_words=None) -> str:
     """Run ``program`` to its *final micro-step crash point* (firing after
     the last op) and fingerprint the durable image.
 
@@ -282,19 +283,14 @@ def _run_to_completion(program: Program, scheme: str, entries, config,
     volatile structures (eADR and friends) a clean run's media image is
     not the durable state — the final point's ``crash_drain`` is what
     flushes the covered domain, yielding the full-store image the scheme
-    actually guarantees."""
-    from repro.api import RunOptions, build_system
-
+    actually guarantees.  It takes two runs: the first counts the visits,
+    because the final index must be known before a run can crash there."""
     trace = program.to_trace()
 
     def crashed_system(schedule):
-        system = build_system(
-            scheme, entries=entries, config=config,
-            options=RunOptions(crash_schedule=schedule),
-        )
-        if seed_media is not None:
-            seed_media(system.nvmm_media)
-        return system
+        return build_crash_system(scheme, entries=entries, config=config,
+                                  crash_schedule=schedule,
+                                  seed_words=seed_words)
 
     counting = CrashSchedule(stop_at=None)
     counting_system = crashed_system(counting)
@@ -349,9 +345,9 @@ def verify_workload_cell(
     failures: List[str] = audit.describe_violations()
 
     fp_naive = _run_to_completion(naive, scheme, entries, cfg,
-                                  wl.seed_media)
+                                  wl.initial_words)
     fp_opt = _run_to_completion(result.optimized, scheme, entries, cfg,
-                                wl.seed_media)
+                                wl.initial_words)
     # Image equality is an oracle only where the scheme's contract
     # promises byte-exact durability — mirroring the checker's golden
     # differential.  An epoch contract legitimately leaves different
@@ -432,10 +428,11 @@ def verify_workload_cell(
 def _sweep_states(trace, scheme: str, entries: int, config, test, addrs):
     """Crash-sweep ``trace`` exactly like the battery sweeps a cell;
     returns ``({state: first-seen provenance}, crash points)``."""
-    from repro.litmus.runner import _build_system, sweep_states
+    from repro.litmus.runner import sweep_states
 
     schedule = CrashSchedule(stop_at=None)
-    system = _build_system(scheme, None, entries, config, schedule)
+    system = build_crash_system(scheme, entries=entries, config=config,
+                                crash_schedule=schedule)
     return sweep_states(system, trace, test, addrs), schedule.visits
 
 
@@ -455,7 +452,7 @@ def _minimize_removals(
     forbidden durable state.  Sound by construction — every candidate
     contains every original op except removals under test, and the
     allowed set of the original test stays the correct reference."""
-    from repro.check.minimize import _ddmin
+    from repro.check.minimize import ddmin
 
     removals: List[Tuple[int, int]] = []  # (thread, position)
     for tid, ops in enumerate(program.threads):
@@ -482,7 +479,7 @@ def _minimize_removals(
                 return (state, observed[state])
         return None
 
-    minimal, (state, prov), tests_run = _ddmin(removals, oracle, budget)
+    minimal, (state, prov), tests_run = ddmin(removals, oracle, budget)
     return {
         "removals": [
             {"thread": tid, "position": pos,

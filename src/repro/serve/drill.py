@@ -44,14 +44,13 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.api import RunOptions, build_system
-from repro.check.mutants import MUTANTS, build_mutant_system
+from repro.api import build_system
+from repro.check.mutants import MUTANTS, build_crash_system
 from repro.check.schedule import SITE_OP, CrashSchedule
 from repro.core.recovery import (ACKED_LOST, REQUEST_OUTCOMES, RequestVerdict,
                                  check_scheme_contract, claimed_persists,
                                  classify_request, lost_request_stores)
 from repro.core.registry import scheme_info
-from repro.ioutil import atomic_write_json
 from repro.obs.bus import NULL_BUS
 from repro.obs.events import RecoveryCompleted
 from repro.obs.latency import LatencyHistogram, LatencyRecorder, \
@@ -69,7 +68,6 @@ __all__ = [
     "run_drills",
     "smoke_drill",
     "validate_drill_report",
-    "write_report",
 ]
 
 DRILL_SCHEMA = "repro.drill/v1"
@@ -132,9 +130,8 @@ def count_crash_sites(
     serves a whole scheme sweep."""
     cfg = config or default_traffic_config()
     schedule = CrashSchedule(stop_at=None, sites=(SITE_OP,))
-    system = build_system(scheme_info(scheme).name, entries=entries,
-                          config=cfg,
-                          options=RunOptions(crash_schedule=schedule))
+    system = build_crash_system(scheme, entries=entries, config=cfg,
+                                crash_schedule=schedule)
     service = KVService(cfg.mem, spec, cfg.num_cores)
     _drive(system, service, spec, LatencyRecorder())
     return schedule.visits
@@ -146,16 +143,14 @@ def execute_drill_unit(
     """Run one drill end to end; returns the unit's report dict."""
     cfg = config or default_traffic_config()
     spec = unit.spec
-    schedule = CrashSchedule(stop_at=unit.crash_visit, sites=(SITE_OP,))
-    if unit.mutant:
-        base, _ = MUTANTS[unit.mutant]
-        info = scheme_info(base)
-        system = build_mutant_system(unit.mutant, entries=unit.entries,
-                                     config=cfg, crash_schedule=schedule)
-    else:
-        info = scheme_info(unit.scheme)
-        system = build_system(info.name, entries=unit.entries, config=cfg,
-                              options=RunOptions(crash_schedule=schedule))
+    info = scheme_info(MUTANTS[unit.mutant][0] if unit.mutant
+                       else unit.scheme)
+    system = build_crash_system(
+        info.name, mutant=unit.mutant or None, entries=unit.entries,
+        config=cfg,
+        crash_schedule=CrashSchedule(stop_at=unit.crash_visit,
+                                     sites=(SITE_OP,)),
+    )
     service = KVService(cfg.mem, spec, cfg.num_cores)
     service.enable_persist_log()
     recorder = LatencyRecorder()
@@ -512,8 +507,3 @@ def validate_drill_report(report: Any) -> Dict[str, Any]:
         _check(name in report["per_scheme"],
                f"per_scheme is missing scheme {name!r}")
     return report
-
-
-def write_report(report: Dict[str, Any], path: str) -> str:
-    """Atomically write a drill report as JSON."""
-    return atomic_write_json(path, report)

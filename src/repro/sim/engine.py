@@ -72,8 +72,7 @@ class RunResult:
     committed_persists: List[PersistRecord] = field(default_factory=list)
     performed_persists: List[PersistRecord] = field(default_factory=list)
     drain_report: Optional[DrainReport] = None
-    #: Micro-step crash point that fired (crash-schedule runs only; None
-    #: for op-boundary crashes requested via ``crash_at_op``).
+    #: Crash-schedule point that fired (None when the run completed).
     crash_point: Optional[FiredPoint] = None
     #: Architectural execution log (populated when Engine(log=True)) — the
     #: exact order operations took effect, for differential testing
@@ -118,14 +117,10 @@ class Engine:
     # ------------------------------------------------------------------
     # Public entry point
     # ------------------------------------------------------------------
-    def run(
-        self,
-        trace: ProgramTrace,
-        crash_at_op: Optional[int] = None,
-        finalize: bool = True,
-    ) -> RunResult:
-        """Execute ``trace``; optionally crash after ``crash_at_op`` globally
-        executed operations.
+    def run(self, trace: ProgramTrace, finalize: bool = True) -> RunResult:
+        """Execute ``trace``; a crash happens only where the hierarchy's
+        crash schedule fires (``CrashSchedule(stop_at=k, sites=(SITE_OP,))``
+        crashes after ``k`` globally executed operations).
 
         On a crash, the active persistency scheme's battery drains whatever
         it covers and the volatile state is lost; ``finalize`` is ignored.
@@ -166,8 +161,8 @@ class Engine:
                 if schedule_on:
                     schedule.reached(SITE_OP, clock)
             except CrashNow as crash:
-                # A scheduled micro-step crash fired inside (or right after)
-                # this op: ``executed`` counts fully-executed ops.
+                # A scheduled crash fired inside (or right after) this op:
+                # ``executed`` counts fully-executed ops.
                 clocks[core] = max(clocks[core], clock)
                 result.crashed = True
                 result.crash_op = executed
@@ -175,10 +170,6 @@ class Engine:
                 break
             if i + 1 < lengths[core]:
                 heapq.heappush(heap, (clock, core))
-            if crash_at_op is not None and executed >= crash_at_op:
-                result.crashed = True
-                result.crash_op = executed
-                break
 
         return self._epilogue(result, clocks, flush_outstanding, executed,
                               finalize)

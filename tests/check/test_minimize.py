@@ -4,7 +4,7 @@ import pytest
 
 from repro.check.checker import CheckUnit, explore
 from repro.check.minimize import (
-    _ddmin,
+    ddmin,
     flatten_trace,
     minimize_counterexample,
     rebuild_trace,
@@ -42,7 +42,7 @@ class TestDdmin:
         def test_fn(subset):
             return ("bad",) if {3, 7} <= set(subset) else None
 
-        minimal, info, tests = _ddmin(items, test_fn, budget=256)
+        minimal, info, tests = ddmin(items, test_fn, budget=256)
         assert sorted(minimal) == [3, 7]
         assert info == ("bad",)
         assert tests <= 256
@@ -51,12 +51,12 @@ class TestDdmin:
         def test_fn(subset):
             return ("bad",) if 5 in subset else None
 
-        minimal, _, _ = _ddmin(list(range(16)), test_fn, budget=256)
+        minimal, _, _ = ddmin(list(range(16)), test_fn, budget=256)
         assert minimal == [5]
 
     def test_passing_input_rejected(self):
         with pytest.raises(ValueError):
-            _ddmin([1, 2], lambda s: None, budget=10)
+            ddmin([1, 2], lambda s: None, budget=10)
 
     def test_budget_bounds_oracle_calls(self):
         calls = []
@@ -65,7 +65,7 @@ class TestDdmin:
             calls.append(1)
             return ("bad",) if {3, 7} <= set(subset) else None
 
-        _ddmin(list(range(64)), test_fn, budget=9)
+        ddmin(list(range(64)), test_fn, budget=9)
         assert len(calls) <= 9
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import RunOptions
+from repro.check.schedule import SITE_OP, CrashSchedule
 from repro.sim.config import (
     BBBConfig,
     CacheConfig,
@@ -47,6 +49,17 @@ def daddr(config: SystemConfig, block: int, offset: int = 0) -> int:
 
 def single_thread_trace(*ops: TraceOp) -> ProgramTrace:
     return ProgramTrace([ThreadTrace(ops)])
+
+
+def op_crash(k: int) -> CrashSchedule:
+    """A schedule that crashes after ``k`` globally executed ops."""
+    return CrashSchedule(stop_at=k, sites=(SITE_OP,))
+
+
+def crash_after(k: int, **options) -> RunOptions:
+    """Run options that crash after ``k`` globally executed ops, plus any
+    other ``options`` (``RunOptions`` fields)."""
+    return RunOptions(crash_schedule=op_crash(k), **options)
 
 
 def conflict_addresses(config: SystemConfig, target_addr: int, count: int):

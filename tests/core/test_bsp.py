@@ -11,7 +11,7 @@ from repro.core.bsp import BSP
 from repro.core.recovery import check_exact_durability, check_prefix_consistency
 from repro.api import build_system
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
-from tests.conftest import paddr, single_thread_trace
+from tests.conftest import crash_after, paddr, single_thread_trace
 
 
 def store_trace(config, n):
@@ -100,8 +100,9 @@ class TestPersistBeforeRespond:
 
 class TestCrashSemantics:
     def test_crash_loses_buffered_stores(self, small_config):
-        system = build_system("bsp", config=small_config)
-        result = system.run(store_trace(small_config, 3), crash_at_op=3)
+        system = build_system("bsp", config=small_config,
+                              options=crash_after(3))
+        result = system.run(store_trace(small_config, 3))
         assert result.drain_report.total_units == 0
         check = check_exact_durability(system.nvmm_media, result.committed_persists)
         assert not check  # buffered stores died — unlike BBB
@@ -111,9 +112,10 @@ class TestCrashSemantics:
         self, small_config, crash_at
     ):
         """BSP's guarantee: whatever persisted is a per-core prefix."""
-        system = build_system("bsp", config=small_config, entries=4)
+        system = build_system("bsp", config=small_config, entries=4,
+                              options=crash_after(crash_at))
         trace = store_trace(small_config, 15)
-        result = system.run(trace, crash_at_op=crash_at)
+        result = system.run(trace)
         check = check_prefix_consistency(
             system.nvmm_media, result.committed_persists
         )

@@ -16,6 +16,7 @@ import dataclasses
 
 import pytest
 
+from repro.check.schedule import NULL_SCHEDULE
 from repro.core.recovery import check_exact_durability, check_prefix_consistency
 from repro.sim.config import ConsistencyModel, SystemConfig
 from repro.sim.engine import Engine
@@ -23,7 +24,7 @@ from repro.sim.system import System
 from repro.core.persistency import BBBScheme
 from repro.sim.config import BBBConfig
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
-from tests.conftest import paddr, single_thread_trace
+from tests.conftest import op_crash, paddr, single_thread_trace
 
 
 def relaxed_config(base: SystemConfig, volatile_sb: bool = False) -> SystemConfig:
@@ -34,8 +35,11 @@ def relaxed_config(base: SystemConfig, volatile_sb: bool = False) -> SystemConfi
     )
 
 
-def make_system(config, seed=0):
-    return System(config, BBBScheme(BBBConfig(entries=64)), reorder_seed=seed)
+def make_system(config, seed=0, crash_at=None):
+    """A 64-entry BBB system; ``crash_at`` crashes it after that many ops."""
+    return System(config, BBBScheme(BBBConfig(entries=64)), reorder_seed=seed,
+                  crash_schedule=(op_crash(crash_at) if crash_at is not None
+                                  else NULL_SCHEDULE))
 
 
 def dependent_store_trace(config, pairs=12):
@@ -74,17 +78,17 @@ class TestBatteryBackedSB:
     @pytest.mark.parametrize("crash_at", [3, 7, 13, 20])
     def test_crash_preserves_all_committed_stores(self, small_config, crash_at):
         cfg = relaxed_config(small_config)
-        system = make_system(cfg, seed=5)
+        system = make_system(cfg, seed=5, crash_at=crash_at)
         trace = dependent_store_trace(cfg)
-        result = system.run(trace, crash_at_op=crash_at)
+        result = system.run(trace)
         assert system.hierarchy.store_buffers[0].battery_backed
         check = check_exact_durability(system.nvmm_media, result.committed_persists)
         assert check, check.violations
 
     def test_sb_entries_counted_in_drain_report(self, small_config):
         cfg = relaxed_config(small_config)
-        system = make_system(cfg, seed=1)
-        result = system.run(dependent_store_trace(cfg), crash_at_op=9)
+        system = make_system(cfg, seed=1, crash_at=9)
+        result = system.run(dependent_store_trace(cfg))
         # With reordering active some committed stores are usually still in
         # the SB at crash; they must drain (report may be zero only if the
         # RNG released everything — seed chosen to avoid that).
@@ -104,8 +108,8 @@ class TestVolatileSBAblation:
         violated = False
         for crash_at in range(2, trace.total_ops() + 1):
             for seed in range(4):
-                system = make_system(cfg, seed=seed)
-                result = system.run(trace, crash_at_op=crash_at)
+                system = make_system(cfg, seed=seed, crash_at=crash_at)
+                result = system.run(trace)
                 assert not system.hierarchy.store_buffers[0].battery_backed
                 exact = check_exact_durability(
                     system.nvmm_media, result.committed_persists
@@ -123,8 +127,8 @@ class TestVolatileSBAblation:
         cfg = dataclasses.replace(small_config, force_volatile_store_buffer=True)
         trace = dependent_store_trace(cfg)
         for crash_at in (3, 9, 17):
-            system = make_system(cfg)
-            result = system.run(trace, crash_at_op=crash_at)
+            system = make_system(cfg, crash_at=crash_at)
+            result = system.run(trace)
             check = check_exact_durability(
                 system.nvmm_media, result.committed_persists
             )

@@ -5,13 +5,13 @@ import json
 
 from repro.analysis.batch import BatchPolicy
 from repro.core.recovery import Outcome
+from repro.ioutil import atomic_write_json
 from repro.fault.campaign import (
     CAMPAIGN_SCHEMA,
     FaultUnit,
     canonical_plans,
     execute_fault_unit,
     run_campaign,
-    write_report,
 )
 from repro.fault.plan import (
     BATTERY_DOMAIN_SITES,
@@ -84,7 +84,7 @@ def test_small_campaign_report_schema_and_no_battery_silence(tmp_path):
         assert {"scheme", "workload", "crash_at", "plan", "outcome",
                 "injected", "detected"} <= set(unit)
     # The report is written atomically and parses back identically.
-    path = write_report(report, str(tmp_path / "faults.json"))
+    path = atomic_write_json(str(tmp_path / "faults.json"), report)
     with open(path) as fh:
         assert json.load(fh) == report
 

@@ -10,6 +10,7 @@ losing a catch WOULD fail the gate.
 import pytest
 
 from repro.check.mutants import MUTANTS
+from repro.ioutil import atomic_write_json
 from repro.litmus.corpus import corpus
 from repro.litmus.dsl import LitmusTest
 from repro.litmus.runner import (
@@ -18,7 +19,6 @@ from repro.litmus.runner import (
     minimize_cell,
     replay_counterexample,
     run_battery,
-    write_counterexample,
 )
 
 
@@ -72,7 +72,7 @@ def test_forbidden_cells_minimize_to_replayable_counterexamples(report):
 
 def test_minimize_cell_recomputes_allowed_sets_soundly(tmp_path):
     # Minimize directly (not via run_battery) and round-trip through
-    # write_counterexample: the reduced programs must still observe a
+    # an artifact file: the reduced programs must still observe a
     # state forbidden for the REDUCED test, not merely for the original.
     mutant = sorted(MUTANTS)[0]
     base = MUTANTS[mutant][0]
@@ -80,7 +80,7 @@ def test_minimize_cell_recomputes_allowed_sets_soundly(tmp_path):
     artifact = minimize_cell(base, mutant, 8, test, "strict")
     assert artifact["tests_run"] >= 1
     path = tmp_path / "cex.json"
-    write_counterexample(artifact, str(path))
+    atomic_write_json(str(path), artifact)
     assert replay_counterexample(str(path))["reproduced"]
 
 

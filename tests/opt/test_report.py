@@ -5,14 +5,13 @@ import json
 import pytest
 
 from repro.core.registry import ORDERING_FENCE, ORDERING_FLUSH, iter_schemes
-from repro.ioutil import ArtifactError
+from repro.ioutil import ArtifactError, atomic_write_json
 from repro.opt import (
     OPT_SCHEMA,
     compare_cell,
     opt_compare,
     render_compare_table,
     replay_report,
-    write_report,
 )
 from repro.workloads.base import WorkloadSpec
 
@@ -68,7 +67,7 @@ class TestCompareReport:
 
     def test_write_and_replay_round_trip(self, report, tmp_path):
         path = str(tmp_path / "opt.json")
-        assert write_report(report, path) == path
+        assert atomic_write_json(path, report) == path
         out = replay_report(path, jobs=1)
         assert out["reproduced"], out["mismatches"]
         assert out["artifact"]["schema"] == OPT_SCHEMA

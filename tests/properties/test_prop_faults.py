@@ -15,7 +15,7 @@ in test_prop_crash_consistency.py, so the strong form with
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import RunOptions, build_system
+from repro.api import build_system
 from repro.core.recovery import (
     Outcome,
     check_exact_durability,
@@ -25,6 +25,7 @@ from repro.fault.injector import FaultInjector
 from repro.fault.plan import BATTERY_DOMAIN_SITES, random_plan
 from repro.sim.config import SystemConfig
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
+from tests.conftest import crash_after
 
 CFG = SystemConfig(num_cores=2).scaled_for_testing()
 
@@ -63,8 +64,9 @@ def _classify(threads, data, plan):
     entries = data.draw(st.sampled_from([2, 8, 32]), label="entries")
     injector = FaultInjector(plan)
     system = build_system("bbb", config=CFG, entries=entries,
-                          options=RunOptions(fault_injector=injector))
-    result = system.run(trace, crash_at_op=crash_at)
+                          options=crash_after(crash_at,
+                                              fault_injector=injector))
+    result = system.run(trace)
     contract = check_exact_durability(
         system.nvmm_media, result.committed_persists
     )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import build_system
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
-from tests.conftest import daddr, paddr, single_thread_trace
+from tests.conftest import crash_after, daddr, paddr, single_thread_trace
 
 
 class TestBasicExecution:
@@ -126,28 +126,31 @@ class TestFlushFence:
 
 class TestCrashInjection:
     def test_crash_stops_execution(self, small_config):
-        system = build_system("bbb", config=small_config)
+        system = build_system("bbb", config=small_config,
+                              options=crash_after(4))
         ops = [TraceOp.store(paddr(small_config, i), i + 1) for i in range(10)]
-        result = system.run(single_thread_trace(*ops), crash_at_op=4)
+        result = system.run(single_thread_trace(*ops))
         assert result.crashed and result.crash_op == 4
         assert result.stats.core[0].stores == 4
 
     def test_crash_produces_drain_report(self, small_config):
-        system = build_system("bbb", config=small_config)
+        system = build_system("bbb", config=small_config,
+                              options=crash_after(4))
         ops = [TraceOp.store(paddr(small_config, i), i + 1) for i in range(10)]
-        result = system.run(single_thread_trace(*ops), crash_at_op=4)
+        result = system.run(single_thread_trace(*ops))
         assert result.drain_report is not None
         assert result.drain_report.scheme == "bbb"
 
     def test_crash_counts_interleaved_ops_globally(self, small_config):
-        system = build_system("bbb", config=small_config)
+        system = build_system("bbb", config=small_config,
+                              options=crash_after(6))
         trace = ProgramTrace(
             [
                 ThreadTrace([TraceOp.compute(1)] * 5),
                 ThreadTrace([TraceOp.compute(1)] * 5),
             ]
         )
-        result = system.run(trace, crash_at_op=6)
+        result = system.run(trace)
         assert result.crash_op == 6
 
 

@@ -10,7 +10,10 @@ from repro.analysis.analytical import (EXACT_FIELDS, TOLERANCE,
 from repro.analysis.bench import run_smoke
 from repro.analysis.experiments import default_sim_config
 from repro.api import RunOptions, build_system
+from repro.check.schedule import CrashSchedule
 from repro.core.registry import CONTRACT_EPOCH, POP_FLUSH, iter_schemes
+from repro.fault.injector import FaultInjector
+from repro.fault.plan import FaultPlan
 from repro.workloads.base import (WorkloadSpec, build_cached,
                                   seed_media_words)
 
@@ -61,13 +64,15 @@ def test_validate_reports_relative_errors():
 
 
 def test_analytical_mode_rejects_crash_runs():
-    cfg = default_sim_config()
-    trace, _ = build_cached("hashmap", cfg.mem, SPEC)
+    """An estimate has no crash point and no fault site: an enabled crash
+    schedule or fault injector must be refused, not silently dropped."""
     scheme = next(i for i in iter_schemes() if i.builtin)
-    system = build_system(scheme.name, config=cfg,
-                          options=RunOptions(mode="analytical"))
-    with pytest.raises(ValueError, match="crash"):
-        system.run(trace, crash_at_op=10)
+    for wiring in ({"crash_schedule": CrashSchedule(stop_at=5)},
+                   {"fault_injector": FaultInjector(FaultPlan())}):
+        options = RunOptions(mode="analytical", **wiring)
+        with pytest.raises(ValueError, match="analytical mode cannot crash"):
+            build_system(scheme.name, config=default_sim_config(),
+                         options=options)
 
 
 def test_unknown_mode_rejected():

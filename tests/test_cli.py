@@ -1,11 +1,16 @@
 """Tests for the command-line interface (repro.cli)."""
 
 import json
+import random
 
 import pytest
 
-from repro.api import SCHEMES
+from repro.analysis.experiments import default_sim_config
+from repro.api import SCHEMES, build_system
 from repro.cli import build_parser, main
+from repro.core.recovery import check_prefix_consistency
+from repro.workloads.base import WorkloadSpec, registry
+from tests.conftest import crash_after
 
 FAST = ["--threads", "2", "--ops", "10", "--elements", "512"]
 
@@ -146,6 +151,43 @@ class TestCrash:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("workload, scheme",
+                             [("rtree", "none"), ("hashmap", "bbb")])
+    def test_verdicts_match_real_crashes(self, capsys, workload, scheme):
+        """The command reads every sampled point from one sweep; each
+        verdict it prints must be that of a fresh system crashed there."""
+        sample = 20
+        rc = main(["crash", "--workload", workload, "--scheme", scheme,
+                   "--sample", str(sample), "--show", str(sample)] + FAST)
+        lines = capsys.readouterr().out.splitlines()
+
+        config = default_sim_config()
+        spec = WorkloadSpec(threads=2, ops=10, elements=512, seed=42)
+        wl = registry(config.mem, spec)[workload]
+        trace = wl.build()
+        structural = wl.make_checker()
+        points = sorted(random.Random(42).sample(
+            list(range(1, trace.total_ops() + 1)), sample))
+        expected = []
+        for k in points:
+            system = build_system(scheme, entries=32, config=config,
+                                  options=crash_after(k))
+            wl.seed_media(system.nvmm_media)
+            result = system.run(trace)
+            assert result.crash_op == k
+            ok, violations = structural(system, result)
+            prefix = check_prefix_consistency(system.nvmm_media,
+                                              result.committed_persists)
+            if not (ok and prefix.consistent):
+                first = (list(violations) + prefix.violations)[0]
+                expected.append(f"  crash after op {k}: {first}")
+        bad = len(expected)
+        assert lines[0] == (f"{workload} under {scheme}: {sample} crash "
+                            f"points, {sample - bad} consistent, {bad} "
+                            f"inconsistent")
+        assert lines[1:] == expected
+        assert rc == (1 if expected else 0)
+
 
 class TestStaticCommands:
     def test_energy(self, capsys):
@@ -198,7 +240,7 @@ class TestFaultsCommand:
 class TestCheckCommand:
     ARGS = [
         "check", "--scheme", "bbb", "--threads", "2", "--ops", "3",
-        "--elements", "64", "--jobs", "1",
+        "--elements", "64",
     ]
 
     def test_clean_scheme_reports_and_exits_zero(self, capsys, tmp_path):
@@ -226,9 +268,27 @@ class TestCheckCommand:
         assert "REPRODUCED" in capsys.readouterr().out
 
     def test_unknown_scheme_rejected(self, capsys):
-        rc = main(["check", "--scheme", "bogus", "--jobs", "1"])
+        rc = main(["check", "--scheme", "bogus"])
         assert rc == 2
         assert "unknown" in capsys.readouterr().err
+
+    def test_smoke_writes_its_result_to_out(self, capsys, tmp_path,
+                                            monkeypatch):
+        import repro.check.checker as checker
+
+        result = {"ok": True, "failures": [], "reports": []}
+        monkeypatch.setattr(checker, "smoke_check",
+                            lambda progress=None: result)
+        out_file = tmp_path / "smoke.json"
+        assert main(["check", "--smoke", "--out", str(out_file)]) == 0
+        assert f"wrote {out_file}" in capsys.readouterr().out
+        assert json.loads(out_file.read_text()) == result
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--timeout"])
+    def test_inert_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit):
+            main(["check", flag, "1"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_replay_rejects_wrong_schema_artifact(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

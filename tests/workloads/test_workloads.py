@@ -6,6 +6,7 @@ from repro.sim.config import SystemConfig
 from repro.api import build_system
 from repro.sim.trace import OpKind
 from repro.workloads.base import WORKLOAD_NAMES, WorkloadSpec, registry
+from tests.conftest import crash_after
 
 
 @pytest.fixture
@@ -129,9 +130,10 @@ class TestMediaSeeding:
         workload = registry(cfg.mem, spec)["ctree"]
         trace = workload.build()
         checker = workload.make_checker()
-        system = build_system("bbb", config=cfg, entries=64)
+        system = build_system("bbb", config=cfg, entries=64,
+                              options=crash_after(1))
         workload.seed_media(system.nvmm_media)
-        result = system.run(trace, crash_at_op=1)
+        result = system.run(trace)
         ok, violations = checker(system, result)
         assert ok, violations
         # The prepopulated root itself is durable and walkable.
@@ -158,9 +160,10 @@ class TestRecoveryCheckers:
         trace = workload.build()
         checker = workload.make_checker()
         for crash_at in (5, trace.total_ops() // 2, trace.total_ops() - 1):
-            system = build_system("bbb", config=cfg, entries=64)
+            system = build_system("bbb", config=cfg, entries=64,
+                                  options=crash_after(crash_at))
             workload.seed_media(system.nvmm_media)
-            result = system.run(trace, crash_at_op=crash_at)
+            result = system.run(trace)
             ok, violations = checker(system, result)
             assert ok, (crash_at, violations)
 
