@@ -23,18 +23,29 @@ Each recovered durable image is checked against three oracles:
 3. the workload's structural invariant checker, when it defines one.
 
 State-space pruning fingerprints the durable state (media image plus the
-claimed/committed persist sets).  A verdict is a pure function of that
-fingerprint, so two crash points with equal fingerprints must agree —
-the second skips the oracles and reuses the verdict.  Pruned and
-unpruned runs therefore report identical per-point verdicts; the smoke
-check (:func:`smoke_check`) asserts exactly that, and also that a
-deliberately broken scheme mutant (:mod:`repro.check.mutants`) is caught.
+committed and performed persist logs).  A verdict is a pure function of
+that fingerprint, so two crash points with equal fingerprints must
+agree — the second skips the oracles and reuses the verdict.  Pruned and
+unpruned runs therefore report identical per-point verdicts and
+fingerprints; the smoke check (:func:`smoke_check`) asserts exactly
+that, and also that a deliberately broken scheme mutant
+(:mod:`repro.check.mutants`) is caught.
+
+A pruned sweep pays per visit for what changed since the previous
+visit (:class:`_SweepOracles`): fingerprints are memoized on an exact
+key of log lengths, media write count and crash-overlay content, a key
+miss re-encodes only the blocks written since, and one golden image per
+unit grows with the claimed persists.  The from-scratch functions
+(:func:`durable_fingerprint`, :func:`golden_expected`,
+:func:`diff_golden`) stay the reference: unpruned runs,
+:func:`replay_points` and the minimizer call them.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, astuple, dataclass, replace
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.schedule import SITE_OP, CrashSchedule
@@ -42,6 +53,7 @@ from repro.core.recovery import (
     CONTRACT_DOCS,
     check_scheme_contract,
     claimed_persists,
+    exact_durability_violations,
 )
 from repro.core.registry import CONTRACT_EPOCH, DEFAULT_SCHEME, scheme_info
 from repro.mem.block import BlockData, block_address, block_offset
@@ -143,6 +155,7 @@ class _UnitContext:
             self.trace = self.workload.build()
         self.seed_words: Dict[int, int] = dict(self.workload.initial_words)
         self.structural = self.workload.make_checker()
+        self.info = scheme_info(unit.scheme)
 
     def build_system(self, schedule: CrashSchedule):
         from repro.check.mutants import build_crash_system
@@ -195,20 +208,27 @@ def diff_golden(
     (durable but never claimed) are both mismatches.  One violation is
     reported per differing block to keep reports readable.
     """
-    violations: List[str] = []
     blocks = set(expected)
     blocks.update(b for b in media.written_blocks() if is_persistent(b))
-    for baddr in sorted(blocks):
+    return _diff_blocks(media, expected, sorted(blocks), is_persistent,
+                        max_violations)
+
+
+def _diff_blocks(media, expected, blocks, is_persistent,
+                 max_violations=MAX_VIOLATIONS_PER_POINT) -> List[str]:
+    """:func:`diff_golden` over ``blocks`` (ascending) only."""
+    violations: List[str] = []
+    for baddr in blocks:
         if not is_persistent(baddr):
             continue
         exp = expected.get(baddr)
-        act = media.peek_block(baddr)
-        offsets = set(act.bytes)
-        if exp is not None:
-            offsets.update(exp.bytes)
-        for off in sorted(offsets):
-            want = exp.read(off) if exp is not None else 0
-            got = act.read(off)
+        exp_bytes = exp.bytes if exp is not None else {}
+        act_bytes = media.peek_block(baddr).bytes
+        if act_bytes == exp_bytes:
+            continue
+        for off in sorted(act_bytes.keys() | exp_bytes.keys()):
+            want = exp_bytes.get(off, 0)
+            got = act_bytes.get(off, 0)
             if want != got:
                 violations.append(
                     f"golden mismatch at 0x{baddr + off:x}: eADR-golden "
@@ -220,25 +240,156 @@ def diff_golden(
     return violations
 
 
+def _block_bytes(baddr: int, data: BlockData) -> bytes:
+    """One written block's share of the fingerprint stream: ``B``, the
+    block address (8 bytes, little-endian), then an (offset, byte) pair
+    per written byte in offset order."""
+    return b"B" + baddr.to_bytes(8, "little") + bytes(
+        chain.from_iterable(sorted(data.bytes.items())))
+
+
+def _record_bytes(rec) -> bytes:
+    """One persist record's share of the fingerprint stream."""
+    return repr((rec.core, rec.addr, rec.size, rec.value, rec.seq)).encode()
+
+
 def durable_fingerprint(scheme: str, media, committed, performed) -> str:
     """SHA-256 over everything the verdict depends on: the scheme name,
-    the durable media image, and both persist logs.  Equal fingerprints
-    imply equal verdicts (the pruning soundness invariant)."""
-    h = hashlib.sha256()
-    h.update(scheme.encode())
+    the durable media image (every written block in address order), and
+    both persist logs (``|c`` then the committed records, ``|p`` then the
+    performed ones).  Equal fingerprints imply equal verdicts (the
+    pruning soundness invariant).
+
+    This is the from-scratch reference: it rehashes the whole image and
+    both logs.  A pruned sweep hashes the same byte stream through
+    :class:`_SweepOracles`, which rebuilds only what changed since the
+    previous visit; ``prune=False`` runs and :func:`replay_points` call
+    this function."""
+    h = hashlib.sha256(scheme.encode())
     for baddr in sorted(media.written_blocks()):
-        data = media.peek_block(baddr)
-        h.update(b"B")
-        h.update(baddr.to_bytes(8, "little"))
-        for off in sorted(data.bytes):
-            h.update(bytes((off, data.bytes[off])))
+        h.update(_block_bytes(baddr, media.peek_block(baddr)))
     for tag, records in ((b"|c", committed), (b"|p", performed)):
         h.update(tag)
         for rec in records:
-            h.update(
-                repr((rec.core, rec.addr, rec.size, rec.value, rec.seq)).encode()
-            )
+            h.update(_record_bytes(rec))
     return h.hexdigest()
+
+
+class _ReferenceOracles:
+    """Fingerprint and durability oracles computed from scratch at every
+    crash state: the reference path of ``prune=False`` runs and
+    :func:`replay_points`, which the pruned path must match."""
+
+    def __init__(self, ctx: _UnitContext) -> None:
+        self.ctx = ctx
+
+    def fingerprint(self, media, run) -> str:
+        return durable_fingerprint(self.ctx.unit.scheme, media,
+                                   run.committed_persists,
+                                   run.performed_persists)
+
+    def durability_violations(self, media, claimed) -> List[str]:
+        """The contract's violations, then the golden differential's
+        (exact-durability schemes only)."""
+        ctx = self.ctx
+        contract = check_scheme_contract(ctx.unit.scheme, media, claimed)
+        violations = contract.violations[:MAX_VIOLATIONS_PER_POINT]
+        if ctx.info.exact_durability:
+            violations.extend(diff_golden(
+                media, golden_expected(ctx.seed_words, claimed),
+                ctx.config.mem.is_persistent,
+            ))
+        return violations
+
+
+class _SweepOracles(_ReferenceOracles):
+    """The same oracles over the visits of one sweep, at a cost
+    proportional to what changed since the previous visit.
+
+    * **Fingerprint memo.**  Both persist logs are append-only, and the
+      media changes only by counted writes (seeding precedes the sweep),
+      so ``(len(committed), len(performed), media.total_writes, overlay
+      content)`` determines the durable state: equal keys have equal
+      fingerprints.  A key miss hashes the :func:`durable_fingerprint`
+      stream, joined from per-block chunks cached by the block's write
+      count and from log records encoded once.
+    * **One golden image.**  The seeded image is built once and extended
+      with newly claimed persists, which also only grow.  It serves the
+      exact-durability contract and the golden differential; the diff
+      visits only the blocks the run touched (media blocks with a nonzero
+      write count, overlay blocks, the claimed footprint), because every
+      other block holds its seed on both sides.
+
+    ``media`` is the swept system's live NVMM media.
+    """
+
+    def __init__(self, ctx: _UnitContext, media) -> None:
+        super().__init__(ctx)
+        self.media = media
+        self._fingerprints: Dict[tuple, str] = {}
+        #: block address -> (its media write count, its stream chunk)
+        self._chunks: Dict[int, Tuple[int, bytes]] = {}
+        self._records: Tuple[List[bytes], List[bytes]] = ([], [])
+        self._golden = golden_expected(ctx.seed_words, ())
+        #: block address -> claimed offsets, in first-write order
+        self._footprint: Dict[int, Dict[int, None]] = {}
+        self._replayed = 0
+
+    def fingerprint(self, image, run) -> str:
+        committed, performed = run.committed_persists, run.performed_persists
+        key = (len(committed), len(performed), self.media.total_writes,
+               tuple((baddr, tuple(blk.bytes.items()))
+                     for baddr, blk in image.overlay.items()))
+        fp = self._fingerprints.get(key)
+        if fp is None:
+            fp = self._fingerprints[key] = self._hash(image, committed,
+                                                      performed)
+        return fp
+
+    def _hash(self, image, committed, performed) -> str:
+        media, counts = self.media, self.media.write_counts
+        chunks, overlay = self._chunks, image.overlay
+        parts = [self.ctx.unit.scheme.encode()]
+        for baddr in sorted(image.written_blocks()):
+            blk = overlay.get(baddr)
+            if blk is not None:
+                parts.append(_block_bytes(baddr, blk))
+                continue
+            n = counts[baddr]
+            cached = chunks.get(baddr)
+            if cached is None or cached[0] != n:
+                cached = chunks[baddr] = (
+                    n, _block_bytes(baddr, media.peek_block(baddr)))
+            parts.append(cached[1])
+        for tag, log, encoded in ((b"|c", committed, self._records[0]),
+                                  (b"|p", performed, self._records[1])):
+            encoded.extend(map(_record_bytes, log[len(encoded):]))
+            parts.append(tag)
+            parts.extend(encoded[:len(log)])
+        return hashlib.sha256(b"".join(parts)).hexdigest()
+
+    def durability_violations(self, image, claimed) -> List[str]:
+        ctx = self.ctx
+        if not ctx.info.exact_durability:
+            return super().durability_violations(image, claimed)
+        golden, footprint = self._golden, self._footprint
+        # Visits come in run order and the claim only grows, so the
+        # records past ``_replayed`` are exactly the new ones.
+        for rec in claimed[self._replayed:]:
+            baddr = block_address(rec.addr, 64)
+            off = block_offset(rec.addr, 64)
+            golden.setdefault(baddr, BlockData()).write_word(
+                off, rec.value, rec.size)
+            footprint.setdefault(baddr, {}).update(
+                dict.fromkeys(range(off, off + rec.size)))
+        self._replayed = len(claimed)
+        violations = exact_durability_violations(
+            image, golden, footprint)[:MAX_VIOLATIONS_PER_POINT]
+        touched = footprint.keys() | image.overlay.keys()
+        touched.update(b for b, n in self.media.write_counts.items() if n)
+        violations.extend(_diff_blocks(image, golden, sorted(touched),
+                                       ctx.config.mem.is_persistent))
+        return violations
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +413,7 @@ def count_micro_points(unit: CheckUnit) -> Tuple[int, Dict[str, int]]:
 
 
 def _verdict(
-    ctx: _UnitContext,
+    oracles: _ReferenceOracles,
     point: int,
     site: str,
     crash_op: int,
@@ -273,13 +424,12 @@ def _verdict(
 ) -> PointVerdict:
     """Judge one crash state: ``crashed.nvmm_media`` is its durable image
     and ``run`` carries its persist logs (a crashed system and its
-    ``RunResult``, or one :class:`~repro.check.explore.Visit` as both)."""
-    unit = ctx.unit
+    ``RunResult``, or one :class:`~repro.check.explore.Visit` as both).
+    ``oracles`` computes the fingerprint and the contract and golden
+    violations, from scratch or incrementally within one sweep."""
+    ctx = oracles.ctx
     media = crashed.nvmm_media
-    claimed = claimed_persists(unit.scheme, run)
-    fp = durable_fingerprint(
-        unit.scheme, media, run.committed_persists, run.performed_persists
-    )
+    fp = oracles.fingerprint(media, run)
 
     hit = cache.get(fp) if cache is not None else None
     if hit is not None:
@@ -287,16 +437,9 @@ def _verdict(
         return PointVerdict(point, site, crash_op, cycle,
                             consistent, violations, fp, pruned=True)
 
-    violations: List[str] = []
-    info = scheme_info(unit.scheme)
-    contract = check_scheme_contract(unit.scheme, media, claimed)
-    violations.extend(contract.violations[:MAX_VIOLATIONS_PER_POINT])
-    if info.exact_durability:
-        expected = golden_expected(ctx.seed_words, claimed)
-        violations.extend(
-            diff_golden(media, expected, ctx.config.mem.is_persistent)
-        )
-    if ctx.structural is not None and info.contract != CONTRACT_EPOCH:
+    violations = oracles.durability_violations(
+        media, claimed_persists(ctx.unit.scheme, run))
+    if ctx.structural is not None and ctx.info.contract != CONTRACT_EPOCH:
         # Structural workload invariants (e.g. "a published pointer's
         # target node is initialised") follow from per-core persist order,
         # which prefix-or-stronger contracts promise.  Epoch-contract
@@ -329,19 +472,23 @@ def _explore(
         # Sampling needs the size of the space before the pass.
         total, _ = _count(ctx)
         points = sample_points(total, unit.max_points, unit.sample_seed)
-    cache: Optional[Dict] = {} if unit.prune else None
+    schedule = CrashSchedule(stop_at=None, sites=unit.sites)
+    system = ctx.build_system(schedule)
+    cache: Optional[Dict] = None
+    oracles = _ReferenceOracles(ctx)
+    if unit.prune:
+        cache, oracles = {}, _SweepOracles(ctx, system.nvmm_media)
     verdicts: List[PointVerdict] = []
 
     def observe(visit) -> None:
         if cache and prune_scope and len(verdicts) % prune_scope == 0:
             cache.clear()
         verdicts.append(_verdict(
-            ctx, visit.point, visit.site, visit.crash_op, visit.cycle,
+            oracles, visit.point, visit.site, visit.crash_op, visit.cycle,
             visit, visit, cache,
         ))
 
-    schedule = CrashSchedule(stop_at=None, sites=unit.sites)
-    sweep(ctx.build_system(schedule), ctx.trace, observe, points)
+    sweep(system, ctx.trace, observe, points)
     return verdicts, schedule.visits, dict(schedule.site_counts)
 
 
@@ -358,6 +505,7 @@ def replay_points(unit: CheckUnit, points: Sequence[int]) -> List[PointVerdict]:
     ``stop_at=k`` (the scheme's real ``crash_drain``) and judge the
     recovered image, unpruned."""
     ctx = _UnitContext(unit)
+    oracles = _ReferenceOracles(ctx)
     verdicts = []
     for k in points:
         system = ctx.build_system(CrashSchedule(stop_at=k, sites=unit.sites))
@@ -365,7 +513,7 @@ def replay_points(unit: CheckUnit, points: Sequence[int]) -> List[PointVerdict]:
         point = result.crash_point
         if point is None:
             raise RuntimeError(f"{unit.describe()}: point {k} did not fire")
-        verdicts.append(_verdict(ctx, k, point.site, result.crash_op or 0,
+        verdicts.append(_verdict(oracles, k, point.site, result.crash_op or 0,
                                  point.cycle, system, result, None))
     return verdicts
 
@@ -512,8 +660,9 @@ def smoke_check(jobs: Optional[int] = None, progress=None) -> Dict[str, Any]:
     """The CI gate: exhaustively check one small workload under every
     shipped scheme (zero violations expected), diff sampled single-pass
     verdicts of every unit against real crashes, assert the pruned run of
-    ``bbb`` reports the same per-point verdicts as the unpruned run, and
-    assert the broken mutant is caught and minimizes to a tiny repro.
+    ``bbb`` reports the same per-point verdicts and fingerprints as the
+    unpruned run, and assert the broken mutant is caught and minimizes to
+    a tiny repro.
 
     Returns ``{"ok", "failures", "reports"}``; ``ok`` is False on any
     violation, sweep/replay or prune/exhaustive mismatch, or missed
@@ -542,9 +691,7 @@ def smoke_check(jobs: Optional[int] = None, progress=None) -> Dict[str, Any]:
     plain_unit = replace(pruned_unit, prune=False)
     pruned_v, _, _ = explore(pruned_unit)
     plain_v, _, _ = explore(plain_unit)
-    if [(v.point, v.consistent, v.violations) for v in pruned_v] != [
-        (v.point, v.consistent, v.violations) for v in plain_v
-    ]:
+    if [replace(v, pruned=False) for v in pruned_v] != plain_v:
         failures.append(
             f"{DEFAULT_SCHEME}: pruned run verdicts differ from exhaustive run"
         )

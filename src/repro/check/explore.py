@@ -34,10 +34,12 @@ class DurableImage:
     It reads through to the running system's media, so it is valid only
     during the observer call that received it.  It offers the read side
     of :class:`~repro.mem.nvmm.NVMMedia` that the recovery oracles use.
+    ``live`` is that media and ``overlay`` maps each block the crash
+    writes to its merged content; both are for reading only.
     """
 
     def __init__(self, media, writes: Iterable[Tuple[int, BlockData]]) -> None:
-        self._media = media
+        self.live = media
         self.block_size = media.block_size
         overlay = {}
         for baddr, data in writes:
@@ -45,22 +47,23 @@ class DurableImage:
             if blk is None:
                 blk = overlay[baddr] = media.peek_block(baddr)
             blk.merge_from(data)
-        self._overlay = overlay
+        self.overlay = overlay
 
     def written_blocks(self):
-        if not self._overlay:
-            return self._media.written_blocks()
-        return self._media.written_blocks() | self._overlay.keys()
+        if not self.overlay:
+            return self.live.written_blocks()
+        return self.live.written_blocks() | self.overlay.keys()
 
     def peek_block(self, block_addr: int) -> BlockData:
-        blk = self._overlay.get(block_addr)
-        return blk.copy() if blk is not None else self._media.peek_block(
+        blk = self.overlay.get(block_addr)
+        return blk.copy() if blk is not None else self.live.peek_block(
             block_addr)
 
     def read_word(self, addr: int, size: int = 8) -> int:
-        block_addr = addr & ~(self.block_size - 1)
-        return self.peek_block(block_addr).read_word(
-            addr & (self.block_size - 1), size)
+        blk = self.overlay.get(addr & ~(self.block_size - 1))
+        if blk is None:
+            return self.live.read_word(addr, size)
+        return blk.read_word(addr & (self.block_size - 1), size)
 
 
 class Visit(NamedTuple):

@@ -96,19 +96,37 @@ def check_exact_durability(
     drain preserves the complete committed prefix.
     """
     expected = replay_image(persists, block_size)
-    violations: List[str] = []
-    for baddr, exp in expected.items():
-        got = media.peek_block(baddr)
-        for off in exp.bytes:
-            if got.read(off) != exp.read(off):
-                violations.append(
-                    f"block 0x{baddr:x}+{off}: durable={got.read(off):#x} "
-                    f"expected={exp.read(off):#x}"
-                )
-                break
+    violations = exact_durability_violations(
+        media, expected, {baddr: exp.bytes for baddr, exp in expected.items()}
+    )
     if violations:
         return ConsistencyResult(False, violations)
     return ConsistencyResult.ok()
+
+
+def exact_durability_violations(
+    media: NVMMedia,
+    expected: Dict[int, BlockData],
+    footprint: Dict[int, Iterable[int]],
+) -> List[str]:
+    """The mismatches :func:`check_exact_durability` reports: for each
+    block of ``footprint`` (block address -> the offsets the persists
+    wrote, in first-write order), the first offset whose durable byte
+    differs from ``expected``.  ``expected`` may hold more than the
+    replay (the crash checker passes its seeded golden image, which
+    agrees with the replay on every footprint byte)."""
+    violations: List[str] = []
+    for baddr, offsets in footprint.items():
+        want = expected[baddr].bytes
+        got = media.peek_block(baddr).bytes
+        for off in offsets:
+            if got.get(off, 0) != want.get(off, 0):
+                violations.append(
+                    f"block 0x{baddr:x}+{off}: durable={got.get(off, 0):#x} "
+                    f"expected={want.get(off, 0):#x}"
+                )
+                break
+    return violations
 
 
 def check_prefix_consistency(
@@ -147,17 +165,15 @@ def check_prefix_consistency(
         reads unwritten bytes as zero, so a zero store "matching" proves
         nothing).
         """
-        if rec.value & ((1 << (8 * rec.size)) - 1) == 0:
+        value = rec.value & ((1 << (8 * rec.size)) - 1)
+        if value == 0:
             return None
         baddr = block_address(rec.addr, block_size)
         off = block_offset(rec.addr, block_size)
-        got = media.peek_block(baddr)
-        matches = []
         for i in range(rec.size):
             if write_counts[(baddr, off + i)] > 1:
                 return None
-            matches.append(got.read(off + i) == (rec.value >> (8 * i)) & 0xFF)
-        return all(matches)
+        return media.read_word(rec.addr, rec.size) == value
 
     violations: List[str] = []
     for core, recs in per_core.items():

@@ -13,6 +13,11 @@ from typing import Dict, Iterable, Set
 
 from repro.mem.block import BlockData
 
+#: Block size of the NVMM media.  Every cache level must use it
+#: (:class:`~repro.sim.config.SystemConfig` enforces that): the media, the
+#: WPQ channel interleave and the crash oracles all work in 64 B blocks.
+MEDIA_BLOCK_SIZE = 64
+
 
 class NVMMedia:
     """Byte image of the NVMM plus write-endurance accounting.
@@ -22,7 +27,8 @@ class NVMMedia:
     crash simulation against golden program-order prefixes.
     """
 
-    def __init__(self, base: int, size: int, block_size: int = 64) -> None:
+    def __init__(self, base: int, size: int,
+                 block_size: int = MEDIA_BLOCK_SIZE) -> None:
         self.base = base
         self.size = size
         self.block_size = block_size
@@ -98,10 +104,12 @@ class NVMMedia:
         return blk.copy() if blk is not None else BlockData()
 
     def read_word(self, addr: int, size: int = 8) -> int:
-        """Checker helper: read ``size`` bytes at byte address ``addr``."""
-        block_addr = addr & ~(self.block_size - 1)
-        offset = addr & (self.block_size - 1)
-        return self.peek_block(block_addr).read_word(offset, size)
+        """Checker helper: read ``size`` bytes at byte address ``addr``
+        (uncounted, and without copying the block)."""
+        blk = self._blocks.get(addr & ~(self.block_size - 1))
+        if blk is None:
+            return 0
+        return blk.read_word(addr & (self.block_size - 1), size)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -19,6 +19,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
+from repro.mem.nvmm import MEDIA_BLOCK_SIZE
+
 
 class ConsistencyModel(enum.Enum):
     """Memory consistency model of the simulated cores (Section III-C).
@@ -202,6 +204,11 @@ class SystemConfig:
             raise ValueError("need at least one core")
         if self.l1d.block_size != self.llc.block_size:
             raise ValueError("L1D and LLC must share a block size")
+        if self.l1d.block_size != MEDIA_BLOCK_SIZE:
+            raise ValueError(
+                f"cache block size {self.l1d.block_size} B differs from the "
+                f"NVMM media's {MEDIA_BLOCK_SIZE} B blocks"
+            )
 
     @property
     def block_size(self) -> int:

@@ -1,7 +1,10 @@
 """Tests for the crash-consistency model checker (repro.check.checker)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis.experiments import default_sim_config
 from repro.api import RunOptions, build_system
 from repro.check.checker import (
     CHECK_SCHEMA,
@@ -15,7 +18,9 @@ from repro.check.checker import (
     publish_report,
     run_check_unit,
 )
+from repro.check.mutants import MUTANTS
 from repro.check.schedule import CrashSchedule, SITE_OP, SITE_POV
+from repro.core.persistency import BBBScheme, ResidueBlock
 from repro.mem.block import BlockData
 from repro.obs.bus import EventBus, EventRecorder
 from repro.workloads.base import WorkloadSpec
@@ -24,6 +29,29 @@ from repro.sim.trace import TraceOp
 
 #: Small enough for exhaustive exploration in well under a second.
 TINY = WorkloadSpec(threads=2, ops=3, elements=64, seed=11)
+#: A seeded-heap workload at this size stays well under a second even
+#: unpruned, where every point rehashes the whole seeded image.
+TINY_SEEDED = WorkloadSpec(threads=2, ops=2, elements=64, seed=11)
+
+
+class _StrayBBB(BBBScheme):
+    """BBB that also makes bytes durable that no persist claims: one
+    block written straight to the media at each persisting store, and one
+    in its battery residue, both at the top of the NVMM range."""
+
+    #: Distance below the NVMM limit of the media and the residue stray.
+    STRAYS = (64, 128)
+
+    def on_persisting_store(self, core, block_addr, block_data, now):
+        h = self.hierarchy
+        h.nvmm.media.write_block(h.config.mem.nvmm_limit - self.STRAYS[0],
+                                 BlockData({0: 0xEE}))
+        return super().on_persisting_store(core, block_addr, block_data, now)
+
+    def battery_residue(self):
+        stray = self.hierarchy.config.mem.nvmm_limit - self.STRAYS[1]
+        return super().battery_residue() + [
+            ResidueBlock(False, -1, stray, BlockData({0: 0xDD}))]
 
 
 class TestEngineIntegration:
@@ -133,13 +161,39 @@ class TestExplore:
         assert not bad, bad[:3]
 
     def test_pruned_and_unpruned_verdicts_agree(self):
-        unit = CheckUnit(scheme="bbb", spec=TINY, prune=True)
+        """The unpruned run fingerprints and judges every point from
+        scratch, so it is the reference for the pruned run's memoized
+        fingerprints and incremental golden image.  ctree seeds its heap
+        into the media; the mutants put violation text in the diff."""
+        for workload, scheme, mutant in (
+            ("hashmap", "bbb", None),
+            ("ctree", "bbb", None),
+            ("ctree", "bbb", "bbb-delayed-alloc"),
+            ("ctree", "eadr", "eadr-skip-l1"),
+        ):
+            unit = CheckUnit(scheme=scheme, workload=workload, mutant=mutant,
+                             spec=TINY_SEEDED if workload == "ctree" else TINY)
+            pruned, _, _ = explore(unit)
+            plain, _, _ = explore(replace(unit, prune=False))
+            assert [replace(v, pruned=False) for v in pruned] == plain
+            assert any(v.pruned for v in pruned)
+            assert not any(v.pruned for v in plain)
+            assert (mutant is None) == all(v.consistent for v in plain)
+
+    def test_pruned_run_sees_unclaimed_durable_bytes(self, monkeypatch):
+        """Bytes durable but never claimed, written to the media or left in
+        the battery residue, fail the golden diff on the pruned path as on
+        the reference path, even outside every claimed block."""
+        monkeypatch.setitem(MUTANTS, "bbb-stray", ("bbb", _StrayBBB))
+        unit = CheckUnit(scheme="bbb", workload="ctree", mutant="bbb-stray",
+                         spec=TINY_SEEDED)
         pruned, _, _ = explore(unit)
-        plain, _, _ = explore(CheckUnit(scheme="bbb", spec=TINY, prune=False))
-        assert [(v.point, v.consistent, v.violations) for v in pruned] == \
-            [(v.point, v.consistent, v.violations) for v in plain]
-        assert any(v.pruned for v in pruned)
-        assert not any(v.pruned for v in plain)
+        plain, _, _ = explore(replace(unit, prune=False))
+        assert [replace(v, pruned=False) for v in pruned] == plain
+        limit = default_sim_config().mem.nvmm_limit
+        seen = " ".join(s for v in plain for s in v.violations)
+        for stray in _StrayBBB.STRAYS:
+            assert f"golden mismatch at 0x{limit - stray:x}" in seen
 
     def test_mutant_is_caught(self):
         unit = CheckUnit(scheme="bbb", mutant="bbb-delayed-alloc", spec=TINY)

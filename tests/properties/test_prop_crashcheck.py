@@ -1,6 +1,9 @@
 """Model-checker properties: for random small programs, exhaustive
 micro-step crash exploration of the gap-free schemes (bbb, eadr) finds
-zero violations, and fingerprint pruning never changes a verdict."""
+zero violations, and fingerprint pruning never changes a fingerprint or a
+verdict."""
+
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,21 +59,26 @@ def test_gap_free_schemes_survive_every_micro_step(threads, scheme):
     assert failing is None, failing
 
 
-@settings(max_examples=6, deadline=None)
+@settings(max_examples=8, deadline=None)
 @given(
-    st.sampled_from(["bbb", "eadr"]),
+    st.sampled_from([("bbb", None), ("eadr", None),
+                     ("bbb", "bbb-delayed-alloc"), ("eadr", "eadr-skip-l1")]),
+    st.sampled_from(["mutateNC", "ctree"]),
     st.integers(min_value=0, max_value=1000),
 )
-def test_pruned_run_reports_same_verdicts_as_unpruned(scheme, seed):
-    """Fingerprint pruning is sound: per-point verdicts of a pruned
-    exhaustive run equal the unpruned run's, over random workload seeds."""
+def test_pruned_run_reports_same_verdicts_as_unpruned(unit_scheme, workload,
+                                                      seed):
+    """Fingerprint pruning is sound: per-point fingerprints and verdicts
+    of a pruned exhaustive run equal the unpruned run's, which computes
+    each from scratch, over random workload seeds, a seeded heap (ctree)
+    and both mutants."""
+    scheme, mutant = unit_scheme
     spec = WorkloadSpec(threads=2, ops=2, elements=64, seed=seed)
-    pruned, total_a, _ = explore(
-        CheckUnit(scheme=scheme, workload="mutateNC", spec=spec, prune=True)
-    )
-    plain, total_b, _ = explore(
-        CheckUnit(scheme=scheme, workload="mutateNC", spec=spec, prune=False)
-    )
+    unit = CheckUnit(scheme=scheme, workload=workload, spec=spec,
+                     mutant=mutant, prune=True)
+    pruned, total_a, _ = explore(unit)
+    plain, total_b, _ = explore(replace(unit, prune=False))
     assert total_a == total_b
-    assert [(v.point, v.consistent, v.violations) for v in pruned] == \
-        [(v.point, v.consistent, v.violations) for v in plain]
+    assert [(v.point, v.consistent, v.violations, v.fingerprint)
+            for v in pruned] == \
+        [(v.point, v.consistent, v.violations, v.fingerprint) for v in plain]

@@ -6,7 +6,8 @@ and checker mutant, with TSO and relaxed consistency: at every micro-step
 crash point, the durable image and the :class:`PointVerdict` the sweep
 (:func:`repro.check.explore.sweep`) reports must equal those of a fresh
 system crashed there with ``CrashSchedule(stop_at=k)`` and the scheme's
-real ``crash_drain``.
+real ``crash_drain``.  The sweep's verdicts come from the pruned path's
+incremental oracles, the replay's from the from-scratch reference.
 """
 
 import dataclasses
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check.checker import CheckUnit, _UnitContext, _verdict
+from repro.check.checker import (CheckUnit, _ReferenceOracles, _SweepOracles,
+                                 _UnitContext, _verdict)
 from repro.check.explore import sweep
 from repro.check.mutants import MUTANTS
 from repro.check.schedule import CrashSchedule
@@ -66,23 +68,27 @@ def test_sweep_equals_per_point_replay(scheme, mutant, program, model):
         prune=False, config=MODELS[model], program=program.to_payload(),
     )
     ctx = _UnitContext(unit)
+    schedule = CrashSchedule()
+    system = ctx.build_system(schedule)
+    # The sweep side judges incrementally, the replay side from scratch.
+    incremental, reference = (_SweepOracles(ctx, system.nvmm_media),
+                              _ReferenceOracles(ctx))
     swept = []
 
     def observe(visit):
         swept.append((
-            _verdict(ctx, visit.point, visit.site, visit.crash_op,
+            _verdict(incremental, visit.point, visit.site, visit.crash_op,
                      visit.cycle, visit, visit, None),
             _image(visit.nvmm_media),
         ))
 
-    schedule = CrashSchedule()
-    sweep(ctx.build_system(schedule), ctx.trace, observe)
+    sweep(system, ctx.trace, observe)
     assert len(swept) == schedule.visits
     for verdict, image in swept:
         system = ctx.build_system(CrashSchedule(stop_at=verdict.point))
         result = system.run(ctx.trace)
         point = result.crash_point
-        replayed = _verdict(ctx, verdict.point, point.site,
+        replayed = _verdict(reference, verdict.point, point.site,
                             result.crash_op or 0, point.cycle,
                             system, result, None)
         assert verdict == replayed

@@ -75,6 +75,13 @@ class TestSystemConfig:
                 l1d=CacheConfig(1024, 2, 64),
                 llc=CacheConfig(4096, 4, 128),
             )
+        # The NVMM media and the crash oracles hold 64 B blocks only.
+        for size in (32, 128):
+            with pytest.raises(ValueError, match=f"{size} B .* 64 B"):
+                SystemConfig(
+                    l1d=CacheConfig(4096, 2, size),
+                    llc=CacheConfig(16384, 4, size),
+                )
 
     def test_with_bbb_override(self):
         cfg = SystemConfig().with_bbb(entries=128)
