@@ -566,21 +566,14 @@ def build_report(
 
 
 def run_check_unit(
-    unit: CheckUnit,
-    jobs: Optional[int] = None,
-    policy=None,
-    progress=None,
+    unit: CheckUnit, jobs: Optional[int] = None,
 ) -> Tuple[Dict[str, Any], List[PointVerdict]]:
-    """Full model-checking run for one unit: one sweep through the
-    hardened batch runner (retries, checkpoint/resume), folded into a
-    report.  Returns ``(report, verdicts)``; verdicts come back in point
-    order.  The prune cache is scoped to :data:`POINTS_PER_SHARD` points."""
-    from repro.analysis.batch import run_tasks
-
-    [(verdicts, total, site_counts)] = run_tasks(
-        [(_explore, (unit, POINTS_PER_SHARD), {})],
-        jobs=jobs, progress=progress, policy=policy,
-    )
+    """Full model-checking run for one unit: one in-process sweep, folded
+    into a report.  Returns ``(report, verdicts)``; verdicts come back in
+    point order.  The prune cache is scoped to :data:`POINTS_PER_SHARD`
+    points.  ``jobs`` is ignored, since a unit is one sweep; it stays for
+    callers that pass it."""
+    verdicts, total, site_counts = _explore(unit, POINTS_PER_SHARD)
     return build_report(unit, verdicts, total, site_counts), verdicts
 
 
@@ -656,7 +649,7 @@ def _replay_mismatches(unit: CheckUnit, verdicts: Sequence[PointVerdict]
     ]
 
 
-def smoke_check(jobs: Optional[int] = None, progress=None) -> Dict[str, Any]:
+def smoke_check(progress=None) -> Dict[str, Any]:
     """The CI gate: exhaustively check one small workload under every
     shipped scheme (zero violations expected), diff sampled single-pass
     verdicts of every unit against real crashes, assert the pruned run of
@@ -666,7 +659,7 @@ def smoke_check(jobs: Optional[int] = None, progress=None) -> Dict[str, Any]:
 
     Returns ``{"ok", "failures", "reports"}``; ``ok`` is False on any
     violation, sweep/replay or prune/exhaustive mismatch, or missed
-    mutant.
+    mutant.  ``progress(done, total)`` is called after each unit.
     """
     from repro.api import SCHEMES
 
@@ -674,10 +667,13 @@ def smoke_check(jobs: Optional[int] = None, progress=None) -> Dict[str, Any]:
     failures: List[str] = []
     reports: List[Dict[str, Any]] = []
 
+    units = len(SCHEMES) + 1  # every scheme, then the mutant
     for scheme in SCHEMES:
         unit = CheckUnit(scheme=scheme, spec=spec)
-        report, verdicts = run_check_unit(unit, jobs=jobs, progress=progress)
+        report, verdicts = run_check_unit(unit)
         reports.append(report)
+        if progress is not None:
+            progress(len(reports), units)
         failures.extend(_replay_mismatches(unit, verdicts))
         if report["num_violations"]:
             first = report["violations"][0]["violations"][0]
@@ -698,10 +694,10 @@ def smoke_check(jobs: Optional[int] = None, progress=None) -> Dict[str, Any]:
 
     mutant_unit = CheckUnit(scheme=DEFAULT_SCHEME, mutant="bbb-delayed-alloc",
                             spec=spec)
-    mutant_report, mutant_verdicts = run_check_unit(
-        mutant_unit, jobs=jobs, progress=progress
-    )
+    mutant_report, mutant_verdicts = run_check_unit(mutant_unit)
     reports.append(mutant_report)
+    if progress is not None:
+        progress(units, units)
     failures.extend(_replay_mismatches(mutant_unit, mutant_verdicts))
     if not mutant_report["num_violations"]:
         failures.append("mutant bbb-delayed-alloc: no violation found")

@@ -17,7 +17,10 @@ Commands:
   seeded op visits, recover, and account for every request; reports
   RPO/RTO per scheme (``repro.drill/v1``) and exits non-zero if a
   battery-domain scheme loses an acked request.
-* ``bench``   — time the fixed perf smoke suite and write ``BENCH_<rev>.json``.
+* ``bench``   — analytical tolerance gate: the closed-form estimates of a
+  fixed six-cell grid must sit inside the declared band of the discrete
+  runs (Fig. 7 bench size; ``--smoke`` for a tiny grid).  Nothing is
+  timed; ``benchmarks/e2e/run.py`` measures speed.
 * ``faults``  — seeded fault-injection campaign (scheme x workload x plan);
   exits non-zero if any battery-domain fault produced silent corruption.
 * ``check``   — crash-consistency model checker: exhaustive micro-step
@@ -28,6 +31,14 @@ Commands:
   scheme's declared ordering contract; every removal is audited and
   the optimized program is re-verified against the crash checker and
   litmus models (``repro.optreport/v1`` JSON via ``--out``).
+
+The eight gates (``check``, ``litmus``, ``opt``, ``drill``, ``faults``,
+``traffic``, ``profile`` and ``bench``) share one runner.  A gate exits
+0 when it passes and 1 when it fails, printing each failure on stderr as
+``error: ...``; it exits 2 on a usage error (an unknown scheme, workload
+or mutant, an output path whose directory does not exist, or an
+unreadable ``--replay`` artifact) before doing any work.  A passing
+``--smoke`` run ends with the line ``<gate> smoke ok``.
 
 ``run`` and ``compare`` accept ``--events PATH`` (JSONL event log) and
 ``--trace-out PATH`` (Chrome ``trace_event`` file for chrome://tracing or
@@ -44,6 +55,7 @@ Examples::
     python -m repro crash --workload hashmap --scheme none --sample 50
     python -m repro energy
     python -m repro trace --workload rtree --out rtree.trace
+    python -m repro bench --smoke
     python -m repro faults --smoke
     python -m repro faults --workloads hashmap,ctree --out faults.json
     python -m repro drill --smoke
@@ -60,9 +72,10 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.analysis.experiments import (
     default_sim_config,
@@ -151,13 +164,13 @@ def cmd_run(args) -> int:
     result = system.run(trace, finalize=not args.no_finalize)
     stats = result.stats
     _export_events(recorder, args.events, args.trace_out)
-    if args.json:
-        if args.out:
-            from repro.ioutil import atomic_write_text
+    if args.out:
+        from repro.ioutil import atomic_write_text
 
-            atomic_write_text(args.out, stats.to_json() + "\n")
-            print(f"wrote {args.out}", file=sys.stderr)
-        else:
+        atomic_write_text(args.out, stats.to_json() + "\n")
+        print(f"wrote {args.out}", file=sys.stderr)
+    if args.json:
+        if not args.out:
             print(stats.to_json())
         return 0
     rows = [(k, v) for k, v in stats.summary().items()]
@@ -211,26 +224,6 @@ def cmd_compare(args) -> int:
         rows,
         title=f"scheme comparison on {args.workload}",
     ))
-    return 0
-
-
-def cmd_profile(args) -> int:
-    # Imported here so the obs/profiling machinery does not tax the other
-    # commands' startup.
-    from repro.obs.profile import profile_run, smoke_report
-
-    if args.smoke:
-        report = smoke_report()
-    else:
-        report = profile_run(
-            args.workload, args.scheme, entries=args.entries,
-            spec=_spec(args), cprofile=args.cprofile,
-        )
-    print(report.render())
-    if not report.ok:
-        print("error: event log does not reconcile with SimStats",
-              file=sys.stderr)
-        return 1
     return 0
 
 
@@ -326,54 +319,141 @@ def cmd_table1(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    # Imported here so the (slow-ish) bench module does not tax every other
-    # CLI invocation.
-    from repro.analysis.batch import decide_jobs
-    from repro.analysis.bench import run_bench, run_smoke, write_bench
+def cmd_trace(args) -> int:
+    config = default_sim_config()
+    spec = _spec(args)
+    workload = registry(config.mem, spec)[args.workload]
+    trace = workload.build()
+    count = save_trace(trace, args.out)
+    print(f"wrote {count:,} ops ({trace.num_threads} threads) to {args.out}")
+    return 0
 
-    if args.smoke:
-        report = run_smoke()
-        for cell in report["cells"]:
-            status = "ok" if cell["analytical_ok"] else "FAIL"
-            errs = ", ".join(f"{k}={v:.2%}" for k, v in cell["errors"].items())
-            print(f"  {cell['workload']:>8s}/{cell['scheme']:<5s} "
-                  f"analytical=({errs}) {status}")
-        if not report["ok"]:
-            print("bench smoke FAILED: analytical estimate out of tolerance",
-                  file=sys.stderr)
-            return 1
-        print("bench smoke ok")
-        return 0
 
+# ----------------------------------------------------------------------
+# The gates: one runner over gate_<name>(args) -> (text, report, failures)
+# ----------------------------------------------------------------------
+
+#: Output-path flags the runner checks before any work: each names a
+#: file whose directory must exist, except ``cex_dir``, which is one.
+_PATH_FLAGS = ("out", "cex_out", "save_program", "checkpoint", "cex_dir")
+
+
+def _run_gate(args) -> int:
+    """Run ``args.gate`` (or ``args.replayer`` under ``--replay``); see the
+    module docstring for the output and the exit codes."""
     try:
-        # Resolve --jobs/REPRO_JOBS up front: fail before any suite runs,
-        # and record the concrete worker count in the report.
-        jobs = decide_jobs(args.jobs)
+        for flag in _PATH_FLAGS:
+            path = getattr(args, flag, None)
+            where = path if flag == "cex_dir" else os.path.dirname(path or "")
+            if path and where and not os.path.isdir(where):
+                raise ValueError(f"--{flag.replace('_', '-')}: directory "
+                                 f"{where!r} does not exist")
+        if "jobs" in vars(args):
+            from repro.analysis.batch import decide_jobs
+
+            args.jobs = decide_jobs(args.jobs)
+        if getattr(args, "replay", None):
+            reproduced, text = args.replayer(args)
+            print(text)
+            return 0 if reproduced else 1
+        text, report, failures = args.gate(args)
     except ValueError as exc:
+        # Library validation of names, sizes, jobs and artifacts raises
+        # ValueError (ArtifactError is one): a usage error.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = os.path.dirname(args.out) if args.out else ""
-    if out_dir and not os.path.isdir(out_dir):
-        # Fail before spending seconds on suites whose report can't be saved.
-        print(f"error: output directory {out_dir!r} does not exist",
-              file=sys.stderr)
-        return 2
-    report = run_bench(jobs=jobs)
-    path = write_bench(report, args.out)
-    rows = [
-        (name, f"{suite['wall_s']:.3f}", f"{suite['ops']:,}",
-         f"{suite['ops_per_sec']:,.0f}" if suite["ops_per_sec"] else "-")
-        for name, suite in report["suites"].items()
-    ]
-    print(render_table(
-        ["suite", "wall (s)", "ops", "ops/sec"], rows,
-        title=f"bench @ {report['revision']} (python {report['python']})",
-    ))
-    engine = report["suites"]["engine_tso"]
-    print(f"analytical within tolerance: {engine['analytical_ok']}")
-    print(f"wrote {path}")
-    return 0
+    print(text)
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    if getattr(args, "out", None):
+        print(f"wrote {atomic_write_json(args.out, report)}")
+    if args.smoke and not failures:
+        print(f"{args.gate.__name__[len('gate_'):]} smoke ok")
+    return 1 if failures else 0
+
+
+def _progress(done: int, total: int, label: str = "") -> None:
+    """Batch progress on an interactive stderr; silent otherwise."""
+    if sys.stderr.isatty():
+        print(f"\r  {done}/{total} {label:<32}", end="", file=sys.stderr,
+              flush=True)
+        if done == total:
+            print(file=sys.stderr)
+
+
+def _names(text: Optional[str], kind: Optional[str] = None, default=None):
+    """The names in a comma-separated flag value, or ``default`` when it
+    is empty.  A ``kind`` of "scheme", "workload" or "mutant" validates
+    every name (scheme aliases resolve to canonical names); an unknown
+    one is a usage error."""
+    if not text:
+        return default
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    if kind == "scheme":
+        return [canonical_name(n) for n in names]
+    if kind is not None:
+        from repro.check.mutants import MUTANTS
+
+        valid = sorted(MUTANTS) if kind == "mutant" else list(WORKLOAD_NAMES)
+        for name in names:
+            if name not in valid:
+                raise ValueError(f"unknown {kind} {name!r}; valid {kind}s: "
+                                 f"{', '.join(valid)}")
+    return names
+
+
+def _loads(text: Optional[str], default: Sequence[float]) -> List[float]:
+    """Offered loads (requests per 1000 cycles) from ``--loads``."""
+    return [float(x) for x in _names(text, default=default)]
+
+
+def _batch_policy(args):
+    """The batch runner's policy from ``--timeout/--retries/--checkpoint``."""
+    from repro.analysis.batch import BatchPolicy
+
+    return BatchPolicy(
+        timeout=args.timeout, retries=args.retries,
+        checkpoint=args.checkpoint, on_error="raise", seed=args.seed,
+    )
+
+
+def _replayed(reproduced: bool) -> str:
+    return "REPRODUCED" if reproduced else "did NOT reproduce"
+
+
+def gate_profile(args):
+    # Imported here so the obs/profiling machinery does not tax the other
+    # commands' startup.
+    from repro.obs.profile import profile_run, smoke_report
+
+    if args.smoke:
+        report = smoke_report()
+    else:
+        report = profile_run(
+            args.workload, args.scheme, entries=args.entries,
+            spec=_spec(args), cprofile=args.cprofile,
+        )
+    failures = ([] if report.ok
+                else ["event log does not reconcile with SimStats"])
+    return report.render(), None, failures
+
+
+def gate_bench(args):
+    # Imported here so the analytical grid does not tax every other
+    # CLI invocation.
+    from repro.analysis.bench import run_smoke, run_tolerance
+
+    report = run_smoke() if args.smoke else run_tolerance()
+    lines, failures = [], []
+    for cell in report["cells"]:
+        status = "ok" if cell["analytical_ok"] else "FAIL"
+        errs = ", ".join(f"{k}={v:.2%}" for k, v in cell["errors"].items())
+        lines.append(f"  {cell['workload']:>8s}/{cell['scheme']:<5s} "
+                     f"analytical=({errs}) {status}")
+        if not cell["analytical_ok"]:
+            failures.append(f"{cell['workload']}/{cell['scheme']}: analytical "
+                            f"estimate out of tolerance ({errs})")
+    return "\n".join(lines), report, failures
 
 
 #: Default scheme trio of the serving comparison: the paper's design, its
@@ -411,116 +491,47 @@ def _traffic_spec(args, offered_load: float):
     )
 
 
-def cmd_traffic(args) -> int:
+def gate_traffic(args):
     # Imported here: the serving stack should not tax other commands.
-    from repro.serve import render_curve, traffic_curve
+    from repro.serve import TrafficSpec, render_curve, traffic_curve
     from repro.serve.loadgen import ARRIVAL_CLOSED
+    from repro.serve.report import smoke_failures
 
     if args.smoke:
-        return _traffic_smoke()
-
-    try:
-        schemes = (
-            [canonical_name(s) for s in args.schemes.split(",")]
-            if args.schemes else list(TRAFFIC_DEFAULT_SCHEMES)
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    loads = (
-        [float(x) for x in args.loads.split(",")]
-        if args.loads else list(TRAFFIC_DEFAULT_LOADS)
-    )
+        # A tiny fixed sweep of the default trio.
+        report = traffic_curve(list(TRAFFIC_DEFAULT_SCHEMES),
+                               TrafficSpec(requests=40, seed=7), [1.0, 4.0],
+                               entries=16)
+        failures = smoke_failures(report)
+        return render_curve(report), report, failures
+    schemes = _names(args.schemes, "scheme", list(TRAFFIC_DEFAULT_SCHEMES))
+    loads = _loads(args.loads, TRAFFIC_DEFAULT_LOADS)
     if args.arrival == ARRIVAL_CLOSED:
         # Closed-loop rate is set by clients/think time, not offered load:
         # one point per scheme.
         loads = loads[:1]
-    spec = _traffic_spec(args, loads[0])
-    report = traffic_curve(schemes, spec, loads, entries=args.entries)
-    if args.out:
-        import json
-
-        from repro.ioutil import atomic_write_text
-
-        atomic_write_text(args.out, json.dumps(report, indent=2) + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    print(render_curve(report))
-    return 0
+    report = traffic_curve(schemes, _traffic_spec(args, loads[0]), loads,
+                           entries=args.entries)
+    return render_curve(report), report, []
 
 
-def _traffic_smoke() -> int:
-    """CI gate: a tiny fixed sweep must produce a schema-valid report with
-    non-empty latency percentiles for every scheme point."""
-    from repro.serve import (
-        TrafficSpec,
-        render_curve,
-        traffic_curve,
-        validate_traffic_report,
-    )
-
-    schemes = list(TRAFFIC_DEFAULT_SCHEMES)
-    spec = TrafficSpec(requests=40, seed=7)
-    report = traffic_curve(schemes, spec, [1.0, 4.0], entries=16)
-    try:
-        validate_traffic_report(report)
-    except ValueError as exc:
-        print(f"traffic smoke FAILED: {exc}", file=sys.stderr)
-        return 1
-    failures = []
-    for point in report["points"]:
-        label = f"{point['scheme']}@{point['offered_load']}"
-        if point["completed"] != point["requests"]:
-            failures.append(f"{label}: only {point['completed']}/"
-                            f"{point['requests']} requests completed")
-        if point["latency"]["count"] == 0:
-            failures.append(f"{label}: empty latency histogram")
-        if not all(point["latency"][p] > 0 for p in ("p50", "p99", "p999")):
-            failures.append(f"{label}: zero latency percentile")
-    for failure in failures:
-        print(f"traffic smoke FAILED: {failure}", file=sys.stderr)
-    if failures:
-        return 1
-    print(render_curve(report))
-    print("traffic smoke ok")
-    return 0
-
-
-def cmd_drill(args) -> int:
+def gate_drill(args):
     # Imported here: the serving stack should not tax other commands.
-    from repro.serve.drill import run_drills, smoke_drill
+    from repro.serve.drill import drill_failures, run_drills, smoke_drill
     from repro.serve.loadgen import TrafficSpec
 
-    def progress(done: int, total: int, label: str) -> None:
-        if sys.stderr.isatty():
-            print(f"\r  {done}/{total} {label:<32}", end="", file=sys.stderr,
-                  flush=True)
-            if done == total:
-                print(file=sys.stderr)
-
-    try:
-        if args.smoke:
-            report = smoke_drill(seed=args.seed, progress=progress)
-        else:
-            schemes = (
-                [canonical_name(s) for s in args.schemes.split(",")]
-                if args.schemes else list(SCHEMES)
-            )
-            loads = (
-                [float(x) for x in args.loads.split(",")]
-                if args.loads else [2.0]
-            )
-            spec = TrafficSpec(requests=args.requests, arrival=args.arrival,
-                               offered_load=loads[0], seed=args.seed + 42)
-            report = run_drills(
-                schemes, spec, loads, crashes=args.crashes, seed=args.seed,
-                entries=args.entries, mutants=tuple(
-                    m.strip() for m in args.mutants.split(",") if m.strip()
-                ) if args.mutants else (), progress=progress,
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    if args.smoke:
+        report = smoke_drill(seed=args.seed, progress=_progress)
+    else:
+        loads = _loads(args.loads, (2.0,))
+        spec = TrafficSpec(requests=args.requests, arrival=args.arrival,
+                           offered_load=loads[0], seed=args.seed + 42)
+        report = run_drills(
+            _names(args.schemes, "scheme", list(SCHEMES)), spec, loads,
+            crashes=args.crashes, seed=args.seed, entries=args.entries,
+            mutants=tuple(_names(args.mutants, "mutant", ())),
+            progress=_progress,
+        )
     rows = []
     for group in ("per_scheme", "per_mutant"):
         for name, block in report[group].items():
@@ -529,51 +540,19 @@ def cmd_drill(args) -> int:
                 block["acked_lost_bytes"], block["rto_cycles"]["p50"],
                 block["rto_cycles"]["p99"], block["contract_violations"],
             ))
-    print(render_table(
+    text = render_table(
         ["scheme", "units", "acked-lost", "lost-bytes", "rto-p50", "rto-p99",
          "contract-viol"],
         rows,
         title=f"crash-recovery drills ({len(report['units'])} units, "
               f"seed {report['seed']})",
-    ))
-    if args.out:
-        print(f"wrote {atomic_write_json(args.out, report)}")
-
-    failures = []
-    domain = report["battery_domain"]
-    if domain["acked_lost"]:
-        failures.append(
-            f"battery-domain scheme lost {domain['acked_lost']} acked "
-            f"request(s) — RPO > 0 breaks the paper's contract"
-        )
-    for name, hit in domain["mutants_caught"].items():
-        if not hit:
-            failures.append(
-                f"mutant {name!r} escaped the drill: no acked loss and no "
-                f"contract violation at any crash point"
-            )
-    for unit in report["units"]:
-        rec = unit["recovery"]
-        if rec["restart_completed"] != rec["restart_requests"]:
-            failures.append(
-                f"{unit['mutant'] or unit['scheme']} @ visit "
-                f"{unit['crash_visit']}: restart served "
-                f"{rec['restart_completed']}/{rec['restart_requests']} "
-                f"unresolved requests"
-            )
-    for failure in failures:
-        print(f"drill FAILED: {failure}", file=sys.stderr)
-    if failures:
-        return 1
-    if args.smoke:
-        print("drill smoke ok")
-    return 0
+    )
+    return text, report, drill_failures(report)
 
 
-def cmd_faults(args) -> int:
+def gate_faults(args):
     # Imported here: the fault-campaign stack (batch runner, recovery
     # checkers) should not tax the other commands' startup.
-    from repro.analysis.batch import BatchPolicy, decide_jobs
     from repro.fault.campaign import (
         SMOKE_WORKLOADS,
         canonical_plans,
@@ -582,115 +561,45 @@ def cmd_faults(args) -> int:
     )
     from repro.fault.plan import BATTERY_DOMAIN_SITES, random_plan
 
-    try:
-        jobs = decide_jobs(args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    def progress(done: int, total: int) -> None:
-        if sys.stderr.isatty():
-            print(f"\r  {done}/{total} units", end="", file=sys.stderr,
-                  flush=True)
-            if done == total:
-                print(file=sys.stderr)
-
     if args.smoke:
-        report = smoke_campaign(seed=args.seed, jobs=jobs, progress=progress)
+        report = smoke_campaign(seed=args.seed, jobs=args.jobs,
+                                progress=_progress)
     else:
-        schemes = (
-            [s.strip() for s in args.schemes.split(",") if s.strip()]
-            if args.schemes else list(SCHEMES)
-        )
-        workloads = (
-            [w.strip() for w in args.workloads.split(",") if w.strip()]
-            if args.workloads else list(SMOKE_WORKLOADS)
-        )
-        resolved, unknown = [], []
-        for s in schemes:
-            try:
-                resolved.append(canonical_name(s))
-            except ValueError:
-                unknown.append(s)
-        schemes = resolved
-        unknown += [w for w in workloads if w not in WORKLOAD_NAMES]
-        if unknown:
-            print(f"error: unknown scheme/workload: {', '.join(unknown)}",
-                  file=sys.stderr)
-            return 2
+        schemes = _names(args.schemes, "scheme", list(SCHEMES))
+        workloads = _names(args.workloads, "workload", list(SMOKE_WORKLOADS))
         plans = canonical_plans() + [
             random_plan(args.seed * 1000 + i, sites=BATTERY_DOMAIN_SITES,
                         label=f"random-battery-{i}")
             for i in range(args.random_plans)
         ]
-        spec = WorkloadSpec(threads=args.threads, ops=args.ops,
-                            elements=args.elements, seed=args.seed + 42)
-        policy = BatchPolicy(
-            timeout=args.timeout, retries=args.retries,
-            checkpoint=args.checkpoint, on_error="raise", seed=args.seed,
-        )
         report = run_campaign(
-            schemes, workloads, plans, spec,
+            schemes, workloads, plans,
+            dataclasses.replace(_spec(args), seed=args.seed + 42),
             seed=args.seed, crashes_per_cell=args.crashes,
-            entries=args.entries, jobs=jobs, policy=policy,
-            progress=progress,
+            entries=args.entries, jobs=args.jobs,
+            policy=_batch_policy(args), progress=_progress,
         )
-
-    print(render_table(
+    domain = report["battery_domain"]
+    text = render_table(
         ["outcome", "units"],
         [(name, count) for name, count in sorted(report["summary"].items())],
         title=f"fault campaign ({len(report['units'])} units, "
               f"seed {report['seed']})",
-    ))
-    domain = report["battery_domain"]
-    print(f"battery-domain units: {domain['units']}, "
-          f"silent corruption: {domain['silent_corruption']}")
-    if args.out:
-        print(f"wrote {atomic_write_json(args.out, report)}")
-    if domain["silent_corruption"]:
-        print("error: battery-domain fault produced SILENT corruption",
-              file=sys.stderr)
-        return 1
-    return 0
+    ) + (f"\nbattery-domain units: {domain['units']}, "
+         f"silent corruption: {domain['silent_corruption']}")
+    failures = (["battery-domain fault produced SILENT corruption"]
+                if domain["silent_corruption"] else [])
+    return text, report, failures
 
 
-def cmd_check(args) -> int:
-    # Imported here: the model-checker stack (batch runner, oracles,
-    # minimizer) should not tax the other commands' startup.
-    from repro.analysis.batch import BatchPolicy
-    from repro.check.checker import (
-        CheckUnit,
-        publish_report,
-        run_check_unit,
-        smoke_check,
-    )
-    from repro.check.mutants import MUTANTS
-
-    def progress(done: int, total: int) -> None:
-        if sys.stderr.isatty():
-            print(f"\r  {done}/{total} shards", end="", file=sys.stderr,
-                  flush=True)
-            if done == total:
-                print(file=sys.stderr)
-
-    if args.replay:
-        from repro.check.minimize import replay_artifact
-        from repro.ioutil import ArtifactError
-
-        try:
-            out = replay_artifact(args.replay)
-        except ArtifactError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        status = "REPRODUCED" if out["reproduced"] else "did NOT reproduce"
-        print(f"{args.replay}: {status} at {out['site']}")
-        for v in out["violations"][:5]:
-            print(f"  {v}")
-        return 0 if out["reproduced"] else 1
+def gate_check(args):
+    # Imported here: the model-checker stack (oracles, minimizer) should
+    # not tax the other commands' startup.
+    from repro.check.checker import CheckUnit, run_check_unit, smoke_check
 
     if args.smoke:
-        out = smoke_check(progress=progress)
-        print(render_table(
+        out = smoke_check(progress=_progress)
+        text = render_table(
             ["unit", "points", "explored", "pruned", "unique", "violations"],
             [
                 (
@@ -701,44 +610,21 @@ def cmd_check(args) -> int:
                 for r in out["reports"]
             ],
             title="crash-consistency smoke check",
-        ))
-        for failure in out["failures"]:
-            print(f"error: {failure}", file=sys.stderr)
-        if args.out:
-            print(f"wrote {atomic_write_json(args.out, out)}")
-        return 0 if out["ok"] else 1
-
-    try:
-        args.scheme = canonical_name(args.scheme)
-    except ValueError:
-        print(f"error: unknown scheme {args.scheme!r}", file=sys.stderr)
-        return 2
-    if args.mutant is not None and args.mutant not in MUTANTS:
-        print(f"error: unknown mutant {args.mutant!r}; valid: "
-              f"{', '.join(sorted(MUTANTS))}", file=sys.stderr)
-        return 2
-    if args.workload not in WORKLOAD_NAMES:
-        print(f"error: unknown workload {args.workload!r}", file=sys.stderr)
-        return 2
+        )
+        return text, out, out["failures"]
 
     unit = CheckUnit(
-        scheme=args.scheme,
-        workload=args.workload,
-        spec=WorkloadSpec(threads=args.threads, ops=args.ops,
-                          elements=args.elements, seed=args.seed),
+        scheme=_names(args.scheme, "scheme")[0],
+        workload=_names(args.workload, "workload")[0],
+        spec=_spec(args),
         entries=args.entries,
-        mutant=args.mutant,
+        mutant=args.mutant and _names(args.mutant, "mutant")[0],
         prune=not args.no_prune,
         max_points=args.max_points,
         sample_seed=args.seed,
     )
-    policy = BatchPolicy(
-        retries=args.retries, checkpoint=args.checkpoint, on_error="raise",
-        seed=args.seed,
-    )
-    report, verdicts = run_check_unit(unit, policy=policy, progress=progress)
-    publish_report(report)
-    print(render_table(
+    report, verdicts = run_check_unit(unit)
+    lines = [render_table(
         ["metric", "value"],
         [
             ("contract", report["contract"]),
@@ -750,12 +636,14 @@ def cmd_check(args) -> int:
             ("violations", report["num_violations"]),
         ],
         title=f"crash check: {unit.describe()}",
-    ))
-    for v in report["violations"][:args.show]:
-        print(f"  point {v['point']} ({v['site']}, op {v['crash_op']}): "
-              f"{v['violations'][0]}")
+    )]
+    lines += [f"  point {v['point']} ({v['site']}, op {v['crash_op']}): "
+              f"{v['violations'][0]}"
+              for v in report["violations"][:args.show]]
+    if not report["num_violations"]:
+        return "\n".join(lines), report, []
 
-    if report["num_violations"] and not args.no_minimize:
+    if not args.no_minimize:
         from repro.check.minimize import (
             minimize_counterexample,
             write_counterexample,
@@ -763,158 +651,86 @@ def cmd_check(args) -> int:
 
         first_bad = next(v for v in verdicts if not v.consistent)
         cex = minimize_counterexample(unit, first_bad)
-        print(f"minimized to {cex.num_ops} ops "
-              f"({cex.tests_run} oracle calls); crash at {cex.site}:")
-        for tid, op in cex.ops:
-            print(f"  t{tid}: {op.kind.value} addr=0x{op.addr:x} "
-                  f"value=0x{op.value:x}")
+        lines.append(f"minimized to {cex.num_ops} ops "
+                     f"({cex.tests_run} oracle calls); crash at {cex.site}:")
+        lines += [f"  t{tid}: {op.kind.value} addr=0x{op.addr:x} "
+                  f"value=0x{op.value:x}" for tid, op in cex.ops]
         if args.cex_out:
-            print(f"wrote {write_counterexample(cex, args.cex_out)}")
+            lines.append(f"wrote {write_counterexample(cex, args.cex_out)}")
+    failure = (f"{unit.describe()}: {report['num_violations']} of "
+               f"{report['checked_points']} crash points inconsistent")
+    return "\n".join(lines), report, [failure]
 
-    if args.out:
-        print(f"wrote {atomic_write_json(args.out, report)}")
-    return 1 if report["num_violations"] else 0
+
+def replay_check(args):
+    from repro.check.minimize import replay_artifact
+
+    out = replay_artifact(args.replay)
+    lines = [f"{args.replay}: {_replayed(out['reproduced'])} at {out['site']}"]
+    lines += [f"  {v}" for v in out["violations"][:5]]
+    return out["reproduced"], "\n".join(lines)
 
 
-def cmd_litmus(args) -> int:
+def gate_litmus(args):
     # Imported here: the litmus battery rides on the model-checker stack
     # and should not tax the other commands' startup.
-    from repro.analysis.batch import BatchPolicy, decide_jobs
     from repro.litmus.corpus import corpus
     from repro.litmus.runner import (
         battery_failures,
-        publish_litmus_report,
         render_matrix,
-        replay_counterexample,
         run_battery,
         smoke_battery,
     )
 
-    try:
-        jobs = decide_jobs(args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    def progress(done: int, total: int) -> None:
-        if sys.stderr.isatty():
-            print(f"\r  {done}/{total} cells", end="", file=sys.stderr,
-                  flush=True)
-            if done == total:
-                print(file=sys.stderr)
-
-    if args.replay:
-        from repro.ioutil import ArtifactError
-
-        try:
-            out = replay_counterexample(args.replay)
-        except ArtifactError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        status = "REPRODUCED" if out["reproduced"] else "did NOT reproduce"
-        art = out["artifact"]
-        target = art["mutant"] or art["scheme"]
-        print(f"{args.replay}: {status} — {target} observing "
-              f"{tuple(out['state'])} (forbidden under {art['model']!r}) "
-              f"on the reduced test")
-        return 0 if out["reproduced"] else 1
-
     if args.smoke:
-        report, failures = smoke_battery(jobs=jobs, progress=progress)
-        print(render_matrix(report))
-        for failure in failures:
-            print(f"error: {failure}", file=sys.stderr)
-        if args.out:
-            print(f"wrote {atomic_write_json(args.out, report)}")
-        return 1 if failures else 0
+        report, failures = smoke_battery(jobs=args.jobs, progress=_progress)
+        return render_matrix(report), report, failures
 
-    schemes = None
-    if args.schemes:
-        try:
-            schemes = [canonical_name(s) for s in args.schemes.split(",")]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    tests = None
-    if args.tests:
-        try:
-            tests = corpus(args.tests.split(","))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    policy = BatchPolicy(
-        timeout=args.timeout, retries=args.retries,
-        checkpoint=args.checkpoint, on_error="raise", seed=args.seed,
-    )
     report = run_battery(
-        schemes=schemes, tests=tests, entries=args.entries,
-        include_mutants=not args.no_mutants, jobs=jobs, policy=policy,
-        progress=progress, minimize=not args.no_minimize,
-        cex_dir=args.cex_dir,
+        schemes=_names(args.schemes, "scheme"),
+        tests=corpus(_names(args.tests)), entries=args.entries,
+        include_mutants=not args.no_mutants, jobs=args.jobs,
+        policy=_batch_policy(args), progress=_progress,
+        minimize=not args.no_minimize, cex_dir=args.cex_dir,
     )
-    publish_litmus_report(report)
-    print(render_matrix(report))
-    failures = battery_failures(report)
-    for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
+    lines = [render_matrix(report)]
     for cex in report["counterexamples"]:
         target = cex["mutant"] or cex["scheme"]
         ops = sum(len(p) for p in cex["test"]["programs"])
         where = f" -> {cex['path']}" if "path" in cex else ""
-        print(f"counterexample: {target} on {cex['original_test']} "
-              f"minimized to {ops} ops, forbidden state "
-              f"{tuple(cex['forbidden_state'])}{where}")
-    if args.out:
-        print(f"wrote {atomic_write_json(args.out, report)}")
-    return 1 if failures else 0
+        lines.append(f"counterexample: {target} on {cex['original_test']} "
+                     f"minimized to {ops} ops, forbidden state "
+                     f"{tuple(cex['forbidden_state'])}{where}")
+    return "\n".join(lines), report, battery_failures(report)
 
 
-def cmd_opt(args) -> int:
+def replay_litmus(args):
+    from repro.litmus.runner import replay_counterexample
+
+    out = replay_counterexample(args.replay)
+    art = out["artifact"]
+    return out["reproduced"], (
+        f"{args.replay}: {_replayed(out['reproduced'])} — "
+        f"{art['mutant'] or art['scheme']} observing {tuple(out['state'])} "
+        f"(forbidden under {art['model']!r}) on the reduced test"
+    )
+
+
+def gate_opt(args):
     # Imported here: the optimizer stack (IR, passes, verifier) rides on
     # the checker and litmus layers and should not tax other commands.
-    from repro.analysis.batch import decide_jobs
     from repro.opt import (
+        OPT_SCHEMA,
         opt_compare,
         render_compare_table,
-        replay_report,
         run_pipeline,
         smoke_opt,
         verify_workload_cell,
     )
 
-    try:
-        jobs = decide_jobs(args.jobs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    def progress(done: int, total: int) -> None:
-        if sys.stderr.isatty():
-            print(f"\r  {done}/{total} cells", end="", file=sys.stderr,
-                  flush=True)
-            if done == total:
-                print(file=sys.stderr)
-
-    if args.replay:
-        from repro.ioutil import ArtifactError
-
-        try:
-            out = replay_report(args.replay, jobs=jobs)
-        except ArtifactError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        status = ("REPRODUCED" if out["reproduced"]
-                  else "did NOT reproduce")
-        print(f"{args.replay}: {status} "
-              f"({len(out['artifact']['rows'])} cells)")
-        for line in out["mismatches"][:10]:
-            print(f"  {line}", file=sys.stderr)
-        return 0 if out["reproduced"] else 1
-
     if args.smoke:
-        out = smoke_opt(jobs=jobs, progress=progress)
-        print(render_table(
+        out = smoke_opt()
+        text = render_table(
             ["workload", "scheme", "elided", "audit", "image"],
             [
                 (c["workload"], c["scheme"],
@@ -925,58 +741,32 @@ def cmd_opt(args) -> int:
             ],
             title="persist-optimizer smoke: elision grid "
                   "(audited, images compared)",
-        ))
+        )
         caught = ", ".join(s for s, c in out["mutant"]["caught"].items()
                            if c)
-        print(f"mutant {out['mutant']['pass']}: caught under [{caught}]; "
-              f"{len(out['checker_cells'])} checker cells, "
-              f"{len(out['litmus_cells'])} litmus cells re-gated")
-        for failure in out["failures"]:
-            print(f"error: {failure}", file=sys.stderr)
-        if args.out:
-            print(f"wrote {atomic_write_json(args.out, out)}")
-        return 0 if out["ok"] else 1
-
-    schemes = None
-    if args.schemes:
-        try:
-            schemes = [canonical_name(s) for s in args.schemes.split(",")]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    workloads = None
-    if args.workloads:
-        workloads = [w.strip() for w in args.workloads.split(",")]
-        unknown = [w for w in workloads if w not in WORKLOAD_NAMES]
-        if unknown:
-            print(f"error: unknown workloads {unknown}", file=sys.stderr)
-            return 2
+        text += (f"\nmutant {out['mutant']['pass']}: caught under "
+                 f"[{caught}]; {len(out['checker_cells'])} checker cells, "
+                 f"{len(out['litmus_cells'])} litmus cells re-gated")
+        return text, out, out["failures"]
 
     if args.compare:
         report = opt_compare(
-            workloads=workloads, schemes=schemes, spec=_spec(args),
-            entries=args.entries, jobs=jobs, progress=progress,
+            workloads=_names(args.workloads, "workload"),
+            schemes=_names(args.schemes, "scheme"), spec=_spec(args),
+            entries=args.entries, jobs=args.jobs, progress=_progress,
         )
-        print(render_compare_table(report))
-        bad = [r for r in report["rows"]
-               if not (r["audit_ok"] and r["image_ok"])]
-        for r in bad:
-            print(f"error: {r['workload']} x {r['scheme']} failed "
-                  f"verification", file=sys.stderr)
-        if args.out:
-            print(f"wrote {atomic_write_json(args.out, report)}")
-        return 1 if bad else 0
+        failures = [f"{r['workload']} x {r['scheme']} failed verification"
+                    for r in report["rows"]
+                    if not (r["audit_ok"] and r["image_ok"])]
+        return render_compare_table(report), report, failures
 
     # Single cell: optimize one workload under one scheme, verified.
-    try:
-        args.scheme = canonical_name(args.scheme)
-    except ValueError:
-        print(f"error: unknown scheme {args.scheme!r}", file=sys.stderr)
-        return 2
+    scheme = _names(args.scheme, "scheme")[0]
+    workload = _names(args.workload, "workload")[0]
     cell = verify_workload_cell(
-        args.workload, args.scheme, spec=_spec(args), entries=args.entries,
+        workload, scheme, spec=_spec(args), entries=args.entries,
     )
-    print(render_table(
+    lines = [render_table(
         ["metric", "value"],
         [
             ("passes", " -> ".join(cell["passes"])),
@@ -988,34 +778,88 @@ def cmd_opt(args) -> int:
              f"{cell['checker_points']['optimized']}"),
             ("verified", "ok" if cell["ok"] else "FAIL"),
         ],
-        title=f"persist optimizer: {args.workload} under {args.scheme}",
-    ))
-    for failure in cell["failures"]:
-        print(f"error: {failure}", file=sys.stderr)
+        title=f"persist optimizer: {workload} under {scheme}",
+    )]
     if args.save_program:
         from repro.opt import instrument_naive
         from repro.sim.tracefile import save_program
         from repro.workloads.base import make_workload
 
         cfg = default_sim_config()
-        wl = make_workload(args.workload, cfg.mem, _spec(args))
+        wl = make_workload(workload, cfg.mem, _spec(args))
         result = run_pipeline(
-            instrument_naive(wl.build_program()), args.scheme,
+            instrument_naive(wl.build_program()), scheme,
             block_size=cfg.block_size,
         )
         count = save_program(result.optimized, args.save_program)
-        print(f"wrote {count:,} optimized ops to {args.save_program}")
-    return 0 if cell["ok"] else 1
+        lines.append(f"wrote {count:,} optimized ops to {args.save_program}")
+    report = {"schema": OPT_SCHEMA, "kind": "cell", **cell}
+    return "\n".join(lines), report, cell["failures"]
 
 
-def cmd_trace(args) -> int:
-    config = default_sim_config()
-    spec = _spec(args)
-    workload = registry(config.mem, spec)[args.workload]
-    trace = workload.build()
-    count = save_trace(trace, args.out)
-    print(f"wrote {count:,} ops ({trace.num_threads} threads) to {args.out}")
-    return 0
+def replay_opt(args):
+    from repro.opt import replay_report
+
+    out = replay_report(args.replay)
+    lines = [f"{args.replay}: {_replayed(out['reproduced'])} "
+             f"({len(out['artifact']['rows'])} cells)"]
+    lines += [f"  {line}" for line in out["mismatches"][:10]]
+    return out["reproduced"], "\n".join(lines)
+
+
+def _gate_parser(sub, gate, help: str, *, smoke: str,
+                 out: Optional[str] = None, seed=None,
+                 entries: Optional[int] = None,
+                 schemes: Optional[str] = None, size=None,
+                 jobs: Optional[str] = None, batch=None, replay=None,
+                 aliases: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The subparser of ``gate`` with the flags the gates share, declared
+    with this gate's defaults; a flag whose keyword is None is left out.
+
+    ``out`` names the report, ``seed`` is ``(default, help)``, ``schemes``
+    the default scheme list, ``size`` the default ``(threads, ops,
+    elements)``, ``jobs`` a note on ``--jobs``, ``batch`` the ``(item,
+    run)`` nouns of ``--timeout/--retries/--checkpoint``, and ``replay``
+    ``(replayer, artifact)``."""
+    p = sub.add_parser(gate.__name__[len("gate_"):], aliases=list(aliases),
+                       help=help)
+    p.set_defaults(func=_run_gate, gate=gate)
+    p.add_argument("--smoke", action="store_true", help=smoke)
+    if replay is not None:
+        p.set_defaults(replayer=replay[0])
+        p.add_argument("--replay", default=None, metavar="PATH",
+                       help=f"replay a {replay[1]} and exit")
+    if schemes is not None:
+        p.add_argument("--schemes", default=None, metavar="A,B,...",
+                       help=f"comma-separated schemes (default: {schemes})")
+    if size is not None:
+        for flag, default, text in zip(
+                ("--threads", "--ops", "--elements"), size,
+                ("workload threads", "workload operations per thread",
+                 "workload element count")):
+            p.add_argument(flag, type=int, default=default, help=text)
+    if seed is not None:
+        p.add_argument("--seed", type=int, default=seed[0], help=seed[1])
+    if entries is not None:
+        p.add_argument("--entries", type=int, default=entries,
+                       help="persist-buffer (bbPB) entries")
+    if jobs is not None:
+        p.add_argument("--jobs", type=int, default=None,
+                       help="worker processes (default: REPRO_JOBS or "
+                            f"cores){jobs}")
+    if batch is not None:
+        item, run = batch
+        p.add_argument("--timeout", type=float, default=None,
+                       help=f"seconds per {item} before retry")
+        p.add_argument("--retries", type=int, default=1,
+                       help=f"retries per {item} (timeouts & crashes)")
+        p.add_argument("--checkpoint", default=None, metavar="PATH",
+                       help="JSONL checkpoint; rerun with the same path "
+                            f"to resume an interrupted {run}")
+    if out is not None:
+        p.add_argument("--out", default=None, metavar="PATH",
+                       help=f"write {out} atomically to PATH")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1046,8 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dump the full stats as JSON "
                             "(repro.simstats/v1 schema)")
     p_run.add_argument("--out", default=None, metavar="PATH",
-                       help="with --json: write the JSON atomically to PATH "
-                            "instead of stdout")
+                       help="write the repro.simstats/v1 JSON atomically to "
+                            "PATH (with --json: instead of printing it)")
     _add_observability_args(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -1057,9 +901,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability_args(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_prof = sub.add_parser(
-        "profile",
-        help="run one workload with full observability and print the report",
+    p_prof = _gate_parser(
+        sub, gate_profile,
+        "run one workload with full observability and print the report",
+        smoke="fixed tiny run for CI; exits non-zero if the event log and "
+              "SimStats disagree",
     )
     _add_workload_args(p_prof)
     p_prof.add_argument("--scheme", choices=sorted(scheme_names(include_aliases=True)),
@@ -1067,10 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--entries", type=int, default=32, help="bbPB entries")
     p_prof.add_argument("--cprofile", action="store_true",
                         help="include a cProfile hotspot table")
-    p_prof.add_argument("--smoke", action="store_true",
-                        help="fixed tiny run for CI; exits non-zero if the "
-                             "event log and SimStats disagree")
-    p_prof.set_defaults(func=cmd_profile)
 
     p_crash = sub.add_parser("crash", help="crash-sweep a workload")
     _add_workload_args(p_crash)
@@ -1094,14 +936,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--out", required=True, help="output trace file")
     p_trace.set_defaults(func=cmd_trace)
 
-    p_traffic = sub.add_parser(
-        "traffic", aliases=["serve"],
-        help="request-driven serving: throughput-vs-offered-load curve "
-             "with p50/p99/p999 per scheme",
+    p_traffic = _gate_parser(
+        sub, gate_traffic,
+        "request-driven serving: throughput-vs-offered-load curve with "
+        "p50/p99/p999 per scheme",
+        aliases=["serve"],
+        smoke="CI gate: tiny fixed sweep; exits non-zero on "
+              "schema/percentile failure",
+        schemes=",".join(TRAFFIC_DEFAULT_SCHEMES),
+        seed=(42, "request-stream seed"), entries=32,
+        out="the repro.traffic/v2 report",
     )
-    p_traffic.add_argument("--schemes", default=None, metavar="A,B,...",
-                           help="comma-separated schemes (default: "
-                                f"{','.join(TRAFFIC_DEFAULT_SCHEMES)})")
     p_traffic.add_argument("--loads", default=None, metavar="L1,L2,...",
                            help="offered loads in requests/kilocycle "
                                 "(default: "
@@ -1133,43 +978,28 @@ def build_parser() -> argparse.ArgumentParser:
                            help="open loop: burst length in cycles")
     p_traffic.add_argument("--burst-factor", type=float, default=4.0,
                            help="open loop: burst rate multiplier")
-    p_traffic.add_argument("--entries", type=int, default=32,
-                           help="bbPB entries")
-    p_traffic.add_argument("--seed", type=int, default=42)
-    p_traffic.add_argument("--out", default=None, metavar="PATH",
-                           help="write the repro.traffic/v2 report as JSON")
-    p_traffic.add_argument("--smoke", action="store_true",
-                           help="CI gate: tiny fixed sweep; exits non-zero "
-                                "on schema/percentile failure")
-    p_traffic.set_defaults(func=cmd_traffic)
 
-    p_bench = sub.add_parser(
-        "bench", help="time the fixed perf smoke suite, write BENCH_<rev>.json"
+    _gate_parser(
+        sub, gate_bench,
+        "analytical tolerance gate over a fixed six-cell grid at the "
+        "Fig. 7 bench size (nothing is timed)",
+        smoke="CI gate: analytical tolerance check on a tiny grid; exits "
+              "non-zero when an estimate leaves the band (no timing)",
+        out="the tolerance report",
     )
-    p_bench.add_argument("--out", default=None,
-                         help="output path (default: BENCH_<rev>.json)")
-    p_bench.add_argument("--jobs", type=int, default=None,
-                         help="workers for the batch suite (default: REPRO_JOBS/CPUs)")
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="CI gate: analytical tolerance check on a "
-                              "tiny grid; exits non-zero when an estimate "
-                              "leaves the band (no timing)")
-    p_bench.set_defaults(func=cmd_bench)
 
-    p_drill = sub.add_parser(
-        "drill",
-        help="crash-recovery drills over the traffic frontend: seeded "
-             "mid-traffic crashes, per-request durability accounting, "
-             "RPO/RTO per scheme",
+    p_drill = _gate_parser(
+        sub, gate_drill,
+        "crash-recovery drills over the traffic frontend: seeded "
+        "mid-traffic crashes, per-request durability accounting, RPO/RTO "
+        "per scheme",
+        smoke="CI gate: every scheme x 3 shared crash points + the "
+              "bbb-delayed-alloc mutant; exits non-zero if a battery-domain "
+              "scheme loses an acked request or the mutant escapes",
+        schemes="all", entries=16,
+        seed=(7, "crash-point seed (traffic seed derives from it)"),
+        out="the repro.drill/v1 report",
     )
-    p_drill.add_argument("--smoke", action="store_true",
-                         help="CI gate: every scheme x 3 shared crash "
-                              "points + the bbb-delayed-alloc mutant; "
-                              "exits non-zero if a battery-domain scheme "
-                              "loses an acked request or the mutant "
-                              "escapes")
-    p_drill.add_argument("--schemes", default=None, metavar="A,B,...",
-                         help="comma-separated schemes (default: all)")
     p_drill.add_argument("--loads", default=None, metavar="L1,L2,...",
                          help="offered loads in requests/kilocycle "
                               "(default: 2.0)")
@@ -1183,24 +1013,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_drill.add_argument("--mutants", default=None, metavar="A,B,...",
                          help="deliberately broken variants to drill "
                               "(see repro.check.mutants.MUTANTS)")
-    p_drill.add_argument("--entries", type=int, default=16,
-                         help="bbPB entries")
-    p_drill.add_argument("--seed", type=int, default=7,
-                         help="crash-point seed (traffic seed derives from "
-                              "it)")
-    p_drill.add_argument("--out", default=None, metavar="PATH",
-                         help="write the repro.drill/v1 report as JSON")
-    p_drill.set_defaults(func=cmd_drill)
 
-    p_faults = sub.add_parser(
-        "faults",
-        help="seeded fault-injection campaign (scheme x workload x plan)",
+    p_faults = _gate_parser(
+        sub, gate_faults,
+        "seeded fault-injection campaign (scheme x workload x plan)",
+        smoke="small fixed campaign for CI; exits non-zero on "
+              "battery-domain silent corruption",
+        schemes="all", size=(2, 40, 512), entries=8,
+        seed=(0, "campaign seed (plans, crash points, backoff)"),
+        jobs="", batch=("unit", "campaign"), out="the JSON report",
     )
-    p_faults.add_argument("--smoke", action="store_true",
-                          help="small fixed campaign for CI; exits non-zero "
-                               "on battery-domain silent corruption")
-    p_faults.add_argument("--schemes", default=None, metavar="A,B,...",
-                          help="comma-separated schemes (default: all)")
     p_faults.add_argument("--workloads", default=None, metavar="A,B,...",
                           help="comma-separated workloads "
                                "(default: hashmap,ctree,swapNC)")
@@ -1209,55 +1031,27 @@ def build_parser() -> argparse.ArgumentParser:
                                "the canonical set")
     p_faults.add_argument("--crashes", type=int, default=1,
                           help="crash points per (workload, plan) cell")
-    p_faults.add_argument("--seed", type=int, default=0,
-                          help="campaign seed (plans, crash points, backoff)")
-    p_faults.add_argument("--entries", type=int, default=8, help="bbPB entries")
-    p_faults.add_argument("--threads", type=int, default=2)
-    p_faults.add_argument("--ops", type=int, default=40,
-                          help="operations per thread")
-    p_faults.add_argument("--elements", type=int, default=512,
-                          help="structure size")
-    p_faults.add_argument("--jobs", type=int, default=None,
-                          help="workers (default: REPRO_JOBS/CPUs)")
-    p_faults.add_argument("--timeout", type=float, default=None,
-                          help="per-unit timeout in seconds")
-    p_faults.add_argument("--retries", type=int, default=1,
-                          help="retries per unit (timeouts & crashes)")
-    p_faults.add_argument("--checkpoint", default=None, metavar="PATH",
-                          help="JSONL checkpoint; rerun with the same path "
-                               "to resume an interrupted campaign")
-    p_faults.add_argument("--out", default=None, metavar="PATH",
-                          help="write the JSON report atomically to PATH")
-    p_faults.set_defaults(func=cmd_faults)
 
-    p_check = sub.add_parser(
-        "check",
-        help="crash-consistency model checker: enumerate micro-step crash "
-             "points, check each recovered image against the scheme's "
-             "contract, the eADR golden differential and workload "
-             "invariants, and minimize any counterexample",
+    p_check = _gate_parser(
+        sub, gate_check,
+        "crash-consistency model checker: enumerate micro-step crash "
+        "points, check each recovered image against the scheme's "
+        "contract, the eADR golden differential and workload invariants, "
+        "and minimize any counterexample",
+        smoke="CI gate: exhaustively check one small workload per scheme, "
+              "assert pruned == unpruned verdicts, and assert the broken "
+              "mutant is caught and minimized",
+        replay=(replay_check, "counterexample artifact"),
+        size=(2, 6, 128), entries=8,
+        seed=(11, "workload / sampling seed"),
+        out="the JSON report (with --smoke: {ok, failures, reports})",
     )
-    p_check.add_argument("--smoke", action="store_true",
-                         help="CI gate: exhaustively check one small "
-                              "workload per scheme, assert pruned == "
-                              "unpruned verdicts, and assert the broken "
-                              "mutant is caught and minimized")
-    p_check.add_argument("--replay", default=None, metavar="PATH",
-                         help="replay a counterexample artifact and exit")
     p_check.add_argument("--scheme", default=DEFAULT_SCHEME,
                          help="scheme to check")
     p_check.add_argument("--mutant", default=None,
                          help="run a deliberately broken scheme variant "
                               "(see repro.check.mutants.MUTANTS)")
     p_check.add_argument("--workload", default="hashmap")
-    p_check.add_argument("--threads", type=int, default=2)
-    p_check.add_argument("--ops", type=int, default=6,
-                         help="workload operations per thread")
-    p_check.add_argument("--elements", type=int, default=128,
-                         help="workload element count")
-    p_check.add_argument("--seed", type=int, default=11,
-                         help="workload / sampling / batch seed")
-    p_check.add_argument("--entries", type=int, default=8, help="bbPB entries")
     p_check.add_argument("--no-prune", action="store_true",
                          help="disable durable-fingerprint pruning")
     p_check.add_argument("--max-points", type=int, default=None,
@@ -1269,32 +1063,20 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip ddmin counterexample minimization")
     p_check.add_argument("--cex-out", default=None, metavar="PATH",
                          help="write the minimized counterexample artifact")
-    p_check.add_argument("--retries", type=int, default=1,
-                         help="retries of the unit's sweep after an error")
-    p_check.add_argument("--checkpoint", default=None, metavar="PATH",
-                         help="JSONL checkpoint; rerun with the same path "
-                              "to resume an interrupted check")
-    p_check.add_argument("--out", default=None, metavar="PATH",
-                         help="write the JSON report atomically to PATH "
-                              "(with --smoke: {ok, failures, reports})")
-    p_check.set_defaults(func=cmd_check)
 
-    p_litmus = sub.add_parser(
-        "litmus",
-        help="persistency litmus battery: run the corpus against every "
-             "registered scheme and gate each against its declared "
-             "persistency model",
+    p_litmus = _gate_parser(
+        sub, gate_litmus,
+        "persistency litmus battery: run the corpus against every "
+        "registered scheme and gate each against its declared persistency "
+        "model",
+        smoke="CI gate: smoke corpus, all schemes plus mutants; non-zero "
+              "exit on any conformance failure or uncaught mutant",
+        replay=(replay_litmus, "litmus counterexample artifact"),
+        schemes="every registered scheme", entries=8,
+        seed=(11, "batch retry/backoff seed"),
+        jobs="; plugin schemes need --jobs 1", batch=("cell", "battery"),
+        out="the JSON agreement-matrix report",
     )
-    p_litmus.add_argument("--smoke", action="store_true",
-                          help="CI gate: smoke corpus, all schemes plus "
-                               "mutants; non-zero exit on any conformance "
-                               "failure or uncaught mutant")
-    p_litmus.add_argument("--replay", default=None, metavar="PATH",
-                          help="replay a litmus counterexample artifact "
-                               "and exit")
-    p_litmus.add_argument("--schemes", default=None,
-                          help="comma-separated scheme subset "
-                               "(default: every registered scheme)")
     p_litmus.add_argument("--tests", default=None,
                           help="comma-separated corpus-test subset "
                                "(default: the full corpus)")
@@ -1305,45 +1087,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_litmus.add_argument("--cex-dir", default=None, metavar="DIR",
                           help="write minimized counterexample artifacts "
                                "into DIR")
-    p_litmus.add_argument("--entries", type=int, default=8,
-                          help="persist-buffer entries")
-    p_litmus.add_argument("--seed", type=int, default=11,
-                          help="batch retry/backoff seed")
-    p_litmus.add_argument("--jobs", type=int, default=None,
-                          help="worker processes (default: REPRO_JOBS or "
-                               "cores); plugin schemes need --jobs 1")
-    p_litmus.add_argument("--timeout", type=float, default=None,
-                          help="seconds per cell before retry")
-    p_litmus.add_argument("--retries", type=int, default=1,
-                          help="retries per cell (timeouts & crashes)")
-    p_litmus.add_argument("--checkpoint", default=None, metavar="PATH",
-                          help="JSONL checkpoint; rerun with the same path "
-                               "to resume an interrupted battery")
-    p_litmus.add_argument("--out", default=None, metavar="PATH",
-                          help="write the JSON agreement-matrix report "
-                               "atomically to PATH")
-    p_litmus.set_defaults(func=cmd_litmus)
 
-    p_opt = sub.add_parser(
-        "opt",
-        help="persist optimizer: run the flush-elision / fence-weakening "
-             "/ persist-coalescing pass pipeline over a workload's IR "
-             "program, audited per removal and re-verified against the "
-             "crash checker and litmus models",
+    p_opt = _gate_parser(
+        sub, gate_opt,
+        "persist optimizer: run the flush-elision / fence-weakening / "
+        "persist-coalescing pass pipeline over a workload's IR program, "
+        "audited per removal and re-verified against the crash checker "
+        "and litmus models",
+        smoke="CI gate: elision grid over every workload x scheme "
+              "(audited, durable images compared), checker + litmus "
+              "re-verification, and the opt-drop-epoch-fence mutant; "
+              "non-zero exit on any failure",
+        replay=(replay_opt, "repro.optreport/v1 compare artifact"),
+        schemes="every registered scheme; --compare only",
+        size=(2, 6, 128), entries=8, seed=(11, "workload seed"),
+        jobs=" for --compare; plugin schemes need --jobs 1",
+        out="the repro.optreport/v1 report (kind cell, compare or smoke)",
     )
-    p_opt.add_argument("--smoke", action="store_true",
-                       help="CI gate: elision grid over every workload x "
-                            "scheme (audited, durable images compared), "
-                            "checker + litmus re-verification, and the "
-                            "opt-drop-epoch-fence mutant; non-zero exit "
-                            "on any failure")
     p_opt.add_argument("--compare", action="store_true",
                        help="fig7-style grid: naive instrumentation vs "
                             "optimized, cycles / NVMM writes / fence "
                             "stalls per (workload, scheme)")
-    p_opt.add_argument("--replay", default=None, metavar="PATH",
-                       help="replay a repro.optreport/v1 compare artifact "
-                            "and exit")
     p_opt.add_argument("--workload", default="hashmap",
                        help="workload for the single-cell mode")
     p_opt.add_argument("--scheme", default=DEFAULT_SCHEME,
@@ -1351,27 +1115,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--workloads", default=None,
                        help="comma-separated workload subset for --compare "
                             "(default: all)")
-    p_opt.add_argument("--schemes", default=None,
-                       help="comma-separated scheme subset for --compare "
-                            "(default: every registered scheme)")
-    p_opt.add_argument("--threads", type=int, default=2)
-    p_opt.add_argument("--ops", type=int, default=6,
-                       help="workload operations per thread")
-    p_opt.add_argument("--elements", type=int, default=128,
-                       help="workload element count")
-    p_opt.add_argument("--seed", type=int, default=11,
-                       help="workload seed")
-    p_opt.add_argument("--entries", type=int, default=8,
-                       help="persist-buffer entries")
-    p_opt.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: REPRO_JOBS or "
-                            "cores); plugin schemes need --jobs 1")
     p_opt.add_argument("--save-program", default=None, metavar="PATH",
                        help="write the optimized IR program (provenance "
                             "preserved) as a trace file")
-    p_opt.add_argument("--out", default=None, metavar="PATH",
-                       help="write the JSON report atomically to PATH")
-    p_opt.set_defaults(func=cmd_opt)
 
     return parser
 

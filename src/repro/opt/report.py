@@ -232,7 +232,7 @@ def render_compare_table(report: Dict[str, Any]) -> str:
 # Artifacts: replay
 # ----------------------------------------------------------------------
 
-def replay_report(path: str, jobs: Optional[int] = None) -> Dict[str, Any]:
+def replay_report(path: str) -> Dict[str, Any]:
     """Re-execute a compare artifact: validate the envelope (schema
     version + kind — raises :class:`repro.ioutil.ArtifactError` on a
     truncated or mismatched file *before* touching the payload), re-run
@@ -294,8 +294,7 @@ def _mutant_probe_program() -> Program:
     return Program(threads=(tuple(ops),), name="mutant-probe")
 
 
-def smoke_opt(jobs: Optional[int] = None, progress=None,
-              bus=NULL_BUS) -> Dict[str, Any]:
+def smoke_opt(bus=NULL_BUS) -> Dict[str, Any]:
     """The CI gate (see module docstring).  Returns ``{"ok", "failures",
     "grid", "checker_cells", "litmus_cells", "mutant"}``; ``ok`` is False
     on any audit violation, elision outside its scheme-class gate, image

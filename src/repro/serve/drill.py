@@ -64,6 +64,7 @@ __all__ = [
     "DRILL_SCHEMA",
     "DrillUnit",
     "count_crash_sites",
+    "drill_failures",
     "execute_drill_unit",
     "run_drills",
     "smoke_drill",
@@ -425,6 +426,35 @@ def _battery_summary(units: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
                    or not unit["contract_consistent"])
             caught[unit["mutant"]] = caught.get(unit["mutant"], False) or hit
     return {"acked_lost": acked_lost, "mutants_caught": caught}
+
+
+def drill_failures(report: Dict[str, Any]) -> List[str]:
+    """The drill gate's verdict: no battery-domain scheme lost an acked
+    request, every drilled mutant was caught, and every restart served
+    all of its unresolved requests.  Empty means the drill passes."""
+    failures = []
+    domain = report["battery_domain"]
+    if domain["acked_lost"]:
+        failures.append(
+            f"battery-domain scheme lost {domain['acked_lost']} acked "
+            f"request(s) — RPO > 0 breaks the paper's contract"
+        )
+    for name, hit in domain["mutants_caught"].items():
+        if not hit:
+            failures.append(
+                f"mutant {name!r} escaped the drill: no acked loss and no "
+                f"contract violation at any crash point"
+            )
+    for unit in report["units"]:
+        rec = unit["recovery"]
+        if rec["restart_completed"] != rec["restart_requests"]:
+            failures.append(
+                f"{unit['mutant'] or unit['scheme']} @ visit "
+                f"{unit['crash_visit']}: restart served "
+                f"{rec['restart_completed']}/{rec['restart_requests']} "
+                f"unresolved requests"
+            )
+    return failures
 
 
 def smoke_drill(

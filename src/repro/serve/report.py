@@ -38,6 +38,7 @@ __all__ = [
     "TRAFFIC_SCHEMA_VERSION",
     "build_report",
     "render_curve",
+    "smoke_failures",
     "validate_traffic_report",
 ]
 
@@ -183,6 +184,27 @@ def validate_traffic_report(report: object) -> Dict[str, object]:
                 f"{where} has no matching point",
             )
     return report
+
+
+def smoke_failures(report: Dict[str, object]) -> List[str]:
+    """The ``repro traffic --smoke`` verdict: the report must be
+    schema-valid, and every point must complete all of its requests with
+    non-empty, non-zero latency percentiles.  Empty means it passes."""
+    try:
+        validate_traffic_report(report)
+    except ValueError as exc:
+        return [str(exc)]
+    failures = []
+    for point in report["points"]:
+        label = f"{point['scheme']}@{point['offered_load']}"
+        if point["completed"] != point["requests"]:
+            failures.append(f"{label}: only {point['completed']}/"
+                            f"{point['requests']} requests completed")
+        if point["latency"]["count"] == 0:
+            failures.append(f"{label}: empty latency histogram")
+        if not all(point["latency"][p] > 0 for p in ("p50", "p99", "p999")):
+            failures.append(f"{label}: zero latency percentile")
+    return failures
 
 
 def render_curve(report: Dict[str, object]) -> str:

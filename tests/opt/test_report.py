@@ -68,7 +68,7 @@ class TestCompareReport:
     def test_write_and_replay_round_trip(self, report, tmp_path):
         path = str(tmp_path / "opt.json")
         assert atomic_write_json(path, report) == path
-        out = replay_report(path, jobs=1)
+        out = replay_report(path)
         assert out["reproduced"], out["mismatches"]
         assert out["artifact"]["schema"] == OPT_SCHEMA
 
@@ -77,7 +77,7 @@ class TestCompareReport:
         doctored = json.loads(json.dumps(report))
         doctored["rows"][0]["flush_fence_elision_pct"] = 12.5
         path.write_text(json.dumps(doctored))
-        out = replay_report(str(path), jobs=1)
+        out = replay_report(str(path))
         assert not out["reproduced"]
         assert any("flush_fence_elision_pct" in m
                    for m in out["mismatches"])

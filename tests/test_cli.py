@@ -1,7 +1,9 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,21 @@ from repro.workloads.base import WorkloadSpec, registry
 from tests.conftest import crash_after
 
 FAST = ["--threads", "2", "--ops", "10", "--elements", "512"]
+
+#: sha256 of every report these tests write, so a change to the CLI that
+#: alters any report's content fails here; see :func:`assert_golden_report`.
+GOLDEN_REPORTS = json.loads(
+    (Path(__file__).parent / "data" / "golden_cli_reports.json").read_text())
+
+
+def assert_golden_report(name, path, tmp_path):
+    """The report at ``path`` must match its recorded digest: sha256 of
+    its canonical JSON (sorted keys) with ``tmp_path`` replaced by a
+    placeholder."""
+    text = json.dumps(json.loads(Path(path).read_text()), sort_keys=True)
+    digest = hashlib.sha256(
+        text.replace(str(tmp_path), "<tmp>").encode()).hexdigest()
+    assert digest == GOLDEN_REPORTS[name], name
 
 
 class TestParser:
@@ -75,6 +92,17 @@ class TestRun:
             payload = json.load(fh)
         assert payload["schema"] == "repro.simstats/v1"
         assert list(tmp_path.iterdir()) == [out_file]  # no temp residue
+        assert_golden_report("run", out_file, tmp_path)
+
+    def test_out_without_json_writes_file_and_prints_table(self, capsys,
+                                                           tmp_path):
+        out_file = tmp_path / "stats.json"
+        rc = main(["run", "--workload", "mutateNC", "--scheme", "bbb",
+                   "--out", str(out_file)] + FAST)
+        assert rc == 0
+        assert "execution_cycles" in capsys.readouterr().out
+        assert json.loads(out_file.read_text())["schema"] == \
+            "repro.simstats/v1"
 
     def test_events_and_trace_out(self, capsys, tmp_path):
         events = tmp_path / "events.jsonl"
@@ -220,6 +248,7 @@ class TestFaultsCommand:
         assert report["schema"] == "repro.faultcampaign/v1"
         assert report["battery_domain"]["silent_corruption"] == 0
         assert report["units"]
+        assert_golden_report("faults", out_file, tmp_path)
 
     def test_unknown_scheme_rejected(self, capsys):
         rc = main(["faults", "--schemes", "bogus", "--jobs", "1"])
@@ -254,6 +283,7 @@ class TestCheckCommand:
         assert report["schema"] == "repro.crashcheck/v1"
         assert report["consistent"]
         assert report["explored"] + report["pruned"] == report["checked_points"]
+        assert_golden_report("check", out_file, tmp_path)
 
     def test_mutant_caught_minimized_and_replayable(self, capsys, tmp_path):
         cex_file = tmp_path / "cex.json"
@@ -263,6 +293,7 @@ class TestCheckCommand:
         assert rc == 1
         assert "minimized to" in out
         assert cex_file.exists()
+        assert_golden_report("check_counterexample", cex_file, tmp_path)
         rc = main(["check", "--replay", str(cex_file)])
         assert rc == 0
         assert "REPRODUCED" in capsys.readouterr().out
@@ -284,7 +315,8 @@ class TestCheckCommand:
         assert f"wrote {out_file}" in capsys.readouterr().out
         assert json.loads(out_file.read_text()) == result
 
-    @pytest.mark.parametrize("flag", ["--jobs", "--timeout"])
+    @pytest.mark.parametrize("flag", ["--jobs", "--timeout", "--retries",
+                                      "--checkpoint"])
     def test_inert_flags_are_gone(self, capsys, flag):
         with pytest.raises(SystemExit):
             main(["check", flag, "1"])
@@ -322,6 +354,7 @@ class TestLitmusCommand:
         assert report["kind"] == "report"
         assert report["tests"] == ["prefix-pair"]
         assert report["conformance"]["failures"] == []
+        assert_golden_report("litmus", out_file, tmp_path)
 
     def test_mutants_caught_minimized_and_replayable(self, capsys, tmp_path):
         rc = main(self.ARGS + ["--cex-dir", str(tmp_path)])
@@ -332,6 +365,7 @@ class TestLitmusCommand:
         assert "minimized to" in out
         cexes = sorted(tmp_path.glob("litmus-cex-*.json"))
         assert cexes
+        assert_golden_report("litmus_counterexample", cexes[0], tmp_path)
         rc = main(["litmus", "--replay", str(cexes[0])])
         assert rc == 0
         assert "REPRODUCED" in capsys.readouterr().out
@@ -382,6 +416,17 @@ class TestOptCommand:
         assert program.total_ops > 0
         assert all(op.origin for _, _, op in program.iter_ops())
 
+    def test_single_cell_writes_its_cell_to_out(self, capsys, tmp_path):
+        out_file = tmp_path / "cell.json"
+        rc = main(["opt", "--workload", "hashmap", "--scheme", "bbb",
+                   "--out", str(out_file)] + self.SMALL)
+        assert rc == 0
+        assert f"wrote {out_file}" in capsys.readouterr().out
+        report = json.loads(out_file.read_text())
+        assert report["schema"] == "repro.optreport/v1"
+        assert report["kind"] == "cell"
+        assert report["workload"] == "hashmap" and report["ok"]
+
     def test_single_cell_flush_keeping_scheme(self, capsys):
         rc = main(["opt", "--workload", "hashmap", "--scheme", "pmem"]
                   + self.SMALL)
@@ -400,6 +445,7 @@ class TestOptCommand:
             report = json.load(fh)
         assert report["schema"] == "repro.optreport/v1"
         assert report["by_scheme"]["bbb"]["mean_elision_pct"] == 100.0
+        assert_golden_report("opt_compare", out_file, tmp_path)
         rc = main(["opt", "--replay", str(out_file), "--jobs", "1"])
         assert rc == 0
         assert "REPRODUCED" in capsys.readouterr().out
@@ -465,6 +511,7 @@ class TestTrafficCommand:
         validate_traffic_report(report)
         assert sorted(report["curves"]) == ["bbb", "eadr", "pmem"]
         assert report["loads"] == [1.0, 4.0]
+        assert_golden_report("traffic", out_file, tmp_path)
 
     def test_serve_alias_and_closed_loop(self, capsys):
         rc = main(["serve", "--arrival", "closed", "--clients", "4",
@@ -501,6 +548,7 @@ class TestDrillCommand:
         validate_drill_report(report)
         assert sorted(report["per_scheme"]) == ["bbb", "eadr"]
         assert report["battery_domain"]["acked_lost"] == 0
+        assert_golden_report("drill", out_file, tmp_path)
 
     def test_unknown_scheme_rejected(self, capsys):
         rc = main(["drill", "--schemes", "bogus"])
@@ -512,3 +560,26 @@ class TestDrillCommand:
                    "--requests", "20"])
         assert rc == 2
         assert "unknown mutant" in capsys.readouterr().err
+
+
+class TestGateRunner:
+    @pytest.mark.parametrize("argv, flag", [
+        (["drill", "--smoke", "--out", "{missing}/d.json"], "--out"),
+        (["traffic", "--out", "{missing}/t.json"], "--out"),
+        (["check", "--mutant", "bbb-delayed-alloc",
+          "--cex-out", "{missing}/c.json"], "--cex-out"),
+        (["litmus", "--cex-dir", "{missing}"], "--cex-dir"),
+        (["opt", "--save-program", "{missing}/p.trace"], "--save-program"),
+        (["faults", "--checkpoint", "{missing}/ck.jsonl"], "--checkpoint"),
+    ])
+    def test_unusable_output_path_refused_before_any_work(
+        self, capsys, tmp_path, argv, flag
+    ):
+        missing = tmp_path / "missing"
+        rc = main([a.format(missing=missing) for a in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag}: ")
+        assert str(missing) in captured.err
+        assert list(tmp_path.iterdir()) == []
