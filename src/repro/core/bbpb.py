@@ -282,13 +282,6 @@ class MemorySideBBPB:
         self._resident.clear()
         self._inflight.clear()
 
-    def crash_drain(self) -> List[Tuple[int, BlockData]]:
-        """Return (copies of) :meth:`battery_entries` and empty the
-        buffer."""
-        out = [(addr, data.copy()) for addr, data in self.battery_entries()]
-        self.clear()
-        return out
-
     def drain_all(self, now: int) -> int:
         """Synchronously drain everything (end-of-run settling)."""
         t = now
@@ -468,11 +461,6 @@ class ProcessorSideBBPB:
 
     def clear(self) -> None:
         self._fifo.clear()
-
-    def crash_drain(self) -> List[Tuple[int, BlockData]]:
-        out = [(addr, data.copy()) for addr, data in self.battery_entries()]
-        self.clear()
-        return out
 
     def drain_all(self, now: int) -> int:
         t = now

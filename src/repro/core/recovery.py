@@ -27,7 +27,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core import registry as _registry
 from repro.core.registry import (
     CONTRACT_EADR_EXACT,
     CONTRACT_EPOCH,
@@ -264,59 +263,6 @@ class Outcome(str, enum.Enum):
     DETECTED_INCONSISTENT = "detected-inconsistent"
     SILENT_CORRUPTION = "silent-corruption"
     BASELINE_INCONSISTENT = "baseline-inconsistent"
-
-
-class _SchemeContractView:
-    """Live mapping view of scheme name -> contract kind, backed by the
-    scheme registry (:mod:`repro.core.registry`).
-
-    Schemes with a closed PoV/PoP gap (or synchronous persists) owe
-    *exact* durability of every committed persisting store;
-    buffered/uncontrolled schemes owe only per-core prefix consistency
-    (and ``none`` not even that — it is the motivating broken baseline).
-
-    Keys include aliases (a scheme object's instance name resolves the
-    same as its canonical name), and plugin schemes registered after
-    import appear automatically.
-    """
-
-    def __getitem__(self, scheme_name: str) -> str:
-        try:
-            return scheme_info(scheme_name).contract
-        except ValueError:
-            raise KeyError(scheme_name) from None
-
-    def get(self, scheme_name: str, default=None):
-        try:
-            return self[scheme_name]
-        except KeyError:
-            return default
-
-    def __contains__(self, scheme_name) -> bool:
-        return self.get(scheme_name) is not None
-
-    def keys(self):
-        return iter(_registry.scheme_names(include_aliases=True))
-
-    __iter__ = keys
-
-    def __len__(self) -> int:
-        return len(_registry.scheme_names(include_aliases=True))
-
-    def items(self):
-        return ((name, self[name]) for name in self.keys())
-
-    def values(self):
-        return (self[name] for name in self.keys())
-
-    def __repr__(self) -> str:
-        return f"SCHEME_CONTRACTS({dict(self.items())!r})"
-
-
-#: Scheme name -> consistency contract; a live registry-backed view kept
-#: for backward compatibility.  New code should read
-#: ``scheme_info(name).contract`` directly.
-SCHEME_CONTRACTS = _SchemeContractView()
 
 
 #: Contract name -> one-paragraph description of what the contract

@@ -166,12 +166,3 @@ class NVMMController:
             return done
         self.media.write_block(block_addr, data)
         return done
-
-    # ------------------------------------------------------------------
-    # Crash behaviour
-    # ------------------------------------------------------------------
-    def drain_all_on_failure(self) -> int:
-        """ADR flush-on-fail.  The WPQ is folded into acceptance, so there is
-        nothing left to move; returns 0 entries for symmetry with the bbPB
-        and cache drains reported by the crash machinery."""
-        return 0

@@ -1,10 +1,13 @@
 """The multicore trace-interleaving engine.
 
-The engine executes a :class:`~repro.sim.trace.ProgramTrace` over a
+The engine executes per-core op streams over a
 :class:`~repro.mem.hierarchy.MemoryHierarchy`.  Each core has its own cycle
 clock; the engine always steps the core with the smallest clock, which gives
 a deterministic, contention-aware interleaving of the threads (the standard
-trace-driven multicore approach).
+trace-driven multicore approach).  That interleaving lives in one place,
+:meth:`EngineStream.pump`: :meth:`Engine.run` feeds a whole
+:class:`~repro.sim.trace.ProgramTrace` to a stream and finishes it, and
+serving feeds requests to a stream as they arrive.
 
 Store buffers sit between the core and the hierarchy:
 
@@ -26,8 +29,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Deque, Iterable, List, NamedTuple, Optional, Sequence
+from typing import Deque, Iterable, List, NamedTuple, Optional
 
 from repro.check.schedule import SITE_OP, CrashNow, FiredPoint
 from repro.core.persistency import DrainReport
@@ -74,9 +76,10 @@ class RunResult:
     drain_report: Optional[DrainReport] = None
     #: Crash-schedule point that fired (None when the run completed).
     crash_point: Optional[FiredPoint] = None
-    #: Architectural execution log (populated when Engine(log=True)) — the
-    #: exact order operations took effect, for differential testing
-    #: against :mod:`repro.sim.reference`.
+    #: Architectural execution log — the exact order operations took
+    #: effect — recorded only while the engine's ``_log_enabled`` flag is
+    #: set (the differential test against :mod:`repro.sim.reference` sets
+    #: it).
     log: List[LogRecord] = field(default_factory=list)
 
     @property
@@ -84,27 +87,25 @@ class RunResult:
         return self.stats.execution_cycles
 
 
+#: Chance that a relaxed-consistency store-buffer entry is released at
+#: each release opportunity (see :meth:`Engine._release_relaxed`).
+RELEASE_PROBABILITY = 0.5
+
+
 class Engine:
     """Drives one program over one hierarchy + scheme."""
 
-    def __init__(
-        self,
-        hierarchy: MemoryHierarchy,
-        consistency: Optional[ConsistencyModel] = None,
-        reorder_seed: int = 0,
-        release_probability: float = 0.5,
-        log: bool = False,
-    ) -> None:
+    def __init__(self, hierarchy: MemoryHierarchy,
+                 reorder_seed: int = 0) -> None:
         self.hierarchy = hierarchy
         self.config = hierarchy.config
         self.stats = hierarchy.stats
-        self.consistency = consistency or self.config.consistency
         self._rng = random.Random(reorder_seed)
-        self._release_probability = release_probability
-        self._log_enabled = log
+        #: Record :attr:`RunResult.log` (off: it costs a record per op).
+        self._log_enabled = False
         self._seq = 0
         # Hot-loop bound references (resolved once, not per executed op).
-        self._tso = self.consistency is ConsistencyModel.TSO
+        self._tso = self.config.consistency is ConsistencyModel.TSO
         #: TSO stores may bypass the store buffer (see _commit_store)
         #: unless a crash schedule can observe one mid-flight.
         self._tso_direct = self._tso and not hierarchy.crash_schedule.enabled
@@ -115,97 +116,30 @@ class Engine:
         self._bus = hierarchy.bus
 
     # ------------------------------------------------------------------
-    # Public entry point
+    # Public entry points
     # ------------------------------------------------------------------
     def run(self, trace: ProgramTrace, finalize: bool = True) -> RunResult:
-        """Execute ``trace``; a crash happens only where the hierarchy's
-        crash schedule fires (``CrashSchedule(stop_at=k, sites=(SITE_OP,))``
-        crashes after ``k`` globally executed operations).
-
-        On a crash, the active persistency scheme's battery drains whatever
-        it covers and the volatile state is lost; ``finalize`` is ignored.
-        On a normal completion (``finalize=True``) the scheme settles all
-        outstanding persistence-domain state so the media image is complete.
-        """
+        """Execute ``trace``: feed each thread's ops to one stream and
+        finish it (see :meth:`EngineStream.finish`).  A crash happens only
+        where the hierarchy's crash schedule fires
+        (``CrashSchedule(stop_at=k, sites=(SITE_OP,))`` crashes after ``k``
+        globally executed operations)."""
         if trace.num_threads > self.config.num_cores:
             raise ValueError(
                 f"trace has {trace.num_threads} threads but the system has "
                 f"{self.config.num_cores} cores"
             )
-        schedule = self.hierarchy.crash_schedule
-        schedule_on = schedule.enabled
-        result = self.result = RunResult(stats=self.stats)
-        num_threads = trace.num_threads
-        clocks = [0] * num_threads
-        indices = [0] * num_threads
-        flush_outstanding: List[List[int]] = [[] for _ in range(num_threads)]
-        executed = 0
+        session = self.stream()
+        for core, thread in enumerate(trace.threads):
+            session.feed(core, thread.ops)
+        return session.finish(finalize)
 
-        # Min-heap scheduler: always step the core with the smallest clock,
-        # ties broken by core index — identical to a min() over live cores,
-        # but O(log n) per step and with no per-step liveness list-build.
-        ops_per_core = [t.ops for t in trace.threads]
-        lengths = [len(ops) for ops in ops_per_core]
-        heap = [(0, c) for c in range(num_threads) if lengths[c]]
-        execute = self._execute
-        while heap:
-            clock, core = heapq.heappop(heap)
-            i = indices[core]
-            op = ops_per_core[core][i]
-            indices[core] = i + 1
-            try:
-                clock = execute(core, op, clock, result,
-                                flush_outstanding[core])
-                clocks[core] = clock
-                executed += 1
-                if schedule_on:
-                    schedule.reached(SITE_OP, clock)
-            except CrashNow as crash:
-                # A scheduled crash fired inside (or right after) this op:
-                # ``executed`` counts fully-executed ops.
-                clocks[core] = max(clocks[core], clock)
-                result.crashed = True
-                result.crash_op = executed
-                result.crash_point = crash.point
-                break
-            if i + 1 < lengths[core]:
-                heapq.heappush(heap, (clock, core))
+    def stream(self) -> "EngineStream":
+        """Open a streaming ingestion session (see :class:`EngineStream`).
 
-        return self._epilogue(result, clocks, flush_outstanding, executed,
-                              finalize)
-
-    def _epilogue(
-        self,
-        result: RunResult,
-        clocks: List[int],
-        flush_outstanding: List[List[int]],
-        executed: int,
-        finalize: bool,
-    ) -> RunResult:
-        """Settle a completed (or crashed) execution: retire remaining
-        store-buffer entries and outstanding flushes, finalize the scheme,
-        drain on crash, and publish per-core cycle counts.  Shared by
-        :meth:`run` and :meth:`EngineStream.finish`."""
-        if not result.crashed:
-            try:
-                for core in range(len(clocks)):
-                    clocks[core] = self._release_all(core, clocks[core], result)
-                    if flush_outstanding[core]:
-                        clocks[core] = max(clocks[core],
-                                           max(flush_outstanding[core]))
-                if finalize:
-                    self.hierarchy.scheme.finalize(max(clocks))
-            except CrashNow as crash:
-                result.crashed = True
-                result.crash_op = executed
-                result.crash_point = crash.point
-        if result.crashed:
-            result.drain_report = self.hierarchy.scheme.crash_drain(
-                max(clocks) if clocks else 0
-            )
-        for core, clock in enumerate(clocks):
-            self.stats.core[core].cycles = clock
-        return result
+        An :class:`Engine` is single-shot: use either :meth:`run` or one
+        stream per engine, never both."""
+        return EngineStream(self)
 
     # ------------------------------------------------------------------
     # Per-op execution
@@ -287,12 +221,14 @@ class Engine:
     def _commit_store(
         self, core: int, op: TraceOp, now: int, result: RunResult
     ) -> int:
-        sb = self._store_buffers[core]
-        if self._tso_direct and not len(sb):
-            # TSO fast path: release is eager, so by the time a store
-            # commits the buffer is empty again — the entry would be pushed
-            # and immediately popped.  Skip the round trip; the observable
-            # behaviour (records, stats, timing) is identical.
+        if self._tso:
+            # Release is eager under TSO: every store leaves the buffer
+            # before the next one commits, so the buffer is empty here.
+            if not self._tso_direct:
+                return self._commit_store_observed(core, op, now, result)
+            # With no crash schedule to observe the store in flight, skip
+            # the buffer round trip; records, stats and timing are those of
+            # a push followed at once by a release.
             addr, size, value = op.addr, op.size, op.value
             persistent = self._is_persistent(addr)
             if persistent:
@@ -310,26 +246,21 @@ class Engine:
                     PersistRecord(core, addr, size, value, self._seq)
                 )
             return done
-        if self._tso and not len(sb):
-            return self._commit_store_observed(core, op, now, result, sb)
 
+        sb = self._store_buffers[core]
         if sb.full:
             now = self._release_oldest(core, now, result)
-        persistent = self.config.mem.is_persistent(op.addr)
+        persistent = self._is_persistent(op.addr)
         sb.push(op.addr, op.value, op.size, persistent, now)
         if persistent:
             self._seq += 1
             result.committed_persists.append(
                 PersistRecord(core, op.addr, op.size, op.value, self._seq)
             )
-        now += 1  # commit cost
-
-        if self.consistency is ConsistencyModel.TSO:
-            return self._release_all(core, now, result)
-        return self._release_relaxed(core, now, result)
+        return self._release_relaxed(core, now + 1, result)  # +1: commit
 
     def _commit_store_observed(
-        self, core: int, op: TraceOp, now: int, result: RunResult, sb
+        self, core: int, op: TraceOp, now: int, result: RunResult
     ) -> int:
         """The TSO fast path under a crash schedule: the same records,
         stats, timing and event stream (no SB events), with the store held
@@ -341,6 +272,7 @@ class Engine:
             result.committed_persists.append(
                 PersistRecord(core, op.addr, op.size, op.value, self._seq)
             )
+        sb = self._store_buffers[core]
         entry = sb.releasing = SBEntry(op.addr, op.size, op.value, 0,
                                        persistent)
         now = self._release_entry(core, entry, now + 1, result)  # +1: commit
@@ -394,7 +326,7 @@ class Engine:
             if baddr in blocked_blocks:
                 kept.append(entry)
                 continue
-            if self._rng.random() < self._release_probability:
+            if self._rng.random() < RELEASE_PROBABILITY:
                 if bus_on:
                     released.append((now, entry.addr))
                 now = self._release_entry(core, entry, now, result)
@@ -409,77 +341,24 @@ class Engine:
                 self._bus.emit(SbRelease(cycle, core, addr, len(kept)))
         return now
 
-    # ------------------------------------------------------------------
-    # Streaming ingestion
-    # ------------------------------------------------------------------
-    def stream(self) -> "EngineStream":
-        """Open a streaming ingestion session (see :class:`EngineStream`).
-
-        An :class:`Engine` is single-shot: use either :meth:`run` or one
-        stream per engine, never both."""
-        return EngineStream(self)
-
-    def run_stream(
-        self,
-        streams: Sequence[Iterable[TraceOp]],
-        chunk: int = 256,
-        finalize: bool = True,
-    ) -> RunResult:
-        """Execute per-core op iterables incrementally, pulling ``chunk``
-        ops at a time from whichever core the engine starves on.
-
-        Equivalent to materializing the iterables into a
-        :class:`~repro.sim.trace.ProgramTrace` and calling :meth:`run` —
-        bit-identical stats and persist records — without ever holding
-        more than the in-flight chunks in memory.
-        """
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        num_cores = self.config.num_cores
-        if len(streams) > num_cores:
-            raise ValueError(
-                f"{len(streams)} op streams but the system has "
-                f"{num_cores} cores"
-            )
-        iters = [iter(s) for s in streams]
-        session = self.stream()
-
-        def refill(core: int) -> None:
-            batch = list(islice(iters[core], chunk))
-            if batch:
-                session.feed(core, batch)
-            else:
-                session.end(core)
-
-        for core in range(len(iters)):
-            refill(core)
-        for core in range(len(iters), num_cores):
-            session.end(core)
-        while True:
-            needy = session.pump()
-            if needy is None:
-                break
-            refill(needy)
-        return session.finish(finalize=finalize)
-
 
 class EngineStream:
     """Incremental, request-driven execution session over one
-    :class:`Engine`.
+    :class:`Engine` — the engine's only scheduling loop.
 
-    Instead of materializing a whole :class:`~repro.sim.trace.ProgramTrace`
-    up front, a caller *feeds* ops to per-core queues and *pumps* the
-    engine, which executes exactly as far as it can while preserving the
-    deterministic smallest-clock interleaving of :meth:`Engine.run`:
+    A caller *feeds* ops to per-core queues and *pumps* the engine, which
+    executes exactly as far as it can while keeping the deterministic
+    smallest-clock interleaving (ties break toward the lower core index):
 
-    * ``pump()`` executes ops only while the globally next heap key
+    * ``pump()`` executes ops only while the globally next key
       ``(clock, core)`` belongs to a core with buffered work.  When the
       next key belongs to a core whose queue is empty (and that has not
       been :meth:`end`-ed or marked :meth:`idle`), the pump *starves* and
       returns that core's index — backpressure telling the caller which
-      stream the engine needs next.  This is what makes streamed ingestion
-      bit-identical to a materialized run: an op fed later to the starved
-      core could order before anything currently buffered elsewhere.
+      stream the engine needs next.  This is what makes any chunking of
+      the feeds bit-identical to feeding every op up front, as
+      :meth:`Engine.run` does: an op fed later to the starved core could
+      order before anything currently buffered elsewhere.
     * ``feed(core, ops)`` appends ops to a core's queue; ``end(core)``
       declares a stream complete; ``idle(core)`` temporarily removes a
       core from the starvation barrier (closed-loop serving: the core has
@@ -488,21 +367,24 @@ class EngineStream:
     * ``advance(core, cycle)`` moves an (empty-queued) core's clock
       forward to a request arrival time, modelling the gap between
       requests in an open-loop workload.
-    * ``finish()`` ends every core, drains, and settles the run exactly
-      like :meth:`Engine.run`'s completion path, returning the
-      :class:`RunResult`.
+    * ``finish()`` ends every core, drains, and settles the run, returning
+      the :class:`RunResult`.
 
     Because a core's clock only moves when its own ops execute, a starved
     core's clock is exactly the completion cycle of the last op it was
     fed — per-request latency falls out of ``clock(core)`` with no per-op
     completion callbacks (:mod:`repro.serve` builds on this).
+
+    The session publishes its result as ``engine.result`` as soon as it is
+    built, so a crash-schedule observer can read the persist records of
+    the run in progress (:func:`repro.check.explore.sweep` does).
     """
 
     def __init__(self, engine: Engine) -> None:
         self.engine = engine
         n = engine.config.num_cores
         self.num_cores = n
-        self.result = RunResult(stats=engine.stats)
+        self.result = engine.result = RunResult(stats=engine.stats)
         self.clocks = [0] * n
         self.flush_outstanding: List[List[int]] = [[] for _ in range(n)]
         self.executed = 0
@@ -514,16 +396,30 @@ class EngineStream:
         self._schedule = schedule
         self._schedule_on = schedule.enabled
 
+    def _check_core(self, core: int) -> None:
+        if not 0 <= core < self.num_cores:
+            raise ValueError(
+                f"no core {core}: the system has cores 0..{self.num_cores - 1}"
+            )
+
+    def _crashed(self, crash: CrashNow) -> None:
+        result = self.result
+        result.crashed = True
+        result.crash_op = self.executed  # fully executed ops
+        result.crash_point = crash.point
+
     # -- ingestion -----------------------------------------------------
     def clock(self, core: int) -> int:
         """Core ``core``'s cycle clock — after a starve, the completion
         cycle of the last op it executed."""
+        self._check_core(core)
         return self.clocks[core]
 
     def feed(self, core: int, ops: Iterable[TraceOp]) -> None:
         """Append ops to ``core``'s queue (clears an ``idle`` mark)."""
         if self._finished:
             raise RuntimeError("stream already finished")
+        self._check_core(core)
         if self._ended[core]:
             raise ValueError(f"core {core} already ended")
         self._idle[core] = False
@@ -532,12 +428,14 @@ class EngineStream:
     def end(self, core: int) -> None:
         """Declare ``core``'s stream complete; it stops blocking pumps
         once its queue drains, and may not be fed again."""
+        self._check_core(core)
         self._ended[core] = True
         self._idle[core] = False
 
     def idle(self, core: int) -> None:
         """Remove an empty-queued core from the starvation barrier until
         the next :meth:`feed` (closed-loop: no request in flight)."""
+        self._check_core(core)
         if self._pending[core]:
             raise ValueError(f"core {core} has buffered ops; cannot idle")
         self._idle[core] = True
@@ -545,6 +443,7 @@ class EngineStream:
     def advance(self, core: int, cycle: int) -> None:
         """Move an empty-queued core's clock forward to ``cycle`` (no-op
         if its clock is already past), modelling inter-request gaps."""
+        self._check_core(core)
         if self._pending[core]:
             raise ValueError(f"core {core} has buffered ops; cannot advance")
         if cycle > self.clocks[core]:
@@ -571,9 +470,9 @@ class EngineStream:
         schedule_on = self._schedule_on
         schedule = self._schedule
         executed = self.executed
-        # Same order as Engine.run's min-heap: smallest clock wins, ties
-        # break toward the lower core index.  Cores with an empty queue
-        # that are neither ended nor idle stay in the heap as barriers.
+        # Min-heap of (clock, core): the smallest clock wins, ties break
+        # toward the lower core index.  Cores with an empty queue that are
+        # neither ended nor idle stay in the heap as barriers.
         heap = [(clocks[c], c) for c in range(self.num_cores)
                 if pending[c] or not (ended[c] or idle[c])]
         heapq.heapify(heap)
@@ -601,9 +500,7 @@ class EngineStream:
                         schedule.reached(SITE_OP, clock)
                 except CrashNow as crash:
                     self.executed = executed
-                    result.crashed = True
-                    result.crash_op = executed
-                    result.crash_point = crash.point
+                    self._crashed(crash)
                     return None
                 if not queue or (limit is not None and clock >= limit):
                     break
@@ -614,8 +511,15 @@ class EngineStream:
 
     # -- completion ----------------------------------------------------
     def finish(self, finalize: bool = True) -> RunResult:
-        """End every core, drain all buffered ops, and settle the run
-        exactly as :meth:`Engine.run` does on completion."""
+        """End every core, drain all buffered ops, and settle the run.
+
+        After a normal completion every core retires its store buffer and
+        waits out its outstanding flushes, and with ``finalize=True`` the
+        scheme settles all outstanding persistence-domain state so the
+        media image is complete.  After a crash (or a crash while
+        settling) ``finalize`` is ignored: the scheme's battery drains
+        whatever it covers and the volatile state is lost.  Either way the
+        per-core clocks become the cores' cycle counts."""
         if self._finished:
             return self.result
         for core in range(self.num_cores):
@@ -623,7 +527,23 @@ class EngineStream:
             self._idle[core] = False
         self.pump()
         self._finished = True
-        return self.engine._epilogue(
-            self.result, self.clocks, self.flush_outstanding,
-            self.executed, finalize,
-        )
+        engine = self.engine
+        result = self.result
+        clocks = self.clocks
+        scheme = engine.hierarchy.scheme
+        if not result.crashed:
+            try:
+                for core, flushes in enumerate(self.flush_outstanding):
+                    clocks[core] = engine._release_all(core, clocks[core],
+                                                       result)
+                    if flushes:
+                        clocks[core] = max(clocks[core], max(flushes))
+                if finalize:
+                    scheme.finalize(max(clocks))
+            except CrashNow as crash:
+                self._crashed(crash)
+        if result.crashed:
+            result.drain_report = scheme.crash_drain(max(clocks))
+        for core, clock in enumerate(clocks):
+            engine.stats.core[core].cycles = clock
+        return result

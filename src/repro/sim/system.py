@@ -77,7 +77,9 @@ class System:
         schedule fires.  A ``System`` is single-shot: build a fresh one per
         run.
 
-        In ``mode="analytical"`` no discrete simulation happens: the stats
+        In ``mode="sim"`` this is one :meth:`stream` fed every thread's
+        ops and finished (:meth:`repro.sim.engine.Engine.run`).  In
+        ``mode="analytical"`` no discrete simulation happens: the stats
         are filled from the closed-form model."""
         if self.mode == "analytical":
             from repro.analysis.analytical import run_analytical
@@ -97,19 +99,6 @@ class System:
                 "mode='sim'"
             )
         return self.engine.stream()
-
-    def run_stream(self, streams, chunk: int = 256,
-                   finalize: bool = True) -> RunResult:
-        """Execute per-core op iterables incrementally (chunked pulls on
-        engine backpressure).  Bit-identical to materializing the streams
-        into a trace and calling :meth:`run` — see
-        :meth:`repro.sim.engine.Engine.run_stream`."""
-        if self.mode == "analytical":
-            raise ValueError(
-                "analytical mode has no streaming ingestion path; use "
-                "mode='sim'"
-            )
-        return self.engine.run_stream(streams, chunk=chunk, finalize=finalize)
 
     @property
     def nvmm_media(self):

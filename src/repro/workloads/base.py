@@ -76,9 +76,7 @@ class Workload:
     def iter_ops(self, thread_id: int) -> Iterator[TraceOp]:
         """Yield thread ``thread_id``'s operations lazily — the canonical
         generation path.  :meth:`build_thread`/:meth:`build` materialize
-        it; the streaming engine
-        (:meth:`repro.sim.system.System.run_stream`) can consume it
-        incrementally without holding a whole trace in memory.
+        it into the trace :meth:`repro.sim.system.System.run` executes.
 
         Contract: workloads keep *one* RNG and mutable model state shared
         across threads, so generators must be consumed one thread at a

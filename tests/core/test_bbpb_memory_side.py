@@ -176,7 +176,8 @@ class TestCrashAndSettle:
         buf, _ = make(entries=8)
         buf.put(0x1000, data(1), 0)
         buf.put(0x1040, data(2), 0)
-        drained = buf.crash_drain()
+        drained = buf.battery_entries()
+        buf.clear()
         assert [a for a, _ in drained] == [0x1000, 0x1040]
         assert len(buf) == 0
 
@@ -184,7 +185,8 @@ class TestCrashAndSettle:
         buf, _ = make(entries=8)
         buf.put(0x1000, data(1), 0)
         buf.put(0x1000, data(9), 10)
-        drained = buf.crash_drain()
+        drained = buf.battery_entries()
+        buf.clear()
         assert drained[0][1].read_word(0) == 9
 
     def test_drain_all_settles_everything(self):

@@ -117,7 +117,8 @@ class TestCrash:
         buf, _ = make(entries=8)
         buf.put(0x1000, data(1), 0)
         buf.put(0x1040, data(2), 0)
-        drained = buf.crash_drain()
+        drained = buf.battery_entries()
+        buf.clear()
         assert [a for a, _ in drained] == [0x1000, 0x1040]
         assert len(buf) == 0
 

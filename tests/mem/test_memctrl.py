@@ -85,8 +85,3 @@ class TestNVMMWrites:
         mc.write(nvmm_block(mem), BlockData({1: 9}), 100)
         blk = mc.media.peek_block(nvmm_block(mem))
         assert (blk.read(0), blk.read(1)) == (1, 9)
-
-    def test_drain_all_on_failure_is_empty(self, mem, stats):
-        mc = NVMMController(mem, stats)
-        mc.write(nvmm_block(mem), BlockData({0: 1}), 0)
-        assert mc.drain_all_on_failure() == 0  # WPQ folded into acceptance

@@ -135,8 +135,9 @@ def test_processor_side_drains_in_program_order(seq):
 def test_crash_drain_preserves_final_values(entries, seq):
     buf, sink, now = run_buffer(MemorySideBBPB, entries, seq)
     crash_content = dict(
-        (addr, data.read_word(0)) for addr, data in buf.crash_drain()
+        (addr, data.read_word(0)) for addr, data in buf.battery_entries()
     )
+    buf.clear()
     final_values = {}
     for block_idx, value in seq:
         final_values[0x10000 + block_idx * 64] = value

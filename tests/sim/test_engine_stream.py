@@ -1,85 +1,77 @@
-"""Golden-fingerprint equivalence for the streaming ingestion path.
+"""Streamed ingestion against the golden run fingerprints, and the
+``EngineStream`` protocol.
 
-Feeding a workload's per-thread op streams incrementally through
-``System.run_stream`` (chunked pulls on engine backpressure) must produce
-bit-identical ``SimStats`` and persist records to materializing the same
-ops into a ``ProgramTrace`` and calling ``System.run`` — for every
-registered builtin scheme, across chunk sizes, and under relaxed
-consistency.  The manual-session tests pin the
-``EngineStream`` protocol itself (starve/feed/advance/idle/end).
+Feeding each thread's ops through ``System.stream()`` in any chunking and
+any order across cores, pumping after every feed, must reproduce the
+recorded fingerprint of the materialized run (full ``SimStats`` plus both
+persist-record streams) for every builtin scheme, under TSO and under
+relaxed consistency.  The manual-session tests pin the protocol itself
+(starve/feed/advance/idle/end/finish).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.bench import fingerprint_run
 from repro.analysis.experiments import default_sim_config
 from repro.api import build_system
-from repro.core.registry import BBB, CONTRACT_EPOCH, iter_schemes
-from repro.sim.config import ConsistencyModel
-from repro.sim.trace import TraceOp, with_epochs
-from repro.workloads.base import (WorkloadSpec, build_cached,
-                                  seed_media_words)
-
-SPEC = WorkloadSpec(threads=2, ops=25, elements=512, seed=13)
-SCHEMES = [info for info in iter_schemes() if info.builtin]
-
-
-def _system(info, config=None):
-    kwargs = {"entries": 8} if info.has_persist_buffer else {}
-    return build_system(info.name, config=config or default_sim_config(),
-                        **kwargs)
-
-
-def _prepared(info, workload, config=None):
-    cfg = config or default_sim_config()
-    trace, initial_words = build_cached(workload, cfg.mem, SPEC)
-    if info.contract == CONTRACT_EPOCH:
-        trace = with_epochs(trace, every_n_stores=8)
-    return trace, initial_words
-
-
-def _run_materialized(info, trace, initial_words, config=None):
-    system = _system(info, config)
-    seed_media_words(system.nvmm_media, initial_words)
-    return system.run(trace, finalize=False)
-
-
-def _run_streamed(info, trace, initial_words, chunk=7, config=None):
-    system = _system(info, config)
-    seed_media_words(system.nvmm_media, initial_words)
-    streams = [iter(thread.ops) for thread in trace.threads]
-    return system.run_stream(streams, chunk=chunk, finalize=False)
+from repro.core.registry import BBB
+from repro.sim.trace import TraceOp
+from tests.sim.test_run_fingerprints import (RELAXED_SEEDS, RELAXED_WORKLOADS,
+                                             SCHEMES, cell_system, golden)
 
 
 @pytest.mark.parametrize("info", SCHEMES, ids=lambda i: i.name)
-@pytest.mark.parametrize("workload", ["hashmap", "mutateC"])
-def test_streamed_matches_materialized(info, workload):
-    trace, words = _prepared(info, workload)
-    ref = _run_materialized(info, trace, words)
-    streamed = _run_streamed(info, trace, words)
-    assert fingerprint_run(ref) == fingerprint_run(streamed)
+@pytest.mark.parametrize("workload", RELAXED_WORKLOADS)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.sampled_from((None,) + RELAXED_SEEDS),
+       chunks=st.lists(st.integers(1, 32), min_size=1, max_size=8),
+       picks=st.lists(st.integers(0, 7), min_size=1, max_size=8))
+def test_streamed_matches_materialized(info, workload, seed, chunks, picks):
+    """Feed step ``i`` gives ``chunks[i]`` ops to the ``picks[i]``-th core
+    with ops left (both cycled); ``seed=None`` is TSO."""
+    system, trace = cell_system(info, workload, reorder_seed=seed)
+    session = system.stream()
+    for core in range(trace.num_threads, session.num_cores):
+        session.end(core)
+    fed = [0] * trace.num_threads
+    live = list(range(trace.num_threads))
+    step = 0
+    while live:
+        core = live[picks[step % len(picks)] % len(live)]
+        n = chunks[step % len(chunks)]
+        ops = trace.threads[core].ops
+        session.feed(core, ops[fed[core]:fed[core] + n])
+        fed[core] += n
+        if fed[core] >= len(ops):
+            session.end(core)
+            live.remove(core)
+        session.pump()
+        step += 1
+    result = session.finish(finalize=False)
+    assert fingerprint_run(result) == golden(info, workload, seed)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 64, 10_000])
 def test_chunk_size_is_invisible(chunk):
-    """The pull granularity must not leak into results."""
+    """Feeding every core ``chunk`` ops at a time, round-robin, must not
+    leak the feed granularity into results."""
     info = next(i for i in SCHEMES if i.name == BBB)
-    trace, words = _prepared(info, "hashmap")
-    ref = _run_materialized(info, trace, words)
-    streamed = _run_streamed(info, trace, words, chunk=chunk)
-    assert fingerprint_run(ref) == fingerprint_run(streamed)
-
-
-def test_streamed_relaxed_consistency():
-    import dataclasses
-
-    info = next(i for i in SCHEMES if i.name == BBB)
-    cfg = dataclasses.replace(default_sim_config(),
-                              consistency=ConsistencyModel.RELAXED)
-    trace, words = _prepared(info, "hashmap", config=cfg)
-    ref = _run_materialized(info, trace, words, config=cfg)
-    streamed = _run_streamed(info, trace, words, config=cfg)
-    assert fingerprint_run(ref) == fingerprint_run(streamed)
+    system, trace = cell_system(info, "hashmap")
+    session = system.stream()
+    for core in range(trace.num_threads, session.num_cores):
+        session.end(core)
+    ops = [thread.ops for thread in trace.threads]
+    for start in range(0, max(map(len, ops)), chunk):
+        for core, core_ops in enumerate(ops):
+            if start < len(core_ops):
+                session.feed(core, core_ops[start:start + chunk])
+                if start + chunk >= len(core_ops):
+                    session.end(core)
+            session.pump()
+    result = session.finish(finalize=False)
+    assert fingerprint_run(result) == golden(info, "hashmap")
 
 
 # ----------------------------------------------------------------------
@@ -87,8 +79,7 @@ def test_streamed_relaxed_consistency():
 # ----------------------------------------------------------------------
 
 def _bbb_session():
-    info = next(i for i in SCHEMES if i.name == BBB)
-    system = _system(info)
+    system = build_system(BBB, config=default_sim_config(), entries=8)
     return system, system.stream()
 
 
@@ -158,3 +149,21 @@ def test_feed_after_end_rejected():
     session.end(0)
     with pytest.raises(ValueError):
         session.feed(0, [TraceOp.compute(1)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, c: s.feed(c, [TraceOp.compute(1)]),
+    lambda s, c: s.end(c),
+    lambda s, c: s.idle(c),
+    lambda s, c: s.advance(c, 10),
+    lambda s, c: s.clock(c),
+], ids=["feed", "end", "idle", "advance", "clock"])
+def test_core_outside_the_system_rejected(call):
+    """``-1`` must not wrap around to the last core, and ``num_cores`` must
+    not surface as a bare ``IndexError``."""
+    _, session = _bbb_session()
+    for core in (-1, session.num_cores):
+        with pytest.raises(ValueError, match="no core"):
+            call(session, core)
+    assert [session.clock(c) for c in range(session.num_cores)] == \
+        [0] * session.num_cores

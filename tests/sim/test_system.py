@@ -10,7 +10,7 @@ from repro.core.bsp import BSP
 from repro.core.persistency import BBBScheme, BEP, EADR, NoPersistency, StrictPMEM
 from repro.obs.bus import NULL_BUS, EventBus
 from repro.sim.system import System
-from repro.sim.trace import TraceOp
+from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
 from tests.conftest import paddr, single_thread_trace
 
 
@@ -138,6 +138,14 @@ class TestAssembly:
         result = system.run(trace)
         assert result.stats.total_stores == 1
         assert system.nvmm_media.read_word(paddr(small_config, 0), 8) == 0xAB
+
+    def test_run_rejects_more_threads_than_cores(self, small_config):
+        system = build_system("bbb", config=small_config)
+        trace = ProgramTrace([ThreadTrace([TraceOp.compute(1)])
+                              for _ in range(small_config.num_cores + 1)])
+        with pytest.raises(ValueError, match="threads but the system has"):
+            system.run(trace)
+        assert system.stats.execution_cycles == 0
 
     def test_battery_backed_sb_only_for_bbb_and_eadr(self, small_config):
         def sb0(name):

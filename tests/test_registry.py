@@ -13,7 +13,7 @@ import pytest
 
 from repro.api import SCHEMES, Scheme, build_system
 from repro.cli import build_parser
-from repro.core.recovery import CONTRACT_DOCS, SCHEME_CONTRACTS, claimed_persists
+from repro.core.recovery import CONTRACT_DOCS, claimed_persists
 from repro.core.registry import (
     CONTRACT_EXACT,
     CONTRACT_KINDS,
@@ -63,9 +63,8 @@ class TestEverySchemeIsComplete:
     def test_has_contract_and_doc(self, info):
         assert info.contract in CONTRACT_KINDS
         assert info.contract in CONTRACT_DOCS
-        assert SCHEME_CONTRACTS[info.name] == info.contract
         for alias in info.aliases:
-            assert SCHEME_CONTRACTS[alias] == info.contract
+            assert scheme_info(alias).contract == info.contract
 
     def test_pop_location_is_valid(self, info):
         assert info.pop in (POP_STORE_COMMIT, POP_FLUSH)
@@ -168,7 +167,7 @@ class TestRegistration:
             assert isinstance(system.scheme, TempScheme)
             assert system.scheme.name == name
             assert scheme_for_class(TempScheme).name == name
-            assert SCHEME_CONTRACTS[name] == CONTRACT_EXACT
+            assert info.contract == CONTRACT_EXACT
         finally:
             unregister_scheme(name)
         with pytest.raises(ValueError, match="unknown scheme"):
