@@ -138,14 +138,13 @@ def main() -> int:
         return 1
 
     # 4. The litmus battery gates the plugin against the persistency
-    #    model its registration declared (jobs=1 for the same in-process
-    #    plugin reason as the campaign above).
+    #    model its registration declared.
     from repro.litmus.corpus import smoke_corpus
     from repro.litmus.runner import battery_failures, run_battery
 
     battery = run_battery(
         schemes=[SCHEME_NAME], tests=smoke_corpus(),
-        include_mutants=False, minimize=False, jobs=1,
+        include_mutants=False, minimize=False,
     )
     failures = battery_failures(battery)
     rollup = battery["schemes"][0]

@@ -36,9 +36,10 @@ The eight gates (``check``, ``litmus``, ``opt``, ``drill``, ``faults``,
 ``traffic``, ``profile`` and ``bench``) share one runner.  A gate exits
 0 when it passes and 1 when it fails, printing each failure on stderr as
 ``error: ...``; it exits 2 on a usage error (an unknown scheme, workload
-or mutant, an output path whose directory does not exist, or an
-unreadable ``--replay`` artifact) before doing any work.  A passing
-``--smoke`` run ends with the line ``<gate> smoke ok``.
+or mutant, a size out of range such as ``--entries 0``, an output path
+whose directory does not exist, or an unreadable ``--replay`` artifact)
+before doing any work.  A passing ``--smoke`` run ends with the line
+``<gate> smoke ok``.
 
 ``run`` and ``compare`` accept ``--events PATH`` (JSONL event log) and
 ``--trace-out PATH`` (Chrome ``trace_event`` file for chrome://tracing or
@@ -335,7 +336,7 @@ def cmd_trace(args) -> int:
 
 #: Output-path flags the runner checks before any work: each names a
 #: file whose directory must exist, except ``cex_dir``, which is one.
-_PATH_FLAGS = ("out", "cex_out", "save_program", "checkpoint", "cex_dir")
+_PATH_FLAGS = ("out", "cex_out", "save_program", "cex_dir")
 
 
 def _run_gate(args) -> int:
@@ -348,6 +349,9 @@ def _run_gate(args) -> int:
             if path and where and not os.path.isdir(where):
                 raise ValueError(f"--{flag.replace('_', '-')}: directory "
                                  f"{where!r} does not exist")
+        if getattr(args, "entries", 1) < 1:
+            raise ValueError(f"--entries: must be at least 1, "
+                             f"got {args.entries}")
         if "jobs" in vars(args):
             from repro.analysis.batch import decide_jobs
 
@@ -405,16 +409,6 @@ def _names(text: Optional[str], kind: Optional[str] = None, default=None):
 def _loads(text: Optional[str], default: Sequence[float]) -> List[float]:
     """Offered loads (requests per 1000 cycles) from ``--loads``."""
     return [float(x) for x in _names(text, default=default)]
-
-
-def _batch_policy(args):
-    """The batch runner's policy from ``--timeout/--retries/--checkpoint``."""
-    from repro.analysis.batch import BatchPolicy
-
-    return BatchPolicy(
-        timeout=args.timeout, retries=args.retries,
-        checkpoint=args.checkpoint, on_error="raise", seed=args.seed,
-    )
 
 
 def _replayed(reproduced: bool) -> str:
@@ -576,8 +570,7 @@ def gate_faults(args):
             schemes, workloads, plans,
             dataclasses.replace(_spec(args), seed=args.seed + 42),
             seed=args.seed, crashes_per_cell=args.crashes,
-            entries=args.entries, jobs=args.jobs,
-            policy=_batch_policy(args), progress=_progress,
+            entries=args.entries, jobs=args.jobs, progress=_progress,
         )
     domain = report["battery_domain"]
     text = render_table(
@@ -683,14 +676,13 @@ def gate_litmus(args):
     )
 
     if args.smoke:
-        report, failures = smoke_battery(jobs=args.jobs, progress=_progress)
+        report, failures = smoke_battery(progress=_progress)
         return render_matrix(report), report, failures
 
     report = run_battery(
         schemes=_names(args.schemes, "scheme"),
         tests=corpus(_names(args.tests)), entries=args.entries,
-        include_mutants=not args.no_mutants, jobs=args.jobs,
-        policy=_batch_policy(args), progress=_progress,
+        include_mutants=not args.no_mutants, progress=_progress,
         minimize=not args.no_minimize, cex_dir=args.cex_dir,
     )
     lines = [render_matrix(report)]
@@ -811,15 +803,14 @@ def _gate_parser(sub, gate, help: str, *, smoke: str,
                  out: Optional[str] = None, seed=None,
                  entries: Optional[int] = None,
                  schemes: Optional[str] = None, size=None,
-                 jobs: Optional[str] = None, batch=None, replay=None,
+                 jobs: Optional[str] = None, replay=None,
                  aliases: Sequence[str] = ()) -> argparse.ArgumentParser:
     """The subparser of ``gate`` with the flags the gates share, declared
     with this gate's defaults; a flag whose keyword is None is left out.
 
     ``out`` names the report, ``seed`` is ``(default, help)``, ``schemes``
     the default scheme list, ``size`` the default ``(threads, ops,
-    elements)``, ``jobs`` a note on ``--jobs``, ``batch`` the ``(item,
-    run)`` nouns of ``--timeout/--retries/--checkpoint``, and ``replay``
+    elements)``, ``jobs`` a note on ``--jobs``, and ``replay``
     ``(replayer, artifact)``."""
     p = sub.add_parser(gate.__name__[len("gate_"):], aliases=list(aliases),
                        help=help)
@@ -847,15 +838,6 @@ def _gate_parser(sub, gate, help: str, *, smoke: str,
         p.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: REPRO_JOBS or "
                             f"cores){jobs}")
-    if batch is not None:
-        item, run = batch
-        p.add_argument("--timeout", type=float, default=None,
-                       help=f"seconds per {item} before retry")
-        p.add_argument("--retries", type=int, default=1,
-                       help=f"retries per {item} (timeouts & crashes)")
-        p.add_argument("--checkpoint", default=None, metavar="PATH",
-                       help="JSONL checkpoint; rerun with the same path "
-                            f"to resume an interrupted {run}")
     if out is not None:
         p.add_argument("--out", default=None, metavar="PATH",
                        help=f"write {out} atomically to PATH")
@@ -1020,8 +1002,8 @@ def build_parser() -> argparse.ArgumentParser:
         smoke="small fixed campaign for CI; exits non-zero on "
               "battery-domain silent corruption",
         schemes="all", size=(2, 40, 512), entries=8,
-        seed=(0, "campaign seed (plans, crash points, backoff)"),
-        jobs="", batch=("unit", "campaign"), out="the JSON report",
+        seed=(0, "campaign seed (plans, crash points)"),
+        jobs="", out="the JSON report",
     )
     p_faults.add_argument("--workloads", default=None, metavar="A,B,...",
                           help="comma-separated workloads "
@@ -1073,8 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
               "exit on any conformance failure or uncaught mutant",
         replay=(replay_litmus, "litmus counterexample artifact"),
         schemes="every registered scheme", entries=8,
-        seed=(11, "batch retry/backoff seed"),
-        jobs="; plugin schemes need --jobs 1", batch=("cell", "battery"),
         out="the JSON agreement-matrix report",
     )
     p_litmus.add_argument("--tests", default=None,

@@ -23,7 +23,7 @@ silent corruption — BBB's battery domain fails loudly or not at all.
 
 Campaigns are deterministic in their seed (plan generation, crash-point
 choice and per-plan injector RNGs all derive from it), fan out through the
-hardened batch runner, and emit a versioned JSON report
+batch runner's process pool, and emit a versioned JSON report
 (``repro.faultcampaign/v1``) written atomically.
 """
 
@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.batch import BatchPolicy, Progress, run_tasks
+from repro.analysis.batch import Progress, run_tasks
 from repro.check.schedule import SITE_OP, CrashSchedule
 from repro.core.recovery import (
     CONTRACT_DOCS,
@@ -205,7 +205,6 @@ def run_campaign(
     crashes_per_cell: int = 1,
     entries: int = 8,
     jobs: Optional[int] = None,
-    policy: Optional[BatchPolicy] = None,
     progress: Optional[Progress] = None,
 ) -> Dict[str, Any]:
     """Run the full (scheme x workload x plan x crash point) grid and
@@ -213,11 +212,14 @@ def run_campaign(
 
     Crash points are drawn per (workload, plan, repeat) from a generator
     seeded by ``seed`` — the same seed reproduces the same campaign
-    bit-for-bit regardless of ``jobs``.  The grid fans out through the
-    hardened batch runner; pass a :class:`~repro.analysis.batch.BatchPolicy`
-    for timeouts/retries/checkpointing.
+    bit-for-bit regardless of ``jobs``.  The units fan out through
+    :func:`~repro.analysis.batch.run_tasks` on ``jobs`` workers; a unit
+    that raises fails the campaign with a ``BatchItemError`` naming it.
     """
     from repro.analysis.experiments import default_sim_config
+
+    if crashes_per_cell < 1:
+        raise ValueError("crashes must be >= 1")
 
     wspec = spec or WorkloadSpec()
     cfg = default_sim_config()
@@ -238,7 +240,7 @@ def run_campaign(
                     ))
 
     tasks = [(execute_fault_unit, (unit,), {}) for unit in units]
-    results = run_tasks(tasks, jobs=jobs, progress=progress, policy=policy)
+    results = run_tasks(tasks, jobs=jobs, progress=progress)
 
     summary = {o.value: 0 for o in Outcome}
     battery_units = 0
@@ -297,5 +299,4 @@ def smoke_campaign(
     return run_campaign(
         SCHEMES, SMOKE_WORKLOADS, plans, spec,
         seed=seed, jobs=jobs, progress=progress,
-        policy=BatchPolicy(retries=1),
     )

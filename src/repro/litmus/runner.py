@@ -26,11 +26,9 @@ minimized through the shared ddmin path into replayable
 ``repro.litmus/v1`` counterexample artifacts (the allowed set is
 recomputed for every reduced candidate, so minimization is sound).
 
-Cells fan out through the hardened batch runner
-(:func:`repro.analysis.batch.run_tasks` — per-cell timeouts, retry,
-checkpoint/resume); :func:`run_cell` is a module-level picklable worker.
-Plugin schemes registered only in the driving process need ``jobs=1``
-(worker subprocesses would not have them imported).
+Cells run one after another in-process: the whole battery takes about a
+second and a process pool measured no faster, and a plugin scheme
+registered only in the driving process is visible to every cell.
 """
 
 from __future__ import annotations
@@ -87,7 +85,7 @@ def _default_config():
 
 
 # ----------------------------------------------------------------------
-# The per-cell worker (module-level: picklable for the batch runner)
+# One cell
 # ----------------------------------------------------------------------
 
 def run_cell(
@@ -202,8 +200,6 @@ def run_battery(
     tests: Optional[Sequence[LitmusTest]] = None,
     entries: int = 8,
     include_mutants: bool = True,
-    jobs: Optional[int] = None,
-    policy=None,
     progress=None,
     bus=NULL_BUS,
     minimize: bool = True,
@@ -218,28 +214,24 @@ def run_battery(
     mutants are failures only when *no* cell catches them.  Forbidden
     cells under a target's declared model are ddmin-minimized into
     replayable counterexample artifacts (inline in the report; also
-    written to ``cex_dir`` when given).
+    written to ``cex_dir`` when given).  ``progress(done, total)`` is
+    called after each cell.
     """
-    from repro.analysis.batch import run_tasks
     from repro.litmus.corpus import corpus
 
     test_list = list(tests) if tests is not None else corpus()
     by_name = {t.name: t for t in test_list}
     targets = _targets(schemes, include_mutants)
 
-    tasks = [
-        (run_cell, (scheme, mutant, entries, test.to_payload()), {})
-        for scheme, mutant, _ in targets
-        for test in test_list
-    ]
-    results = run_tasks(tasks, jobs=jobs, progress=progress, policy=policy)
-
     cells: List[Dict[str, Any]] = []
-    for cell in results:
-        if cell is None:
-            continue
-        _classify_cell(cell, by_name[cell["test"]])
-        cells.append(cell)
+    total = len(targets) * len(test_list)
+    for scheme, mutant, _ in targets:
+        for test in test_list:
+            cell = run_cell(scheme, mutant, entries, test.to_payload())
+            _classify_cell(cell, test)
+            cells.append(cell)
+            if progress is not None:
+                progress(len(cells), total)
 
     schemes_out: List[Dict[str, Any]] = []
     failures: List[Dict[str, Any]] = []
@@ -511,9 +503,7 @@ def battery_failures(report: Dict[str, Any]) -> List[str]:
 
 
 def smoke_battery(
-    jobs: Optional[int] = None,
     progress=None,
-    policy=None,
     bus=NULL_BUS,
 ) -> Tuple[Dict[str, Any], List[str]]:
     """The CI gate: the smoke corpus against every registered scheme plus
@@ -521,8 +511,5 @@ def smoke_battery(
     any honest conformance break or uncaught mutant."""
     from repro.litmus.corpus import smoke_corpus
 
-    report = run_battery(
-        tests=smoke_corpus(), jobs=jobs, progress=progress, policy=policy,
-        bus=bus,
-    )
+    report = run_battery(tests=smoke_corpus(), progress=progress, bus=bus)
     return report, battery_failures(report)

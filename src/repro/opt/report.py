@@ -144,13 +144,12 @@ def opt_compare(
     entries: int = 8,
     jobs: Optional[int] = None,
     progress=None,
-    policy=None,
 ) -> Dict[str, Any]:
     """The full naive-vs-optimized grid as a ``repro.optreport/v1``
     report: ``workloads`` (default: all seven) x ``schemes`` (default:
-    every registered scheme), fanned out through the hardened batch
-    runner.  Plugin schemes registered only in this process need
-    ``jobs=1``."""
+    every registered scheme), fanned out over ``jobs`` worker processes
+    by :func:`~repro.analysis.batch.run_tasks`.  Plugin schemes
+    registered only in this process need ``jobs=1``."""
     from repro.analysis.batch import run_tasks
     from repro.core.registry import iter_schemes
     from repro.workloads.base import WORKLOAD_NAMES
@@ -163,11 +162,7 @@ def opt_compare(
         for s in scheme_list
         for w in workload_list
     ]
-    rows = [
-        row for row in
-        run_tasks(tasks, jobs=jobs, progress=progress, policy=policy)
-        if row is not None
-    ]
+    rows = run_tasks(tasks, jobs=jobs, progress=progress)
 
     by_scheme: Dict[str, Dict[str, Any]] = {}
     for scheme in scheme_list:

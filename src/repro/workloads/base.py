@@ -43,6 +43,12 @@ class WorkloadSpec:
     #: (small) work between persists.
     compute_per_op: int = 4
 
+    def __post_init__(self) -> None:
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.ops < 0:
+            raise ValueError(f"ops must be >= 0, got {self.ops}")
+
 
 class Workload:
     """Base class: generate a trace + optional recovery checker."""

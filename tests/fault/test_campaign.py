@@ -3,7 +3,6 @@ the headline zero-silent-corruption property for the battery domain."""
 
 import json
 
-from repro.analysis.batch import BatchPolicy
 from repro.core.recovery import Outcome
 from repro.ioutil import atomic_write_json
 from repro.fault.campaign import (
@@ -99,12 +98,3 @@ def test_campaign_deterministic_in_seed_and_jobs():
                             spec=SPEC, seed=22, crashes_per_cell=2)
     assert [u["crash_at"] for u in reseeded["units"]] != \
         [u["crash_at"] for u in serial["units"]]
-
-
-def test_campaign_through_hardened_policy():
-    plans = [canonical_plans()[0]]
-    report = run_campaign(
-        ["bbb"], ["hashmap"], plans, SPEC,
-        seed=1, jobs=2, policy=BatchPolicy(retries=1, timeout=120),
-    )
-    assert sum(report["summary"].values()) == 1

@@ -46,7 +46,7 @@ EXPECTED_STRICT_ESCAPES = {
 def report():
     builtins = [info.name for info in iter_schemes() if info.builtin]
     return run_battery(
-        schemes=builtins, include_mutants=False, minimize=False, jobs=1,
+        schemes=builtins, include_mutants=False, minimize=False,
     )
 
 

@@ -26,7 +26,7 @@ from repro.litmus.runner import (
 def report(tmp_path_factory):
     cex_dir = tmp_path_factory.mktemp("litmus-cex")
     rep = run_battery(
-        tests=corpus(["prefix-pair"]), jobs=1, cex_dir=str(cex_dir),
+        tests=corpus(["prefix-pair"]), cex_dir=str(cex_dir),
     )
     return rep, cex_dir
 

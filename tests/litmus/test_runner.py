@@ -71,7 +71,7 @@ class TestRunBattery:
     def report(self):
         return run_battery(
             schemes=[BBB, PMEM], tests=corpus(["prefix-pair", "wpq-pair"]),
-            include_mutants=False, minimize=False, jobs=1,
+            include_mutants=False, minimize=False,
         )
 
     def test_report_envelope(self, report):
@@ -119,7 +119,7 @@ class TestRunBattery:
         bus.subscribe(events.append)
         report = run_battery(
             schemes=[BBB], tests=corpus(["prefix-pair"]),
-            include_mutants=False, minimize=False, jobs=1, bus=bus,
+            include_mutants=False, minimize=False, bus=bus,
         )
         checked = [e for e in events if isinstance(e, LitmusCellChecked)]
         assert len(checked) == len(report["cells"]) == 1

@@ -7,10 +7,16 @@ simulation is deterministic and the runner preserves submission order.
 """
 
 import dataclasses
+import os
+import signal
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.analysis.batch import (
+    BatchItemError,
     RunSpec,
     decide_jobs,
     execute_spec,
@@ -138,3 +144,69 @@ def test_run_tasks_preserves_order():
     tasks = [(_square, (i,), {"offset": 1}) for i in range(10)]
     assert run_tasks(tasks, jobs=4) == [i * i + 1 for i in range(10)]
     assert run_tasks(tasks, jobs=1) == [i * i + 1 for i in range(10)]
+
+
+# ----------------------------------------------------------------------
+# Failures name their item, on both paths
+# ----------------------------------------------------------------------
+
+def _triple(x):
+    return x * 3
+
+
+def _boom(x):
+    raise ValueError(f"boom {x}")
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worker_exception_carries_originating_task(jobs):
+    tasks = [(_triple, (1,), {}), (_boom, (7,), {})]
+    with pytest.raises(BatchItemError) as excinfo:
+        run_tasks(tasks, jobs=jobs)
+    assert excinfo.value.index == 1
+    assert excinfo.value.item == tasks[1]
+    assert isinstance(excinfo.value.cause, ValueError)
+    assert "boom 7" in str(excinfo.value.cause)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_batch_error_carries_originating_spec(jobs):
+    good = _grid_specs()[0]
+    bad = RunSpec(workload="no-such-workload", scheme="bbb")
+    with pytest.raises(BatchItemError) as excinfo:
+        run_batch([good, bad], jobs=jobs)
+    assert excinfo.value.index == 1
+    assert excinfo.value.item == bad
+
+
+def test_killed_worker_fails_the_batch_promptly():
+    """A worker that dies breaks every pending future: the batch fails at
+    once rather than waiting on its siblings (which would sleep 60 s)."""
+    tasks = [(_kill_self, (), {})] + [(time.sleep, (60,), {})] * 3
+    start = time.monotonic()
+    with pytest.raises(BatchItemError) as excinfo:
+        run_tasks(tasks, jobs=2)
+    assert isinstance(excinfo.value.cause, BrokenProcessPool)
+    assert time.monotonic() - start < 30
+
+
+def test_pool_broken_during_submission_blames_that_item(monkeypatch):
+    """A worker can die before the last item is submitted (a dying first
+    item of a long batch does), and then ``submit`` itself raises."""
+    tasks = [(_triple, (i,), {}) for i in range(4)]
+    submit = ProcessPoolExecutor.submit
+
+    def submit_until_broken(pool, fn, item):
+        if item == tasks[2]:
+            raise BrokenProcessPool("a worker died")
+        return submit(pool, fn, item)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_until_broken)
+    with pytest.raises(BatchItemError) as excinfo:
+        run_tasks(tasks, jobs=2)
+    assert excinfo.value.index == 2
+    assert isinstance(excinfo.value.cause, BrokenProcessPool)

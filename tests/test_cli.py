@@ -255,16 +255,6 @@ class TestFaultsCommand:
         assert rc == 2
         assert "unknown" in capsys.readouterr().err
 
-    def test_checkpoint_resume(self, capsys, tmp_path):
-        checkpoint = tmp_path / "campaign.ckpt"
-        args = self.ARGS + ["--checkpoint", str(checkpoint)]
-        assert main(args) == 0
-        assert checkpoint.exists()
-        first_out = capsys.readouterr().out
-        # Rerun resumes from the checkpoint and reports identically.
-        assert main(args) == 0
-        assert capsys.readouterr().out == first_out
-
 
 class TestCheckCommand:
     ARGS = [
@@ -315,11 +305,19 @@ class TestCheckCommand:
         assert f"wrote {out_file}" in capsys.readouterr().out
         assert json.loads(out_file.read_text()) == result
 
-    @pytest.mark.parametrize("flag", ["--jobs", "--timeout", "--retries",
-                                      "--checkpoint"])
-    def test_inert_flags_are_gone(self, capsys, flag):
+    @pytest.mark.parametrize("gate, flag", [
+        (gate, flag)
+        for gate, flags in (
+            ("check", ["--jobs", "--timeout", "--retries", "--checkpoint"]),
+            ("litmus", ["--seed", "--jobs", "--timeout", "--retries",
+                        "--checkpoint"]),
+            ("faults", ["--timeout", "--retries", "--checkpoint"]),
+        )
+        for flag in flags
+    ])
+    def test_inert_flags_are_gone(self, capsys, gate, flag):
         with pytest.raises(SystemExit):
-            main(["check", flag, "1"])
+            main([gate, flag, "1"])
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_replay_rejects_wrong_schema_artifact(self, capsys, tmp_path):
@@ -339,8 +337,7 @@ class TestCheckCommand:
 
 
 class TestLitmusCommand:
-    ARGS = ["litmus", "--schemes", "bbb", "--tests", "prefix-pair",
-            "--jobs", "1"]
+    ARGS = ["litmus", "--schemes", "bbb", "--tests", "prefix-pair"]
 
     def test_conformant_scheme_reports_and_exits_zero(self, capsys, tmp_path):
         out_file = tmp_path / "litmus.json"
@@ -386,12 +383,12 @@ class TestLitmusCommand:
         assert "truncated" in capsys.readouterr().err
 
     def test_unknown_scheme_rejected(self, capsys):
-        rc = main(["litmus", "--schemes", "bogus", "--jobs", "1"])
+        rc = main(["litmus", "--schemes", "bogus"])
         assert rc == 2
         assert "unknown" in capsys.readouterr().err
 
     def test_unknown_test_rejected(self, capsys):
-        rc = main(["litmus", "--tests", "not-a-shape", "--jobs", "1"])
+        rc = main(["litmus", "--tests", "not-a-shape"])
         assert rc == 2
         assert "not-a-shape" in capsys.readouterr().err
 
@@ -570,7 +567,7 @@ class TestGateRunner:
           "--cex-out", "{missing}/c.json"], "--cex-out"),
         (["litmus", "--cex-dir", "{missing}"], "--cex-dir"),
         (["opt", "--save-program", "{missing}/p.trace"], "--save-program"),
-        (["faults", "--checkpoint", "{missing}/ck.jsonl"], "--checkpoint"),
+        (["faults", "--out", "{missing}/f.json"], "--out"),
     ])
     def test_unusable_output_path_refused_before_any_work(
         self, capsys, tmp_path, argv, flag
@@ -582,4 +579,28 @@ class TestGateRunner:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag}: ")
         assert str(missing) in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(argv, message, id=" ".join(argv))
+        for argv, message in (
+            (["faults", "--entries", "0"], "--entries: must be at least 1"),
+            (["litmus", "--entries", "0"], "--entries: must be at least 1"),
+            (["opt", "--compare", "--entries", "0"],
+             "--entries: must be at least 1"),
+            (["check", "--entries", "0"], "--entries: must be at least 1"),
+            (["check", "--threads", "0"], "threads must be >= 1"),
+            (["faults", "--threads", "0"], "threads must be >= 1"),
+            (["check", "--ops", "-5"], "ops must be >= 0"),
+            (["faults", "--crashes", "0"], "crashes must be >= 1"),
+        )
+    ])
+    def test_bad_size_refused_before_any_work(
+        self, capsys, tmp_path, argv, message
+    ):
+        rc = main(argv + ["--out", str(tmp_path / "report.json")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
         assert list(tmp_path.iterdir()) == []
