@@ -11,7 +11,7 @@ The package provides:
 * the Section IV-C draining-cost and battery-sizing models
   (:mod:`repro.energy`),
 * per-table/figure experiment drivers (:mod:`repro.analysis`), and
-* an opt-in observability layer — event tracing, metrics, profiling
+* an opt-in observability layer — event tracing and profiling
   (:mod:`repro.obs`).
 
 Quickstart::

@@ -564,7 +564,6 @@ def run_analytical(system, trace, finalize: bool = True):
         "bbpb_drains", "flushes", "fences", "epoch_barriers",
     ):
         setattr(live, name, getattr(src, name))
-    system.analytical = est
     return RunResult(stats=live)
 
 

@@ -57,8 +57,6 @@ from repro.core.recovery import (
 )
 from repro.core.registry import CONTRACT_EPOCH, DEFAULT_SCHEME, scheme_info
 from repro.mem.block import BlockData, block_address, block_offset
-from repro.obs.bus import NULL_BUS
-from repro.obs.events import CheckStateExplored, CheckViolation
 
 #: Versioned schema identifier of the model-checker report / artifact.
 CHECK_SCHEMA = "repro.crashcheck/v1"
@@ -575,51 +573,6 @@ def run_check_unit(
     callers that pass it."""
     verdicts, total, site_counts = _explore(unit, POINTS_PER_SHARD)
     return build_report(unit, verdicts, total, site_counts), verdicts
-
-
-def publish_report(report: Dict[str, Any], bus=NULL_BUS, registry=None):
-    """Mirror a report's counts onto the observability layer: typed
-    events on ``bus`` and counters/gauges in ``registry`` (created when
-    not supplied).  Returns the registry."""
-    from repro.obs.metrics import MetricsRegistry
-
-    reg = registry if registry is not None else MetricsRegistry()
-    reg.counter(
-        "check.points_explored",
-        "crash points whose verdict was computed fresh",
-    ).inc(report["explored"])
-    reg.counter(
-        "check.points_pruned",
-        "crash points whose verdict was reused from an equal fingerprint",
-    ).inc(report["pruned"])
-    reg.counter(
-        "check.violations", "crash points violating an oracle",
-    ).inc(report["num_violations"])
-    reg.gauge(
-        "check.total_points", "reachable micro-step crash points",
-    ).set(report["total_points"])
-    if bus.enabled:
-        unit = report["unit"]
-        bus.emit(CheckStateExplored(
-            cycle=0,
-            scheme=unit["mutant"] or unit["scheme"],
-            workload=unit["workload"],
-            total_points=report["total_points"],
-            explored=report["explored"],
-            pruned=report["pruned"],
-            unique_states=report["unique_states"],
-        ))
-        for v in report["violations"]:
-            bus.emit(CheckViolation(
-                cycle=v["cycle"],
-                scheme=unit["mutant"] or unit["scheme"],
-                workload=unit["workload"],
-                point=v["point"],
-                site=v["site"],
-                crash_op=v["crash_op"],
-                violation=v["violations"][0] if v["violations"] else "",
-            ))
-    return reg
 
 
 # ----------------------------------------------------------------------

@@ -15,12 +15,11 @@ the paper found to work well.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.check.schedule import SITE_DRAIN
 from repro.mem.block import BlockData
 from repro.obs.events import DrainStart, Event
-from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.sim.config import BBBConfig, DrainPolicy
 
 #: Signature of a drain sink (mirrors :data:`repro.core.bbpb.DrainFn`).
@@ -28,21 +27,25 @@ _DrainFn = Callable[[int, BlockData, int], int]
 
 
 def wpq_drain_sink(hierarchy, core: int) -> _DrainFn:
-    """The drain sink of ``core``'s persist buffer: count the drain and
-    write the block into the NVMM controller's WPQ after the cache-to-
-    controller transfer.  Returns the WPQ-acceptance cycle.
+    """The drain sink of ``core``'s persist buffer: count the drain, tell
+    the directory the block left this bbPB, and write the block into the
+    NVMM controller's WPQ after the cache-to-controller transfer.
+    Returns the WPQ-acceptance cycle.
 
-    The sink closes over the hierarchy's stats and NVMM controller, never
-    over the scheme: the scheme owns the buffers holding the sink, so a
-    scheme reference would tie the system into a reference cycle.
+    The sink closes over the hierarchy's stats, directory and NVMM
+    controller, never over the scheme: the scheme owns the buffers
+    holding the sink, so a scheme reference would tie the system into a
+    reference cycle.
     """
     stats = hierarchy.stats
+    directory = hierarchy.directory
     nvmm = hierarchy.nvmm
     transfer = hierarchy.config.mem.mc_transfer_cycles
 
     def drain(block_addr: int, data: BlockData, now: int) -> int:
         stats.bbpb_drains += 1
         stats.bbpb_per_core[core] += 1
+        directory.bbpb_drained(block_addr, core)
         return nvmm.write(block_addr, data, now + transfer)
 
     return drain
@@ -92,7 +95,8 @@ POLICY_DESCRIPTIONS: Dict[DrainPolicy, str] = {
 
 
 def config_for_policy(
-    policy: DrainPolicy, entries: int = 32, drain_threshold: float = 0.75
+    policy: DrainPolicy, entries: int = 32,
+    drain_threshold: float = BBBConfig.drain_threshold,
 ) -> BBBConfig:
     """A memory-side bbPB configuration using ``policy``."""
     return BBBConfig(
@@ -122,25 +126,24 @@ class DrainLatencyProbe:
     entries resident longer and shrinks effective capacity.
     """
 
-    def __init__(self, bus=None, name: str = "drain_latency_cycles") -> None:
-        self.histogram = Histogram(
-            name,
-            description="cycles from bbPB drain start to WPQ acceptance",
-        )
+    def __init__(self, bus=None) -> None:
+        #: One latency per observed drain, in cycles.
+        self.latencies: List[int] = []
         if bus is not None:
             bus.subscribe(self)
 
     def __call__(self, event: Event) -> None:
         if isinstance(event, DrainStart):
-            self.histogram.observe(max(0, event.complete_at - event.cycle))
+            self.latencies.append(max(0, event.complete_at - event.cycle))
 
     def summary(self) -> Dict[str, object]:
-        return self.histogram.to_dict()
-
-    def to_registry(self, registry: Optional[MetricsRegistry] = None
-                    ) -> MetricsRegistry:
-        reg = registry if registry is not None else MetricsRegistry()
-        existing = reg.get(self.histogram.name)
-        if existing is None:
-            reg._metrics[self.histogram.name] = self.histogram
-        return reg
+        """``count``, ``mean`` (4 decimal places), ``min`` and ``max`` of
+        the observed latencies; ``min``/``max`` are None before any
+        drain."""
+        lat = self.latencies
+        return {
+            "count": len(lat),
+            "mean": round(sum(lat) / len(lat), 4) if lat else 0.0,
+            "min": min(lat, default=None),
+            "max": max(lat, default=None),
+        }

@@ -474,12 +474,12 @@ class BBBScheme(PersistencyScheme):
             # The request travels through the drain-message channel, which
             # fault injection may delay or drop; a dropped message leaves
             # the entry resident (still battery-backed, still durable).
+            # The eviction already dropped the block's directory entry, so
+            # there is no bbPB owner left to clear.
             buf = self.buffers[owner]
             before = buf.forced_drains
-            delivered, _ = h.drain_channel.deliver(buf, block.addr, now)
+            h.drain_channel.deliver(buf, block.addr, now)
             h.stats.bbpb_forced_drains += buf.forced_drains - before
-            if delivered:
-                h.directory.set_bbpb_owner(block.addr, None, now)
         if (
             block.dirty
             and block.persistent

@@ -528,7 +528,7 @@ def scheme_for_class(cls: type) -> SchemeInfo:
     doc="memory-side battery-backed persist buffer (the paper's design)",
     builtin=True,
 )
-def _build_bbb(cls, entries, drain_threshold=0.75):
+def _build_bbb(cls, entries, drain_threshold=BBBConfig.drain_threshold):
     return cls(BBBConfig(
         entries=entries,
         drain_threshold=drain_threshold,

@@ -52,8 +52,6 @@ from repro.litmus.dsl import (
     observe_state,
 )
 from repro.litmus.models import allowed_states
-from repro.obs.bus import NULL_BUS
-from repro.obs.events import LitmusCellChecked, LitmusViolation
 
 __all__ = [
     "CLASS_ALLOWED",
@@ -61,7 +59,6 @@ __all__ = [
     "CLASS_UNREACHABLE",
     "classify_states",
     "minimize_cell",
-    "publish_litmus_report",
     "render_matrix",
     "replay_counterexample",
     "run_battery",
@@ -201,7 +198,6 @@ def run_battery(
     entries: int = 8,
     include_mutants: bool = True,
     progress=None,
-    bus=NULL_BUS,
     minimize: bool = True,
     cex_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
@@ -238,32 +234,12 @@ def run_battery(
     mutants_caught: Dict[str, bool] = {}
     counterexamples: List[Dict[str, Any]] = []
     for scheme, mutant, declared in targets:
-        target_cells = [
+        forbidden_cells = [
             c for c in cells
             if c["scheme"] == scheme and c["mutant"] == mutant
-        ]
-        forbidden_cells = [
-            c for c in target_cells
-            if declared != MODEL_UNDECLARED
+            and declared != MODEL_UNDECLARED
             and c["models"][declared]["classification"] == CLASS_FORBIDDEN
         ]
-        label = mutant or scheme
-        if bus.enabled:
-            for c in target_cells:
-                cls = (c["models"][declared]["classification"]
-                       if declared != MODEL_UNDECLARED else "")
-                bus.emit(LitmusCellChecked(
-                    cycle=0, scheme=label, test=c["test"],
-                    points=c["points"],
-                    observed_states=len(c["observed"]),
-                    classification=cls,
-                ))
-            for c in forbidden_cells:
-                for state in c["models"][declared]["forbidden"]:
-                    bus.emit(LitmusViolation(
-                        cycle=0, scheme=label, test=c["test"],
-                        model=declared, state=repr(tuple(state)),
-                    ))
         row = {
             "scheme": scheme,
             "mutant": mutant,
@@ -296,6 +272,7 @@ def run_battery(
 
                 from repro.ioutil import atomic_write_json
 
+                label = mutant or scheme
                 path = os.path.join(cex_dir, f"litmus-cex-{label}.json")
                 atomic_write_json(path, artifact)
                 artifact = dict(artifact, path=path)
@@ -454,33 +431,6 @@ def render_matrix(report: Dict[str, Any]) -> str:
     )
 
 
-def publish_litmus_report(report: Dict[str, Any], registry=None):
-    """Project battery counts onto the metrics registry (created when not
-    supplied); typed per-cell events are emitted during the run via the
-    ``bus`` argument of :func:`run_battery`.  Returns the registry."""
-    from repro.obs.metrics import MetricsRegistry
-
-    reg = registry if registry is not None else MetricsRegistry()
-    reg.counter(
-        "litmus.cells", "litmus (scheme x test) cells checked",
-    ).inc(len(report["cells"]))
-    reg.counter(
-        "litmus.points", "micro-step crash points swept by the battery",
-    ).inc(sum(cell["points"] for cell in report["cells"]))
-    reg.counter(
-        "litmus.conformance_failures",
-        "honest schemes observing a state their declared model forbids",
-    ).inc(len(report["conformance"]["failures"]))
-    reg.counter(
-        "litmus.mutants_uncaught",
-        "checker mutants the battery failed to flag",
-    ).inc(sum(
-        0 if caught else 1
-        for caught in report["conformance"]["mutants_caught"].values()
-    ))
-    return reg
-
-
 def battery_failures(report: Dict[str, Any]) -> List[str]:
     """Human-readable gate failures: honest-scheme conformance breaks and
     uncaught mutants.  Empty means the battery passes."""
@@ -502,14 +452,11 @@ def battery_failures(report: Dict[str, Any]) -> List[str]:
     return out
 
 
-def smoke_battery(
-    progress=None,
-    bus=NULL_BUS,
-) -> Tuple[Dict[str, Any], List[str]]:
+def smoke_battery(progress=None) -> Tuple[Dict[str, Any], List[str]]:
     """The CI gate: the smoke corpus against every registered scheme plus
     both mutants.  Returns ``(report, failures)``; failures non-empty on
     any honest conformance break or uncaught mutant."""
     from repro.litmus.corpus import smoke_corpus
 
-    report = run_battery(tests=smoke_corpus(), progress=progress, bus=bus)
+    report = run_battery(tests=smoke_corpus(), progress=progress)
     return report, battery_failures(report)

@@ -173,6 +173,15 @@ class Directory:
             )
         ent.bbpb_owner = core
 
+    def bbpb_drained(self, block_addr: int, core: int) -> None:
+        """``core``'s bbPB drained ``block_addr`` to the WPQ: if the
+        directory names that bbPB as the block's holder, it holds it no
+        longer.  Emits nothing — ``DrainStart``/``DrainEnd`` record the
+        drain — so the next allocation's move starts from ``None``."""
+        ent = self._entries.get(block_addr)
+        if ent is not None and ent.bbpb_owner == core:
+            ent.bbpb_owner = None
+
     def bbpb_owner(self, block_addr: int) -> Optional[int]:
         ent = self._entries.get(block_addr)
         return ent.bbpb_owner if ent else None

@@ -1,6 +1,7 @@
-"""Observability: event tracing, metrics, and profiling for the simulator.
+"""Observability: event tracing and profiling for the simulator.
 
-The subsystem has three legs, all documented in ``docs/api.md``:
+A run's counters live in :class:`repro.sim.stats.SimStats`; the
+subsystem adds two legs beside them, both documented in ``docs/api.md``:
 
 * **Event bus** (:mod:`repro.obs.bus`, :mod:`repro.obs.events`) — typed
   events (bbPB allocations/coalesces/rejections, drains, coherence moves,
@@ -9,14 +10,14 @@ The subsystem has three legs, all documented in ``docs/api.md``:
   ``if bus.enabled:`` *before* constructing the event, so a disabled bus
   (the default, :data:`~repro.obs.bus.NULL_BUS`) costs one attribute load
   and a branch — the hot path of a non-observed run is unchanged.
-
-* **Metrics registry** (:mod:`repro.obs.metrics`) — counters, gauges, and
-  histograms with label support.  :meth:`repro.sim.stats.SimStats.to_registry`
-  projects a run's statistics into a registry; :class:`~repro.obs.timeline.
-  OccupancySampler` feeds bbPB/WPQ occupancy timelines from event traffic.
+  Subscribers such as :class:`~repro.obs.timeline.OccupancySampler`
+  (bbPB/WPQ occupancy timelines) derive their views from the events.
 
 * **Exporters** (:mod:`repro.obs.exporters`) — JSONL event logs, Chrome
   ``trace_event`` files for chrome://tracing, and ASCII summaries.
+
+``repro profile`` (:mod:`repro.obs.profile`) runs both legs and checks
+that the event log reconciles with ``SimStats`` counter by counter.
 
 Typical use::
 
@@ -46,7 +47,6 @@ from repro.obs.events import (
     Event,
     DegradedModeEntered,
     ForcedDrain,
-    RecoveryCompleted,
     RequestCompleted,
     RequestRejected,
     RequestRetried,
@@ -66,8 +66,6 @@ from repro.obs.latency import (
     LatencyRecorder,
     percentile_summary,
 )
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               run_registry)
 from repro.obs.profile import ProfileReport, profile_run, smoke_report
 from repro.obs.timeline import OccupancySampler
 
@@ -92,7 +90,6 @@ __all__ = [
     "RequestTimeout",
     "RequestRetried",
     "DegradedModeEntered",
-    "RecoveryCompleted",
     "SbPush",
     "SbRelease",
     "StallBegin",
@@ -103,13 +100,8 @@ __all__ = [
     "LatencyHistogram",
     "LatencyRecorder",
     "percentile_summary",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "OccupancySampler",
     "ProfileReport",
     "profile_run",
-    "run_registry",
     "smoke_report",
 ]

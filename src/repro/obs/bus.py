@@ -15,7 +15,7 @@ Design constraints (in priority order):
 
 2. **Synchronous, ordered delivery.**  ``emit`` calls every subscriber in
    subscription order before returning.  Subscribers must not mutate
-   simulator state; they are observers (recorders, samplers, metrics).
+   simulator state; they are observers (recorders, samplers, probes).
 
 3. **No global state.**  A bus is owned by a :class:`~repro.sim.system.
    System` (pass one via ``repro.api.build_system(...,

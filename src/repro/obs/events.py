@@ -119,7 +119,9 @@ class ForcedDrain(Event):
 @dataclass(frozen=True)
 class CoherenceMove(Event):
     """Directory bbPB ownership of ``addr`` changed ``src`` -> ``dst``
-    (``None`` = not in any bbPB)."""
+    (``None`` = not in any bbPB): a bbPB allocated the block, or a remote
+    invalidation took it out.  A drain clears the owner without a move;
+    :class:`DrainStart`/:class:`DrainEnd` record it."""
 
     kind: ClassVar[str] = "coherence_move"
     addr: int
@@ -311,117 +313,6 @@ class DegradedModeEntered(Event):
     reason: str
 
 
-# ----------------------------------------------------------------------
-# Crash-recovery drills (serve/drill.py)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RecoveryCompleted(Event):
-    """A crash-recovery drill finished: the durable image was
-    reconstructed, the KV chains repaired, and the stream restarted.
-    ``acked_lost`` is the RPO violation count; ``rto_cycles`` the modelled
-    recovery time (drain residue + repair scan + restart)."""
-
-    kind: ClassVar[str] = "recovery_completed"
-    scheme: str
-    crash_op: int
-    acked_lost: int
-    rto_cycles: int
-
-
-# ----------------------------------------------------------------------
-# Crash-consistency model checker (check/checker.py)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckStateExplored(Event):
-    """One model-checking unit finished exploring its crash-state space:
-    ``explored`` verdicts were computed fresh, ``pruned`` were reused from
-    an equivalent durable fingerprint, out of ``total_points`` reachable
-    micro-step crash points (``unique_states`` distinct durable images)."""
-
-    kind: ClassVar[str] = "check_state_explored"
-    scheme: str
-    workload: str
-    total_points: int
-    explored: int
-    pruned: int
-    unique_states: int
-
-
-@dataclass(frozen=True)
-class CheckViolation(Event):
-    """The model checker found a crash point whose recovered durable image
-    violates the scheme's contract, the golden differential oracle, or a
-    workload invariant."""
-
-    kind: ClassVar[str] = "check_violation"
-    scheme: str
-    workload: str
-    point: int
-    site: str
-    crash_op: int
-    violation: str
-
-
-@dataclass(frozen=True)
-class LitmusCellChecked(Event):
-    """The litmus battery finished one (scheme x test) cell: every
-    micro-step crash point swept, observed durable states classified
-    against the scheme's declared persistency model (``classification``
-    is empty when the scheme declares none)."""
-
-    kind: ClassVar[str] = "litmus_cell_checked"
-    scheme: str
-    test: str
-    points: int
-    observed_states: int
-    classification: str
-
-
-@dataclass(frozen=True)
-class LitmusViolation(Event):
-    """A litmus cell observed a durable state its model forbids — a
-    persistency-semantics conformance failure (or a caught mutant)."""
-
-    kind: ClassVar[str] = "litmus_violation"
-    scheme: str
-    test: str
-    model: str
-    state: str
-
-
-# ----------------------------------------------------------------------
-# Persist-optimizer pipeline (opt/pipeline.py, opt/verify.py)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OptPassApplied(Event):
-    """One optimizer pass ran over a program: ``removed`` ops deleted
-    (``remaining`` survive) under ``scheme``'s ordering contract."""
-
-    kind: ClassVar[str] = "opt_pass_applied"
-    scheme: str
-    program: str
-    pass_name: str
-    removed: int
-    remaining: int
-
-
-@dataclass(frozen=True)
-class OptCellVerified(Event):
-    """The optimizer verifier finished one (program x scheme x pipeline)
-    cell: removal audit, crash-checker differential, and durable
-    fingerprint comparison.  ``violations`` counts everything that
-    survived; a nonzero count on a non-mutant pipeline is a bug."""
-
-    kind: ClassVar[str] = "opt_cell_verified"
-    scheme: str
-    program: str
-    elided: int
-    violations: int
-
-
 #: kind-string -> event class, the JSONL round-trip registry.
 EVENT_TYPES: Dict[str, Type[Event]] = {
     cls.kind: cls
@@ -448,13 +339,6 @@ EVENT_TYPES: Dict[str, Type[Event]] = {
         RequestTimeout,
         RequestRetried,
         DegradedModeEntered,
-        RecoveryCompleted,
-        CheckStateExplored,
-        CheckViolation,
-        LitmusCellChecked,
-        LitmusViolation,
-        OptPassApplied,
-        OptCellVerified,
     )
 }
 

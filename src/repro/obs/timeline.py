@@ -20,7 +20,6 @@ from repro.obs.events import (
     Event,
     WpqEnqueue,
 )
-from repro.obs.metrics import Gauge, MetricsRegistry
 
 Series = List[Tuple[int, int]]
 
@@ -87,24 +86,3 @@ class OccupancySampler:
             "wpq": {str(ch): self._series_stats(s) for ch, s in
                     sorted(self._wpq.items())},
         }
-
-    def to_registry(self, registry: MetricsRegistry = None) -> MetricsRegistry:  # type: ignore[assignment]
-        """Fold the timelines into gauge families (peak/last occupancy)."""
-        reg = registry if registry is not None else MetricsRegistry()
-        occ = reg.gauge_family(
-            "bbpb_occupancy", "bbPB occupancy sampled on event boundaries",
-            label="core",
-        )
-        for core, series in sorted(self._bbpb.items()):
-            gauge: Gauge = occ.labels(core)  # type: ignore[assignment]
-            for _, value in series:
-                gauge.set(value)
-        backlog = reg.gauge_family(
-            "wpq_backlog_cycles", "cycles each WPQ write waited for its port",
-            label="channel",
-        )
-        for channel, series in sorted(self._wpq.items()):
-            gauge = backlog.labels(channel)  # type: ignore[assignment]
-            for _, value in series:
-                gauge.set(value)
-        return reg

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.registry import scheme_info
-from repro.obs.bus import NULL_BUS
-from repro.obs.events import OptPassApplied
 from repro.opt.ir import Program
 from repro.opt.passes import PassContext, apply_pass, pass_info
 
@@ -108,7 +106,6 @@ def run_pipeline(
     scheme: str,
     passes: Optional[Sequence[str]] = None,
     block_size: int = 64,
-    bus=NULL_BUS,
 ) -> PipelineResult:
     """Apply ``passes`` (default :data:`DEFAULT_PIPELINE`) to ``program``
     under ``scheme``'s capability descriptor."""
@@ -128,14 +125,8 @@ def run_pipeline(
             for kind in sorted(before)
             if before[kind] != after[kind]
         )
-        app = PassApplication(name=name, removed_by_kind=removed)
-        applications.append(app)
-        if bus.enabled:
-            bus.emit(OptPassApplied(
-                cycle=0, scheme=info.name, program=program.name,
-                pass_name=name, removed=app.removed,
-                remaining=current.total_ops,
-            ))
+        applications.append(PassApplication(name=name,
+                                            removed_by_kind=removed))
     return PipelineResult(
         scheme=info.name, program=program, optimized=current,
         passes=tuple(applications),

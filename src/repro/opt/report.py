@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import astuple
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.bus import NULL_BUS
 from repro.opt.ir import Op, Program, instrument_naive
 from repro.opt.pipeline import MUTANT_PIPELINE, run_pipeline
 from repro.opt.verify import (
@@ -289,7 +288,7 @@ def _mutant_probe_program() -> Program:
     return Program(threads=(tuple(ops),), name="mutant-probe")
 
 
-def smoke_opt(bus=NULL_BUS) -> Dict[str, Any]:
+def smoke_opt() -> Dict[str, Any]:
     """The CI gate (see module docstring).  Returns ``{"ok", "failures",
     "grid", "checker_cells", "litmus_cells", "mutant"}``; ``ok`` is False
     on any audit violation, elision outside its scheme-class gate, image
@@ -324,7 +323,7 @@ def smoke_opt(bus=NULL_BUS) -> Dict[str, Any]:
             wl = make_workload(workload, cfg.mem, spec)
             naive = instrument_naive(wl.build_program())
             result = run_pipeline(naive, scheme,
-                                  block_size=cfg.block_size, bus=bus)
+                                  block_size=cfg.block_size)
             audit = audit_pipeline(naive, scheme,
                                    block_size=cfg.block_size)
             fp_equal = (
@@ -364,9 +363,7 @@ def smoke_opt(bus=NULL_BUS) -> Dict[str, Any]:
     #    scheme, naive vs optimized, same oracles.
     checker_cells: List[Dict[str, Any]] = []
     for scheme in schemes:
-        cell = verify_workload_cell(
-            "hashmap", scheme, spec=spec, entries=8, bus=bus
-        )
+        cell = verify_workload_cell("hashmap", scheme, spec=spec, entries=8)
         checker_cells.append(cell)
         failures.extend(
             f"checker {cell['workload']} x {scheme}: {msg}"
@@ -383,7 +380,7 @@ def smoke_opt(bus=NULL_BUS) -> Dict[str, Any]:
                                   block_size=cfg.block_size)
             if result.optimized.total_ops == program.total_ops:
                 continue
-            cell = verify_litmus_cell(test, scheme, config=cfg, bus=bus)
+            cell = verify_litmus_cell(test, scheme, config=cfg)
             litmus_cells.append(cell)
             failures.extend(
                 f"litmus {test.name} x {scheme}: {msg}"

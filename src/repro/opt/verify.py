@@ -61,8 +61,6 @@ from repro.core.registry import (
     scheme_info,
 )
 from repro.mem.block import block_address
-from repro.obs.bus import NULL_BUS
-from repro.obs.events import OptCellVerified
 from repro.opt.ir import Op, Program, instrument_naive
 from repro.opt.passes import PassContext, pass_info, removed_positions
 from repro.opt.pipeline import DEFAULT_PIPELINE, run_pipeline
@@ -319,7 +317,6 @@ def verify_workload_cell(
     max_points: Optional[int] = None,
     sample_seed: int = 0,
     minimize: bool = True,
-    bus=NULL_BUS,
 ) -> Dict[str, Any]:
     """Verify one (workload x scheme x pipeline) cell end to end.
 
@@ -339,7 +336,7 @@ def verify_workload_cell(
     wl = make_workload(workload, cfg.mem, spec)
     naive = instrument_naive(wl.build_program())
     result = run_pipeline(naive, scheme, passes=passes,
-                          block_size=cfg.block_size, bus=bus)
+                          block_size=cfg.block_size)
     audit = audit_pipeline(naive, scheme, passes=passes,
                            block_size=cfg.block_size)
     failures: List[str] = audit.describe_violations()
@@ -394,11 +391,6 @@ def verify_workload_cell(
             }
 
     elided = naive.total_ops - result.optimized.total_ops
-    if bus.enabled:
-        bus.emit(OptCellVerified(
-            cycle=0, scheme=result.scheme, program=naive.name,
-            elided=elided, violations=len(failures),
-        ))
     return {
         "workload": workload,
         "scheme": result.scheme,
@@ -500,7 +492,6 @@ def verify_litmus_cell(
     entries: int = 8,
     passes: Optional[Sequence[str]] = None,
     minimize: bool = True,
-    bus=NULL_BUS,
 ) -> Dict[str, Any]:
     """Verify one (litmus test x scheme x pipeline) cell: lower to IR,
     optimize, audit every removal, crash-sweep the optimized program, and
@@ -517,7 +508,7 @@ def verify_litmus_cell(
     info = scheme_info(scheme)
     program, addrs = lower_program(test, cfg)
     result = run_pipeline(program, scheme, passes=passes,
-                          block_size=cfg.block_size, bus=bus)
+                          block_size=cfg.block_size)
     audit = audit_pipeline(program, scheme, passes=passes,
                            block_size=cfg.block_size)
     failures: List[str] = audit.describe_violations()
@@ -545,11 +536,6 @@ def verify_litmus_cell(
             )
 
     elided = program.total_ops - result.optimized.total_ops
-    if bus.enabled:
-        bus.emit(OptCellVerified(
-            cycle=0, scheme=info.name, program=test.name,
-            elided=elided, violations=len(failures),
-        ))
     return {
         "test": test.name,
         "scheme": info.name,

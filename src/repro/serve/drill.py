@@ -52,7 +52,6 @@ from repro.core.recovery import (ACKED_LOST, REQUEST_OUTCOMES, RequestVerdict,
                                  classify_request, lost_request_stores)
 from repro.core.registry import scheme_info
 from repro.obs.bus import NULL_BUS
-from repro.obs.events import RecoveryCompleted
 from repro.obs.latency import LatencyHistogram, LatencyRecorder, \
     percentile_summary
 from repro.serve.frontend import (LoopStats, _closed_loop, _open_loop,
@@ -138,9 +137,7 @@ def count_crash_sites(
     return schedule.visits
 
 
-def execute_drill_unit(
-    unit: DrillUnit, config=None, bus=NULL_BUS
-) -> Dict[str, Any]:
+def execute_drill_unit(unit: DrillUnit, config=None) -> Dict[str, Any]:
     """Run one drill end to end; returns the unit's report dict."""
     cfg = config or default_traffic_config()
     spec = unit.spec
@@ -235,14 +232,6 @@ def execute_drill_unit(
         restart_completed = stats2.completed
 
     rto_cycles = drain_cycles + repair_cycles + restart_cycles
-    if bus.enabled:
-        bus.emit(RecoveryCompleted(
-            cycle=result.execution_cycles,
-            scheme=info.name,
-            crash_op=result.crash_op if crashed else -1,
-            acked_lost=outcomes[ACKED_LOST],
-            rto_cycles=rto_cycles,
-        ))
     return {
         "scheme": info.name,
         "mutant": unit.mutant,

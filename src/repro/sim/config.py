@@ -95,7 +95,6 @@ class MemConfig:
     dram_write_cycles: int = 110
     nvmm_read_cycles: int = 300   # 150 ns
     nvmm_write_cycles: int = 1000  # 500 ns (media write, used off critical path)
-    wpq_entries: int = 64
     #: One-way on-chip transfer from a core/bbPB to the memory controller.
     mc_transfer_cycles: int = 40
     #: Port occupancy per 64 B block accepted into the (ADR) WPQ.  Under ADR
@@ -179,7 +178,6 @@ class SystemConfig:
     """Top-level simulated-system configuration (defaults = Table III)."""
 
     num_cores: int = 8
-    clock_ghz: float = 2.0
     l1d: CacheConfig = field(
         default_factory=lambda: CacheConfig(128 << 10, 8, 64, hit_latency=2)
     )

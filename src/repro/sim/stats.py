@@ -26,16 +26,13 @@ batch runner — and :meth:`SimStats.from_dict` parses it back losslessly::
 The authoritative field lists are :data:`SCALAR_FIELDS` and
 :data:`CORE_FIELDS`; adding a counter means extending those tuples (and
 bumping the schema tag if the meaning of existing fields changes).
-:meth:`SimStats.to_registry` projects the same counters into a
-:class:`repro.obs.metrics.MetricsRegistry` (per-core counters become
-labelled families) for the observability tooling.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: Schema tag emitted/required by to_dict/from_dict.
 STATS_SCHEMA = "repro.simstats/v1"
@@ -245,31 +242,6 @@ class SimStats:
             {int(k): v for k, v in payload.get("bbpb_per_core", {}).items()}
         )
         return stats
-
-    def to_registry(self, registry: Optional[object] = None):
-        """Project the counters into a :class:`repro.obs.metrics.
-        MetricsRegistry` — scalars as counters (``persist_latency_max`` as a
-        gauge), per-core counters as labelled families."""
-        from repro.obs.metrics import MetricsRegistry
-
-        reg = registry if registry is not None else MetricsRegistry()
-        for f in SCALAR_FIELDS:
-            value = getattr(self, f)
-            if f == "persist_latency_max":
-                reg.gauge(f, "peak PoV->PoP gap, cycles").set(value)
-            else:
-                reg.counter(f).inc(value)
-        for f in CORE_FIELDS:
-            fam = reg.counter_family(f"core_{f}", label="core")
-            for core_id, c in enumerate(self.core):
-                fam.labels(core_id).inc(getattr(c, f))
-        drains = reg.counter_family(
-            "bbpb_drains_per_core", "bbPB drains issued on behalf of each core",
-            label="core",
-        )
-        for core_id, count in sorted(self.bbpb_per_core.items()):
-            drains.labels(core_id).inc(count)
-        return reg
 
     def to_json(self, indent: int = 2) -> str:
         import json

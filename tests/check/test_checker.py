@@ -15,14 +15,12 @@ from repro.check.checker import (
     durable_fingerprint,
     explore,
     golden_expected,
-    publish_report,
     run_check_unit,
 )
 from repro.check.mutants import MUTANTS
 from repro.check.schedule import CrashSchedule, SITE_OP, SITE_POV
 from repro.core.persistency import BBBScheme, ResidueBlock
 from repro.mem.block import BlockData
-from repro.obs.bus import EventBus, EventRecorder
 from repro.workloads.base import WorkloadSpec
 from tests.conftest import paddr, single_thread_trace
 from repro.sim.trace import TraceOp
@@ -218,18 +216,6 @@ class TestReport:
         assert report["explored"] + report["pruned"] == report["checked_points"]
         assert report["unique_states"] <= report["checked_points"]
         assert report["consistent"] and report["num_violations"] == 0
-
-    def test_publish_report_emits_events_and_metrics(self):
-        unit = CheckUnit(scheme="bbb", mutant="bbb-delayed-alloc", spec=TINY)
-        report, _ = run_check_unit(unit, jobs=1)
-        bus = EventBus()
-        rec = EventRecorder(bus)
-        reg = publish_report(report, bus=bus)
-        counts = rec.counts()
-        assert counts["check_state_explored"] == 1
-        assert counts["check_violation"] >= 1
-        assert reg.get("check.violations").value == report["num_violations"]
-        assert reg.get("check.total_points").value == report["total_points"]
 
     def test_unknown_mutant_raises(self):
         from repro.check.mutants import build_mutant_system

@@ -1,4 +1,4 @@
-"""Battery runner: cell sweeps, classification, reports, and events."""
+"""Battery runner: cell sweeps, classification and reports."""
 
 import pytest
 
@@ -11,13 +11,10 @@ from repro.litmus.runner import (
     CLASS_UNREACHABLE,
     battery_failures,
     classify_states,
-    publish_litmus_report,
     render_matrix,
     run_battery,
     run_cell,
 )
-from repro.obs.bus import EventBus
-from repro.obs.events import LitmusCellChecked
 
 
 class TestClassifyStates:
@@ -103,26 +100,3 @@ class TestRunBattery:
             assert row["scheme"] in rendered
         for model in report["models"]:
             assert model in rendered
-
-    def test_publish_projects_counts_onto_metrics(self, report):
-        reg = publish_litmus_report(report)
-        assert reg.counter("litmus.cells").value == len(report["cells"])
-        assert reg.counter("litmus.points").value == sum(
-            c["points"] for c in report["cells"]
-        )
-        assert reg.counter("litmus.conformance_failures").value == 0
-        assert reg.counter("litmus.mutants_uncaught").value == 0
-
-    def test_bus_receives_a_cell_event_per_cell(self):
-        bus = EventBus()
-        events = []
-        bus.subscribe(events.append)
-        report = run_battery(
-            schemes=[BBB], tests=corpus(["prefix-pair"]),
-            include_mutants=False, minimize=False, bus=bus,
-        )
-        checked = [e for e in events if isinstance(e, LitmusCellChecked)]
-        assert len(checked) == len(report["cells"]) == 1
-        assert checked[0].scheme == BBB
-        assert checked[0].test == "prefix-pair"
-        assert checked[0].classification == CLASS_UNREACHABLE

@@ -102,6 +102,15 @@ class TestBBPBTracking:
     def test_clearing_absent_entry_is_noop(self, directory):
         directory.set_bbpb_owner(0x40, None)  # must not raise
 
+    def test_drain_clears_only_the_draining_owner(self, directory):
+        directory.ensure(0x40)
+        directory.set_bbpb_owner(0x40, 2)
+        directory.bbpb_drained(0x40, 1)
+        assert directory.bbpb_owner(0x40) == 2
+        directory.bbpb_drained(0x40, 2)
+        assert directory.bbpb_owner(0x40) is None
+        directory.bbpb_drained(0x80, 2)  # not LLC-resident: no-op
+
     def test_blocks_in_bbpb_map(self, directory):
         directory.ensure(0x40)
         directory.ensure(0x80)

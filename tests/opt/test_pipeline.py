@@ -3,8 +3,6 @@
 import pytest
 
 from repro.core.registry import iter_schemes
-from repro.obs.bus import EventBus
-from repro.obs.events import OptPassApplied
 from repro.opt import (
     DEFAULT_PIPELINE,
     Op,
@@ -72,15 +70,3 @@ class TestRunPipeline:
     def test_unknown_pass_fails_fast(self):
         with pytest.raises(ValueError, match="unknown optimizer pass"):
             run_pipeline(instrumented(), FULL, passes=("no-such-pass",))
-
-    def test_emits_pass_events_when_bus_enabled(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe(
-            lambda ev: seen.append(ev)
-            if isinstance(ev, OptPassApplied) else None)
-        run_pipeline(instrumented(), FULL, block_size=CFG.block_size,
-                     bus=bus)
-        assert len(seen) == len(DEFAULT_PIPELINE)
-        assert any(ev.removed for ev in seen)
-        assert all(ev.scheme == FULL for ev in seen)

@@ -60,7 +60,6 @@ class TestSystemConfig:
     def test_table3_defaults(self):
         cfg = TABLE_III_CONFIG
         assert cfg.num_cores == 8
-        assert cfg.clock_ghz == 2.0
         assert cfg.l1d.size_bytes == 128 << 10
         assert cfg.l1d.hit_latency == 2
         assert cfg.llc.size_bytes == 1 << 20

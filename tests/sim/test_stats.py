@@ -110,13 +110,6 @@ class TestSerialisation:
         with pytest.raises(ValueError, match="unsupported stats schema"):
             SimStats.from_dict(payload)
 
-    def test_to_registry_projects_counters(self):
-        reg = _populated_stats().to_registry()
-        assert reg.counter("nvmm_writes").value == 11
-        assert reg.counter("bbpb_drains").value == 4
-        assert reg.get("core_stores").labels(0).value == 3
-        assert reg.get("bbpb_drains_per_core").labels(1).value == 1
-
     def test_persist_latency_accumulation(self):
         stats = SimStats(num_cores=1)
         assert stats.persist_latency_avg == 0.0

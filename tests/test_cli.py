@@ -156,6 +156,13 @@ class TestProfile:
         assert "yes" in out
         assert "NO" not in out
 
+    def test_smoke_output_matches_golden(self, capsys):
+        """The smoke's whole stdout (event counts, occupancy series,
+        drain-latency summary, reconciliation) is pinned."""
+        assert main(["profile", "--smoke"]) == 0
+        golden = Path(__file__).parent / "data" / "golden_profile_smoke.txt"
+        assert capsys.readouterr().out == golden.read_text()
+
     def test_profile_run(self, capsys):
         rc = main(["profile", "--workload", "mutateNC", "--scheme", "bbb"] + FAST)
         assert rc == 0
