@@ -26,7 +26,6 @@ from repro.core.persistency import BBBScheme
 from repro.core.registry import (
     BBB,
     CONTRACT_EXACT,
-    DEGRADED_WRITE_THROUGH,
     MODEL_STRICT,
     ORDERING_ALL,
     register_scheme,
@@ -64,9 +63,6 @@ class WriteThroughBBB(BBBScheme):
     has_persist_buffer=True,
     battery_domain=True,
     accepted_kwargs=("drain_threshold",),
-    # Already write-through: serving it degraded is a no-op capability,
-    # which makes the plugin a handy degraded-mode exerciser.
-    degraded_mode=DEGRADED_WRITE_THROUGH,
     # Draining early never weakens ordering: the ablation still persists
     # stores in visibility order, so it inherits BBB's strict model and
     # the litmus battery gates it below with zero core edits.
@@ -155,24 +151,16 @@ def main() -> int:
         print(f"error: {failures[0]}")
         return 1
 
-    # 5. The serving frontend honours the declared degraded-mode
-    #    capability: the plugin serves traffic degraded, while a scheme
-    #    without the capability refuses.
+    # 5. The serving frontend serves the plugin's traffic like any
+    #    registered scheme's.
     from repro.serve import TrafficSpec, run_traffic
 
     traffic = TrafficSpec(requests=30, seed=7)
-    point = run_traffic(SCHEME_NAME, traffic, entries=8, degraded=True)
-    print(f"degraded serving: completed {point.completed}/{traffic.requests} "
-          f"(degraded={point.degraded})")
-    if point.completed != traffic.requests or not point.degraded:
-        print("error: degraded-mode serving did not complete the traffic")
-        return 1
-    try:
-        run_traffic("pmem", traffic, entries=8, degraded=True)
-    except ValueError as exc:
-        print(f"pmem correctly refused degraded serving: {exc}")
-    else:
-        print("error: pmem served degraded without declaring the capability")
+    point = run_traffic(SCHEME_NAME, traffic, entries=8)
+    print(f"serving: completed {point.completed}/{traffic.requests} "
+          f"requests, p99 {point.latency['p99']} cycles")
+    if point.completed != traffic.requests:
+        print("error: the serving frontend did not complete the traffic")
         return 1
 
     # 6. The persist optimizer honours the declared ordering contract:
@@ -193,8 +181,8 @@ def main() -> int:
         print("error: full-contract plugin kept redundant instrumentation")
         return 1
 
-    print("custom scheme ran through build, check, faults, degraded "
-          "serving, and the persist optimizer: OK")
+    print("custom scheme ran through build, check, faults, serving, "
+          "and the persist optimizer: OK")
     return 0
 
 

@@ -11,11 +11,11 @@ Commands:
 * ``trace``   — generate a workload trace and save it to a file.
 * ``traffic`` (alias ``serve``) — request-driven serving: sweep offered
   load across schemes and report the throughput-vs-load curve with
-  p50/p99/p999 request latency per scheme (``repro.traffic/v2`` JSON
+  p50/p99/p999 request latency per scheme (``repro.traffic/v3`` JSON
   via ``--out``).
 * ``drill``   — crash-recovery drills: crash the traffic frontend at
   seeded op visits, recover, and account for every request; reports
-  RPO/RTO per scheme (``repro.drill/v1``) and exits non-zero if a
+  RPO/RTO per scheme (``repro.drill/v2``) and exits non-zero if a
   battery-domain scheme loses an acked request.
 * ``bench``   — analytical tolerance gate: the closed-form estimates of a
   fixed six-cell grid must sit inside the declared band of the discrete
@@ -927,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
               "schema/percentile failure",
         schemes=",".join(TRAFFIC_DEFAULT_SCHEMES),
         seed=(42, "request-stream seed"), entries=32,
-        out="the repro.traffic/v2 report",
+        out="the repro.traffic/v3 report",
     )
     p_traffic.add_argument("--loads", default=None, metavar="L1,L2,...",
                            help="offered loads in requests/kilocycle "
@@ -980,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
               "scheme loses an acked request or the mutant escapes",
         schemes="all", entries=16,
         seed=(7, "crash-point seed (traffic seed derives from it)"),
-        out="the repro.drill/v1 report",
+        out="the repro.drill/v2 report",
     )
     p_drill.add_argument("--loads", default=None, metavar="L1,L2,...",
                          help="offered loads in requests/kilocycle "

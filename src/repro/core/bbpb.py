@@ -420,13 +420,13 @@ class ProcessorSideBBPB:
         block (this is part of why the paper rejects it)."""
         if not self.contains(block_addr):
             return None
-        t = 0
+        t = now
         last = None
         while self._fifo:
             entry = self._fifo[0]
             if not entry.in_flight:
                 self._start_drain(entry, t)
-            t = entry.complete_at
+            t = max(t, entry.complete_at)
             self._fifo.pop(0)
             if entry.block_addr == block_addr:
                 last = entry.data

@@ -55,9 +55,6 @@ __all__ = [
     "CONTRACT_KINDS",
     "CONTRACT_PREFIX",
     "DEFAULT_SCHEME",
-    "DEGRADED_MODES",
-    "DEGRADED_NONE",
-    "DEGRADED_WRITE_THROUGH",
     "EADR",
     "MODEL_EPOCH",
     "MODEL_PX86_TSO",
@@ -121,18 +118,6 @@ CONTRACT_KINDS = (
 POP_STORE_COMMIT = "store-commit"
 POP_FLUSH = "flush"
 _POP_LOCATIONS = (POP_STORE_COMMIT, POP_FLUSH)
-
-#: Degraded-mode capabilities.  A scheme whose durability depends on a
-#: battery can declare what it falls back to when battery health is in
-#: doubt (brown-out, failed self-test): ``DEGRADED_WRITE_THROUGH`` means
-#: the serving layer may keep running the scheme with every persisting
-#: store force-drained out of the battery domain as it arrives — slower,
-#: but durable without the battery.  ``DEGRADED_NONE`` (the default)
-#: means the scheme has no degraded fallback and the serving layer must
-#: refuse to degrade it.
-DEGRADED_NONE = ""
-DEGRADED_WRITE_THROUGH = "write-through"
-DEGRADED_MODES = (DEGRADED_NONE, DEGRADED_WRITE_THROUGH)
 
 #: Formal persistency-model classes (the semantics classes of the litmus
 #: battery, :mod:`repro.litmus`).  A scheme *declares* the model its
@@ -238,12 +223,6 @@ class SchemeInfo:
     #: False for schemes that exist to demonstrate inconsistency (``none``)
     #: — comparison drivers skip them.
     crash_consistent: bool = True
-    #: What the scheme degrades to when battery health is in doubt (one
-    #: of :data:`DEGRADED_MODES`).  ``DEGRADED_WRITE_THROUGH`` lets the
-    #: serving layer keep the scheme online with every persisting store
-    #: force-drained past the battery domain; ``DEGRADED_NONE`` means no
-    #: fallback exists and degraded serving must be refused.
-    degraded_mode: str = DEGRADED_NONE
     #: The formal persistency-model class the scheme's observable crash
     #: behaviors must stay inside (one of :data:`PERSISTENCY_MODELS`, or
     #: :data:`MODEL_UNDECLARED` for no claim).  The litmus battery
@@ -344,7 +323,6 @@ def register_scheme(
     battery_domain: bool = False,
     comparison_baseline: bool = False,
     crash_consistent: bool = True,
-    degraded_mode: str = DEGRADED_NONE,
     persistency_model: str = MODEL_UNDECLARED,
     ordering_contract: Tuple[str, ...] = (),
     aliases: Tuple[str, ...] = (),
@@ -375,11 +353,6 @@ def register_scheme(
             f"scheme {name!r}: unknown PoP location {pop!r}; "
             f"expected one of {', '.join(_POP_LOCATIONS)}"
         )
-    if degraded_mode not in DEGRADED_MODES:
-        raise ValueError(
-            f"scheme {name!r}: unknown degraded mode {degraded_mode!r}; "
-            f"expected one of {', '.join(repr(m) for m in DEGRADED_MODES)}"
-        )
     if persistency_model not in PERSISTENCY_MODELS + (MODEL_UNDECLARED,):
         raise ValueError(
             f"scheme {name!r}: unknown persistency model "
@@ -408,7 +381,6 @@ def register_scheme(
             battery_backed_sb=bool(getattr(cls, "battery_backed_sb", False)),
             comparison_baseline=comparison_baseline,
             crash_consistent=crash_consistent,
-            degraded_mode=degraded_mode,
             persistency_model=persistency_model,
             ordering_contract=tuple(ordering_contract),
             aliases=tuple(aliases),
@@ -520,7 +492,6 @@ def scheme_for_class(cls: type) -> SchemeInfo:
     pop=POP_STORE_COMMIT,
     has_persist_buffer=True,
     battery_domain=True,
-    degraded_mode=DEGRADED_WRITE_THROUGH,
     accepted_kwargs=("drain_threshold",),
     persistency_model=MODEL_STRICT,
     ordering_contract=ORDERING_ALL,
@@ -543,7 +514,6 @@ def _build_bbb(cls, entries, drain_threshold=BBBConfig.drain_threshold):
     pop=POP_STORE_COMMIT,
     has_persist_buffer=True,
     battery_domain=True,
-    degraded_mode=DEGRADED_WRITE_THROUGH,
     accepted_kwargs=("coalesce_consecutive",),
     persistency_model=MODEL_STRICT,
     ordering_contract=ORDERING_ALL,

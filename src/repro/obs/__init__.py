@@ -18,6 +18,9 @@ subsystem adds two legs beside them, both documented in ``docs/api.md``:
 
 ``repro profile`` (:mod:`repro.obs.profile`) runs both legs and checks
 that the event log reconciles with ``SimStats`` counter by counter.
+:mod:`repro.obs.latency` holds the traffic frontend's per-request
+latency histograms; a request emits no event, its latency lands in the
+traffic report.
 
 Typical use::
 
@@ -45,12 +48,7 @@ from repro.obs.events import (
     DrainEnd,
     DrainStart,
     Event,
-    DegradedModeEntered,
     ForcedDrain,
-    RequestCompleted,
-    RequestRejected,
-    RequestRetried,
-    RequestTimeout,
     SbPush,
     SbRelease,
     StallBegin,
@@ -85,11 +83,6 @@ __all__ = [
     "CoherenceMove",
     "WpqEnqueue",
     "WpqDrain",
-    "RequestCompleted",
-    "RequestRejected",
-    "RequestTimeout",
-    "RequestRetried",
-    "DegradedModeEntered",
     "SbPush",
     "SbRelease",
     "StallBegin",

@@ -242,77 +242,6 @@ class StallEnd(Event):
     cause: str
 
 
-# ----------------------------------------------------------------------
-# Traffic frontend (serve/frontend.py)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RequestCompleted(Event):
-    """A client request finished executing on its core (``cycle`` = the
-    completion cycle of its last operation).  ``latency`` is in cycles
-    from the request's arrival (open loop) or issue (closed loop);
-    ``tenant`` is the namespace the request targeted."""
-
-    kind: ClassVar[str] = "request_completed"
-    core: int
-    request_id: int
-    tenant: str
-    op: str
-    latency: int
-
-
-@dataclass(frozen=True)
-class RequestRejected(Event):
-    """Admission control shed a request: the target core's bounded queue
-    was full at arrival, so the client got an immediate typed rejection
-    instead of unbounded queueing delay."""
-
-    kind: ClassVar[str] = "request_rejected"
-    core: int
-    request_id: int
-    tenant: str
-    depth: int
-
-
-@dataclass(frozen=True)
-class RequestTimeout(Event):
-    """A request missed its deadline while queued: the core only reached
-    it ``waited`` cycles after issue, past ``deadline`` — the server
-    drops it without executing a single op (it was never lowered)."""
-
-    kind: ClassVar[str] = "request_timeout"
-    core: int
-    request_id: int
-    tenant: str
-    waited: int
-    deadline: int
-
-
-@dataclass(frozen=True)
-class RequestRetried(Event):
-    """A closed-loop client re-issued a shed or timed-out request after
-    an exponential-backoff-with-jitter delay; ``attempt`` counts retries
-    so far (1 = first retry) and ``retry_at`` is the re-issue cycle."""
-
-    kind: ClassVar[str] = "request_retried"
-    core: int
-    request_id: int
-    attempt: int
-    retry_at: int
-
-
-@dataclass(frozen=True)
-class DegradedModeEntered(Event):
-    """The serving layer put a scheme into its declared degraded mode
-    (battery health in doubt): ``mode`` is the registry capability (e.g.
-    write-through) the run is serving under."""
-
-    kind: ClassVar[str] = "degraded_mode_entered"
-    scheme: str
-    mode: str
-    reason: str
-
-
 #: kind-string -> event class, the JSONL round-trip registry.
 EVENT_TYPES: Dict[str, Type[Event]] = {
     cls.kind: cls
@@ -334,11 +263,6 @@ EVENT_TYPES: Dict[str, Type[Event]] = {
         FaultInjected,
         FaultDetected,
         BatteryDepleted,
-        RequestCompleted,
-        RequestRejected,
-        RequestTimeout,
-        RequestRetried,
-        DegradedModeEntered,
     )
 }
 

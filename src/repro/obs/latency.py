@@ -202,7 +202,6 @@ class LatencyRecorder:
     def __init__(self, growth: float = DEFAULT_GROWTH) -> None:
         self.growth = growth
         self._hists: Dict[str, LatencyHistogram] = {}
-        self._outcomes: Dict[str, int] = {}
 
     def record(self, value: int, *keys: str) -> None:
         """Record under the aggregate plus every key in ``keys``."""
@@ -211,22 +210,6 @@ class LatencyRecorder:
             if hist is None:
                 hist = self._hists[key] = LatencyHistogram(self.growth)
             hist.record(value)
-
-    def count(self, outcome: str, n: int = 1) -> None:
-        """Tally a non-latency request outcome (shed, timeout, retry, ...).
-
-        Outcomes live beside the histograms so a single recorder carries
-        the full accounting for a run: latencies for completions, counters
-        for everything that never completed."""
-        self._outcomes[outcome] = self._outcomes.get(outcome, 0) + n
-
-    def outcome(self, name: str) -> int:
-        return self._outcomes.get(name, 0)
-
-    @property
-    def outcomes(self) -> Dict[str, int]:
-        """Outcome-name -> count snapshot (copy; safe to mutate)."""
-        return dict(self._outcomes)
 
     def histogram(self, key: str = AGGREGATE) -> LatencyHistogram:
         hist = self._hists.get(key)

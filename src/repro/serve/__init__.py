@@ -22,14 +22,13 @@ Four layers:
   core's clock.  :func:`~repro.serve.frontend.run_traffic` measures one
   (scheme, offered load) point; :func:`~repro.serve.frontend.
   traffic_curve` sweeps a load grid across schemes into the versioned
-  ``repro.traffic/v2`` report (:mod:`repro.serve.report`).  Overload
-  protection (bounded admission queues, per-request deadlines,
-  closed-loop retry with backoff) and battery-health-triggered degraded
-  serving live here too.
+  ``repro.traffic/v3`` report (:mod:`repro.serve.report`).  Every
+  request is served: queues are unbounded, so overload shows up as
+  queueing delay in the tail.
 * :mod:`repro.serve.drill` — crash-recovery drills: crash a traffic run
   at a seeded op visit, drain/repair/restart, classify every request
   (acked-durable / acked-lost / unacked-lost / retried-duplicate), and
-  report RPO/RTO per scheme in the versioned ``repro.drill/v1`` report.
+  report RPO/RTO per scheme in the versioned ``repro.drill/v2`` report.
 
 Everything is deterministic in ``TrafficSpec.seed``: two runs of the same
 spec against the same scheme produce identical traces, latencies, and

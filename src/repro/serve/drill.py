@@ -51,7 +51,6 @@ from repro.core.recovery import (ACKED_LOST, REQUEST_OUTCOMES, RequestVerdict,
                                  check_scheme_contract, claimed_persists,
                                  classify_request, lost_request_stores)
 from repro.core.registry import scheme_info
-from repro.obs.bus import NULL_BUS
 from repro.obs.latency import LatencyHistogram, LatencyRecorder, \
     percentile_summary
 from repro.serve.frontend import (LoopStats, _closed_loop, _open_loop,
@@ -70,7 +69,7 @@ __all__ = [
     "validate_drill_report",
 ]
 
-DRILL_SCHEMA = "repro.drill/v1"
+DRILL_SCHEMA = "repro.drill/v2"
 
 #: Prose embedded in every report so a drill file is self-describing.
 SCHEMA_DOC = (
@@ -110,10 +109,10 @@ def _drive(system, service: KVService, spec: TrafficSpec,
     post-drain.  Returns ``(LoopStats, RunResult)``."""
     session = system.stream()
     if requests is not None or spec.open_loop:
-        stats = _open_loop(session, service, spec, recorder, NULL_BUS,
+        stats = _open_loop(session, service, spec, recorder,
                            requests=requests)
     else:
-        stats = _closed_loop(session, service, spec, recorder, NULL_BUS)
+        stats = _closed_loop(session, service, spec, recorder)
     return stats, session.finish()
 
 
@@ -178,15 +177,12 @@ def execute_drill_unit(unit: DrillUnit, config=None) -> Dict[str, Any]:
     # Classify every request of the spec against the durable image.
     # ------------------------------------------------------------------
     acked = set(stats.acked_ids)
-    resolved = set(stats.dropped_ids)  # shed/timed out: client was told
     outcomes: Dict[str, int] = {name: 0 for name in REQUEST_OUTCOMES}
     verdicts: List[RequestVerdict] = []
     rpo_bytes = 0
     unresolved: List[Request] = []
     for request in iter_requests(spec):
         rid = request.request_id
-        if rid in resolved:
-            continue
         stores = (service.persist_log or {}).get(rid)
         lost = (lost_request_stores(media, stores, rid, last_writer)
                 if stores else [])
@@ -220,13 +216,11 @@ def execute_drill_unit(unit: DrillUnit, config=None) -> Dict[str, Any]:
     restart_cycles = 0
     restart_completed = 0
     if crashed and unresolved:
-        replay_spec = dataclasses.replace(spec, queue_limit=0,
-                                          deadline_cycles=0)
         system2 = build_system(info.name, entries=unit.entries, config=cfg)
-        service2 = KVService(cfg.mem, replay_spec, cfg.num_cores)
+        service2 = KVService(cfg.mem, spec, cfg.num_cores)
         recorder2 = LatencyRecorder()
         replay = [dataclasses.replace(r, arrival=0) for r in unresolved]
-        stats2, result2 = _drive(system2, service2, replay_spec, recorder2,
+        stats2, result2 = _drive(system2, service2, spec, recorder2,
                                  requests=replay)
         restart_cycles = result2.execution_cycles
         restart_completed = stats2.completed
@@ -242,7 +236,6 @@ def execute_drill_unit(unit: DrillUnit, config=None) -> Dict[str, Any]:
         "crash_op": result.crash_op if crashed else -1,
         "requests": spec.requests,
         "acked": len(acked),
-        "resolved_pre_crash": len(resolved),
         "outcomes": outcomes,
         "rpo": {
             "acked_lost_requests": outcomes[ACKED_LOST],
@@ -296,7 +289,7 @@ def run_drills(
     progress: Optional[Progress] = None,
 ) -> Dict[str, Any]:
     """Drill ``schemes`` (and ``mutants``) across ``loads`` x ``crashes``
-    seeded crash points; returns the ``repro.drill/v1`` report.
+    seeded crash points; returns the ``repro.drill/v2`` report.
 
     Crash points are drawn once per load and shared across schemes, so
     every scheme faces the identical crash schedule (the same design as
@@ -473,7 +466,7 @@ def _check(condition: bool, message: str) -> None:
 
 
 def validate_drill_report(report: Any) -> Dict[str, Any]:
-    """Validate a ``repro.drill/v1`` payload; returns it on success,
+    """Validate a ``repro.drill/v2`` payload; returns it on success,
     raises ``ValueError`` naming the first broken field otherwise."""
     _check(isinstance(report, dict), "payload is not an object")
     _check(report.get("schema") == DRILL_SCHEMA,
@@ -500,9 +493,9 @@ def validate_drill_report(report: Any) -> Dict[str, Any]:
             _check(key in outcomes, f"{where}['outcomes'] missing {key!r}")
             _check(isinstance(outcomes[key], int) and outcomes[key] >= 0,
                    f"{where}['outcomes'][{key!r}] must be >= 0")
-        total = sum(outcomes.values()) + unit["resolved_pre_crash"]
+        total = sum(outcomes.values())
         _check(total == unit["requests"],
-               f"{where}: outcomes+resolved must cover every request "
+               f"{where}: outcomes must cover every request "
                f"({total} != {unit['requests']})")
         for key in ("drain_cycles", "repair_cycles", "restart_cycles",
                     "total_cycles"):

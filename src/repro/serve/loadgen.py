@@ -107,21 +107,6 @@ class TrafficSpec:
     burst_every: int = 0
     burst_len: int = 0
     burst_factor: float = 4.0
-    #: Admission control: maximum queued requests per core before new
-    #: arrivals are shed with a typed rejection (0 = unbounded queues,
-    #: the classic open-loop saturation behaviour).
-    queue_limit: int = 0
-    #: Per-request deadline in cycles from arrival/issue; a request still
-    #: queued when its core passes the deadline is dropped with a
-    #: ``timeout`` outcome before a single op is lowered (0 = none).
-    deadline_cycles: int = 0
-    #: Closed loop: how many times a client re-issues a shed or timed-out
-    #: request before giving up (0 = no retries).
-    max_retries: int = 0
-    #: Closed loop: base of the exponential retry backoff; retry ``k``
-    #: waits ``retry_backoff_cycles * 2**k`` cycles, scaled by a
-    #: 0.5–1.5x seeded jitter.
-    retry_backoff_cycles: int = 200
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -152,14 +137,6 @@ class TrafficSpec:
             raise ValueError("burst_len must be shorter than burst_every")
         if self.burst_factor <= 0:
             raise ValueError("burst_factor must be > 0")
-        if self.queue_limit < 0:
-            raise ValueError("queue_limit must be >= 0")
-        if self.deadline_cycles < 0:
-            raise ValueError("deadline_cycles must be >= 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff_cycles < 1:
-            raise ValueError("retry_backoff_cycles must be >= 1")
 
     @property
     def open_loop(self) -> bool:

@@ -1,9 +1,9 @@
-"""The versioned ``repro.traffic/v2`` report: schema, validation, render.
+"""The versioned ``repro.traffic/v3`` report: schema, validation, render.
 
 The payload a traffic sweep produces::
 
     {
-      "schema": "repro.traffic/v2",
+      "schema": "repro.traffic/v3",
       "spec": { ...the TrafficSpec, flattened... },
       "schemes": ["bbb", "eadr", "pmem"],
       "loads": [0.5, 1.0, 2.0],
@@ -11,20 +11,20 @@ The payload a traffic sweep produces::
       "curves": {
         "bbb": [
           {"offered_load": 0.5, "achieved_load": 0.49,
-           "p50": 210, "p99": 480, "p999": 913, "shed_rate": 0.0}, ...
+           "p50": 210, "p99": 480, "p999": 913}, ...
         ], ...
       }
     }
 
 ``points`` is the full measurement set (per-tenant and per-op breakdowns
-included); ``curves`` is the derived throughput-vs-offered-load series
-front-ends plot.  v2 extends every point with the overload accounting
-(``shed`` / ``timeouts`` / ``retries`` / ``shed_rate`` /
-``max_queue_depth`` / ``degraded``) and every curve entry with
-``shed_rate``, so saturation shows up as shedding instead of silently
-unbounded queueing.  :func:`validate_traffic_report` is the schema gate
-CI smoke-checks reports against; it raises ``ValueError`` with a pointed
-message rather than returning False, so failures name the broken field.
+included, plus the deepest per-core queue, ``max_queue_depth``);
+``curves`` is the derived throughput-vs-offered-load series front-ends
+plot.  v3 drops v2's overload accounting (``shed`` / ``timeouts`` /
+``retries`` / ``shed_rate`` / ``degraded``): every request is served, so
+past saturation the queues and the tail grow instead.
+:func:`validate_traffic_report` is the schema gate CI smoke-checks
+reports against; it raises ``ValueError`` with a pointed message rather
+than returning False, so failures name the broken field.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = [
     "validate_traffic_report",
 ]
 
-TRAFFIC_SCHEMA_VERSION = "repro.traffic/v2"
+TRAFFIC_SCHEMA_VERSION = "repro.traffic/v3"
 
 #: A scheme's curve is past the saturation knee once achieved throughput
 #: falls below this fraction of offered load (the render annotates it).
@@ -51,10 +51,8 @@ KNEE_FRACTION = 0.9
 _POINT_REQUIRED = (
     "scheme", "arrival", "offered_load", "requests", "completed",
     "execution_cycles", "achieved_load", "latency", "tenants", "ops",
-    "crashed", "shed", "timeouts", "retries", "shed_rate",
-    "max_queue_depth", "degraded",
+    "crashed", "max_queue_depth",
 )
-_POINT_COUNTERS = ("shed", "timeouts", "retries", "max_queue_depth")
 _LATENCY_REQUIRED = ("count", "mean_cycles") + tuple(
     label for label, _ in PERCENTILE_LABELS
 )
@@ -66,7 +64,7 @@ def build_report(
     loads: Sequence[float],
     points: Sequence,
 ) -> Dict[str, object]:
-    """Assemble the ``repro.traffic/v2`` payload from measured points."""
+    """Assemble the ``repro.traffic/v3`` payload from measured points."""
     curves: Dict[str, List[Dict[str, object]]] = {name: [] for name in schemes}
     payloads = []
     for point in points:
@@ -78,7 +76,6 @@ def build_report(
         }
         for label, _ in PERCENTILE_LABELS:
             entry[label] = payload["latency"][label]
-        entry["shed_rate"] = payload["shed_rate"]
         curves[payload["scheme"]].append(entry)
     report: Dict[str, object] = {
         "schema": TRAFFIC_SCHEMA_VERSION,
@@ -109,7 +106,7 @@ def _check_latency_block(block: object, where: str) -> None:
 
 
 def validate_traffic_report(report: object) -> Dict[str, object]:
-    """Validate a ``repro.traffic/v2`` payload; returns it on success,
+    """Validate a ``repro.traffic/v3`` payload; returns it on success,
     raises ``ValueError`` naming the first broken field otherwise."""
     _check(isinstance(report, dict), "payload is not an object")
     _check(
@@ -142,23 +139,11 @@ def validate_traffic_report(report: object) -> Dict[str, object]:
             point["completed"] <= point["requests"],
             f"{where}: completed exceeds requests",
         )
-        for key in _POINT_COUNTERS:
-            _check(
-                isinstance(point[key], int) and point[key] >= 0,
-                f"{where}[{key!r}] must be a non-negative integer",
-            )
         _check(
-            isinstance(point["shed_rate"], (int, float))
-            and 0.0 <= point["shed_rate"] <= 1.0,
-            f"{where}['shed_rate'] must be in [0, 1]",
+            isinstance(point["max_queue_depth"], int)
+            and point["max_queue_depth"] >= 0,
+            f"{where}['max_queue_depth'] must be a non-negative integer",
         )
-        _check(
-            point["completed"] + point["shed"] + point["timeouts"]
-            <= point["requests"] + point["retries"],
-            f"{where}: completed+shed+timeouts exceeds requests+retries",
-        )
-        _check(isinstance(point["degraded"], bool),
-               f"{where}['degraded'] must be a boolean")
         for group in ("tenants", "ops"):
             _check(isinstance(point[group], dict),
                    f"{where}[{group!r}] is not an object")
@@ -175,7 +160,7 @@ def validate_traffic_report(report: object) -> Dict[str, object]:
         for j, entry in enumerate(series):
             where = f"curves[{name!r}][{j}]"
             _check(isinstance(entry, dict), f"{where} is not an object")
-            for key in ("offered_load", "achieved_load", "shed_rate") + tuple(
+            for key in ("offered_load", "achieved_load") + tuple(
                 label for label, _ in PERCENTILE_LABELS
             ):
                 _check(key in entry, f"{where} is missing {key!r}")
@@ -212,14 +197,13 @@ def render_curve(report: Dict[str, object]) -> str:
 
     The first row where achieved throughput drops below
     ``KNEE_FRACTION`` of offered load is annotated ``<- knee`` — the
-    saturation point past which queueing (or shedding) dominates."""
+    saturation point past which queueing dominates."""
     validate_traffic_report(report)
     labels = [label for label, _ in PERCENTILE_LABELS]
     lines: List[str] = []
     header = (
         f"{'offered':>9} {'achieved':>9} "
         + " ".join(f"{label:>7}" for label in labels)
-        + f" {'shed%':>7}"
     )
     for name in report["schemes"]:
         lines.append(f"{name}:")
@@ -230,7 +214,6 @@ def render_curve(report: Dict[str, object]) -> str:
                 f"{entry['offered_load']:>9.3f} "
                 f"{entry['achieved_load']:>9.3f} "
                 + " ".join(f"{entry[label]:>7d}" for label in labels)
-                + f" {100.0 * entry['shed_rate']:>6.1f}%"
             )
             if (not knee_marked
                     and entry["achieved_load"]

@@ -9,6 +9,8 @@ import pytest
 
 from repro.core.bbpb import ProcessorSideBBPB
 from repro.mem.block import BlockData
+from repro.obs.bus import EventBus, EventRecorder
+from repro.obs.events import DrainStart
 from repro.sim.config import BBBConfig
 
 from tests.core.test_bbpb_memory_side import DrainSink, data
@@ -97,6 +99,34 @@ class TestCoherenceActions:
         assert removed.read_word(0) == 2
         assert [c[0] for c in sink.calls] == [0x1000, 0x1040]
         assert buf.resident_blocks() == [0x1080]
+
+    @pytest.mark.parametrize("threshold, head_in_flight", [
+        (0.75, False),
+        # The head's drain starts at cycle 0 and completes long before
+        # the remove: the records behind it still drain from ``now``.
+        (0.5, True),
+    ])
+    def test_remove_drains_start_no_earlier_than_now(self, threshold,
+                                                     head_in_flight):
+        bus = EventBus()
+        recorder = EventRecorder(bus)
+        sink = DrainSink(latency=50)
+        cfg = BBBConfig(entries=4, drain_threshold=threshold,
+                        memory_side=False)
+        buf = ProcessorSideBBPB(cfg, core_id=0, drain=sink, bus=bus)
+        buf.put(0x1000, data(1), 0)
+        buf.put(0x1040, data(2), 0)
+        assert len(sink.calls) == int(head_in_flight)
+        issued, recorder.events[:] = len(sink.calls), []
+        now = 1000
+        buf.remove(0x1040, now)
+        starts = [call[2] for call in sink.calls[issued:]]
+        events = [e.cycle for e in recorder.events
+                  if isinstance(e, DrainStart)]
+        assert starts and events
+        assert min(starts) >= now
+        assert min(events) >= now
+        assert buf.resident_blocks() == []
 
     def test_remove_absent_is_noop(self):
         buf, sink = make()

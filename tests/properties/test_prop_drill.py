@@ -63,11 +63,11 @@ def test_eadr_never_loses_an_acked_request(session, crash_fraction):
 @given(session=sessions, crash_fraction=st.floats(min_value=0.05,
                                                   max_value=0.95))
 def test_every_request_is_accounted_for(session, crash_fraction):
-    """The taxonomy is a partition: outcomes plus pre-crash resolutions
-    cover the session exactly, and the restart leg serves every request
-    whose client never got an answer."""
+    """The taxonomy is a partition: the outcomes cover the session
+    exactly, and the restart leg serves every request whose client never
+    got an answer."""
     unit = _drill(BBB, session, crash_fraction)
-    covered = sum(unit["outcomes"].values()) + unit["resolved_pre_crash"]
+    covered = sum(unit["outcomes"].values())
     assert covered == session["requests"]
     rec = unit["recovery"]
     assert rec["restart_completed"] == rec["restart_requests"]

@@ -70,7 +70,7 @@ def test_bbb_unit_crashes_and_loses_nothing_acked():
 
 def test_unit_accounts_for_every_request():
     unit = _unit(BBB)
-    covered = sum(unit["outcomes"].values()) + unit["resolved_pre_crash"]
+    covered = sum(unit["outcomes"].values())
     assert covered == SPEC.requests
     assert set(unit["outcomes"]) == set(REQUEST_OUTCOMES)
     assert unit["outcomes"][ACKED_DURABLE] == \

@@ -69,7 +69,7 @@ class TestExamplesRun:
     def test_custom_scheme(self, capsys):
         # The pluggability proof: a scheme registered from outside
         # src/repro runs through build, the crash checker, a fault
-        # campaign, degraded-mode serving, and the persist optimizer.
+        # campaign, the serving frontend, and the persist optimizer.
         # (Its registration is idempotent, so running the example twice
         # in one process is safe.)
         with pytest.raises(SystemExit) as exc:
@@ -77,8 +77,7 @@ class TestExamplesRun:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "registered scheme 'bbb-nocoalesce'" in out
-        assert "degraded serving: completed 30/30" in out
-        assert "correctly refused degraded serving" in out
+        assert "serving: completed 30/30 requests" in out
         assert "100.0% of flush/fence instrumentation elided" in out
         assert ("custom scheme ran through build, check, faults, "
-                "degraded serving, and the persist optimizer: OK") in out
+                "serving, and the persist optimizer: OK") in out
