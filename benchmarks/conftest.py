@@ -11,11 +11,15 @@ Simulation benchmarks run the Table III system scaled down (see
 chosen so the persistent footprint far exceeds the LLC — the regime the
 paper's 1M-node workloads operate in.
 
-The experiment drivers fan their (workload x scheme) grids across CPU
-cores via :mod:`repro.analysis.batch`; set ``REPRO_JOBS=1`` to force
-serial execution (results are bit-identical either way) or ``REPRO_JOBS=N``
-to pin the worker count.  Note the wall-clock that ``pytest-benchmark``
-reports therefore depends on the machine's core count.
+Simulated exhibits describe their cells as ``RunSpec`` s and run them
+through :func:`repro.analysis.experiments.run_cells`: each distinct cell
+is simulated once per session (the first exhibit that needs it pays;
+later exhibits read it from memory), and the cells not yet run fan out
+across CPU cores via :mod:`repro.analysis.batch`.  Set ``REPRO_JOBS=1`` to
+force serial execution (results are bit-identical either way) or
+``REPRO_JOBS=N`` to pin the worker count.  The wall-clock that
+``pytest-benchmark`` reports therefore depends on the machine's core count
+and on which exhibits ran before.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ it would have caused.
 
 import dataclasses
 
-from repro.analysis.experiments import run_workload
+from repro.analysis.batch import RunSpec
+from repro.analysis.experiments import run_cells
 from repro.analysis.tables import render_table
-from repro.api import build_system
 
 WORKLOADS = ("mutateNC", "swapNC", "hashmap", "rtree")
+BBB_32 = (("entries", 32),)
 
 
 def test_ablation_silent_writeback_drop(benchmark, report, sim_config, sweep_spec):
@@ -22,14 +23,14 @@ def test_ablation_silent_writeback_drop(benchmark, report, sim_config, sweep_spe
     )
 
     def sweep():
+        runs = iter(run_cells([
+            RunSpec(name, "bbb", BBB_32, sweep_spec, cfg)
+            for name in WORKLOADS
+            for cfg in (sim_config, no_drop_cfg)
+        ]))
         results = {}
         for name in WORKLOADS:
-            with_drop = run_workload(
-                name, lambda: build_system("bbb", entries=32, config=sim_config), sweep_spec, sim_config
-            )
-            without_drop = run_workload(
-                name, lambda: build_system("bbb", entries=32, config=no_drop_cfg), sweep_spec, no_drop_cfg
-            )
+            with_drop, without_drop = next(runs), next(runs)
             results[name] = (with_drop.nvmm_writes, without_drop.nvmm_writes)
         return results
 

@@ -8,9 +8,9 @@ window, more NVMM writes, but slack capacity for bursts); a 100% threshold
 maximises coalescing but every burst hits a full buffer.
 """
 
-from repro.analysis.experiments import default_sim_config, run_workload
+from repro.analysis.batch import RunSpec
+from repro.analysis.experiments import run_cells
 from repro.analysis.tables import geomean, render_table
-from repro.api import build_system
 
 THRESHOLDS = (0.25, 0.50, 0.75, 1.00)
 WORKLOADS = ("swapNC", "hashmap", "rtree")
@@ -18,20 +18,16 @@ WORKLOADS = ("swapNC", "hashmap", "rtree")
 
 def test_ablation_drain_threshold(benchmark, report, sim_config, sweep_spec):
     def sweep():
+        cells = iter(run_cells([
+            RunSpec(name, "bbb",
+                    (("entries", 32), ("drain_threshold", threshold)),
+                    sweep_spec, sim_config)
+            for threshold in THRESHOLDS
+            for name in WORKLOADS
+        ]))
         results = {}
         for threshold in THRESHOLDS:
-            runs = [
-                run_workload(
-                    name,
-                    lambda t=threshold: build_system(
-                        "bbb", entries=32, config=sim_config,
-                        drain_threshold=t,
-                    ),
-                    sweep_spec,
-                    sim_config,
-                )
-                for name in WORKLOADS
-            ]
+            runs = [next(cells) for _ in WORKLOADS]
             results[threshold] = {
                 "writes": sum(r.nvmm_writes for r in runs),
                 "rejections": sum(r.bbpb_rejections for r in runs),

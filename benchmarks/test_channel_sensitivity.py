@@ -10,9 +10,9 @@ channel count.
 
 import dataclasses
 
-from repro.analysis.experiments import run_workload
+from repro.analysis.batch import RunSpec
+from repro.analysis.experiments import run_cells
 from repro.analysis.tables import render_table
-from repro.api import build_system
 
 CHANNELS = (1, 2, 4, 8)
 WORKLOAD = "swapNC"
@@ -21,17 +21,17 @@ ENTRIES = 4  # small buffer: drain-limited on purpose
 
 def test_channel_count_vs_drain_stalls(benchmark, report, sim_config, sweep_spec):
     def sweep():
-        rows = []
-        for channels in CHANNELS:
-            cfg = dataclasses.replace(
-                sim_config,
-                mem=dataclasses.replace(sim_config.mem, nvmm_channels=channels),
-            )
-            run = run_workload(
-                WORKLOAD, lambda c=cfg: build_system("bbb", entries=ENTRIES, config=c), sweep_spec, cfg
-            )
-            rows.append((channels, run.execution_cycles, run.bbpb_rejections))
-        return rows
+        runs = run_cells([
+            RunSpec(WORKLOAD, "bbb", (("entries", ENTRIES),), sweep_spec,
+                    dataclasses.replace(
+                        sim_config,
+                        mem=dataclasses.replace(sim_config.mem,
+                                                nvmm_channels=channels),
+                    ))
+            for channels in CHANNELS
+        ])
+        return [(channels, run.execution_cycles, run.bbpb_rejections)
+                for channels, run in zip(CHANNELS, runs)]
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
 

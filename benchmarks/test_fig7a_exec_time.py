@@ -10,10 +10,9 @@ from repro.analysis.tables import render_table
 
 
 def test_fig7a_execution_time(benchmark, report, sim_config, bench_spec):
-    result = benchmark.pedantic(
+    rows = benchmark.pedantic(
         lambda: fig7(spec=bench_spec, config=sim_config), rounds=1, iterations=1
     )
-    rows = result.data
     exec_avg, _ = fig7_averages(rows)
 
     labels = list(rows[0].exec_time)

@@ -18,7 +18,7 @@ def test_fig8_bbpb_size_sensitivity(benchmark, report, sim_config, sweep_spec):
         lambda: fig8(sizes=SIZES, spec=sweep_spec, config=sim_config),
         rounds=1,
         iterations=1,
-    ).data
+    )
 
     table = render_table(
         ["bbPB entries", "(a) rejections (X)", "(b) exec time (X)", "(c) drains (X)"],

@@ -22,10 +22,10 @@ def test_sec5c_processor_side_write_amplification(
     def sweep():
         with_coalesce = processor_side_write_ratio(
             spec=bench_spec, config=sim_config, coalesce_consecutive=True
-        ).data
+        )
         no_coalesce = processor_side_write_ratio(
             spec=bench_spec, config=sim_config, coalesce_consecutive=False
-        ).data
+        )
         return with_coalesce, no_coalesce
 
     with_coalesce, no_coalesce = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -7,27 +7,26 @@ ordering guarantee at ~eADR speed (Table I's "Strict pers. penalty"
 column: High vs Low vs None).
 """
 
-from repro.analysis.experiments import run_workload
+from repro.analysis.batch import RunSpec
+from repro.analysis.experiments import run_cells
 from repro.analysis.tables import geomean, render_table
-from repro.api import build_system
 
 WORKLOADS = ("rtree", "ctree", "hashmap", "mutateNC", "swapNC", "swapC")
+#: eADR (the baseline), BBB-32, BSP-32 and strict PMEM, as (scheme, kwargs).
+SCHEMES = (("eadr", ()), ("bbb", (("entries", 32),)),
+           ("bsp", (("entries", 32),)), ("pmem", ()))
 
 
 def test_strict_persistency_penalty(benchmark, report, sim_config, sweep_spec):
     def sweep():
+        runs = iter(run_cells([
+            RunSpec(name, scheme, kwargs, sweep_spec, sim_config)
+            for name in WORKLOADS
+            for scheme, kwargs in SCHEMES
+        ]))
         rows = []
         for name in WORKLOADS:
-            base = run_workload(name, lambda: build_system("eadr", config=sim_config), sweep_spec, sim_config)
-            b = run_workload(
-                name, lambda: build_system("bbb", entries=32, config=sim_config), sweep_spec, sim_config
-            )
-            s_ = run_workload(
-                name, lambda: build_system("bsp", entries=32, config=sim_config), sweep_spec, sim_config
-            )
-            p = run_workload(
-                name, lambda: build_system("pmem", config=sim_config), sweep_spec, sim_config
-            )
+            base, b, s_, p = (next(runs) for _ in SCHEMES)
             rows.append(
                 (
                     name,

@@ -28,7 +28,7 @@ PAPER = {
 
 
 def test_table10_battery_size_sweep(benchmark, report):
-    sweeps = benchmark(lambda: table10(ENTRIES)).data
+    sweeps = benchmark(lambda: table10(ENTRIES))
 
     rows = []
     for (tech, plat), values in sweeps.items():

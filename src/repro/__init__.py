@@ -64,7 +64,6 @@ from repro.sim.trace import OpKind, ProgramTrace, ThreadTrace, TraceOp, with_epo
 from repro.sim.tracefile import load_trace, save_trace
 from repro.workloads.base import WORKLOAD_NAMES, Workload, WorkloadSpec, registry
 from repro.workloads.linkedlist import LinkedListAppend
-from repro.workloads.queue import QueueAppend
 
 __version__ = "1.0.0"
 
@@ -129,6 +128,5 @@ __all__ = [
     "registry",
     "WORKLOAD_NAMES",
     "LinkedListAppend",
-    "QueueAppend",
     "__version__",
 ]

@@ -1,4 +1,4 @@
-"""Closed-form analytical performance model (``mode="analytical"``).
+"""Closed-form analytical performance model (``repro run --mode analytical``).
 
 Instead of stepping the discrete simulator op by op, this module derives
 the headline metrics — execution cycles, NVMM write traffic, persist-buffer
@@ -57,9 +57,6 @@ from repro.mem.hierarchy import C2C_EXTRA_CYCLES, STORE_COMMIT_CYCLES
 from repro.sim.config import SystemConfig
 from repro.sim.stats import CoreStats, SimStats
 from repro.sim.trace import OpKind, ProgramTrace
-
-#: Mode string accepted by :class:`repro.sim.system.System` and the CLI.
-ANALYTICAL_MODE = "analytical"
 
 #: Validated relative-error bands (|analytical − sim| / max(sim, 1)) on the
 #: ``repro bench`` engine grid.  Measured worst cases sit well inside these
@@ -530,41 +527,6 @@ def analytical_estimate(
             "runs": float(sum(len(r) for r in runs_t)),
         },
     )
-
-
-def run_analytical(system, trace, finalize: bool = True):
-    """``System.run`` body for ``mode="analytical"``: fill ``system.stats``
-    from the closed-form estimate and return a normal
-    :class:`~repro.sim.engine.RunResult` (with no persist records — the
-    analytical model does not produce an architectural event stream)."""
-    from repro.sim.engine import RunResult
-
-    entries = None
-    buffers = getattr(system.scheme, "buffers", None)
-    if buffers:
-        buf_cfg = getattr(buffers[0], "config", None)
-        if buf_cfg is not None:
-            entries = buf_cfg.entries
-    est = analytical_estimate(
-        trace,
-        getattr(system.scheme, "name", ""),
-        system.config,
-        entries=entries,
-        finalize=finalize,
-    )
-    # Graft the estimated counters onto the system's stats object (shared
-    # with the hierarchy) so downstream consumers see one source of truth.
-    live = system.stats
-    src = est.stats
-    live.core = src.core
-    for name in (
-        "nvmm_writes", "nvmm_reads", "dram_reads", "dram_writes",
-        "llc_hits", "llc_misses", "llc_evictions", "llc_writebacks",
-        "llc_writebacks_dropped", "bbpb_allocations", "bbpb_coalesces",
-        "bbpb_drains", "flushes", "fences", "epoch_barriers",
-    ):
-        setattr(live, name, getattr(src, name))
-    return RunResult(stats=live)
 
 
 def validate_against_sim(

@@ -1,10 +1,12 @@
 """Batch execution of independent simulation runs.
 
-Every paper exhibit (Fig. 7a/7b, the Fig. 8 sweep, the battery tables) and
-the fanned-out gates (``faults``, ``opt --compare``) are sets of fully
-independent, deterministic simulations, so the drivers describe their runs
-as picklable :class:`RunSpec` descriptors (or ``(fn, args, kwargs)`` tasks)
-and hand the whole list to :func:`run_batch` (or :func:`run_tasks`).
+The simulated paper exhibits and the fanned-out gates (``faults``,
+``opt --compare``) are sets of fully independent, deterministic
+simulations.  An exhibit describes each run as a picklable
+:class:`RunSpec` (the gates as ``(fn, args, kwargs)`` tasks) and hands the
+list to :func:`run_batch` (or :func:`run_tasks`).  The exhibits go through
+:func:`repro.analysis.experiments.run_cells`, which sends only the cells
+not yet run in the process; this module itself caches nothing.
 
 Design points:
 
@@ -65,9 +67,8 @@ class RunSpec:
     ``scheme`` is a name :func:`repro.api.build_system` accepts;
     ``scheme_kwargs`` are passed through to it (e.g. ``(("entries", 32),)``
     for a 32-entry bbPB).  ``config=None`` means the Table III default from
-    :func:`repro.analysis.experiments.default_sim_config`.  ``label`` is an
-    arbitrary caller-side tag (e.g. the Fig. 7 bar name); the runner carries
-    it through untouched.
+    :func:`repro.analysis.experiments.default_sim_config`.  Equal specs
+    describe the same run, and a spec hashes, so it can key a result.
     """
 
     workload: str
@@ -75,7 +76,6 @@ class RunSpec:
     scheme_kwargs: Tuple[Tuple[str, Any], ...] = ()
     spec: WorkloadSpec = field(default_factory=WorkloadSpec)
     config: Optional[SystemConfig] = None
-    label: Optional[str] = None
 
 
 class BatchItemError(RuntimeError):

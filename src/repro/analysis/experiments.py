@@ -1,18 +1,16 @@
 """One driver per paper table/figure (the experiment index of DESIGN.md).
 
 Each ``fig*``/``table*`` function computes the data behind one exhibit of
-the paper's evaluation; the benchmark files under ``benchmarks/`` call
-these and print the rendered tables, and ``EXPERIMENTS.md`` records the
-paper-vs-measured comparison.
+the paper's evaluation and returns its rows; the benchmark files under
+``benchmarks/`` call these and print the rendered tables, and
+``EXPERIMENTS.md`` records the paper-vs-measured comparison.
 
-The sweep drivers — :func:`fig7`, :func:`fig8`,
-:func:`processor_side_write_ratio`, :func:`table10` — share one calling
-convention: every one accepts ``jobs=`` (batch-runner worker count) and
-``progress=`` (a ``progress(done, total)`` callback fired per completed
-unit, in submission order) and returns an :class:`ExperimentResult` whose
-``data`` carries the driver-specific rows.  :data:`EXPERIMENT_DRIVERS`
-indexes them by exhibit name so front-ends need no per-driver
-special-casing.
+A simulated exhibit cell is a :class:`~repro.analysis.batch.RunSpec`.
+:func:`run_cells` is the one way the exhibits simulate: it runs each
+distinct cell once per process and answers repeats from memory, so
+exhibits that share cells (Fig. 7a and 7b, Fig. 7's eADR column and
+Sec. V-C's baseline, Fig. 8's sweep and the ablations' defaults) pay for
+them once.
 
 Performance experiments run the trace simulator at a scaled-down size
 (``WorkloadSpec``); the energy/battery experiments are exact reproductions
@@ -21,10 +19,11 @@ of the paper's analytical model.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.batch import Progress, RunSpec, run_batch, run_tasks
+from repro.analysis.batch import RunSpec, run_batch
 from repro.analysis.tables import geomean
 from repro.core.registry import (
     BBB,
@@ -44,21 +43,6 @@ from repro.workloads.base import (
     registry,
     seed_media_words,
 )
-
-
-@dataclass
-class ExperimentResult:
-    """Uniform return shape of the sweep drivers.
-
-    ``data`` is the driver-specific payload (``fig7`` -> ``List[Fig7Row]``,
-    ``fig8`` -> ``List[Fig8Point]``, ...); ``runs`` counts the independent
-    batch units that produced it.
-    """
-
-    name: str
-    title: str
-    data: Any
-    runs: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -125,8 +109,6 @@ def default_sim_config() -> SystemConfig:
     8 x 2 KB in Table III; 64 KB vs 8 x 2 KB here), and the workloads'
     persistent footprints exceed the LLC so dirty data streams through it.
     """
-    import dataclasses
-
     from repro.sim.config import CacheConfig
 
     base = SystemConfig()
@@ -186,6 +168,27 @@ def run_workload(
     )
 
 
+#: Every cell :func:`run_cells` has simulated in this process.
+_CELLS: Dict[RunSpec, WorkloadRun] = {}
+
+
+def run_cells(specs: Sequence[RunSpec]) -> List[WorkloadRun]:
+    """The ``WorkloadRun`` of each cell, in order, simulating each distinct
+    cell once per process.
+
+    A cell is keyed by its :class:`RunSpec` (``config=None`` is the
+    :func:`default_sim_config` cell).  Cells not yet run go to
+    :func:`~repro.analysis.batch.run_batch` as one fan-out; the rest are
+    answered from memory.  Returned runs are shared: treat them as
+    read-only."""
+    default = default_sim_config()
+    keys = [s if s.config is not None
+            else dataclasses.replace(s, config=default) for s in specs]
+    misses = list(dict.fromkeys(k for k in keys if k not in _CELLS))
+    _CELLS.update(zip(misses, run_batch(misses)))
+    return [_CELLS[k] for k in keys]
+
+
 def _scheme_variants(
     entries_variants: Sequence[int] = (32, 1024),
 ) -> List[Tuple[str, str, Tuple[Tuple[str, int], ...]]]:
@@ -220,13 +223,9 @@ def fig7(
     config: Optional[SystemConfig] = None,
     workloads: Sequence[str] = WORKLOAD_NAMES,
     entries_variants: Sequence[int] = (32, 1024),
-    jobs: Optional[int] = None,
-    progress: Optional[Progress] = None,
-) -> ExperimentResult:
+) -> List[Fig7Row]:
     """Execution time (a) and NVMM writes (b) for BBB-32 and BBB-1024,
-    normalized to eADR, per workload.  The (workload x scheme) grid is
-    fanned across processes by the batch runner (``jobs``/``REPRO_JOBS``);
-    ``data`` is ``List[Fig7Row]``."""
+    normalized to eADR, one row per workload."""
     cfg = config or default_sim_config()
     wspec = spec or WorkloadSpec()
     variants = _scheme_variants(entries_variants)
@@ -237,12 +236,11 @@ def fig7(
             scheme_kwargs=kwargs,
             spec=wspec,
             config=cfg,
-            label=label,
         )
         for name in workloads
-        for label, scheme, kwargs in variants
+        for _, scheme, kwargs in variants
     ]
-    results = iter(run_batch(specs, jobs=jobs, progress=progress))
+    results = iter(run_cells(specs))
     rows: List[Fig7Row] = []
     for name in workloads:
         runs = {label: next(results) for label, _, _ in variants}
@@ -252,21 +250,13 @@ def fig7(
             row.exec_time[label] = run.execution_cycles / max(1, base.execution_cycles)
             row.nvmm_writes[label] = run.nvmm_writes / max(1, base.nvmm_writes)
         rows.append(row)
-    return ExperimentResult(
-        name="fig7",
-        title="Fig. 7 — exec time & NVMM writes vs eADR",
-        data=rows,
-        runs=len(specs),
-    )
+    return rows
 
 
 def fig7_averages(
-    rows: Union[ExperimentResult, List[Fig7Row]],
+    rows: List[Fig7Row],
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Geomean across workloads of the normalized metrics.  Accepts the
-    :func:`fig7` result or its ``data`` rows directly."""
-    if isinstance(rows, ExperimentResult):
-        rows = rows.data
+    """Geomean across workloads of the normalized metrics."""
     labels = rows[0].exec_time.keys()
     exec_avg = {l: geomean([r.exec_time[l] for r in rows]) for l in labels}
     writes_avg = {l: geomean([r.nvmm_writes[l] for r in rows]) for l in labels}
@@ -283,11 +273,8 @@ def processor_side_write_ratio(
     workloads: Sequence[str] = WORKLOAD_NAMES,
     entries: int = 32,
     coalesce_consecutive: bool = True,
-    jobs: Optional[int] = None,
-    progress: Optional[Progress] = None,
-) -> ExperimentResult:
-    """NVMM writes of processor-side BBB normalized to eADR, per workload;
-    ``data`` is ``Dict[workload, ratio]``.
+) -> Dict[str, float]:
+    """NVMM writes of processor-side BBB normalized to eADR, per workload.
 
     The paper reports ~2.8x on average; with ``coalesce_consecutive=False``
     (the paper's "almost every persisting store must go to the bbPB and
@@ -307,18 +294,13 @@ def processor_side_write_ratio(
         specs.append(
             RunSpec(name, baseline_scheme().name, spec=wspec, config=cfg)
         )
-    results = iter(run_batch(specs, jobs=jobs, progress=progress))
+    results = iter(run_cells(specs))
     ratios: Dict[str, float] = {}
     for name in workloads:
         proc = next(results)
         base = next(results)
         ratios[name] = proc.nvmm_writes / max(1, base.nvmm_writes)
-    return ExperimentResult(
-        name="sec5c",
-        title="Section V-C — processor-side bbPB write amplification",
-        data=ratios,
-        runs=len(specs),
-    )
+    return ratios
 
 
 # ----------------------------------------------------------------------
@@ -338,13 +320,9 @@ def fig8(
     spec: Optional[WorkloadSpec] = None,
     config: Optional[SystemConfig] = None,
     workloads: Sequence[str] = WORKLOAD_NAMES,
-    jobs: Optional[int] = None,
-    progress: Optional[Progress] = None,
-) -> ExperimentResult:
+) -> List[Fig8Point]:
     """Sensitivity of rejections (a), execution time (b), and drains (c) to
-    the bbPB entry count, geomean-normalized to the 1-entry configuration.
-    The full (size x workload) sweep is one batch fan-out; ``data`` is
-    ``List[Fig8Point]``."""
+    the bbPB entry count, geomean-normalized to the 1-entry configuration."""
     cfg = config or default_sim_config()
     wspec = spec or WorkloadSpec()
     specs = [
@@ -358,7 +336,7 @@ def fig8(
         for entries in sizes
         for name in workloads
     ]
-    results = iter(run_batch(specs, jobs=jobs, progress=progress))
+    results = iter(run_cells(specs))
     per_size: Dict[int, List[WorkloadRun]] = {
         entries: [next(results) for _ in workloads] for entries in sizes
     }
@@ -379,12 +357,7 @@ def fig8(
                 drains=geomean(dr),
             )
         )
-    return ExperimentResult(
-        name="fig8",
-        title="Fig. 8 — sensitivity to bbPB entry count",
-        data=points,
-        runs=len(specs),
-    )
+    return points
 
 
 # ----------------------------------------------------------------------
@@ -447,43 +420,12 @@ def table9() -> List[battery_mod.BatteryEstimate]:
 
 def table10(
     entry_counts: Sequence[int] = (1, 4, 16, 32, 64, 256, 1024),
-    jobs: Optional[int] = None,
-    progress: Optional[Progress] = None,
-) -> ExperimentResult:
-    """Battery volume (mm^3) vs bbPB entries per (technology, platform);
-    ``data`` is ``Dict[(technology, platform-key), Dict[entries, mm^3]]``.
-
-    The four (technology, platform) sweeps are independent analytical
-    computations, fanned out through the same batch machinery as the
-    simulation exhibits."""
-    combos = [
-        (tech, key, platform)
+) -> Dict[Tuple[str, str], Dict[int, float]]:
+    """Battery volume (mm^3) vs bbPB entries, keyed by (technology,
+    platform-key)."""
+    return {
+        (tech, key): battery_mod.battery_size_sweep(
+            platform, tech, tuple(entry_counts))
         for tech in ("SuperCap", "Li-thin")
         for key, platform in (("M", MOBILE), ("S", SERVER))
-    ]
-    sweeps = run_tasks(
-        [
-            (battery_mod.battery_size_sweep, (platform, tech, tuple(entry_counts)), {})
-            for tech, key, platform in combos
-        ],
-        jobs=jobs,
-        progress=progress,
-    )
-    return ExperimentResult(
-        name="table10",
-        title="Table X — battery volume vs bbPB entries",
-        data={
-            (tech, key): sweep for (tech, key, _), sweep in zip(combos, sweeps)
-        },
-        runs=len(combos),
-    )
-
-
-#: The unified driver registry: every entry is callable as
-#: ``driver(jobs=None, progress=None, **driver_specific) -> ExperimentResult``.
-EXPERIMENT_DRIVERS: Dict[str, Callable[..., ExperimentResult]] = {
-    "fig7": fig7,
-    "fig8": fig8,
-    "sec5c": processor_side_write_ratio,
-    "table10": table10,
-}
+    }

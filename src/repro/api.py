@@ -15,8 +15,8 @@ registered from outside this package — is described by a
 :class:`~repro.core.registry.SchemeInfo` capability descriptor.
 
 Run-level wiring — observability bus, relaxed-release seed, fault
-injection, crash scheduling, execution mode — travels in one typed
-:class:`RunOptions` value::
+injection, crash scheduling — travels in one typed :class:`RunOptions`
+value::
 
     from repro.api import RunOptions, build_system
 
@@ -37,8 +37,8 @@ keyword                schemes                     meaning
 
 ``entries`` sizes the persist buffer for the schemes whose registry entry
 sets ``has_persist_buffer`` and is ignored by the bufferless schemes.
-The run-level values travel only in ``options=``: a bare ``bus=`` or
-``mode=`` is an unexpected keyword argument (``TypeError``).
+The run-level values travel only in ``options=``: a bare ``bus=`` is an
+unexpected keyword argument (``TypeError``).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from repro.core.registry import iter_schemes, scheme_info
 from repro.fault.injector import NULL_INJECTOR, FaultInjector
 from repro.obs.bus import NULL_BUS, EventBus
 from repro.sim.config import SystemConfig
-from repro.sim.system import SYSTEM_MODES, System
+from repro.sim.system import System
 
 #: The builtin persistency schemes of the paper's comparison space
 #: (Fig. 7), as an enum derived from the scheme registry.  Members are
@@ -86,8 +86,8 @@ class RunOptions:
     """Run-level wiring of a :class:`~repro.sim.system.System`, as one
     typed value instead of loose keyword arguments.
 
-    Every field defaults to "off" (and ``mode`` to ``"sim"``), so
-    ``RunOptions()`` is the plain un-instrumented run.  The value is frozen — derive variants with
+    Every field defaults to "off", so ``RunOptions()`` is the plain
+    un-instrumented run.  The value is frozen — derive variants with
     :meth:`replace`::
 
         base = RunOptions(bus=bus)
@@ -103,23 +103,13 @@ class RunOptions:
     fault_injector: FaultInjector = NULL_INJECTOR
     #: Micro-step crash schedule (model checker; default: never fires).
     crash_schedule: CrashSchedule = NULL_SCHEDULE
-    #: Execution mode: ``sim`` (the discrete engine) or ``analytical``
-    #: (closed-form model).
-    mode: str = "sim"
-
-    def __post_init__(self) -> None:
-        if self.mode not in SYSTEM_MODES:
-            raise ValueError(
-                f"unknown system mode {self.mode!r}; expected one of "
-                f"{', '.join(SYSTEM_MODES)}"
-            )
 
     def replace(self, **changes) -> "RunOptions":
         """A copy with ``changes`` applied (``dataclasses.replace``)."""
         return dataclasses.replace(self, **changes)
 
 
-#: The default (un-instrumented, discrete-sim) run wiring.
+#: The default (un-instrumented) run wiring.
 DEFAULT_RUN_OPTIONS = RunOptions()
 
 
@@ -146,4 +136,4 @@ def build_system(
     scheme_obj = info.build_scheme(entries=entries, **kw)
     return System(config, scheme_obj, reorder_seed=opts.reorder_seed,
                   bus=opts.bus, fault_injector=opts.fault_injector,
-                  crash_schedule=opts.crash_schedule, mode=opts.mode)
+                  crash_schedule=opts.crash_schedule)

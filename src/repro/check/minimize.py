@@ -277,11 +277,22 @@ def replay_artifact(path: str, config=None) -> Dict[str, Any]:
     recorded ops, crash at the recorded micro-step, and re-check.
     Returns ``{"reproduced", "site", "violations", "artifact"}``.
     Raises :class:`repro.ioutil.ArtifactError` on a missing/truncated
-    file or a schema/kind mismatch, *before* touching the payload."""
+    file, a schema/kind mismatch or a malformed payload, before running
+    anything."""
     from repro.analysis.experiments import default_sim_config
-    from repro.ioutil import load_versioned_json
+    from repro.ioutil import ArtifactError, load_versioned_json, require_fields
 
     artifact = load_versioned_json(path, CHECK_SCHEMA, kind="counterexample")
+    require_fields(path, artifact, (
+        "scheme", "workload", "entries", "mutant", "sites", "seed_words",
+        "ops", "num_threads", "crash_point"))
+    for i, rec in enumerate(artifact["ops"]):
+        require_fields(path, rec, ("thread", "kind", "addr", "size", "value",
+                                   "cycles", "tag"), where=f"ops[{i}]")
+        if not 0 <= rec["thread"] < artifact["num_threads"]:
+            raise ArtifactError(
+                f"artifact {path!r} ops[{i}] has thread {rec['thread']}; "
+                f"num_threads is {artifact['num_threads']}")
     unit = CheckUnit(
         scheme=artifact["scheme"],
         workload=artifact["workload"],

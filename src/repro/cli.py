@@ -2,10 +2,10 @@
 
 Commands:
 
-* ``run``     — simulate one workload under one scheme and print the stats.
+* ``run``     — simulate one workload under one scheme and print the stats
+  (``--mode analytical`` prints the closed-form estimate instead).
 * ``compare`` — run every scheme on one workload, normalized to eADR.
 * ``profile`` — run with full observability on and print a profile report.
-* ``crash``   — crash-sweep a workload under a scheme and report recovery.
 * ``energy``  — print the draining-cost and battery-sizing tables.
 * ``table1``  — print the qualitative scheme comparison.
 * ``trace``   — generate a workload trace and save it to a file.
@@ -53,7 +53,7 @@ Examples::
     python -m repro compare --workload swapNC --ops 200
     python -m repro profile --workload hashmap --scheme bbb --cprofile
     python -m repro profile --smoke
-    python -m repro crash --workload hashmap --scheme none --sample 50
+    python -m repro check --workload hashmap --scheme none --max-points 50
     python -m repro energy
     python -m repro trace --workload rtree --out rtree.trace
     python -m repro bench --smoke
@@ -96,12 +96,10 @@ from repro.core.registry import (
     iter_schemes,
     scheme_names,
 )
-from repro.core.recovery import check_prefix_consistency
 from repro.energy import battery, model
 from repro.energy.platforms import MOBILE, SERVER
 from repro.ioutil import atomic_write_json
 from repro.obs.bus import NULL_BUS, EventBus, EventRecorder
-from repro.sim.system import SYSTEM_MODES
 from repro.sim.tracefile import save_trace
 from repro.workloads.base import WORKLOAD_NAMES, WorkloadSpec, registry
 
@@ -159,11 +157,22 @@ def cmd_run(args) -> int:
     workload = registry(config.mem, spec)[args.workload]
     trace = workload.build()
     bus, recorder = _observability(args)
-    system = build_system(args.scheme, entries=args.entries, config=config,
-                          options=RunOptions(bus=bus, mode=args.mode))
-    workload.seed_media(system.nvmm_media)
-    result = system.run(trace, finalize=not args.no_finalize)
-    stats = result.stats
+    if args.mode == "analytical":
+        from repro.analysis.analytical import analytical_estimate
+
+        # The closed-form estimate simulates nothing: it emits no events
+        # and leaves no buffered or cached writes owed at the cut.
+        stats = analytical_estimate(
+            trace, args.scheme, config, entries=args.entries,
+            finalize=not args.no_finalize,
+        ).stats
+        steady_writes = stats.nvmm_writes
+    else:
+        system = build_system(args.scheme, entries=args.entries,
+                              config=config, options=RunOptions(bus=bus))
+        workload.seed_media(system.nvmm_media)
+        stats = system.run(trace, finalize=not args.no_finalize).stats
+        steady_writes = steady_state_nvmm_writes(system)
     _export_events(recorder, args.events, args.trace_out)
     if args.out:
         from repro.ioutil import atomic_write_text
@@ -175,7 +184,7 @@ def cmd_run(args) -> int:
             print(stats.to_json())
         return 0
     rows = [(k, v) for k, v in stats.summary().items()]
-    rows.append(("steady_state_nvmm_writes", steady_state_nvmm_writes(system)))
+    rows.append(("steady_state_nvmm_writes", steady_writes))
     rows.append(("persist_latency_avg", f"{stats.persist_latency_avg:.1f} cycles"))
     print(render_table(
         ["metric", "value"], rows,
@@ -226,48 +235,6 @@ def cmd_compare(args) -> int:
         title=f"scheme comparison on {args.workload}",
     ))
     return 0
-
-
-def cmd_crash(args) -> int:
-    from repro.check.explore import sample_points, sweep
-    from repro.check.mutants import build_crash_system
-    from repro.check.schedule import SITE_OP, CrashSchedule
-
-    config = default_sim_config()
-    spec = _spec(args)
-    workload = registry(config.mem, spec)[args.workload]
-    trace = workload.build()
-    structural = workload.make_checker()
-    points = sample_points(trace.total_ops(), args.sample, args.seed)
-
-    inconsistent = []
-
-    def observe(visit) -> bool:
-        ok, violations = (True, [])
-        if structural is not None:
-            ok, violations = structural(visit, visit)
-        prefix = check_prefix_consistency(
-            visit.nvmm_media, visit.committed_persists
-        )
-        if not (ok and prefix.consistent):
-            inconsistent.append(
-                (visit.point, list(violations) + prefix.violations))
-        return visit.point == points[-1]
-
-    if points:
-        # One run; each visit's image is what a crash there would leave.
-        system = build_crash_system(
-            args.scheme, entries=args.entries, config=config,
-            crash_schedule=CrashSchedule(sites=(SITE_OP,)),
-            seed_words=workload.initial_words,
-        )
-        sweep(system, trace, observe, points)
-    bad = len(inconsistent)
-    print(f"{args.workload} under {args.scheme}: {len(points)} crash points, "
-          f"{len(points) - bad} consistent, {bad} inconsistent")
-    for crash_op, violations in inconsistent[: args.show]:
-        print(f"  crash after op {crash_op}: {violations[0]}")
-    return 0 if not inconsistent else 1
 
 
 def cmd_energy(args) -> int:
@@ -863,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scheme", choices=sorted(scheme_names(include_aliases=True)),
                        default=DEFAULT_SCHEME)
     p_run.add_argument("--entries", type=int, default=32, help="bbPB entries")
-    p_run.add_argument("--mode", choices=SYSTEM_MODES, default="sim",
+    p_run.add_argument("--mode", choices=("sim", "analytical"), default="sim",
                        help="sim runs the discrete engine, analytical uses "
                             "the closed-form model")
     p_run.add_argument("--no-finalize", action="store_true",
@@ -895,17 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--entries", type=int, default=32, help="bbPB entries")
     p_prof.add_argument("--cprofile", action="store_true",
                         help="include a cProfile hotspot table")
-
-    p_crash = sub.add_parser("crash", help="crash-sweep a workload")
-    _add_workload_args(p_crash)
-    p_crash.add_argument("--scheme", choices=sorted(scheme_names(include_aliases=True)),
-                       default=DEFAULT_SCHEME)
-    p_crash.add_argument("--entries", type=int, default=32)
-    p_crash.add_argument("--sample", type=int, default=40,
-                         help="number of crash points to test")
-    p_crash.add_argument("--show", type=int, default=3,
-                         help="inconsistent outcomes to print")
-    p_crash.set_defaults(func=cmd_crash)
 
     p_energy = sub.add_parser("energy", help="draining cost & battery tables")
     p_energy.set_defaults(func=cmd_energy)

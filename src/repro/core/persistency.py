@@ -233,8 +233,6 @@ class PersistencyScheme:
         # Section III-C: store buffers drain after the bbPB, preserving
         # per-core program order of persists.
         report.store_buffer_entries += h.crash_drain_store_buffers()
-        if battery:
-            injector.finish_crash_drain(now)
         self.clear_buffers()
         h.lose_volatile_state()
         return report

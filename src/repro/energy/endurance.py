@@ -9,17 +9,15 @@ bbPB, silent writeback drops).  This module provides:
   4e12, ReRAM 1e11, PCM 1e8;
 * per-structure lifetime estimation: given a measured per-block write
   rate, how long until the hottest cell wears out;
-* a scheme-comparison helper that turns a simulation's per-block write
-  counts into relative lifetime figures (the endurance angle on
-  Fig. 7(b)'s write counts).
+* a relative-lifetime helper comparing two hottest-block write counts
+  (the endurance angle on Fig. 7(b)'s write counts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.core.registry import baseline_scheme, canonical_name, iter_schemes
 from repro.mem.nvmm import NVMMedia
 
 #: Write-endurance (writes per cell) by technology, as cited in Sec. II-B.
@@ -97,37 +95,6 @@ def relative_lifetime(
     if baseline_max_writes == 0:
         return 0.0
     return baseline_max_writes / scheme_max_writes
-
-
-def relative_scheme_lifetimes(
-    max_writes_by_scheme: Dict[str, int],
-    baseline: Optional[str] = None,
-) -> Dict[str, float]:
-    """Per-scheme relative lifetimes, normalised to the comparison
-    baseline (eADR unless ``baseline`` is given).
-
-    ``max_writes_by_scheme`` maps scheme names (canonical or alias) to the
-    hottest-block write count measured for that scheme; the result keeps
-    the registry's canonical comparison order, so it lines up with Fig. 7
-    tables.  Schemes absent from the input are skipped.
-    """
-    measured = {
-        canonical_name(name): writes
-        for name, writes in max_writes_by_scheme.items()
-    }
-    base_name = (
-        canonical_name(baseline) if baseline else baseline_scheme().name
-    )
-    if base_name not in measured:
-        raise ValueError(
-            f"baseline scheme {base_name!r} missing from measurements"
-        )
-    base_writes = measured[base_name]
-    return {
-        info.name: relative_lifetime(base_writes, measured[info.name])
-        for info in iter_schemes()
-        if info.name in measured
-    }
 
 
 def nvcache_writes_per_second(

@@ -28,10 +28,7 @@ fault is either harmless or detected — the property the fault campaign
 verifies for the battery-backed domain.
 
 Injections and detections are recorded on the injector (``injected`` /
-``detected`` lists) and mirrored as typed obs events
-(:class:`~repro.obs.events.FaultInjected` /
-:class:`~repro.obs.events.FaultDetected` /
-:class:`~repro.obs.events.BatteryDepleted`) when a bus is attached.
+``detected`` lists).
 """
 
 from __future__ import annotations
@@ -50,8 +47,6 @@ from repro.fault.plan import (
     FaultSpec,
 )
 from repro.mem.block import BlockData
-from repro.obs.bus import NULL_BUS, EventBus
-from repro.obs.events import BatteryDepleted, FaultDetected, FaultInjected
 
 
 @dataclass(frozen=True)
@@ -75,9 +70,8 @@ class FaultInjector:
 
     enabled = True
 
-    def __init__(self, plan: FaultPlan, bus: EventBus = NULL_BUS) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.bus = bus
         self._rng = random.Random(plan.seed)
         self._visits: Dict[str, int] = {}
         #: Per-site spec lists, resolved once (site hooks are hot-ish paths).
@@ -114,14 +108,10 @@ class FaultInjector:
     def record_injection(self, site: str, fault: str, addr: int, cycle: int,
                          detail: str = "") -> None:
         self.injected.append(FaultRecord(site, fault, addr, cycle, detail))
-        if self.bus.enabled:
-            self.bus.emit(FaultInjected(cycle, site, fault, addr, detail))
 
     def record_detection(self, site: str, fault: str, addr: int, cycle: int,
                          detail: str = "") -> None:
         self.detected.append(FaultRecord(site, fault, addr, cycle, detail))
-        if self.bus.enabled:
-            self.bus.emit(FaultDetected(cycle, site, fault, addr, detail))
 
     @property
     def injected_count(self) -> int:
@@ -198,12 +188,6 @@ class FaultInjector:
                 self.record_detection(SITE_BATTERY, "exhaustion", 0, now,
                                       detail="brown-out flag latched")
         return False
-
-    def finish_crash_drain(self, now: int) -> None:
-        battery = self.battery
-        if battery is not None and battery.lost and self.bus.enabled:
-            self.bus.emit(BatteryDepleted(now, drained=battery.drained,
-                                          lost=battery.lost))
 
     # ------------------------------------------------------------------
     # Site: coherence.forced_drain

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any
+from typing import Any, Sequence
 
 
 def atomic_write_text(path: str, text: str) -> str:
@@ -104,3 +104,17 @@ def load_versioned_json(
             f"artifact {path!r} has {have}; expected kind {kind!r}"
         )
     return obj
+
+
+def require_fields(path: str, obj: Any, fields: Sequence[str],
+                   where: str = "") -> None:
+    """Raise :class:`ArtifactError` naming the first of ``fields`` that the
+    payload object ``obj`` of artifact ``path`` lacks; ``where`` locates
+    ``obj`` inside the artifact (e.g. ``"ops[3]"``).  Replay paths call
+    this before any simulation, so a malformed payload is a usage error
+    rather than a ``KeyError`` from deep inside a replayer."""
+    at = f" {where}" if where else ""
+    for name in fields:
+        if not isinstance(obj, dict) or name not in obj:
+            raise ArtifactError(
+                f"artifact {path!r}{at} has no {name!r} field")

@@ -354,15 +354,17 @@ def minimize_cell(
 
 def replay_counterexample(path: str) -> Dict[str, Any]:
     """Re-run a litmus counterexample artifact and re-check the forbidden
-    observation.  Validates the artifact envelope (schema version, kind)
-    before touching the payload — raises
+    observation.  Validates the artifact (schema version, kind, payload
+    fields) before running anything — raises
     :class:`repro.ioutil.ArtifactError` with a clear diagnostic on a
-    truncated file or a schema mismatch.
+    truncated file, a schema mismatch or a missing field.
 
     Returns ``{"reproduced", "state", "observed", "artifact"}``."""
-    from repro.ioutil import load_versioned_json
+    from repro.ioutil import load_versioned_json, require_fields
 
     artifact = load_versioned_json(path, LITMUS_SCHEMA, kind="counterexample")
+    require_fields(path, artifact, ("scheme", "mutant", "model", "entries",
+                                    "test", "forbidden_state"))
     test = LitmusTest.from_payload(artifact["test"])
     model = artifact["model"]
     allowed = allowed_states(test, model)

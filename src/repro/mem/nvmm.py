@@ -81,17 +81,6 @@ class NVMMedia:
         self.total_writes += 1
         self.torn_blocks.add(block_addr)
 
-    def replace_block(self, block_addr: int, data: BlockData) -> None:
-        """Overwrite the whole block (no overlay) — used by relocation
-        copies (wear leveling), where the destination's previous contents
-        belong to a different logical line."""
-        self._check(block_addr)
-        self._blocks[block_addr] = data.copy()
-        self.write_counts[block_addr] += 1
-        self.total_writes += 1
-        if self.torn_blocks:
-            self.torn_blocks.discard(block_addr)
-
     def read_block(self, block_addr: int) -> BlockData:
         self._check(block_addr)
         self.total_reads += 1

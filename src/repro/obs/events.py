@@ -180,46 +180,6 @@ class SbRelease(Event):
 
 
 # ----------------------------------------------------------------------
-# Fault injection (repro.fault)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FaultInjected(Event):
-    """A fault-injection site fired: the adversarial model perturbed the
-    simulation at ``site`` (e.g. ``nvmm.write``) with fault ``fault``
-    (e.g. ``torn``).  ``detail`` carries site-specific context."""
-
-    kind: ClassVar[str] = "fault_injected"
-    site: str
-    fault: str
-    addr: int
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class FaultDetected(Event):
-    """A modelled detection mechanism (NVMM ECC, bbPB parity, battery
-    brown-out flag, controller write-failure machine check) noticed an
-    injected fault — recovery would know something went wrong."""
-
-    kind: ClassVar[str] = "fault_detected"
-    site: str
-    fault: str
-    addr: int
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class BatteryDepleted(Event):
-    """The flush-on-fail battery ran out of charge partway through the
-    crash drain; ``drained`` units made it to NVMM, ``lost`` did not."""
-
-    kind: ClassVar[str] = "battery_depleted"
-    drained: int
-    lost: int
-
-
-# ----------------------------------------------------------------------
 # Stalls (sim/engine.py + schemes)
 # ----------------------------------------------------------------------
 
@@ -260,9 +220,6 @@ EVENT_TYPES: Dict[str, Type[Event]] = {
         SbRelease,
         StallBegin,
         StallEnd,
-        FaultInjected,
-        FaultDetected,
-        BatteryDepleted,
     )
 }
 

@@ -227,15 +227,22 @@ def render_compare_table(report: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 
 def replay_report(path: str) -> Dict[str, Any]:
-    """Re-execute a compare artifact: validate the envelope (schema
-    version + kind — raises :class:`repro.ioutil.ArtifactError` on a
-    truncated or mismatched file *before* touching the payload), re-run
-    every cell, and check elision, audit, and durable-image equality
-    reproduce.  Returns ``{"reproduced", "mismatches", "artifact"}``."""
-    from repro.ioutil import load_versioned_json
+    """Re-execute a compare artifact: validate it (schema version, kind and
+    payload fields — raises :class:`repro.ioutil.ArtifactError` on a
+    truncated, mismatched or malformed file before running anything),
+    re-run every cell, and check elision, audit, and durable-image
+    equality reproduce.  Returns ``{"reproduced", "mismatches",
+    "artifact"}``."""
+    from repro.ioutil import load_versioned_json, require_fields
     from repro.workloads.base import WorkloadSpec
 
     artifact = load_versioned_json(path, OPT_SCHEMA, kind="compare")
+    require_fields(path, artifact, ("entries", "rows"))
+    for i, row in enumerate(artifact["rows"]):
+        require_fields(path, row, ("workload", "scheme",
+                                   "flush_fence_elision_pct", "ops_optimized",
+                                   "audit_ok", "image_ok"),
+                       where=f"rows[{i}]")
     spec = (WorkloadSpec(*artifact["spec"])
             if artifact.get("spec") is not None else None)
     mismatches: List[str] = []

@@ -44,10 +44,6 @@ __all__ = [
 
 TRAFFIC_SCHEMA_VERSION = "repro.traffic/v3"
 
-#: A scheme's curve is past the saturation knee once achieved throughput
-#: falls below this fraction of offered load (the render annotates it).
-KNEE_FRACTION = 0.9
-
 _POINT_REQUIRED = (
     "scheme", "arrival", "offered_load", "requests", "completed",
     "execution_cycles", "achieved_load", "latency", "tenants", "ops",
@@ -193,11 +189,7 @@ def smoke_failures(report: Dict[str, object]) -> List[str]:
 
 
 def render_curve(report: Dict[str, object]) -> str:
-    """ASCII throughput-vs-offered-load table (one block per scheme).
-
-    The first row where achieved throughput drops below
-    ``KNEE_FRACTION`` of offered load is annotated ``<- knee`` — the
-    saturation point past which queueing dominates."""
+    """ASCII throughput-vs-offered-load table (one block per scheme)."""
     validate_traffic_report(report)
     labels = [label for label, _ in PERCENTILE_LABELS]
     lines: List[str] = []
@@ -208,18 +200,11 @@ def render_curve(report: Dict[str, object]) -> str:
     for name in report["schemes"]:
         lines.append(f"{name}:")
         lines.append("  " + header)
-        knee_marked = False
         for entry in report["curves"][name]:
-            row = (
-                f"{entry['offered_load']:>9.3f} "
+            lines.append(
+                f"  {entry['offered_load']:>9.3f} "
                 f"{entry['achieved_load']:>9.3f} "
                 + " ".join(f"{entry[label]:>7d}" for label in labels)
             )
-            if (not knee_marked
-                    and entry["achieved_load"]
-                    < KNEE_FRACTION * entry["offered_load"]):
-                row += "  <- knee"
-                knee_marked = True
-            lines.append("  " + row)
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

@@ -26,12 +26,6 @@ from repro.sim.engine import Engine, EngineStream, RunResult
 from repro.sim.stats import SimStats
 from repro.sim.trace import ProgramTrace
 
-#: Modes accepted by :class:`System`: ``"sim"`` runs the discrete
-#: engine; ``"analytical"`` fills the stats from the closed-form estimate
-#: with no discrete simulation (:mod:`repro.analysis.analytical`).
-SYSTEM_MODES = ("sim", "analytical")
-
-
 class System:
     """A complete simulated machine: hierarchy + scheme + engine."""
 
@@ -43,29 +37,12 @@ class System:
         bus: EventBus = NULL_BUS,
         fault_injector=NULL_INJECTOR,
         crash_schedule=NULL_SCHEDULE,
-        mode: str = "sim",
     ) -> None:
-        if mode not in SYSTEM_MODES:
-            raise ValueError(
-                f"unknown system mode {mode!r}; expected one of "
-                f"{', '.join(SYSTEM_MODES)}"
-            )
-        if mode == "analytical" and (crash_schedule.enabled
-                                     or fault_injector.enabled):
-            raise ValueError(
-                "analytical mode cannot crash or inject faults (an estimate "
-                "has no architectural crash point); use mode='sim'"
-            )
         self.config = config or SystemConfig()
         self.scheme = scheme or BBBScheme()
-        self.mode = mode
         self.bus = bus
         self.fault_injector = fault_injector
         self.crash_schedule = crash_schedule
-        if fault_injector.enabled and fault_injector.bus is NULL_BUS:
-            # Faults emit typed obs events; route them onto the system's
-            # bus unless the injector was wired to its own.
-            fault_injector.bus = bus
         self.stats = SimStats(num_cores=self.config.num_cores)
         self.hierarchy = MemoryHierarchy(self.config, self.scheme, self.stats,
                                          bus=bus, fault_injector=fault_injector,
@@ -77,27 +54,17 @@ class System:
         schedule fires.  A ``System`` is single-shot: build a fresh one per
         run.
 
-        In ``mode="sim"`` this is one :meth:`stream` fed every thread's
-        ops and finished (:meth:`repro.sim.engine.Engine.run`).  In
-        ``mode="analytical"`` no discrete simulation happens: the stats
-        are filled from the closed-form model."""
-        if self.mode == "analytical":
-            from repro.analysis.analytical import run_analytical
-
-            return run_analytical(self, trace, finalize=finalize)
+        This is one :meth:`stream` fed every thread's ops and finished
+        (:meth:`repro.sim.engine.Engine.run`).  For a closed-form estimate
+        with no discrete simulation, see
+        :func:`repro.analysis.analytical.analytical_estimate`."""
         return self.engine.run(trace, finalize=finalize)
 
     def stream(self) -> EngineStream:
         """Open a streaming ingestion session (see
         :class:`~repro.sim.engine.EngineStream`): feed ops incrementally
         instead of materializing a trace.  A ``System`` is single-shot —
-        use either :meth:`run` or one stream, never both.  Analytical mode
-        has no op-level execution, so it cannot stream."""
-        if self.mode == "analytical":
-            raise ValueError(
-                "analytical mode has no streaming ingestion path; use "
-                "mode='sim'"
-            )
+        use either :meth:`run` or one stream, never both."""
         return self.engine.stream()
 
     @property

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import threading
 from collections import OrderedDict
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.sim.config import MemConfig
@@ -31,9 +31,11 @@ from repro.workloads.alloc import PersistentHeap, VolatileHeap
 WORD = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorkloadSpec:
-    """Parameters shared by all workloads."""
+    """Parameters shared by all workloads.  Frozen, so equal specs hash
+    alike (trace and exhibit-cell caches key on them); derive variants
+    with ``dataclasses.replace``."""
 
     threads: int = 8
     ops: int = 200          # operations per thread
@@ -199,10 +201,9 @@ _trace_cache_lock = threading.Lock()
 
 
 def _trace_key(name: str, mem: MemConfig, spec: WorkloadSpec) -> Tuple:
-    # WorkloadSpec is a plain (unfrozen) dataclass; flatten it to a value
-    # tuple so logically-equal specs share a cache entry.  MemConfig is
-    # frozen and hashes by value.  The seed is part of the spec tuple.
-    return (name, mem, astuple(spec))
+    # MemConfig and WorkloadSpec are frozen and hash by value, so
+    # logically-equal specs share a cache entry.  The seed is in the spec.
+    return (name, mem, spec)
 
 
 def build_cached(

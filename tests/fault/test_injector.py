@@ -19,7 +19,6 @@ from repro.fault.plan import (
 from repro.mem.block import BlockData
 from repro.mem.coherence import DrainMessageChannel
 from repro.mem.memctrl import NVMMController, WPQ_WRITE_MAX_RETRIES
-from repro.obs.bus import EventBus, EventRecorder
 from repro.sim.config import SystemConfig
 from repro.sim.stats import SimStats
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
@@ -307,22 +306,3 @@ def test_enabled_injector_with_empty_plan_is_bit_identical():
     fault_blocks = {a: fault_media.peek_block(a).bytes
                     for a in base_blocks}
     assert fault_blocks == base_blocks
-
-
-def test_fault_events_reach_the_system_bus():
-    trace = _store_trace(num_blocks=6)
-    plan = FaultPlan(faults=(
-        FaultSpec(site=SITE_BATTERY, fault="exhaustion",
-                  params=(("blocks", 1),)),
-    ))
-    injector = FaultInjector(plan)
-    bus = EventBus()
-    recorder = EventRecorder(bus)
-    system = build_system("bbb", config=CFG, entries=32,
-                          options=crash_after(trace.total_ops(),
-                                              bus=bus, fault_injector=injector))
-    system.run(trace)
-    kinds = {e.kind for e in recorder.events}
-    assert "fault_injected" in kinds
-    assert "fault_detected" in kinds
-    assert "battery_depleted" in kinds

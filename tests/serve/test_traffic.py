@@ -175,16 +175,6 @@ def test_render_curve_mentions_every_scheme():
     assert "p999" in text
 
 
-def test_render_curve_annotates_the_saturation_knee():
-    """Past saturation achieved load falls behind offered load; the
-    render must mark the first such row per scheme."""
-    report = traffic_curve((BBB,), SPEC, (0.05, 50.0), entries=16)
-    text = render_curve(report)
-    assert text.count("<- knee") == 1
-    relaxed = traffic_curve((BBB,), SPEC, (0.05,), entries=16)
-    assert "<- knee" not in render_curve(relaxed)
-
-
 def test_curve_rejects_empty_inputs():
     with pytest.raises(ValueError):
         traffic_curve((), SPEC, (1.0,))

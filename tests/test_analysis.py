@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import experiments as ex
+from repro.analysis.batch import RunSpec, run_batch
 from repro.analysis.tables import fmt_ratio, fmt_si, geomean, render_table
 from repro.api import build_system
 from repro.workloads.base import WORKLOAD_NAMES, WorkloadSpec
@@ -99,43 +100,26 @@ class TestSteadyStateAccounting:
 
 class TestExperimentDrivers:
     def test_fig7_structure(self, cfg):
-        result = ex.fig7(spec=TINY, config=cfg, workloads=("mutateNC",),
-                         entries_variants=(8,))
-        assert result.name == "fig7"
-        assert result.runs > 0
-        rows = result.data
+        rows = ex.fig7(spec=TINY, config=cfg, workloads=("mutateNC",),
+                       entries_variants=(8,))
         assert len(rows) == 1
         assert set(rows[0].exec_time) == {"BBB (8)", "Optimal (eADR)"}
         assert rows[0].exec_time["Optimal (eADR)"] == 1.0
 
     def test_fig7_averages(self, cfg):
-        result = ex.fig7(spec=TINY, config=cfg,
-                         workloads=("mutateNC", "swapNC"),
-                         entries_variants=(8,))
-        # fig7_averages accepts the ExperimentResult or the bare row list.
-        exec_avg, writes_avg = ex.fig7_averages(result)
+        rows = ex.fig7(spec=TINY, config=cfg,
+                       workloads=("mutateNC", "swapNC"),
+                       entries_variants=(8,))
+        exec_avg, writes_avg = ex.fig7_averages(rows)
         assert exec_avg["Optimal (eADR)"] == 1.0
         assert writes_avg["Optimal (eADR)"] == 1.0
-        assert ex.fig7_averages(result.data) == (exec_avg, writes_avg)
 
     def test_fig8_normalizes_to_first_size(self, cfg):
         points = ex.fig8(sizes=(1, 8), spec=TINY, config=cfg,
-                         workloads=("mutateNC",)).data
+                         workloads=("mutateNC",))
         assert points[0].entries == 1
         assert points[0].exec_time == 1.0
         assert points[0].drains == 1.0
-
-    def test_progress_callback_counts_every_run(self, cfg):
-        seen = []
-        result = ex.fig7(spec=TINY, config=cfg, workloads=("mutateNC",),
-                         entries_variants=(8,),
-                         progress=lambda done, total: seen.append((done, total)))
-        assert seen == [(i + 1, result.runs) for i in range(result.runs)]
-
-    def test_driver_registry_covers_the_sweeps(self):
-        assert set(ex.EXPERIMENT_DRIVERS) == {
-            "fig7", "fig8", "sec5c", "table10",
-        }
 
     def test_table4_covers_all_workloads(self, cfg):
         rows = ex.table4(spec=TINY, config=cfg)
@@ -144,14 +128,61 @@ class TestExperimentDrivers:
     def test_processor_side_ratio_keys(self, cfg):
         ratios = ex.processor_side_write_ratio(
             spec=TINY, config=cfg, workloads=("mutateNC",)
-        ).data
+        )
         assert set(ratios) == {"mutateNC"}
 
     def test_analytical_tables_are_cheap_and_stable(self):
         assert ex.table7() == ex.table7()
         assert ex.table8() == ex.table8()
         assert len(ex.table9()) == 8
-        assert set(ex.table10((32,)).data) == {
+        assert set(ex.table10((32,))) == {
             ("SuperCap", "M"), ("SuperCap", "S"),
             ("Li-thin", "M"), ("Li-thin", "S"),
         }
+
+
+class TestRunCells:
+    """Each distinct exhibit cell is simulated once per process."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The spec lists :func:`run_cells` sends to the batch runner, from
+        an empty memo."""
+        sent = []
+
+        def recording(specs):
+            sent.append(list(specs))
+            return run_batch(specs, jobs=1)
+
+        monkeypatch.setattr(ex, "_CELLS", {})
+        monkeypatch.setattr(ex, "run_batch", recording)
+        return sent
+
+    def test_fig7_then_sec5c_simulates_each_eadr_cell_once(self, cfg,
+                                                           batches):
+        workloads = ("mutateNC", "swapNC")
+        ex.fig7(spec=TINY, config=cfg, workloads=workloads,
+                entries_variants=(8,))
+        ex.processor_side_write_ratio(spec=TINY, config=cfg,
+                                      workloads=workloads)
+        simulated = [spec for batch in batches for spec in batch]
+        assert len(simulated) == len(set(simulated)) == 6
+        eadr = [s for s in simulated if s.scheme == "eadr"]
+        assert sorted(s.workload for s in eadr) == sorted(workloads)
+        # The second driver sent only the processor-side cells.
+        assert {s.scheme for s in batches[-1]} == {"bbb-proc"}
+
+    def test_repeats_in_one_call_run_once_and_keep_order(self, cfg,
+                                                         batches):
+        a = RunSpec("mutateNC", "eadr", spec=TINY, config=cfg)
+        b = RunSpec("mutateNC", "bbb", (("entries", 4),), spec=TINY,
+                    config=cfg)
+        runs = ex.run_cells([a, b, a])
+        assert batches == [[a, b]]
+        assert runs == run_batch([a, b, a], jobs=1)
+        assert runs[0] is runs[2]
+
+    def test_default_config_cell_is_the_same_cell(self, cfg, batches):
+        ex.run_cells([RunSpec("mutateNC", "eadr", spec=TINY, config=cfg)])
+        ex.run_cells([RunSpec("mutateNC", "eadr", spec=TINY)])
+        assert sum(map(len, batches)) == 1

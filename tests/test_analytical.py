@@ -1,6 +1,6 @@
-"""The closed-form analytical mode (repro.analysis.analytical): tolerance
-gate on the bench smoke grid, capability-driven calibration flags, and the
-``mode="analytical"`` surface of ``build_system``/``System.run``."""
+"""The closed-form analytical model (repro.analysis.analytical): tolerance
+gate on the bench smoke grid, capability-driven calibration flags, and
+exact op counts against the discrete run."""
 
 import pytest
 
@@ -9,11 +9,9 @@ from repro.analysis.analytical import (EXACT_FIELDS, TOLERANCE,
                                        validate_against_sim)
 from repro.analysis.bench import run_smoke
 from repro.analysis.experiments import default_sim_config
-from repro.api import RunOptions, build_system
-from repro.check.schedule import CrashSchedule
+from repro.api import build_system
+from repro.cli import build_parser
 from repro.core.registry import CONTRACT_EPOCH, POP_FLUSH, iter_schemes
-from repro.fault.injector import FaultInjector
-from repro.fault.plan import FaultPlan
 from repro.workloads.base import (WorkloadSpec, build_cached,
                                   seed_media_words)
 
@@ -63,22 +61,12 @@ def test_validate_reports_relative_errors():
     assert report["ok"]
 
 
-def test_analytical_mode_rejects_crash_runs():
-    """An estimate has no crash point and no fault site: an enabled crash
-    schedule or fault injector must be refused, not silently dropped."""
-    scheme = next(i for i in iter_schemes() if i.builtin)
-    for wiring in ({"crash_schedule": CrashSchedule(stop_at=5)},
-                   {"fault_injector": FaultInjector(FaultPlan())}):
-        options = RunOptions(mode="analytical", **wiring)
-        with pytest.raises(ValueError, match="analytical mode cannot crash"):
-            build_system(scheme.name, config=default_sim_config(),
-                         options=options)
-
-
 def test_unknown_mode_rejected():
-    scheme = next(i for i in iter_schemes() if i.builtin)
-    with pytest.raises(ValueError, match="mode"):
-        build_system(scheme.name, options=RunOptions(mode="clairvoyant"))
+    """``repro run --mode`` offers the discrete run and the estimate only."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--mode", "clairvoyant"])
+    args = build_parser().parse_args(["run", "--mode", "analytical"])
+    assert args.mode == "analytical"
 
 
 @pytest.mark.parametrize(
@@ -87,20 +75,16 @@ def test_unknown_mode_rejected():
     ids=lambda i: i.name,
 )
 def test_analytical_exact_counts(info):
-    """Analytical mode reproduces the op counts exactly for every
-    non-epoch scheme (cycle/write errors are gated by the tolerance test
-    above)."""
+    """The estimate reproduces the simulated run's op counts exactly for
+    every non-epoch scheme (cycle/write errors are gated by the tolerance
+    test above)."""
     cfg = default_sim_config()
     spec = WorkloadSpec(threads=2, ops=25, elements=512, seed=13)
     trace, initial_words = build_cached("hashmap", cfg.mem, spec)
-    kwargs = {"entries": 8} if info.has_persist_buffer else {}
-    runs = {}
-    for mode in ("sim", "analytical"):
-        system = build_system(info.name, config=cfg,
-                              options=RunOptions(mode=mode), **kwargs)
-        seed_media_words(system.nvmm_media, initial_words)
-        runs[mode] = system.run(trace, finalize=False).stats
-    sim, est = runs["sim"], runs["analytical"]
+    system = build_system(info.name, config=cfg, entries=8)
+    seed_media_words(system.nvmm_media, initial_words)
+    sim = system.run(trace, finalize=False).stats
+    est = analytical_estimate(trace, info.name, cfg, entries=8).stats
     assert est.total_loads == sim.total_loads
     assert est.total_stores == sim.total_stores
     assert est.total_persisting_stores == sim.total_persisting_stores

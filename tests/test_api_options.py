@@ -1,5 +1,5 @@
-"""RunOptions surface: the typed run-wiring value, its two modes, and the
-removed bare keyword spelling of its fields."""
+"""RunOptions surface: the typed run-wiring value, the modes it no longer
+has, and the removed bare keyword spelling of its fields."""
 
 import warnings
 
@@ -11,29 +11,33 @@ from repro.obs.bus import EventBus
 
 def test_run_options_defaults_are_the_plain_run():
     opts = RunOptions()
-    assert opts.mode == "sim"
     assert not opts.bus.enabled
     assert not opts.fault_injector.enabled
+    assert not opts.crash_schedule.enabled
     assert opts == DEFAULT_RUN_OPTIONS
 
 
 def test_run_options_is_frozen_and_replace_derives():
     opts = RunOptions(reorder_seed=3)
     with pytest.raises(AttributeError):
-        opts.mode = "analytical"
-    derived = opts.replace(mode="analytical")
-    assert derived.reorder_seed == 3 and derived.mode == "analytical"
-    assert opts.mode == "sim"  # original untouched
+        opts.reorder_seed = 4
+    bus = EventBus()
+    derived = opts.replace(bus=bus)
+    assert derived.reorder_seed == 3 and derived.bus is bus
+    assert not opts.bus.enabled  # original untouched
 
 
 def test_run_options_rejects_unknown_mode():
-    with pytest.raises(ValueError, match="mode"):
-        RunOptions(mode="warp")
+    """RunOptions has no mode: every run executes on the one per-op
+    engine, and the closed-form estimate is ``analytical_estimate``."""
+    for mode in ("sim", "analytical", "warp"):
+        with pytest.raises(TypeError, match="mode"):
+            RunOptions(mode=mode)
 
 
 @pytest.mark.parametrize("mode", ["auto", "object", "columnar"])
 def test_removed_interpreter_modes_are_rejected(mode):
-    with pytest.raises(ValueError, match="unknown system mode"):
+    with pytest.raises(TypeError, match="mode"):
         RunOptions(mode=mode)
 
 
@@ -53,4 +57,4 @@ def test_mixing_options_and_legacy_kwargs_is_an_error():
 def test_options_spelling_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        build_system("bbb", entries=8, options=RunOptions(mode="analytical"))
+        build_system("bbb", entries=8, options=RunOptions(reorder_seed=1))

@@ -8,6 +8,7 @@ simulation is deterministic and the runner preserves submission order.
 
 import dataclasses
 import os
+import pickle
 import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,7 @@ from repro.analysis.batch import (
     run_batch,
     run_tasks,
 )
-from repro.analysis.experiments import default_sim_config, fig7
+from repro.analysis.experiments import _scheme_variants, default_sim_config
 from repro.workloads.base import WorkloadSpec
 
 #: Small enough to keep the whole module under a few seconds.
@@ -52,19 +53,18 @@ def test_run_batch_parallel_identical_to_serial():
 
 
 def test_fig7_parallel_identical_to_serial():
-    """Fig. 7a/7b on a reduced workload set: fanning the grid across a
-    process pool must not change a single normalized value."""
-    kwargs = dict(
-        spec=SPEC,
-        config=default_sim_config(),
-        workloads=WORKLOADS,
-        entries_variants=(4,),
-    )
-    serial = fig7(jobs=1, **kwargs)
-    parallel = fig7(jobs=2, **kwargs)
-    assert serial == parallel  # ExperimentResult of Fig7Rows, field-exact
-    for row in serial.data:
-        assert row.exec_time["Optimal (eADR)"] == pytest.approx(1.0)
+    """The Fig. 7 cells on a reduced workload set: fanning the grid across
+    a process pool must not change a single counter."""
+    config = default_sim_config()
+    specs = [
+        RunSpec(name, scheme, kwargs, spec=SPEC, config=config)
+        for name in WORKLOADS
+        for _, scheme, kwargs in _scheme_variants((4,))
+    ]
+    serial = run_batch(specs, jobs=1)
+    parallel = run_batch(specs, jobs=2)
+    assert serial == parallel  # WorkloadRun dataclasses, field-exact
+    assert [r.scheme for r in serial] == [s.scheme for s in specs]
 
 
 def test_run_batch_matches_direct_execute():
@@ -77,10 +77,21 @@ def test_run_batch_matches_direct_execute():
 # ----------------------------------------------------------------------
 
 def test_non_picklable_spec_falls_back_to_serial():
-    """A spec carrying a closure cannot cross the process boundary; the
-    runner must notice and run in-process with the same results."""
+    """A spec carrying an unpicklable value cannot cross the process
+    boundary; the runner must notice and run in-process with the same
+    results."""
+
+    class LocalInt(int):
+        """Defined in a function body, so pickle cannot find it by name."""
+
     specs = _grid_specs()
-    tagged = [dataclasses.replace(s, label=lambda: None) for s in specs]
+    tagged = [
+        dataclasses.replace(s, scheme_kwargs=tuple(
+            (key, LocalInt(value)) for key, value in s.scheme_kwargs))
+        for s in specs
+    ]
+    with pytest.raises(Exception):
+        pickle.dumps(tagged)
     assert run_batch(tagged, jobs=4) == run_batch(specs, jobs=1)
 
 
@@ -144,6 +155,17 @@ def test_run_tasks_preserves_order():
     tasks = [(_square, (i,), {"offset": 1}) for i in range(10)]
     assert run_tasks(tasks, jobs=4) == [i * i + 1 for i in range(10)]
     assert run_tasks(tasks, jobs=1) == [i * i + 1 for i in range(10)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_progress_callback_counts_every_run(jobs):
+    """``progress(done, total)`` fires once per item, in submission order,
+    on both paths."""
+    seen = []
+    tasks = [(_square, (i,), {}) for i in range(5)]
+    run_tasks(tasks, jobs=jobs,
+              progress=lambda done, total: seen.append((done, total)))
+    assert seen == [(i + 1, 5) for i in range(5)]
 
 
 # ----------------------------------------------------------------------

@@ -2,17 +2,15 @@
 
 import hashlib
 import json
-import random
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.analytical import analytical_estimate
 from repro.analysis.experiments import default_sim_config
-from repro.api import SCHEMES, build_system
+from repro.api import SCHEMES
 from repro.cli import build_parser, main
-from repro.core.recovery import check_prefix_consistency
 from repro.workloads.base import WorkloadSpec, registry
-from tests.conftest import crash_after
 
 FAST = ["--threads", "2", "--ops", "10", "--elements", "512"]
 
@@ -123,6 +121,30 @@ class TestRun:
         assert rc == 0
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("scheme", ["bep", "bsp", "bbb"])
+    def test_analytical_mode_honours_entries(self, capsys, scheme):
+        """``--mode analytical`` prints the closed-form estimate at the
+        given ``--entries`` for every buffered scheme, BEP included (its
+        buffers are private, so the estimate cannot read them off the
+        scheme)."""
+        rc = main(["run", "--scheme", scheme, "--mode", "analytical",
+                   "--threads", "4", "--ops", "100", "--elements", "4096",
+                   "--entries", "4", "--json"])
+        assert rc == 0
+        printed = json.loads(capsys.readouterr().out)
+        config = default_sim_config()
+        trace = registry(config.mem, WorkloadSpec(
+            threads=4, ops=100, elements=4096, seed=42))["hashmap"].build()
+
+        def estimate(entries):
+            return json.loads(analytical_estimate(
+                trace, scheme, config, entries=entries, finalize=True,
+            ).stats.to_json())
+
+        assert printed == estimate(4)
+        assert (printed["totals"]["nvmm_writes"]
+                != estimate(32)["totals"]["nvmm_writes"])
+
 
 class TestCompare:
     def test_compare_prints_all_schemes(self, capsys):
@@ -168,60 +190,6 @@ class TestProfile:
         assert rc == 0
         out = capsys.readouterr().out
         assert "occupancy timelines" in out
-
-
-class TestCrash:
-    def test_bbb_sweep_consistent(self, capsys):
-        rc = main(
-            ["crash", "--workload", "hashmap", "--scheme", "bbb", "--sample", "5"]
-            + FAST
-        )
-        assert rc == 0
-        assert "consistent" in capsys.readouterr().out
-
-    def test_exit_code_reflects_consistency(self, capsys):
-        rc = main(
-            ["crash", "--workload", "hashmap", "--scheme", "bbb", "--sample", "3"]
-            + FAST
-        )
-        assert rc == 0
-
-    @pytest.mark.parametrize("workload, scheme",
-                             [("rtree", "none"), ("hashmap", "bbb")])
-    def test_verdicts_match_real_crashes(self, capsys, workload, scheme):
-        """The command reads every sampled point from one sweep; each
-        verdict it prints must be that of a fresh system crashed there."""
-        sample = 20
-        rc = main(["crash", "--workload", workload, "--scheme", scheme,
-                   "--sample", str(sample), "--show", str(sample)] + FAST)
-        lines = capsys.readouterr().out.splitlines()
-
-        config = default_sim_config()
-        spec = WorkloadSpec(threads=2, ops=10, elements=512, seed=42)
-        wl = registry(config.mem, spec)[workload]
-        trace = wl.build()
-        structural = wl.make_checker()
-        points = sorted(random.Random(42).sample(
-            list(range(1, trace.total_ops() + 1)), sample))
-        expected = []
-        for k in points:
-            system = build_system(scheme, entries=32, config=config,
-                                  options=crash_after(k))
-            wl.seed_media(system.nvmm_media)
-            result = system.run(trace)
-            assert result.crash_op == k
-            ok, violations = structural(system, result)
-            prefix = check_prefix_consistency(system.nvmm_media,
-                                              result.committed_persists)
-            if not (ok and prefix.consistent):
-                first = (list(violations) + prefix.violations)[0]
-                expected.append(f"  crash after op {k}: {first}")
-        bad = len(expected)
-        assert lines[0] == (f"{workload} under {scheme}: {sample} crash "
-                            f"points, {sample - bad} consistent, {bad} "
-                            f"inconsistent")
-        assert lines[1:] == expected
-        assert rc == (1 if expected else 0)
 
 
 class TestStaticCommands:
@@ -611,3 +579,54 @@ class TestGateRunner:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {message}")
         assert list(tmp_path.iterdir()) == []
+
+    CHECK_CEX = {
+        "schema": "repro.crashcheck/v1", "kind": "counterexample",
+        "scheme": "bbb", "mutant": None, "workload": "hashmap",
+        "entries": 8, "sites": None, "num_threads": 1, "seed_words": {},
+        "ops": [{"thread": 0, "kind": "store", "addr": 0, "size": 8,
+                 "value": 1, "cycles": 0, "tag": ""}],
+        "crash_point": 1,
+    }
+    LITMUS_CEX = {
+        "schema": "repro.litmus/v1", "kind": "counterexample",
+        "scheme": "bbb", "mutant": None, "model": "strict", "entries": 8,
+        "forbidden_state": [],
+    }
+    OPT_COMPARE = {
+        "schema": "repro.optreport/v1", "kind": "compare", "entries": 8,
+        "spec": None,
+        "rows": [{"scheme": "bbb", "flush_fence_elision_pct": 0.0,
+                  "ops_optimized": 0, "audit_ok": True, "image_ok": True}],
+    }
+
+    @pytest.mark.parametrize("gate, artifact, message", [
+        pytest.param(
+            "check", {**CHECK_CEX, "ops": [
+                {k: v for k, v in CHECK_CEX["ops"][0].items() if k != "kind"}]},
+            "ops[0] has no 'kind' field", id="check-op-without-kind"),
+        pytest.param(
+            "check", {**CHECK_CEX, "ops": [
+                {**CHECK_CEX["ops"][0], "thread": 1}]},
+            "ops[0] has thread 1; num_threads is 1",
+            id="check-thread-out-of-range"),
+        pytest.param(
+            "check", {k: v for k, v in CHECK_CEX.items()
+                      if k != "crash_point"},
+            "has no 'crash_point' field", id="check-without-crash-point"),
+        pytest.param("litmus", LITMUS_CEX, "has no 'test' field",
+                     id="litmus-without-test"),
+        pytest.param("opt", OPT_COMPARE, "rows[0] has no 'workload' field",
+                     id="opt-row-without-workload"),
+    ])
+    def test_malformed_replay_artifact_is_a_usage_error(
+        self, capsys, tmp_path, gate, artifact, message
+    ):
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(artifact))
+        rc = main([gate, "--replay", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: artifact {str(path)!r}")
+        assert message in captured.err
