@@ -14,7 +14,7 @@ from repro.analysis.experiments import default_sim_config
 from repro.analysis.tables import render_table
 from repro.energy import endurance
 from repro.api import build_system
-from repro.workloads.base import registry
+from repro.workloads.base import build_cached, seed_media_words
 
 WORKLOAD = "swapNC"
 
@@ -52,6 +52,8 @@ def test_nvcache_lifetime_argument(benchmark, report):
 def test_hottest_block_writes_by_scheme(benchmark, report, sim_config, sweep_spec):
     def sweep():
         rows = []
+        trace, initial_words = build_cached(WORKLOAD, sim_config.mem,
+                                            sweep_spec)
         for label, factory in (
             ("eADR", lambda c: build_system("eadr", config=c)),
             ("BBB (32)", lambda c: build_system("bbb", entries=32, config=c)),
@@ -61,10 +63,8 @@ def test_hottest_block_writes_by_scheme(benchmark, report, sim_config, sweep_spe
                 "bbb-proc", entries=32, config=c,
                 coalesce_consecutive=False)),
         ):
-            workload = registry(sim_config.mem, sweep_spec)[WORKLOAD]
-            trace = workload.build()
             system = factory(sim_config)
-            workload.seed_media(system.nvmm_media)
+            seed_media_words(system.nvmm_media, initial_words)
             result = system.run(trace, finalize=True)
             media = system.nvmm_media
             est = endurance.media_lifetime(

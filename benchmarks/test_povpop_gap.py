@@ -14,7 +14,7 @@ L1D write and its durability — under each scheme:
 from repro.analysis.experiments import default_sim_config
 from repro.analysis.tables import render_table
 from repro.api import build_system
-from repro.workloads.base import registry
+from repro.workloads.base import build_cached, seed_media_words
 
 SCHEMES = (
     ("BBB (32)", lambda cfg: build_system("bbb", entries=32, config=cfg)),
@@ -29,11 +29,11 @@ WORKLOAD = "hashmap"
 def test_povpop_gap_by_scheme(benchmark, report, sim_config, sweep_spec):
     def sweep():
         rows = []
+        trace, initial_words = build_cached(WORKLOAD, sim_config.mem,
+                                            sweep_spec)
         for label, factory in SCHEMES:
-            workload = registry(sim_config.mem, sweep_spec)[WORKLOAD]
-            trace = workload.build()
             system = factory(sim_config)
-            workload.seed_media(system.nvmm_media)
+            seed_media_words(system.nvmm_media, initial_words)
             result = system.run(trace, finalize=True)
             stats = result.stats
             rows.append(

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, astuple, dataclass, replace
-from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.schedule import SITE_OP, CrashSchedule
@@ -220,19 +219,18 @@ def _diff_blocks(media, expected, blocks, is_persistent,
         if not is_persistent(baddr):
             continue
         exp = expected.get(baddr)
-        exp_bytes = exp.bytes if exp is not None else {}
-        act_bytes = media.peek_block(baddr).bytes
-        if act_bytes == exp_bytes:
+        want = exp.value if exp is not None else 0
+        got = media.peek_block(baddr).value
+        diff = want ^ got
+        if not diff:
             continue
-        for off in sorted(act_bytes.keys() | exp_bytes.keys()):
-            want = exp_bytes.get(off, 0)
-            got = act_bytes.get(off, 0)
-            if want != got:
-                violations.append(
-                    f"golden mismatch at 0x{baddr + off:x}: eADR-golden "
-                    f"byte 0x{want:02x}, durable byte 0x{got:02x}"
-                )
-                break  # one per block
+        # One per block: the lowest differing byte.
+        shift = ((diff & -diff).bit_length() - 1) & ~7
+        violations.append(
+            f"golden mismatch at 0x{baddr + (shift >> 3):x}: eADR-golden "
+            f"byte 0x{(want >> shift) & 0xFF:02x}, durable byte "
+            f"0x{(got >> shift) & 0xFF:02x}"
+        )
         if len(violations) >= max_violations:
             break
     return violations
@@ -242,8 +240,7 @@ def _block_bytes(baddr: int, data: BlockData) -> bytes:
     """One written block's share of the fingerprint stream: ``B``, the
     block address (8 bytes, little-endian), then an (offset, byte) pair
     per written byte in offset order."""
-    return b"B" + baddr.to_bytes(8, "little") + bytes(
-        chain.from_iterable(sorted(data.bytes.items())))
+    return b"B" + baddr.to_bytes(8, "little") + data.pairs()
 
 
 def _record_bytes(rec) -> bytes:
@@ -336,7 +333,7 @@ class _SweepOracles(_ReferenceOracles):
     def fingerprint(self, image, run) -> str:
         committed, performed = run.committed_persists, run.performed_persists
         key = (len(committed), len(performed), self.media.total_writes,
-               tuple((baddr, tuple(blk.bytes.items()))
+               tuple((baddr, blk.value, blk.mask)
                      for baddr, blk in image.overlay.items()))
         fp = self._fingerprints.get(key)
         if fp is None:

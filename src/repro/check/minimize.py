@@ -272,23 +272,37 @@ def write_counterexample(cex: Counterexample, path: str) -> str:
     return atomic_write_json(path, counterexample_artifact(cex))
 
 
+#: Field types of a counterexample artifact and of each of its ops.
+_ARTIFACT_TYPES = {
+    "scheme": str, "workload": str, "entries": int,
+    "mutant": (str, type(None)), "sites": (list, type(None)),
+    "seed_words": dict, "ops": list, "num_threads": int, "crash_point": int,
+}
+_OP_TYPES = {
+    "thread": int, "kind": str, "addr": int, "size": int, "value": int,
+    "cycles": int, "tag": (str, type(None)),
+}
+
+
 def replay_artifact(path: str, config=None) -> Dict[str, Any]:
     """Re-execute a counterexample artifact: rebuild the system, run the
     recorded ops, crash at the recorded micro-step, and re-check.
     Returns ``{"reproduced", "site", "violations", "artifact"}``.
     Raises :class:`repro.ioutil.ArtifactError` on a missing/truncated
-    file, a schema/kind mismatch or a malformed payload, before running
-    anything."""
+    file, a schema/kind mismatch or a malformed payload (a missing field
+    or one of the wrong type), before running anything, and after the run
+    when the recorded crash point does not fire."""
     from repro.analysis.experiments import default_sim_config
-    from repro.ioutil import ArtifactError, load_versioned_json, require_fields
+    from repro.ioutil import ArtifactError, load_versioned_json, require_types
 
     artifact = load_versioned_json(path, CHECK_SCHEMA, kind="counterexample")
-    require_fields(path, artifact, (
-        "scheme", "workload", "entries", "mutant", "sites", "seed_words",
-        "ops", "num_threads", "crash_point"))
+    require_types(path, artifact, _ARTIFACT_TYPES)
+    for addr, value in artifact["seed_words"].items():
+        if not isinstance(value, int):
+            raise ArtifactError(
+                f"artifact {path!r} seed_words[{addr!r}] is not an integer")
     for i, rec in enumerate(artifact["ops"]):
-        require_fields(path, rec, ("thread", "kind", "addr", "size", "value",
-                                   "cycles", "tag"), where=f"ops[{i}]")
+        require_types(path, rec, _OP_TYPES, where=f"ops[{i}]")
         if not 0 <= rec["thread"] < artifact["num_threads"]:
             raise ArtifactError(
                 f"artifact {path!r} ops[{i}] has thread {rec['thread']}; "
@@ -322,8 +336,9 @@ def replay_artifact(path: str, config=None) -> Dict[str, Any]:
     )
     result = system.run(trace)
     if result.crash_point is None:
-        raise RuntimeError(
-            f"replay: point {artifact['crash_point']} did not fire")
+        raise ArtifactError(
+            f"artifact {path!r} crash_point {artifact['crash_point']} did "
+            f"not fire: the recorded run has fewer crash points")
     violations = _violations(unit, cfg, seed_words, system.nvmm_media, result)
     return {
         "reproduced": bool(violations),

@@ -93,10 +93,9 @@ def check_no_volatile_only_persistent_data(system) -> None:
                 # through to the media check which remains sound because
                 # records drain in order.
                 pass
-        durable = h.nvmm.media.peek_block(baddr)
-        stale = [
-            off for off in data.bytes if durable.read(off) != data.read(off)
-        ]
+        diff = (h.nvmm.media.peek_block(baddr).value ^ data.value) & data.mask
+        stale = [off for off in range((diff.bit_length() + 7) >> 3)
+                 if (diff >> (off << 3)) & 0xFF]
         if owner is None and stale:
             raise InvariantViolation(
                 f"persistent block 0x{baddr:x} has dirty bytes {stale[:4]}... "

@@ -73,13 +73,15 @@ def replay_image(
 
 def _written_offsets(
     persists: Iterable[PersistRecord], block_size: int
-) -> Dict[int, set]:
-    """Byte offsets ever written per block — the comparable footprint."""
-    footprint: Dict[int, set] = {}
+) -> Dict[int, Dict[int, None]]:
+    """Byte offsets ever written per block — the comparable footprint —
+    with blocks and offsets in first-write order."""
+    footprint: Dict[int, Dict[int, None]] = {}
     for rec in persists:
         baddr = block_address(rec.addr, block_size)
         off = block_offset(rec.addr, block_size)
-        footprint.setdefault(baddr, set()).update(range(off, off + rec.size))
+        footprint.setdefault(baddr, {}).update(
+            dict.fromkeys(range(off, off + rec.size)))
     return footprint
 
 
@@ -94,9 +96,9 @@ def check_exact_durability(
     and of hardware-strict PMEM at op granularity: a crash plus battery
     drain preserves the complete committed prefix.
     """
-    expected = replay_image(persists, block_size)
     violations = exact_durability_violations(
-        media, expected, {baddr: exp.bytes for baddr, exp in expected.items()}
+        media, replay_image(persists, block_size),
+        _written_offsets(persists, block_size),
     )
     if violations:
         return ConsistencyResult(False, violations)
@@ -116,13 +118,15 @@ def exact_durability_violations(
     agrees with the replay on every footprint byte)."""
     violations: List[str] = []
     for baddr, offsets in footprint.items():
-        want = expected[baddr].bytes
-        got = media.peek_block(baddr).bytes
+        want = expected[baddr]
+        got = media.peek_block(baddr)
+        if got.value == want.value:
+            continue
         for off in offsets:
-            if got.get(off, 0) != want.get(off, 0):
+            if got.read(off) != want.read(off):
                 violations.append(
-                    f"block 0x{baddr:x}+{off}: durable={got.get(off, 0):#x} "
-                    f"expected={want.get(off, 0):#x}"
+                    f"block 0x{baddr:x}+{off}: durable={got.read(off):#x} "
+                    f"expected={want.read(off):#x}"
                 )
                 break
     return violations

@@ -220,7 +220,7 @@ class FaultInjector:
         spec = self._active(SITE_BBPB_ENTRY)
         if spec is None:
             return data, False
-        offsets = sorted(data.bytes)
+        offsets = list(data.bytes)
         if not offsets:
             return data, False
         bit = spec.param("bit")
@@ -228,7 +228,7 @@ class FaultInjector:
             bit = self._rng.randint(0, 8 * len(offsets) - 1)
         offset = offsets[(bit // 8) % len(offsets)]
         corrupted = data.copy()
-        corrupted.bytes[offset] ^= 1 << (bit % 8)
+        corrupted.value ^= 1 << (8 * offset + bit % 8)
         self.record_injection(
             SITE_BBPB_ENTRY, "corrupt", block_addr, now,
             detail=f"core {core} offset {offset} bit {bit % 8}",

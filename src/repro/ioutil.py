@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 
 def atomic_write_text(path: str, text: str) -> str:
@@ -118,3 +118,24 @@ def require_fields(path: str, obj: Any, fields: Sequence[str],
         if not isinstance(obj, dict) or name not in obj:
             raise ArtifactError(
                 f"artifact {path!r}{at} has no {name!r} field")
+
+
+def require_types(path: str, obj: Any, types: Mapping[str, Any],
+                  where: str = "") -> None:
+    """:func:`require_fields` for the keys of ``types``, then raise
+    :class:`ArtifactError` naming the first field whose value is not of
+    its type (a type or a tuple of types, as :func:`isinstance` takes;
+    ``type(None)`` admits a JSON ``null``)."""
+    require_fields(path, obj, tuple(types), where)
+    at = f" {where}" if where else ""
+    for name, kind in types.items():
+        if not isinstance(obj[name], kind):
+            kinds = kind if isinstance(kind, tuple) else (kind,)
+            raise ArtifactError(
+                f"artifact {path!r}{at} field {name!r} is "
+                f"{_json_type(type(obj[name]))}, not "
+                f"{' or '.join(map(_json_type, kinds))}")
+
+
+def _json_type(kind: type) -> str:
+    return "null" if kind is type(None) else kind.__name__

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict
+from itertools import chain, compress
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Tuple
 
 
 class MESIState(enum.Enum):
@@ -55,51 +57,88 @@ def block_offset(addr: int, block_size: int) -> int:
     return addr & (block_size - 1)
 
 
-@dataclass
-class BlockData:
-    """Byte-granular contents of one cache block.
+#: ``_WORD_MASKS[n]`` covers the low ``n`` bytes of a word.
+_WORD_MASKS = tuple((1 << (8 * n)) - 1 for n in range(65))
 
-    Only bytes that were ever written are stored; unwritten bytes read as 0.
-    This sparse representation keeps memory images cheap while still letting
-    the recovery checker compare full block values.
+
+class BlockData:
+    """Byte-granular contents of one cache block, packed into two ints.
+
+    ``value`` holds byte ``i`` at bits ``8i..8i+7``; ``mask`` holds ``0xFF``
+    at every byte ever written, and ``value`` is 0 outside it.  Unwritten
+    bytes read as 0, so two blocks are equal when their values are (a
+    written 0 equals an unwritten byte), while ``mask`` still tells the
+    written bytes apart for torn writes, overlays and the fingerprint
+    stream.  The constructor takes an ``{offset: byte}`` mapping.
     """
 
-    bytes: Dict[int, int] = field(default_factory=dict)
+    __slots__ = ("value", "mask")
+
+    def __init__(self, data: Optional[Mapping[int, int]] = None) -> None:
+        self.value = 0
+        self.mask = 0
+        if data:
+            for offset, byte in data.items():
+                self.write(offset, byte)
+
+    @property
+    def bytes(self) -> Mapping[int, int]:
+        """The written bytes as a read-only ``{offset: byte}`` mapping in
+        offset order (a snapshot: a write through it raises)."""
+        return MappingProxyType(dict(self._written()))
+
+    def _written(self) -> Iterator[Tuple[int, int]]:
+        """``(offset, byte)`` per written byte, in offset order."""
+        n = self.mask.bit_length() >> 3
+        written = self.mask.to_bytes(n, "little")
+        return zip(compress(range(n), written),
+                   compress(self.value.to_bytes(n, "little"), written))
+
+    def pairs(self) -> bytes:
+        """The written bytes as ``(offset, byte)`` byte pairs in offset
+        order: the block's share of the durable-image fingerprints."""
+        return bytes(chain.from_iterable(self._written()))
 
     def write(self, offset: int, value: int) -> None:
-        self.bytes[offset] = value & 0xFF
+        shift = offset << 3
+        self.value = (self.value & ~(0xFF << shift)) | ((value & 0xFF) << shift)
+        self.mask |= 0xFF << shift
 
     def write_word(self, offset: int, value: int, size: int = 8) -> None:
         """Write ``size`` bytes of ``value`` little-endian at ``offset``."""
-        b = self.bytes
-        for i in range(size):
-            b[offset + i] = (value >> (8 * i)) & 0xFF
+        shift = offset << 3
+        m = _WORD_MASKS[size] << shift
+        self.value = (self.value & ~m) | ((value << shift) & m)
+        self.mask |= m
 
     def read(self, offset: int) -> int:
-        return self.bytes.get(offset, 0)
+        return (self.value >> (offset << 3)) & 0xFF
 
     def read_word(self, offset: int, size: int = 8) -> int:
-        get = self.bytes.get
-        word = 0
-        for i in range(size):
-            word |= get(offset + i, 0) << (8 * i)
-        return word
+        return (self.value >> (offset << 3)) & _WORD_MASKS[size]
 
     def merge_from(self, other: "BlockData") -> None:
         """Overlay ``other``'s written bytes onto this block (other wins)."""
-        self.bytes.update(other.bytes)
+        m = other.mask
+        self.value = (self.value & ~m) | other.value
+        self.mask |= m
 
     def copy(self) -> "BlockData":
-        return BlockData(dict(self.bytes))
+        clone = BlockData.__new__(BlockData)
+        clone.value = self.value
+        clone.mask = self.mask
+        return clone
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BlockData):
             return NotImplemented
-        keys = set(self.bytes) | set(other.bytes)
-        return all(self.read(k) == other.read(k) for k in keys)
+        return self.value == other.value
 
     def __bool__(self) -> bool:
-        return bool(self.bytes)
+        return self.mask != 0
+
+    def __repr__(self) -> str:
+        return f"BlockData({dict(self._written())})"
 
 
 @dataclass

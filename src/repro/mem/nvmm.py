@@ -22,9 +22,11 @@ MEDIA_BLOCK_SIZE = 64
 class NVMMedia:
     """Byte image of the NVMM plus write-endurance accounting.
 
-    The image is sparse: only blocks ever written are materialised.  The
-    recovery checker (:mod:`repro.core.recovery`) compares images produced by
-    crash simulation against golden program-order prefixes.
+    The image is sparse: only blocks ever written are materialised, each
+    as a :class:`~repro.mem.block.BlockData` (the block's bytes and its
+    written-byte mask, packed in two ints).  The recovery checker
+    (:mod:`repro.core.recovery`) compares images produced by crash
+    simulation against golden program-order prefixes.
     """
 
     def __init__(self, base: int, size: int,
@@ -72,9 +74,10 @@ class NVMMedia:
         ECC model can report it.  Counts as a media write (the row was
         programmed, just not completely)."""
         self._check(block_addr)
-        partial = BlockData(
-            {off: val for off, val in data.bytes.items() if off < keep_bytes}
-        )
+        partial = data.copy()
+        kept = (1 << (8 * max(keep_bytes, 0))) - 1
+        partial.value &= kept
+        partial.mask &= kept
         dest = self._blocks.setdefault(block_addr, BlockData())
         dest.merge_from(partial)
         self.write_counts[block_addr] += 1

@@ -265,10 +265,8 @@ def final_image_fingerprint(
     for baddr in sorted(media.written_blocks()):
         if not is_persistent(baddr):
             continue
-        data = media.peek_block(baddr)
         h.update(baddr.to_bytes(8, "little"))
-        for off in sorted(data.bytes):
-            h.update(bytes((off, data.bytes[off])))
+        h.update(media.peek_block(baddr).pairs())
     return h.hexdigest()
 
 

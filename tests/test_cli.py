@@ -614,6 +614,12 @@ class TestGateRunner:
             "check", {k: v for k, v in CHECK_CEX.items()
                       if k != "crash_point"},
             "has no 'crash_point' field", id="check-without-crash-point"),
+        pytest.param(
+            "check", {**CHECK_CEX, "ops": None},
+            "field 'ops' is null, not list", id="check-null-ops"),
+        pytest.param(
+            "check", {**CHECK_CEX, "crash_point": 99999},
+            "crash_point 99999 did not fire", id="check-point-never-fires"),
         pytest.param("litmus", LITMUS_CEX, "has no 'test' field",
                      id="litmus-without-test"),
         pytest.param("opt", OPT_COMPARE, "rows[0] has no 'workload' field",
