@@ -50,7 +50,6 @@ class WriteThroughBBB(BBBScheme):
         buf = self.buffers[core]
         if buf.contains(block_addr):
             buf.force_drain(block_addr, now)
-            self.hierarchy.directory.set_bbpb_owner(block_addr, None, now)
         return stall
 
 

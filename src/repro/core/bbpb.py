@@ -19,6 +19,12 @@ capacity) until its block is accepted by the NVMM WPQ, which is what makes a
 too-small bbPB stall the core (Fig. 8).  The ``drain`` callback injected by
 the scheme performs the actual WPQ write and returns the acceptance-complete
 cycle.
+
+Each buffer counts its own work straight into the run's
+:class:`~repro.sim.stats.SimStats`, in the statement that emits the matching
+event: allocations, coalesces, rejections, removes and forced drains.  Drains
+are counted by the drain sink (:func:`repro.core.drain.wpq_drain_sink`).
+The live buffer contents are the only record of which bbPB holds a block.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from repro.obs.events import (
     ForcedDrain,
 )
 from repro.sim.config import BBBConfig, DrainPolicy
+from repro.sim.stats import SimStats
 
 #: Signature of the drain sink: ``(block_addr, data, now) -> completion``.
 DrainFn = Callable[[int, BlockData, int], int]
@@ -50,8 +57,6 @@ class BBPBEntry:
 
     block_addr: int
     data: BlockData
-    alloc_time: int
-    seq: int
     in_flight: bool = False
     complete_at: int = 0
     #: Cycle of the most recent write (allocation or coalesce) — used by
@@ -75,10 +80,12 @@ class MemorySideBBPB:
     """
 
     def __init__(self, config: BBBConfig, core_id: int, drain: DrainFn,
-                 bus: EventBus = NULL_BUS) -> None:
+                 stats: SimStats, bus: EventBus = NULL_BUS) -> None:
         self.config = config
         self.core_id = core_id
         self._drain = drain
+        #: The run's counters; this buffer's work is counted nowhere else.
+        self.stats = stats
         self._bus = bus
         #: Resident (coalescible) entries, in allocation (FCFS) order.
         self._resident: "OrderedDict[int, BBPBEntry]" = OrderedDict()
@@ -86,14 +93,6 @@ class MemorySideBBPB:
         #: until the WPQ accepts them, but are no longer coalescible and a
         #: new entry for the same block may coexist.
         self._inflight: List[BBPBEntry] = []
-        self._seq = 0
-        # Counters surfaced to SimStats by the owning scheme.
-        self.allocations = 0
-        self.coalesces = 0
-        self.drains = 0
-        self.forced_drains = 0
-        self.removes = 0
-        self.rejections = 0
 
     # ------------------------------------------------------------------
     # Capacity / occupancy
@@ -145,7 +144,7 @@ class MemorySideBBPB:
             # Free coalescing: the entry is already durable; replace value.
             existing.data = data.copy()
             existing.last_write = now
-            self.coalesces += 1
+            self.stats.bbpb_coalesces += 1
             if self._bus.enabled:
                 self._bus.emit(
                     BbpbCoalesce(now, self.core_id, block_addr, len(self))
@@ -154,7 +153,7 @@ class MemorySideBBPB:
 
         stall = 0
         while self.full:
-            self.rejections += 1
+            self.stats.bbpb_rejections += 1
             if self._bus.enabled:
                 self._bus.emit(
                     BbpbReject(now + stall, self.core_id, block_addr, len(self))
@@ -162,15 +161,10 @@ class MemorySideBBPB:
             freed_at = self._wait_for_space(now + stall)
             stall = max(stall, freed_at - now)
             self.reap(now + stall)
-        self._seq += 1
         self._resident[block_addr] = BBPBEntry(
-            block_addr,
-            data.copy(),
-            alloc_time=now + stall,
-            seq=self._seq,
-            last_write=now + stall,
+            block_addr, data.copy(), last_write=now + stall
         )
-        self.allocations += 1
+        self.stats.bbpb_allocations += 1
         if self._bus.enabled:
             self._bus.emit(
                 BbpbAlloc(now + stall, self.core_id, block_addr, len(self))
@@ -198,7 +192,6 @@ class MemorySideBBPB:
         entry.in_flight = True
         del self._resident[entry.block_addr]
         self._inflight.append(entry)
-        self.drains += 1
         if self._bus.enabled:
             self._bus.emit(DrainStart(now, self.core_id, entry.block_addr,
                                       entry.complete_at, len(self)))
@@ -247,7 +240,7 @@ class MemorySideBBPB:
         entry = self._resident.pop(block_addr, None)
         if entry is None:
             return None
-        self.removes += 1
+        self.stats.bbpb_removes += 1
         if self._bus.enabled:
             self._bus.emit(BbpbRemove(now, self.core_id, block_addr))
         return entry.data
@@ -262,7 +255,7 @@ class MemorySideBBPB:
             pending = [e for e in self._inflight if e.block_addr == block_addr]
             return max((e.complete_at for e in pending), default=now)
         self._start_drain(entry, now)
-        self.forced_drains += 1
+        self.stats.bbpb_forced_drains += 1
         if self._bus.enabled:
             self._bus.emit(ForcedDrain(now, self.core_id, block_addr))
         return entry.complete_at
@@ -305,19 +298,14 @@ class ProcessorSideBBPB:
     """
 
     def __init__(self, config: BBBConfig, core_id: int, drain: DrainFn,
-                 bus: EventBus = NULL_BUS) -> None:
+                 stats: SimStats, bus: EventBus = NULL_BUS) -> None:
         self.config = config
         self.core_id = core_id
         self._drain = drain
+        #: The run's counters; this buffer's work is counted nowhere else.
+        self.stats = stats
         self._bus = bus
         self._fifo: List[BBPBEntry] = []
-        self._seq = 0
-        self.allocations = 0
-        self.coalesces = 0
-        self.drains = 0
-        self.forced_drains = 0
-        self.removes = 0
-        self.rejections = 0
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -358,7 +346,7 @@ class ProcessorSideBBPB:
             and not tail.in_flight
         ):
             tail.data = data.copy()
-            self.coalesces += 1
+            self.stats.bbpb_coalesces += 1
             if self._bus.enabled:
                 self._bus.emit(
                     BbpbCoalesce(now, self.core_id, block_addr, len(self))
@@ -366,7 +354,7 @@ class ProcessorSideBBPB:
             return 0, False
         stall = 0
         while self.full:
-            self.rejections += 1
+            self.stats.bbpb_rejections += 1
             if self._bus.enabled:
                 self._bus.emit(
                     BbpbReject(now + stall, self.core_id, block_addr, len(self))
@@ -376,11 +364,8 @@ class ProcessorSideBBPB:
                 self._start_drain(head, now + stall)
             stall = max(stall, head.complete_at - now)
             self.reap(now + stall)
-        self._seq += 1
-        self._fifo.append(
-            BBPBEntry(block_addr, data.copy(), alloc_time=now + stall, seq=self._seq)
-        )
-        self.allocations += 1
+        self._fifo.append(BBPBEntry(block_addr, data.copy()))
+        self.stats.bbpb_allocations += 1
         if self._bus.enabled:
             self._bus.emit(
                 BbpbAlloc(now + stall, self.core_id, block_addr, len(self))
@@ -393,7 +378,6 @@ class ProcessorSideBBPB:
         # point inside the sink finds it in the FIFO, battery-covered.
         entry.in_flight = True
         entry.complete_at = self._drain(entry.block_addr, entry.data, now)
-        self.drains += 1
         if self._bus.enabled:
             self._bus.emit(DrainStart(now, self.core_id, entry.block_addr,
                                       entry.complete_at, len(self)))
@@ -414,29 +398,15 @@ class ProcessorSideBBPB:
     # ------------------------------------------------------------------
     # Coherence / crash
     # ------------------------------------------------------------------
-    def remove(self, block_addr: int, now: int = 0) -> Optional[BlockData]:
-        """Ordering forbids plucking a middle record on remote invalidation;
-        the processor-side design instead drains up to and including the
-        block (this is part of why the paper rejects it)."""
-        if not self.contains(block_addr):
-            return None
-        t = now
-        last = None
-        while self._fifo:
-            entry = self._fifo[0]
-            if not entry.in_flight:
-                self._start_drain(entry, t)
-            t = max(t, entry.complete_at)
-            self._fifo.pop(0)
-            if entry.block_addr == block_addr:
-                last = entry.data
-                break
-        self.removes += 1
-        if self._bus.enabled:
-            self._bus.emit(BbpbRemove(now, self.core_id, block_addr))
-        return last
-
-    def force_drain(self, block_addr: int, now: int) -> int:
+    def drain_through(self, block_addr: int, now: int,
+                      forced: bool = False) -> int:
+        """Drain the records up to and including the oldest one for
+        ``block_addr``, in order, starting no earlier than ``now``; returns
+        the cycle the last of them reached the WPQ (``now`` when the block
+        is absent).  Ordering forbids plucking a middle record, so this is
+        how the processor-side design gives a block up (part of why the
+        paper rejects it).  ``forced`` counts and logs each drain it
+        starts as an LLC forced drain."""
         if not self.contains(block_addr):
             return now
         t = now
@@ -444,14 +414,20 @@ class ProcessorSideBBPB:
             entry = self._fifo[0]
             if not entry.in_flight:
                 self._start_drain(entry, t)
-                self.forced_drains += 1
-                if self._bus.enabled:
-                    self._bus.emit(ForcedDrain(t, self.core_id, block_addr))
+                if forced:
+                    self.stats.bbpb_forced_drains += 1
+                    if self._bus.enabled:
+                        self._bus.emit(ForcedDrain(t, self.core_id, block_addr))
             t = max(t, entry.complete_at)
             self._fifo.pop(0)
             if entry.block_addr == block_addr:
                 break
         return t
+
+    def force_drain(self, block_addr: int, now: int) -> int:
+        """LLC dirty-inclusion forced drain: :meth:`drain_through`, with
+        every drain it starts counted and logged as forced."""
+        return self.drain_through(block_addr, now, forced=True)
 
     def battery_entries(self) -> List[Tuple[int, BlockData]]:
         """Every record, in program order — in-flight ones included — as

@@ -49,7 +49,7 @@ class BSP(PersistencyScheme):
         self.buffers: List[ProcessorSideBBPB] = []
         #: per-core map of buffered block -> visibility time, for PoV/PoP
         #: gap accounting.
-        self._pending_alloc_times: dict = {}
+        self._visible_at: dict = {}
 
     def attach(self, hierarchy) -> None:
         super().attach(hierarchy)
@@ -60,7 +60,7 @@ class BSP(PersistencyScheme):
         )
         self.buffers = [
             ProcessorSideBBPB(cfg, core, wpq_drain_sink(hierarchy, core),
-                              bus=hierarchy.bus)
+                              hierarchy.stats, bus=hierarchy.bus)
             for core in range(hierarchy.config.num_cores)
         ]
 
@@ -84,14 +84,7 @@ class BSP(PersistencyScheme):
     ) -> int:
         assert self.hierarchy is not None
         h = self.hierarchy
-        buf = self.buffers[core]
-        before_rejections = buf.rejections
-        stall, allocated = buf.put(block_addr, block_data, now)
-        h.stats.bbpb_rejections += buf.rejections - before_rejections
-        if allocated:
-            h.stats.bbpb_allocations += 1
-        else:
-            h.stats.bbpb_coalesces += 1
+        stall, _ = self.buffers[core].put(block_addr, block_data, now)
         if stall:
             h.stats.core[core].stall_cycles_bbpb_full += stall
             if h.bus.enabled:
@@ -101,7 +94,7 @@ class BSP(PersistencyScheme):
         # record drains.  Latencies are recorded when drains are observed
         # (here, on conflicts, and at finalize).
         self._record_latencies(core, now)
-        self._pending_alloc_times.setdefault(core, {})[block_addr] = now
+        self._visible_at.setdefault(core, {})[block_addr] = now
         return stall
 
     # ------------------------------------------------------------------
@@ -115,7 +108,7 @@ class BSP(PersistencyScheme):
         if not buf.contains(block_addr):
             return 0
         assert self.hierarchy is not None
-        done = buf.force_drain(block_addr, now)
+        done = buf.drain_through(block_addr, now)
         self.hierarchy.stats.bsp_conflict_drains += 1
         self._record_latencies(holder, now)
         return max(0, done - now)
@@ -155,7 +148,7 @@ class BSP(PersistencyScheme):
     def _record_latencies(self, core: int, now: int) -> None:
         """Record persist latency for entries that just left the buffer."""
         assert self.hierarchy is not None
-        pending = self._pending_alloc_times.get(core, {})
+        pending = self._visible_at.get(core, {})
         resident = set(self.buffers[core].resident_blocks())
         drained = [a for a in pending if a not in resident]
         for block_addr in drained:

@@ -27,25 +27,21 @@ _DrainFn = Callable[[int, BlockData, int], int]
 
 
 def wpq_drain_sink(hierarchy, core: int) -> _DrainFn:
-    """The drain sink of ``core``'s persist buffer: count the drain, tell
-    the directory the block left this bbPB, and write the block into the
-    NVMM controller's WPQ after the cache-to-controller transfer.
-    Returns the WPQ-acceptance cycle.
+    """The drain sink of ``core``'s persist buffer: count the drain and
+    write the block into the NVMM controller's WPQ after the
+    cache-to-controller transfer.  Returns the WPQ-acceptance cycle.
 
-    The sink closes over the hierarchy's stats, directory and NVMM
-    controller, never over the scheme: the scheme owns the buffers
-    holding the sink, so a scheme reference would tie the system into a
-    reference cycle.
+    The sink closes over the hierarchy's stats and NVMM controller, never
+    over the scheme: the scheme owns the buffers holding the sink, so a
+    scheme reference would tie the system into a reference cycle.
     """
     stats = hierarchy.stats
-    directory = hierarchy.directory
     nvmm = hierarchy.nvmm
     transfer = hierarchy.config.mem.mc_transfer_cycles
 
     def drain(block_addr: int, data: BlockData, now: int) -> int:
         stats.bbpb_drains += 1
         stats.bbpb_per_core[core] += 1
-        directory.bbpb_drained(block_addr, core)
         return nvmm.write(block_addr, data, now + transfer)
 
     return drain

@@ -391,6 +391,7 @@ class BBBScheme(PersistencyScheme):
                 cfg, core,
                 crash_scheduled_drain(wpq_drain_sink(hierarchy, core),
                                       schedule),
+                hierarchy.stats,
                 bus=hierarchy.bus,
             )
             for core in range(hierarchy.config.num_cores)
@@ -417,14 +418,12 @@ class BBBScheme(PersistencyScheme):
     ) -> int:
         h = self.hierarchy
         buf = self.buffers[core]
-        before_rejections = buf.rejections
         stall, allocated = buf.put(block_addr, block_data, now)
-        h.stats.bbpb_rejections += buf.rejections - before_rejections
-        if allocated:
-            h.stats.bbpb_allocations += 1
-            h.directory.set_bbpb_owner(block_addr, core, now)
-        else:
-            h.stats.bbpb_coalesces += 1
+        if allocated and h.directory.entry(block_addr) is None:
+            raise RuntimeError(
+                f"bbPB allocates 0x{block_addr:x} but the block is not "
+                f"LLC-resident — dirty-inclusion (Invariant 4) violated"
+            )
         if buf.contains(block_addr):
             # The requester now owns the block's durability (Fig. 6a/b
             # hand-off complete); any in-flight coherence move is consumed.
@@ -445,14 +444,19 @@ class BBBScheme(PersistencyScheme):
         """Fig. 6(a)/(b): the block is removed from the holder's bbPB without
         draining; the requester becomes responsible for its durability when
         its own store allocates the block (which the in-flight data or its
-        shared copy guarantees it can, battery covering in-flight packets)."""
+        shared copy guarantees it can, battery covering in-flight packets).
+
+        A processor-side bbPB cannot take a record out of the middle of its
+        queue: it drains through the block instead.  That is a plain drain,
+        not a move, and the requester is charged no delay for it."""
         buf = self.buffers[holder]
+        if not self.bbb_config.memory_side:
+            buf.drain_through(block_addr, now)
+            return
         removed = buf.remove(block_addr, now)
         if removed is not None:
             h = self.hierarchy
-            h.stats.bbpb_removes += 1
             h.stats.bbpb_moves += 1
-            h.directory.set_bbpb_owner(block_addr, None, now)
             # Battery covers the in-flight packet: until the requester's
             # own store allocates the block, the removed data remains
             # durable (drained by crash_drain if the machine dies now).
@@ -472,12 +476,7 @@ class BBBScheme(PersistencyScheme):
             # The request travels through the drain-message channel, which
             # fault injection may delay or drop; a dropped message leaves
             # the entry resident (still battery-backed, still durable).
-            # The eviction already dropped the block's directory entry, so
-            # there is no bbPB owner left to clear.
-            buf = self.buffers[owner]
-            before = buf.forced_drains
-            h.drain_channel.deliver(buf, block.addr, now)
-            h.stats.bbpb_forced_drains += buf.forced_drains - before
+            h.drain_channel.deliver(self.buffers[owner], block.addr, now)
         if (
             block.dirty
             and block.persistent
@@ -549,7 +548,7 @@ class BEP(PersistencyScheme):
     def __init__(self, entries: int = 32) -> None:
         super().__init__()
         self.entries = entries
-        # Per core: list of (epoch, block_addr, BlockData, alloc_time).
+        # Per core: list of (epoch, block_addr, BlockData, born).
         self._buffers: List[List[Tuple[int, int, BlockData, int]]] = []
         self._epoch: List[int] = []
         self._drain_busy_until: List[int] = []

@@ -39,6 +39,7 @@ from repro.core.recovery import (
     CONTRACT_DOCS,
     Outcome,
     check_scheme_contract,
+    claimed_persists,
     classify_outcome,
 )
 from repro.core.registry import scheme_info
@@ -161,8 +162,8 @@ def execute_fault_unit(unit: FaultUnit) -> Dict[str, Any]:
         seed_media_words(system.nvmm_media, initial_words)
         result = system.run(trace, finalize=False)
         contract = check_scheme_contract(
-            unit.scheme, system.nvmm_media, result.committed_persists,
-            cfg.block_size,
+            unit.scheme, system.nvmm_media,
+            claimed_persists(unit.scheme, result), cfg.block_size,
         )
         return contract
 

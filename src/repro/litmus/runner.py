@@ -352,19 +352,26 @@ def minimize_cell(
     }
 
 
+#: Field types of a counterexample artifact, checked before any replay.
+_ARTIFACT_TYPES = {
+    "scheme": str, "mutant": (str, type(None)), "model": str, "entries": int,
+    "test": dict, "forbidden_state": list,
+}
+
+
 def replay_counterexample(path: str) -> Dict[str, Any]:
     """Re-run a litmus counterexample artifact and re-check the forbidden
     observation.  Validates the artifact (schema version, kind, payload
-    fields) before running anything — raises
+    fields and their types) before running anything — raises
     :class:`repro.ioutil.ArtifactError` with a clear diagnostic on a
-    truncated file, a schema mismatch or a missing field.
+    truncated file, a schema mismatch, or a missing field or one of the
+    wrong type.
 
     Returns ``{"reproduced", "state", "observed", "artifact"}``."""
-    from repro.ioutil import load_versioned_json, require_fields
+    from repro.ioutil import load_versioned_json, require_types
 
     artifact = load_versioned_json(path, LITMUS_SCHEMA, kind="counterexample")
-    require_fields(path, artifact, ("scheme", "mutant", "model", "entries",
-                                    "test", "forbidden_state"))
+    require_types(path, artifact, _ARTIFACT_TYPES)
     test = LitmusTest.from_payload(artifact["test"])
     model = artifact["model"]
     allowed = allowed_states(test, model)

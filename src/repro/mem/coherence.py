@@ -1,17 +1,16 @@
-"""Directory-based MESI coherence bookkeeping with bbPB tracking.
+"""Directory-based MESI coherence bookkeeping.
 
 The shared LLC keeps a directory entry per resident block: which private
-L1Ds hold the block (sharers), which one holds it exclusively (owner of an
-M/E copy), and — the BBB addition — which core's bbPB currently holds the
-block (Invariant 4: a block resides in at most one bbPB).
+L1Ds hold the block (sharers) and which one holds it exclusively (owner of
+an M/E copy).
 
-In the paper (Section III-E) the bbPB pointer is not a new directory field:
-bbPB⊆L2 inclusion lets the existing L2 directory deliver invalidations,
-and each private L2 forwards them to its own bbPB.  The evaluated system
-(Table III) has no private L2 — its shared L2 *is* the LLC — so this model
-keeps the functionally-equivalent information as a single ``bbpb_owner``
-field per directory entry.  Every protocol case of Fig. 6 / Table II is
-driven off this entry.
+The directory records nothing about bbPBs.  In the paper (Section III-E)
+"no new directory information is needed": bbPB⊆L2 inclusion lets the
+existing directory deliver invalidations, and each bbPB acts on its own
+contents.  Here the live bbPB contents are the residency record (the
+scheme's ``bbpb_owner_of`` asks the buffers), and the directory entry's
+existence is what Invariant 4's dirty-inclusion check reads when a bbPB
+allocates a block.
 
 The protocol *actions* (data movement, state changes, drains) are executed
 by :class:`repro.mem.hierarchy.MemoryHierarchy`; this module only tracks
@@ -27,8 +26,6 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.check.schedule import NULL_SCHEDULE, SITE_FORCED_DRAIN
 from repro.fault.injector import NULL_INJECTOR
-from repro.obs.bus import NULL_BUS, EventBus
-from repro.obs.events import CoherenceMove
 
 
 class CoherenceEvent(enum.Enum):
@@ -50,7 +47,6 @@ class DirectoryEntry:
     block_addr: int
     sharers: Set[int] = field(default_factory=set)
     owner: Optional[int] = None        # core holding M/E, if any
-    bbpb_owner: Optional[int] = None   # core whose bbPB holds the block
 
     def is_cached_anywhere(self) -> bool:
         return bool(self.sharers) or self.owner is not None
@@ -58,7 +54,7 @@ class DirectoryEntry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Dir(0x{self.block_addr:x}, sharers={sorted(self.sharers)}, "
-            f"owner={self.owner}, bbpb={self.bbpb_owner})"
+            f"owner={self.owner})"
         )
 
 
@@ -111,9 +107,8 @@ class Directory:
     any forced bbPB drain, per Invariant 4).
     """
 
-    def __init__(self, bus: EventBus = NULL_BUS) -> None:
+    def __init__(self) -> None:
         self._entries: Dict[int, DirectoryEntry] = {}
-        self._bus = bus
 
     def entry(self, block_addr: int) -> Optional[DirectoryEntry]:
         return self._entries.get(block_addr)
@@ -155,50 +150,10 @@ class Directory:
             ent.owner = None
 
     # ------------------------------------------------------------------
-    # bbPB tracking (Invariant 4)
-    # ------------------------------------------------------------------
-    def set_bbpb_owner(self, block_addr: int, core: Optional[int],
-                       now: int = 0) -> None:
-        ent = self._entries.get(block_addr)
-        if ent is None:
-            if core is None:
-                return
-            raise RuntimeError(
-                f"bbPB allocates 0x{block_addr:x} but the block is not "
-                f"LLC-resident — dirty-inclusion (Invariant 4) violated"
-            )
-        if self._bus.enabled and ent.bbpb_owner != core:
-            self._bus.emit(
-                CoherenceMove(now, block_addr, src=ent.bbpb_owner, dst=core)
-            )
-        ent.bbpb_owner = core
-
-    def bbpb_drained(self, block_addr: int, core: int) -> None:
-        """``core``'s bbPB drained ``block_addr`` to the WPQ: if the
-        directory names that bbPB as the block's holder, it holds it no
-        longer.  Emits nothing — ``DrainStart``/``DrainEnd`` record the
-        drain — so the next allocation's move starts from ``None``."""
-        ent = self._entries.get(block_addr)
-        if ent is not None and ent.bbpb_owner == core:
-            ent.bbpb_owner = None
-
-    def bbpb_owner(self, block_addr: int) -> Optional[int]:
-        ent = self._entries.get(block_addr)
-        return ent.bbpb_owner if ent else None
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def entries(self) -> Iterable[DirectoryEntry]:
         return self._entries.values()
-
-    def blocks_in_bbpb(self) -> Dict[int, int]:
-        """Map block -> bbPB-owning core, for invariant audits."""
-        return {
-            ent.block_addr: ent.bbpb_owner
-            for ent in self._entries.values()
-            if ent.bbpb_owner is not None
-        }
 
     def __len__(self) -> int:
         return len(self._entries)

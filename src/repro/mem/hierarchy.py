@@ -81,7 +81,7 @@ class MemoryHierarchy:
             CacheArray(config.l1d, name=f"L1D{c}") for c in range(config.num_cores)
         ]
         self.llc = CacheArray(config.llc, name="LLC")
-        self.directory = Directory(bus)
+        self.directory = Directory()
         self.drain_channel = DrainMessageChannel(fault_injector,
                                                  schedule=crash_schedule)
         self.dram = DRAMController(config.mem, self.stats)
@@ -500,7 +500,7 @@ class MemoryHierarchy:
             l1.clear()
         self.llc.clear()
         self.volatile_image.clear()
-        self.directory = Directory(self.bus)
+        self.directory = Directory()
         self.inflight_writebacks = []
         self.inflight_bbpb_moves = {}
         for sb in self.store_buffers:

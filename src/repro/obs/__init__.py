@@ -4,8 +4,8 @@ A run's counters live in :class:`repro.sim.stats.SimStats`; the
 subsystem adds two legs beside them, both documented in ``docs/api.md``:
 
 * **Event bus** (:mod:`repro.obs.bus`, :mod:`repro.obs.events`) — typed
-  events (bbPB allocations/coalesces/rejections, drains, coherence moves,
-  WPQ acceptances, stall intervals with cause) emitted by the engine, the
+  events (bbPB allocations/coalesces/rejections/removes, drains, WPQ
+  acceptances, stall intervals with cause) emitted by the engine, the
   persistency schemes, and the memory system.  Emission sites guard with
   ``if bus.enabled:`` *before* constructing the event, so a disabled bus
   (the default, :data:`~repro.obs.bus.NULL_BUS`) costs one attribute load
@@ -44,7 +44,6 @@ from repro.obs.events import (
     BbpbCoalesce,
     BbpbReject,
     BbpbRemove,
-    CoherenceMove,
     DrainEnd,
     DrainStart,
     Event,
@@ -80,7 +79,6 @@ __all__ = [
     "DrainStart",
     "DrainEnd",
     "ForcedDrain",
-    "CoherenceMove",
     "WpqEnqueue",
     "WpqDrain",
     "SbPush",

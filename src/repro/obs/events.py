@@ -6,10 +6,10 @@ objects; the bus delivers the same instance to every subscriber.
 
 The vocabulary mirrors the paper's evaluation: where persist traffic goes
 (bbPB allocations, coalesces, rejections — Fig. 8a), when it drains
-(drains, forced drains — Fig. 8c, Table II), how coherence moves durable
-blocks between bbPBs (Fig. 6), WPQ acceptance/backpressure (Section III-F),
-and which cause each stall cycle is attributable to (Fig. 7a's
-differentials).
+(drains, forced drains — Fig. 8c, Table II), which blocks a remote
+invalidation takes out of a bbPB (Fig. 6), WPQ acceptance/backpressure
+(Section III-F), and which cause each stall cycle is attributable to
+(Fig. 7a's differentials).
 
 ``event_to_payload``/``event_from_payload`` are the JSONL wire format:
 a flat dict with a ``kind`` discriminator, round-trippable through
@@ -19,7 +19,7 @@ a flat dict with a ``kind`` discriminator, round-trippable through
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import ClassVar, Dict, Optional, Type
+from typing import ClassVar, Dict, Type
 
 #: Stall causes attached to :class:`StallBegin`/:class:`StallEnd`.
 STALL_BBPB_FULL = "bbpb_full"
@@ -113,23 +113,6 @@ class ForcedDrain(Event):
 
 
 # ----------------------------------------------------------------------
-# Coherence (mem/coherence.py)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoherenceMove(Event):
-    """Directory bbPB ownership of ``addr`` changed ``src`` -> ``dst``
-    (``None`` = not in any bbPB): a bbPB allocated the block, or a remote
-    invalidation took it out.  A drain clears the owner without a move;
-    :class:`DrainStart`/:class:`DrainEnd` record it."""
-
-    kind: ClassVar[str] = "coherence_move"
-    addr: int
-    src: Optional[int]
-    dst: Optional[int]
-
-
-# ----------------------------------------------------------------------
 # Memory controller (mem/memctrl.py)
 # ----------------------------------------------------------------------
 
@@ -213,7 +196,6 @@ EVENT_TYPES: Dict[str, Type[Event]] = {
         DrainStart,
         DrainEnd,
         ForcedDrain,
-        CoherenceMove,
         WpqEnqueue,
         WpqDrain,
         SbPush,

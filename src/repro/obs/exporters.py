@@ -6,7 +6,7 @@
 * :func:`to_chrome_trace` / :func:`write_chrome_trace` — the Chrome
   ``trace_event`` JSON format (load the file in ``chrome://tracing`` or
   https://ui.perfetto.dev).  Drains and stalls become duration events on
-  per-core tracks, bbPB/coherence/WPQ activity becomes instant events, and
+  per-core tracks, bbPB/WPQ activity becomes instant events, and
   occupancy becomes counter tracks.
 * :func:`summarize_events` — ASCII per-kind summary rendered through
   :func:`repro.analysis.tables.render_table`.
@@ -26,7 +26,6 @@ from repro.obs.events import (
     BbpbCoalesce,
     BbpbReject,
     BbpbRemove,
-    CoherenceMove,
     DrainStart,
     DrainEnd,
     Event,
@@ -140,15 +139,6 @@ def to_chrome_trace(events: Sequence[Event]) -> Dict[str, object]:
             })
         elif cls is WpqDrain:
             continue  # durability point == end of the WpqEnqueue "X" span
-        elif cls is CoherenceMove:
-            out.append({
-                "ph": "i", "name": "bbpb.move", "cat": "coherence", "s": "g",
-                "pid": _PID_BBPB, "tid": event.dst if event.dst is not None
-                else (event.src or 0),
-                "ts": event.cycle,
-                "args": {"addr": f"0x{event.addr:x}", "src": event.src,
-                         "dst": event.dst},
-            })
         else:
             name = _INSTANT_NAMES.get(cls)
             if name is None:

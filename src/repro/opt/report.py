@@ -226,23 +226,28 @@ def render_compare_table(report: Dict[str, Any]) -> str:
 # Artifacts: replay
 # ----------------------------------------------------------------------
 
+#: Field types of a compare artifact and of each of its rows.
+_ARTIFACT_TYPES = {"entries": int, "rows": list}
+_ROW_TYPES = {
+    "workload": str, "scheme": str, "flush_fence_elision_pct": (int, float),
+    "ops_optimized": int, "audit_ok": bool, "image_ok": bool,
+}
+
+
 def replay_report(path: str) -> Dict[str, Any]:
-    """Re-execute a compare artifact: validate it (schema version, kind and
-    payload fields — raises :class:`repro.ioutil.ArtifactError` on a
-    truncated, mismatched or malformed file before running anything),
-    re-run every cell, and check elision, audit, and durable-image
-    equality reproduce.  Returns ``{"reproduced", "mismatches",
-    "artifact"}``."""
-    from repro.ioutil import load_versioned_json, require_fields
+    """Re-execute a compare artifact: validate it (schema version, kind,
+    payload fields and their types — raises
+    :class:`repro.ioutil.ArtifactError` on a truncated, mismatched or
+    malformed file before running anything), re-run every cell, and check
+    elision, audit, and durable-image equality reproduce.  Returns
+    ``{"reproduced", "mismatches", "artifact"}``."""
+    from repro.ioutil import load_versioned_json, require_types
     from repro.workloads.base import WorkloadSpec
 
     artifact = load_versioned_json(path, OPT_SCHEMA, kind="compare")
-    require_fields(path, artifact, ("entries", "rows"))
+    require_types(path, artifact, _ARTIFACT_TYPES)
     for i, row in enumerate(artifact["rows"]):
-        require_fields(path, row, ("workload", "scheme",
-                                   "flush_fence_elision_pct", "ops_optimized",
-                                   "audit_ok", "image_ok"),
-                       where=f"rows[{i}]")
+        require_types(path, row, _ROW_TYPES, where=f"rows[{i}]")
     spec = (WorkloadSpec(*artifact["spec"])
             if artifact.get("spec") is not None else None)
     mismatches: List[str] = []

@@ -5,6 +5,7 @@ import pytest
 from repro.core.bbpb import MemorySideBBPB
 from repro.mem.block import BlockData
 from repro.sim.config import BBBConfig, DrainPolicy
+from repro.sim.stats import SimStats
 
 
 class DrainSink:
@@ -26,7 +27,7 @@ class DrainSink:
 def make(entries=4, threshold=0.75, policy=DrainPolicy.FCFS_THRESHOLD, latency=50):
     sink = DrainSink(latency)
     cfg = BBBConfig(entries=entries, drain_threshold=threshold, drain_policy=policy)
-    return MemorySideBBPB(cfg, core_id=0, drain=sink), sink
+    return MemorySideBBPB(cfg, core_id=0, drain=sink, stats=SimStats()), sink
 
 
 def data(v):
@@ -41,14 +42,14 @@ class TestAllocation:
         stall, allocated = buf.put(0x1000, data(1), 0)
         assert allocated and stall == 0
         assert buf.contains(0x1000)
-        assert buf.allocations == 1
+        assert buf.stats.bbpb_allocations == 1
 
     def test_coalesce_same_block(self):
         buf, _ = make()
         buf.put(0x1000, data(1), 0)
         stall, allocated = buf.put(0x1000, data(2), 10)
         assert not allocated and stall == 0
-        assert buf.coalesces == 1
+        assert buf.stats.bbpb_coalesces == 1
         assert len(buf) == 1
         assert buf.entry(0x1000).data.read_word(0) == 2
 
@@ -102,7 +103,7 @@ class TestFullBufferStalls:
         buf.put(0x1000, data(1), 0)
         buf.put(0x1040, data(2), 0)
         stall, _ = buf.put(0x1080, data(3), 0)
-        assert buf.rejections >= 1
+        assert buf.stats.bbpb_rejections >= 1
         assert stall > 0
 
     def test_stall_equals_drain_completion_wait(self):
@@ -144,7 +145,7 @@ class TestCoherenceActions:
         assert removed.read_word(0) == 7
         assert not buf.contains(0x1000)
         assert not sink.calls
-        assert buf.removes == 1
+        assert buf.stats.bbpb_removes == 1
 
     def test_remove_absent_returns_none(self):
         buf, _ = make()
@@ -164,7 +165,7 @@ class TestCoherenceActions:
         assert done > 100
         assert not buf.contains(0x1000)
         assert sink.calls[-1][0] == 0x1000
-        assert buf.forced_drains == 1
+        assert buf.stats.bbpb_forced_drains == 1
 
     def test_force_drain_absent_is_free(self):
         buf, _ = make()

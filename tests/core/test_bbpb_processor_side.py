@@ -12,6 +12,7 @@ from repro.mem.block import BlockData
 from repro.obs.bus import EventBus, EventRecorder
 from repro.obs.events import DrainStart
 from repro.sim.config import BBBConfig
+from repro.sim.stats import SimStats
 
 from tests.core.test_bbpb_memory_side import DrainSink, data
 
@@ -19,7 +20,7 @@ from tests.core.test_bbpb_memory_side import DrainSink, data
 def make(entries=4, threshold=0.75, latency=50):
     sink = DrainSink(latency)
     cfg = BBBConfig(entries=entries, drain_threshold=threshold, memory_side=False)
-    return ProcessorSideBBPB(cfg, core_id=0, drain=sink), sink
+    return ProcessorSideBBPB(cfg, core_id=0, drain=sink, stats=SimStats()), sink
 
 
 class TestOrderedRecords:
@@ -35,7 +36,7 @@ class TestOrderedRecords:
         buf.put(0x1000, data(1), 0)
         stall, allocated = buf.put(0x1000, data(2), 1)
         assert not allocated
-        assert buf.coalesces == 1
+        assert buf.stats.bbpb_coalesces == 1
         assert len(buf) == 1
 
     def test_non_consecutive_same_block_does_not_coalesce(self):
@@ -48,7 +49,7 @@ class TestOrderedRecords:
         stall, allocated = buf.put(0x1000, data(3), 0)
         assert allocated
         assert len(buf) == 3
-        assert buf.coalesces == 0
+        assert buf.stats.bbpb_coalesces == 0
 
 
 class TestInOrderDraining:
@@ -82,12 +83,12 @@ class TestFullBuffer:
         buf.put(0x1000, data(1), 0)
         buf.put(0x1040, data(2), 0)
         stall, _ = buf.put(0x1080, data(3), 0)
-        assert buf.rejections >= 1
+        assert buf.stats.bbpb_rejections >= 1
         assert stall > 0
 
 
 class TestCoherenceActions:
-    def test_remove_drains_prefix_through_block(self):
+    def test_drain_through_drains_prefix_through_block(self):
         """Ordering forbids plucking a middle record: everything up to and
         including the block drains (part of why the paper rejects the
         processor-side design)."""
@@ -95,31 +96,36 @@ class TestCoherenceActions:
         buf.put(0x1000, data(1), 0)
         buf.put(0x1040, data(2), 0)
         buf.put(0x1080, data(3), 0)
-        removed = buf.remove(0x1040)
-        assert removed.read_word(0) == 2
+        done = buf.drain_through(0x1040, 0)
         assert [c[0] for c in sink.calls] == [0x1000, 0x1040]
+        assert sink.calls[1][1].read_word(0) == 2
+        assert done == sink.calls[1][3]
         assert buf.resident_blocks() == [0x1080]
+        # A plain drain: nothing counted as forced, removed or moved.
+        assert buf.stats.bbpb_forced_drains == 0
+        assert buf.stats.bbpb_removes == 0
 
     @pytest.mark.parametrize("threshold, head_in_flight", [
         (0.75, False),
         # The head's drain starts at cycle 0 and completes long before
-        # the remove: the records behind it still drain from ``now``.
+        # the drain-through: the records behind it still drain from ``now``.
         (0.5, True),
     ])
-    def test_remove_drains_start_no_earlier_than_now(self, threshold,
-                                                     head_in_flight):
+    def test_drain_through_starts_no_earlier_than_now(self, threshold,
+                                                      head_in_flight):
         bus = EventBus()
         recorder = EventRecorder(bus)
         sink = DrainSink(latency=50)
         cfg = BBBConfig(entries=4, drain_threshold=threshold,
                         memory_side=False)
-        buf = ProcessorSideBBPB(cfg, core_id=0, drain=sink, bus=bus)
+        buf = ProcessorSideBBPB(cfg, core_id=0, drain=sink, stats=SimStats(),
+                                bus=bus)
         buf.put(0x1000, data(1), 0)
         buf.put(0x1040, data(2), 0)
         assert len(sink.calls) == int(head_in_flight)
         issued, recorder.events[:] = len(sink.calls), []
         now = 1000
-        buf.remove(0x1040, now)
+        buf.drain_through(0x1040, now)
         starts = [call[2] for call in sink.calls[issued:]]
         events = [e.cycle for e in recorder.events
                   if isinstance(e, DrainStart)]
@@ -128,9 +134,9 @@ class TestCoherenceActions:
         assert min(events) >= now
         assert buf.resident_blocks() == []
 
-    def test_remove_absent_is_noop(self):
+    def test_drain_through_absent_is_noop(self):
         buf, sink = make()
-        assert buf.remove(0x1000) is None
+        assert buf.drain_through(0x1000, 100) == 100
         assert not sink.calls
 
     def test_force_drain_through_block(self):
@@ -140,6 +146,8 @@ class TestCoherenceActions:
         done = buf.force_drain(0x1040, 100)
         assert done >= 100
         assert [c[0] for c in sink.calls] == [0x1000, 0x1040]
+        # Every drain it starts counts as forced.
+        assert buf.stats.bbpb_forced_drains == 2
 
 
 class TestCrash:

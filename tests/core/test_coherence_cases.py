@@ -10,7 +10,7 @@ without draining, interventions leave the block in place, and the block
 import pytest
 
 from repro.core.invariants import check_all
-from repro.mem.block import E, I, M, S
+from repro.mem.block import E, I, M, S, BlockData
 from repro.api import build_system
 from tests.conftest import conflict_addresses, paddr
 
@@ -183,7 +183,40 @@ class TestTableIIRemainingRows:
         assert h.l1_state(1, x) is M
 
 
+class TestProcessorSideInvalidation:
+    def test_remote_invalidation_drains_through_without_a_move(
+        self, two_core_config
+    ):
+        """A processor-side bbPB cannot pluck the record out of its queue:
+        it drains through the block, which moves nothing."""
+        system = build_system("bbb-proc", config=two_core_config, entries=8)
+        h = system.hierarchy
+        x = paddr(two_core_config, 0)
+        bx = baddr_of(two_core_config, x)
+        h.store(0, x, 8, 0xAA, 0)
+        assert system.scheme.buffers[0].contains(bx)
+        delay = system.scheme.on_remote_invalidation(0, bx, 1, 100)
+        assert not delay
+        assert not system.scheme.buffers[0].contains(bx)
+        assert system.stats.bbpb_drains == 1
+        assert system.stats.bbpb_removes == 0
+        assert system.stats.bbpb_moves == 0
+        assert h.inflight_bbpb_moves == {}
+
+
 class TestDirtyInclusionForcedDrain:
+    def test_allocation_without_llc_entry_violates_inclusion(
+        self, system, h, two_core_config
+    ):
+        """A bbPB may only allocate a block the LLC holds (Invariant 4):
+        the scheme checks the block's directory entry as it allocates."""
+        bx = baddr_of(two_core_config, paddr(two_core_config, 0))
+        assert h.directory.entry(bx) is None
+        with pytest.raises(RuntimeError, match=(
+                f"bbPB allocates 0x{bx:x} but the block is not LLC-resident "
+                r"— dirty-inclusion \(Invariant 4\) violated")):
+            system.scheme.on_persisting_store(0, bx, BlockData(), 0)
+
     def test_llc_eviction_force_drains_bbpb_block(self, system, h, buf, two_core_config):
         x = paddr(two_core_config, 0)
         bx = baddr_of(two_core_config, x)

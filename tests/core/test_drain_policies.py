@@ -7,6 +7,7 @@ from repro.core.drain import POLICY_DESCRIPTIONS, config_for_policy, threshold_s
 from repro.core.bbpb import MemorySideBBPB
 from repro.mem.block import BlockData
 from repro.sim.config import BBBConfig, DrainPolicy
+from repro.sim.stats import SimStats
 
 from tests.core.test_bbpb_memory_side import DrainSink, data
 
@@ -14,7 +15,7 @@ from tests.core.test_bbpb_memory_side import DrainSink, data
 def make(policy, entries=4, threshold=0.75, latency=10):
     sink = DrainSink(latency)
     cfg = BBBConfig(entries=entries, drain_threshold=threshold, drain_policy=policy)
-    return MemorySideBBPB(cfg, core_id=0, drain=sink), sink
+    return MemorySideBBPB(cfg, core_id=0, drain=sink, stats=SimStats()), sink
 
 
 class TestPolicyMetadata:
@@ -93,6 +94,8 @@ class TestCoalesceTracking:
     def test_last_write_updated_on_coalesce(self):
         buf, _ = make(DrainPolicy.LEAST_RECENTLY_WRITTEN, entries=8)
         buf.put(0x1000, data(1), now=0)
+        buf.put(0x1040, data(3), now=100)
         buf.put(0x1000, data(2), now=500)
         assert buf.entry(0x1000).last_write == 500
-        assert buf.entry(0x1000).alloc_time == 0
+        # Coalescing does not make the entry younger: it keeps its FCFS place.
+        assert buf.resident_blocks() == [0x1000, 0x1040]

@@ -83,41 +83,6 @@ class TestPresence:
         directory.record_l1_eviction(0x40, 0)  # must not raise
 
 
-class TestBBPBTracking:
-    def test_set_and_get_owner(self, directory):
-        directory.ensure(0x40)
-        directory.set_bbpb_owner(0x40, 2)
-        assert directory.bbpb_owner(0x40) == 2
-
-    def test_clear_owner(self, directory):
-        directory.ensure(0x40)
-        directory.set_bbpb_owner(0x40, 2)
-        directory.set_bbpb_owner(0x40, None)
-        assert directory.bbpb_owner(0x40) is None
-
-    def test_set_owner_without_llc_entry_violates_inclusion(self, directory):
-        with pytest.raises(RuntimeError):
-            directory.set_bbpb_owner(0x40, 1)
-
-    def test_clearing_absent_entry_is_noop(self, directory):
-        directory.set_bbpb_owner(0x40, None)  # must not raise
-
-    def test_drain_clears_only_the_draining_owner(self, directory):
-        directory.ensure(0x40)
-        directory.set_bbpb_owner(0x40, 2)
-        directory.bbpb_drained(0x40, 1)
-        assert directory.bbpb_owner(0x40) == 2
-        directory.bbpb_drained(0x40, 2)
-        assert directory.bbpb_owner(0x40) is None
-        directory.bbpb_drained(0x80, 2)  # not LLC-resident: no-op
-
-    def test_blocks_in_bbpb_map(self, directory):
-        directory.ensure(0x40)
-        directory.ensure(0x80)
-        directory.set_bbpb_owner(0x40, 1)
-        assert directory.blocks_in_bbpb() == {0x40: 1}
-
-
 class TestEventVocabulary:
     def test_events_exist(self):
         names = {e.value for e in CoherenceEvent}

@@ -10,7 +10,6 @@ from repro.api import RunOptions, build_system
 from repro.obs.bus import EventBus, EventRecorder
 from repro.obs.events import (
     BbpbAlloc,
-    CoherenceMove,
     DrainStart,
     StallBegin,
     StallEnd,
@@ -28,7 +27,6 @@ from repro.obs.exporters import (
     write_jsonl,
 )
 from repro.obs.timeline import OccupancySampler
-from repro.sim.config import SystemConfig
 from repro.workloads.base import WorkloadSpec, build_cached, seed_media_words
 
 SPEC = WorkloadSpec(threads=4, ops=60, elements=1024, seed=11)
@@ -144,66 +142,3 @@ class TestReconciliation:
             assert values and max(values) <= 8
 
 
-#: Conflicting-array workloads: their bbPB blocks change hands (Fig. 6).
-MOVE_SPEC = WorkloadSpec(threads=4, ops=100, elements=512)
-
-
-def _observe_moves(workload, scheme, config):
-    """Run ``workload`` under ``scheme`` with 8-entry bbPBs; returns
-    ``(moves, stale, stats)``: every ``coherence_move``, and the
-    src->dst moves whose source bbPB did not hold the block."""
-    trace, initial_words = build_cached(workload, config.mem, MOVE_SPEC)
-    bus = EventBus()
-    recorder = EventRecorder(bus)
-    system = build_system(scheme, entries=8, config=config,
-                          options=RunOptions(bus=bus))
-    seed_media_words(system.nvmm_media, initial_words)
-    buffers = system.scheme.buffers
-    stale = []
-
-    def check_source(event):
-        if (isinstance(event, CoherenceMove) and event.src is not None
-                and event.dst is not None
-                and not buffers[event.src].contains(event.addr)):
-            stale.append(event)
-
-    bus.subscribe(check_source)
-    system.run(trace)
-    moves = [e for e in recorder.events if isinstance(e, CoherenceMove)]
-    return moves, stale, system.stats
-
-
-class TestCoherenceMoves:
-    """``coherence_move`` records follow bbPB residency: a block that
-    leaves its bbPB by a drain is no longer that bbPB's to move."""
-
-    @pytest.mark.parametrize("scheme", ["bbb", "bbb-proc"])
-    @pytest.mark.parametrize("workload", ["mutateC", "swapC"])
-    def test_no_move_names_a_source_without_the_block(self, workload,
-                                                      scheme):
-        moves, stale, _ = _observe_moves(workload, scheme,
-                                         default_sim_config())
-        assert moves
-        assert stale == []
-
-    @pytest.mark.parametrize("workload", ["mutateC", "swapC"])
-    def test_bbb_moves_reconcile_with_stats(self, workload):
-        moves, _, stats = _observe_moves(workload, "bbb",
-                                         default_sim_config())
-        arrivals = sum(1 for m in moves if m.src is None)
-        departures = sum(1 for m in moves if m.dst is None)
-        assert stats.bbpb_removes > 0
-        assert arrivals == stats.bbpb_allocations
-        assert departures == stats.bbpb_removes == stats.bbpb_moves
-        assert arrivals + departures == len(moves)
-
-    def test_forced_drains_are_not_moves(self):
-        """An LLC eviction drops the block's directory entry before it
-        force-drains the bbPB copy: the drain is logged as a drain, and
-        the next allocation still arrives from ``None``."""
-        moves, stale, stats = _observe_moves(
-            "hashmap", "bbb", SystemConfig(num_cores=4).scaled_for_testing())
-        assert stats.bbpb_forced_drains > 0
-        assert stale == []
-        assert sum(1 for m in moves if m.src is None) == stats.bbpb_allocations
-        assert sum(1 for m in moves if m.dst is None) == stats.bbpb_removes

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.core.bbpb import MemorySideBBPB, ProcessorSideBBPB
 from repro.mem.block import BlockData
 from repro.sim.config import BBBConfig
+from repro.sim.stats import SimStats
 
 
 class RecordingSink:
@@ -40,7 +41,7 @@ buffer_kinds = st.sampled_from([MemorySideBBPB, ProcessorSideBBPB])
 def run_buffer(cls, entries, seq):
     sink = RecordingSink()
     cfg = BBBConfig(entries=entries, memory_side=cls is MemorySideBBPB)
-    buf = cls(cfg, core_id=0, drain=sink)
+    buf = cls(cfg, core_id=0, drain=sink, stats=SimStats())
     now = 0
     for block_idx, value in seq:
         buf.put(0x10000 + block_idx * 64, word(value), now)
@@ -52,7 +53,7 @@ def run_buffer(cls, entries, seq):
 def test_occupancy_never_exceeds_capacity(cls, entries, seq):
     sink = RecordingSink()
     cfg = BBBConfig(entries=entries, memory_side=cls is MemorySideBBPB)
-    buf = cls(cfg, core_id=0, drain=sink)
+    buf = cls(cfg, core_id=0, drain=sink, stats=SimStats())
     now = 0
     for block_idx, value in seq:
         buf.put(0x10000 + block_idx * 64, word(value), now)
@@ -80,8 +81,8 @@ def test_nothing_is_ever_lost(cls, entries, seq):
 def test_memory_side_drains_bounded_by_allocations(entries, seq):
     buf, sink, now = run_buffer(MemorySideBBPB, entries, seq)
     buf.drain_all(now + 10_000)
-    assert len(sink.drained) == buf.allocations
-    assert buf.allocations + buf.coalesces == len(seq)
+    assert len(sink.drained) == buf.stats.bbpb_allocations
+    assert buf.stats.bbpb_allocations + buf.stats.bbpb_coalesces == len(seq)
 
 
 @given(entry_counts, store_seqs)

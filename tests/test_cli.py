@@ -624,6 +624,10 @@ class TestGateRunner:
                      id="litmus-without-test"),
         pytest.param("opt", OPT_COMPARE, "rows[0] has no 'workload' field",
                      id="opt-row-without-workload"),
+        pytest.param("litmus", {**LITMUS_CEX, "test": None},
+                     "field 'test' is null, not dict", id="litmus-null-test"),
+        pytest.param("opt", {**OPT_COMPARE, "rows": None},
+                     "field 'rows' is null, not list", id="opt-null-rows"),
     ])
     def test_malformed_replay_artifact_is_a_usage_error(
         self, capsys, tmp_path, gate, artifact, message
