@@ -8,11 +8,11 @@ picked up automatically), and runnable through a fault campaign — with
 zero edits to the core package.
 
 The scheme here is a write-through BBB ablation, ``bbb-nocoalesce``: every
-persisting store's bbPB entry is force-drained the moment it is allocated,
-so nothing ever coalesces in the buffer.  It isolates how much of BBB's
-NVMM-write win over strict PMEM comes from coalescing (versus merely
-removing flush/fence stalls): same battery, same PoV == PoP, same exact
-contract, but persist-buffer coalescing disabled.
+persisting store's bbPB entry is drained as it allocates (the ``EAGER``
+drain policy), so nothing ever coalesces in the buffer.  It isolates how
+much of BBB's NVMM-write win over strict PMEM comes from coalescing
+(versus merely removing flush/fence stalls): same battery, same PoV ==
+PoP, same exact contract, but persist-buffer coalescing disabled.
 
 Run with::
 
@@ -42,15 +42,10 @@ class WriteThroughBBB(BBBScheme):
 
     The entry still passes through the battery domain (PoV == PoP holds,
     in-flight drains are durable on crash), so the exact contract is
-    unchanged — only the write traffic differs.
+    unchanged — only the write traffic differs.  The factory below sets
+    the drain policy; the subclass exists so its objects carry the
+    registered name, not ``bbb``.
     """
-
-    def on_persisting_store(self, core, block_addr, block_data, now):
-        stall = super().on_persisting_store(core, block_addr, block_data, now)
-        buf = self.buffers[core]
-        if buf.contains(block_addr):
-            buf.force_drain(block_addr, now)
-        return stall
 
 
 # replace=True keeps re-imports (e.g. the example suite running this file
@@ -71,14 +66,15 @@ class WriteThroughBBB(BBBScheme):
     # boundaries alike — same full contract as stock BBB.
     ordering_contract=ORDERING_ALL,
     display="BBB (no coalescing)",
-    doc="write-through BBB ablation: force-drain every persisting store",
+    doc="write-through BBB ablation: drain every persisting store as it "
+        "allocates",
     replace=True,
 )
 def build_write_through_bbb(cls, entries, drain_threshold=0.75):
-    from repro.sim.config import BBBConfig
+    from repro.sim.config import BBBConfig, DrainPolicy
 
     return cls(BBBConfig(entries=entries, drain_threshold=drain_threshold,
-                         memory_side=True))
+                         drain_policy=DrainPolicy.EAGER, memory_side=True))
 
 
 def main() -> int:
@@ -104,6 +100,23 @@ def main() -> int:
           f"vs {BBB}={baseline.stats.nvmm_writes} ({ratio:.2f}x)")
     if ablation.stats.nvmm_writes < baseline.stats.nvmm_writes:
         print("error: write-through ablation wrote less than coalescing BBB")
+        return 1
+
+    # The observed run's events must reconcile with its counters, and a
+    # write-through drain is a plain drain: forced drains count only the
+    # LLC's dirty-inclusion drains.
+    from repro.obs.profile import profile_run
+
+    profile = profile_run("hashmap", SCHEME_NAME, entries=8, spec=spec,
+                          config=config)
+    print(f"profile: {profile.stats.bbpb_drains} drains, "
+          f"{profile.stats.bbpb_forced_drains} forced, "
+          f"reconciled={profile.ok}")
+    if not profile.ok:
+        print("error: the profiled run's events and stats disagree")
+        return 1
+    if profile.stats.bbpb_forced_drains:
+        print("error: write-through drains counted as forced drains")
         return 1
 
     # 2. The crash checker applies the contract the registration declared.

@@ -11,11 +11,11 @@ Commands:
 * ``trace``   — generate a workload trace and save it to a file.
 * ``traffic`` (alias ``serve``) — request-driven serving: sweep offered
   load across schemes and report the throughput-vs-load curve with
-  p50/p99/p999 request latency per scheme (``repro.traffic/v3`` JSON
+  p50/p99/p999 request latency per scheme (``repro.traffic/v4`` JSON
   via ``--out``).
 * ``drill``   — crash-recovery drills: crash the traffic frontend at
   seeded op visits, recover, and account for every request; reports
-  RPO/RTO per scheme (``repro.drill/v2``) and exits non-zero if a
+  RPO/RTO per scheme (``repro.drill/v3``) and exits non-zero if a
   battery-domain scheme loses an acked request.
 * ``bench``   — analytical tolerance gate: the closed-form estimates of a
   fixed six-cell grid must sit inside the declared band of the discrete
@@ -441,13 +441,7 @@ def _traffic_spec(args, offered_load: float):
         requests=args.requests,
         tenants=tenants,
         zipf_theta=args.zipf,
-        arrival=args.arrival,
         offered_load=offered_load,
-        clients=args.clients,
-        think_cycles=args.think,
-        burst_every=args.burst_every,
-        burst_len=args.burst_len,
-        burst_factor=args.burst_factor,
         seed=args.seed,
     )
 
@@ -455,7 +449,6 @@ def _traffic_spec(args, offered_load: float):
 def gate_traffic(args):
     # Imported here: the serving stack should not tax other commands.
     from repro.serve import TrafficSpec, render_curve, traffic_curve
-    from repro.serve.loadgen import ARRIVAL_CLOSED
     from repro.serve.report import smoke_failures
 
     if args.smoke:
@@ -467,10 +460,6 @@ def gate_traffic(args):
         return render_curve(report), report, failures
     schemes = _names(args.schemes, "scheme", list(TRAFFIC_DEFAULT_SCHEMES))
     loads = _loads(args.loads, TRAFFIC_DEFAULT_LOADS)
-    if args.arrival == ARRIVAL_CLOSED:
-        # Closed-loop rate is set by clients/think time, not offered load:
-        # one point per scheme.
-        loads = loads[:1]
     report = traffic_curve(schemes, _traffic_spec(args, loads[0]), loads,
                            entries=args.entries)
     return render_curve(report), report, []
@@ -485,8 +474,8 @@ def gate_drill(args):
         report = smoke_drill(seed=args.seed, progress=_progress)
     else:
         loads = _loads(args.loads, (2.0,))
-        spec = TrafficSpec(requests=args.requests, arrival=args.arrival,
-                           offered_load=loads[0], seed=args.seed + 42)
+        spec = TrafficSpec(requests=args.requests, offered_load=loads[0],
+                           seed=args.seed + 42)
         report = run_drills(
             _names(args.schemes, "scheme", list(SCHEMES)), spec, loads,
             crashes=args.crashes, seed=args.seed, entries=args.entries,
@@ -883,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
               "schema/percentile failure",
         schemes=",".join(TRAFFIC_DEFAULT_SCHEMES),
         seed=(42, "request-stream seed"), entries=32,
-        out="the repro.traffic/v3 report",
+        out="the repro.traffic/v4 report",
     )
     p_traffic.add_argument("--loads", default=None, metavar="L1,L2,...",
                            help="offered loads in requests/kilocycle "
@@ -893,14 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 + ")")
     p_traffic.add_argument("--requests", type=int, default=150,
                            help="requests per measured point")
-    p_traffic.add_argument("--arrival", choices=["open", "closed"],
-                           default="open",
-                           help="open loop (Poisson arrivals) or closed "
-                                "loop (clients + think time)")
-    p_traffic.add_argument("--clients", type=int, default=8,
-                           help="closed loop: client population")
-    p_traffic.add_argument("--think", type=int, default=500,
-                           help="closed loop: mean think cycles")
     p_traffic.add_argument("--tenants", type=int, default=2,
                            help="tenant namespaces")
     p_traffic.add_argument("--keys", type=int, default=512,
@@ -910,12 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_traffic.add_argument("--read", type=float, default=0.70)
     p_traffic.add_argument("--update", type=float, default=0.25)
     p_traffic.add_argument("--insert", type=float, default=0.05)
-    p_traffic.add_argument("--burst-every", type=int, default=0,
-                           help="open loop: burst period in cycles (0=off)")
-    p_traffic.add_argument("--burst-len", type=int, default=0,
-                           help="open loop: burst length in cycles")
-    p_traffic.add_argument("--burst-factor", type=float, default=4.0,
-                           help="open loop: burst rate multiplier")
 
     _gate_parser(
         sub, gate_bench,
@@ -936,7 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
               "scheme loses an acked request or the mutant escapes",
         schemes="all", entries=16,
         seed=(7, "crash-point seed (traffic seed derives from it)"),
-        out="the repro.drill/v2 report",
+        out="the repro.drill/v3 report",
     )
     p_drill.add_argument("--loads", default=None, metavar="L1,L2,...",
                          help="offered loads in requests/kilocycle "
@@ -946,8 +921,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "schemes)")
     p_drill.add_argument("--requests", type=int, default=60,
                          help="requests per drilled run")
-    p_drill.add_argument("--arrival", choices=["open", "closed"],
-                         default="open")
     p_drill.add_argument("--mutants", default=None, metavar="A,B,...",
                          help="deliberately broken variants to drill "
                               "(see repro.check.mutants.MUTANTS)")

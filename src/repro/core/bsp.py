@@ -102,8 +102,10 @@ class BSP(PersistencyScheme):
     # ------------------------------------------------------------------
     def _drain_through(self, holder: int, block_addr: int, now: int) -> int:
         """Persist the holder's buffered stores up to and including
-        ``block_addr`` (BSP's bulk persist); returns the delay imposed on
-        the remote request."""
+        ``block_addr`` (BSP's bulk persist), counted in
+        ``bsp_conflict_drains`` whether a remote request, an LLC eviction
+        or an explicit flush asked; returns the delay imposed on the
+        asking request (an eviction ignores it)."""
         buf = self.buffers[holder]
         if not buf.contains(block_addr):
             return 0

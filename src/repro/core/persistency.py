@@ -552,7 +552,6 @@ class BEP(PersistencyScheme):
         self._buffers: List[List[Tuple[int, int, BlockData, int]]] = []
         self._epoch: List[int] = []
         self._drain_busy_until: List[int] = []
-        self.epoch_stalls = 0
 
     def attach(self, hierarchy: "MemoryHierarchy") -> None:
         super().attach(hierarchy)
@@ -610,7 +609,6 @@ class BEP(PersistencyScheme):
             t = self._drain_one(core, t)
         stall = max(0, t - now)
         if stall:
-            self.epoch_stalls += 1
             self.hierarchy.stats.core[core].stall_cycles_epoch += stall
         self._epoch[core] += 1
         return stall

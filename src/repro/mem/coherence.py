@@ -14,30 +14,16 @@ allocates a block.
 
 The protocol *actions* (data movement, state changes, drains) are executed
 by :class:`repro.mem.hierarchy.MemoryHierarchy`; this module only tracks
-who-has-what and exposes the coherence event vocabulary used by tests and
-stats.
+who-has-what.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.check.schedule import NULL_SCHEDULE, SITE_FORCED_DRAIN
 from repro.fault.injector import NULL_INJECTOR
-
-
-class CoherenceEvent(enum.Enum):
-    """Protocol transaction types (terminology follows [83] and Fig. 6)."""
-
-    READ = "Rd"               # GetS
-    READ_EXCLUSIVE = "RdX"    # GetM with data
-    UPGRADE = "Upgr"          # GetM without data (S -> M)
-    INVALIDATE = "Inv"        # back-/remote invalidation
-    INTERVENTION = "Int"      # downgrade request to an M owner
-    WRITEBACK = "WB"
-    FORCED_DRAIN = "ForcedDrain"  # LLC dirty-inclusion drain of a bbPB block
 
 
 @dataclass
@@ -76,8 +62,6 @@ class DrainMessageChannel:
     def __init__(self, injector=NULL_INJECTOR, schedule=NULL_SCHEDULE) -> None:
         self.injector = injector
         self.schedule = schedule
-        self.dropped = 0
-        self.delayed = 0
 
     def deliver(self, buf, block_addr: int, now: int) -> Tuple[bool, int]:
         """Deliver a forced-drain request for ``block_addr`` to bbPB
@@ -92,9 +76,7 @@ class DrainMessageChannel:
             spec = self.injector.on_forced_drain(buf.core_id, block_addr, now)
             if spec is not None:
                 if spec.fault == "drop":
-                    self.dropped += 1
                     return False, now
-                self.delayed += 1
                 now += int(spec.param("cycles", 100))
         return True, buf.force_drain(block_addr, now)
 

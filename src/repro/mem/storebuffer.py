@@ -88,17 +88,6 @@ class StoreBuffer:
             )
         return entry
 
-    def pop_any(self, index: int, now: int = 0) -> SBEntry:
-        """Remove an arbitrary entry (relaxed consistency: out-of-order
-        release to the L1D)."""
-        entry = self._fifo[index]
-        del self._fifo[index]
-        if self._bus.enabled:
-            self._bus.emit(
-                SbRelease(now, self.core_id, entry.addr, len(self._fifo))
-            )
-        return entry
-
     def forward(self, addr: int, size: int) -> Optional[int]:
         """Store-to-load forwarding: youngest fully-covering store wins.
 

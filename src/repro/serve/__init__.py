@@ -9,9 +9,8 @@ approaches saturation?
 Four layers:
 
 * :mod:`repro.serve.loadgen` — synthetic client sessions: Zipf-skewed
-  keys, YCSB-style read/update/insert mixes, burst phases, multi-tenant
-  namespaces, and open- (Poisson arrivals) or closed-loop (clients with
-  think time) arrival processes.  Pure request objects, no memory ops.
+  keys, YCSB-style read/update/insert mixes, multi-tenant namespaces,
+  and open-loop Poisson arrivals.  Pure request objects, no memory ops.
 * :mod:`repro.serve.kvservice` — a tenant-namespaced chained-hash KV
   store over the persistent heap that lowers each request to the exact
   load/store/compute sequence a server thread would execute, and routes
@@ -22,13 +21,13 @@ Four layers:
   core's clock.  :func:`~repro.serve.frontend.run_traffic` measures one
   (scheme, offered load) point; :func:`~repro.serve.frontend.
   traffic_curve` sweeps a load grid across schemes into the versioned
-  ``repro.traffic/v3`` report (:mod:`repro.serve.report`).  Every
+  ``repro.traffic/v4`` report (:mod:`repro.serve.report`).  Every
   request is served: queues are unbounded, so overload shows up as
   queueing delay in the tail.
 * :mod:`repro.serve.drill` — crash-recovery drills: crash a traffic run
   at a seeded op visit, drain/repair/restart, classify every request
   (acked-durable / acked-lost / unacked-lost / retried-duplicate), and
-  report RPO/RTO per scheme in the versioned ``repro.drill/v2`` report.
+  report RPO/RTO per scheme in the versioned ``repro.drill/v3`` report.
 
 Everything is deterministic in ``TrafficSpec.seed``: two runs of the same
 spec against the same scheme produce identical traces, latencies, and

@@ -53,8 +53,7 @@ from repro.core.recovery import (ACKED_LOST, REQUEST_OUTCOMES, RequestVerdict,
 from repro.core.registry import scheme_info
 from repro.obs.latency import LatencyHistogram, LatencyRecorder, \
     percentile_summary
-from repro.serve.frontend import (LoopStats, _closed_loop, _open_loop,
-                                  default_traffic_config)
+from repro.serve.frontend import _open_loop, default_traffic_config
 from repro.serve.kvservice import KVService
 from repro.serve.loadgen import Request, TrafficSpec, iter_requests
 
@@ -69,7 +68,7 @@ __all__ = [
     "validate_drill_report",
 ]
 
-DRILL_SCHEMA = "repro.drill/v2"
+DRILL_SCHEMA = "repro.drill/v3"
 
 #: Prose embedded in every report so a drill file is self-describing.
 SCHEMA_DOC = (
@@ -108,11 +107,7 @@ def _drive(system, service: KVService, spec: TrafficSpec,
     performs the crash drain, so the returned result's durable image is
     post-drain.  Returns ``(LoopStats, RunResult)``."""
     session = system.stream()
-    if requests is not None or spec.open_loop:
-        stats = _open_loop(session, service, spec, recorder,
-                           requests=requests)
-    else:
-        stats = _closed_loop(session, service, spec, recorder)
+    stats = _open_loop(session, service, spec, recorder, requests=requests)
     return stats, session.finish()
 
 
@@ -229,7 +224,6 @@ def execute_drill_unit(unit: DrillUnit, config=None) -> Dict[str, Any]:
     return {
         "scheme": info.name,
         "mutant": unit.mutant,
-        "arrival": spec.arrival,
         "offered_load": spec.offered_load,
         "crash_visit": unit.crash_visit,
         "crashed": crashed,
@@ -289,7 +283,7 @@ def run_drills(
     progress: Optional[Progress] = None,
 ) -> Dict[str, Any]:
     """Drill ``schemes`` (and ``mutants``) across ``loads`` x ``crashes``
-    seeded crash points; returns the ``repro.drill/v2`` report.
+    seeded crash points; returns the ``repro.drill/v3`` report.
 
     Crash points are drawn once per load and shared across schemes, so
     every scheme faces the identical crash schedule (the same design as
@@ -466,7 +460,7 @@ def _check(condition: bool, message: str) -> None:
 
 
 def validate_drill_report(report: Any) -> Dict[str, Any]:
-    """Validate a ``repro.drill/v2`` payload; returns it on success,
+    """Validate a ``repro.drill/v3`` payload; returns it on success,
     raises ``ValueError`` naming the first broken field otherwise."""
     _check(isinstance(report, dict), "payload is not an object")
     _check(report.get("schema") == DRILL_SCHEMA,

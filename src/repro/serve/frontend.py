@@ -1,4 +1,4 @@
-"""The traffic reactor: client sessions -> per-core op streams -> engine.
+"""The traffic reactor: client requests -> per-core op streams -> engine.
 
 :func:`run_traffic` measures one (scheme, traffic spec) point by driving
 an :class:`~repro.sim.engine.EngineStream` as an event loop:
@@ -8,29 +8,18 @@ an :class:`~repro.sim.engine.EngineStream` as an event loop:
   time**.  When a core starves (``pump()`` returns it), its clock is
   exactly the completion cycle of the request in flight — per-request
   latency with no per-op callbacks.
-* **Open loop** — requests carry absolute Poisson arrival cycles; a core
+* Requests carry absolute Poisson arrival cycles (open loop); a core
   whose next request has not arrived yet is ``advance``-d to the arrival
   (modelling the idle gap), and latency is ``completion − arrival``, so
   queueing delay under overload shows up in the tail exactly as it
   would at a real server.
-* **Closed loop** — a fixed client population; a completion schedules
-  the client's next request after an exponential think time.  Dispatch
-  is per-core FIFO in routing order: a freed core takes the
-  oldest-routed request, advancing to its ready cycle if needed; cores
-  with nothing routed go ``idle`` so they never block global progress,
-  and are woken when a request routes to them (or, if everything idles,
-  the reactor advances the earliest-ready core — the event-loop timer
-  step).
 
 Determinism: the load generator, the service routing, and the engine's
 streamed interleaving are all seeded/deterministic, so a (scheme, spec)
 pair always produces the same latencies and the same fingerprint-stable
 engine results, run to run and release to release.  Streams run on the
-same per-op engine as ``Engine.run``.  Open-loop runs use only
-``feed``/``advance``/``end``; closed-loop runs additionally use
-``idle``, whose wake policy has no materialized-trace equivalent (the
-run is still deterministic — it is just not claimed bit-identical to any
-``Engine.run`` invocation).
+same per-op engine as ``Engine.run`` and use only
+``feed``/``advance``/``end``.
 
 :func:`traffic_curve` sweeps offered load across schemes and packages
 the throughput-vs-load curve with p50/p99/p999 per scheme into the
@@ -39,17 +28,15 @@ versioned report (see :mod:`repro.serve.report`).
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (ClassVar, Deque, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import ClassVar, Deque, Dict, Iterable, List, Optional, Sequence
 
 from repro.api import build_system
 from repro.core.registry import canonical_name
 from repro.obs.latency import LatencyRecorder, percentile_summary
 from repro.serve.kvservice import KVService
-from repro.serve.loadgen import Request, TrafficSpec, iter_requests, think_time
+from repro.serve.loadgen import Request, TrafficSpec, iter_requests
 from repro.serve.report import build_report
 from repro.sim.config import SystemConfig
 
@@ -87,7 +74,6 @@ class TrafficPoint:
     """One (scheme, offered load) measurement."""
 
     scheme: str
-    arrival: str
     offered_load: float
     requests: int
     completed: int
@@ -112,7 +98,6 @@ class TrafficPoint:
     def to_payload(self) -> Dict[str, object]:
         return {
             "scheme": self.scheme,
-            "arrival": self.arrival,
             "offered_load": self.offered_load,
             "requests": self.requests,
             "completed": self.completed,
@@ -150,11 +135,7 @@ def run_traffic(
     service = KVService(cfg.mem, spec, cfg.num_cores)
     recorder = LatencyRecorder()
     session = system.stream()
-
-    if spec.open_loop:
-        stats = _open_loop(session, service, spec, recorder)
-    else:
-        stats = _closed_loop(session, service, spec, recorder)
+    stats = _open_loop(session, service, spec, recorder)
     result = session.finish()
 
     cycles = result.execution_cycles
@@ -169,7 +150,6 @@ def run_traffic(
     }
     return TrafficPoint(
         scheme=name,
-        arrival=spec.arrival,
         offered_load=spec.offered_load,
         requests=spec.requests,
         completed=stats.completed,
@@ -186,21 +166,8 @@ def run_traffic(
 
 
 # ----------------------------------------------------------------------
-# Reactor loops
+# The reactor loop
 # ----------------------------------------------------------------------
-
-def _complete(
-    session,
-    recorder: LatencyRecorder,
-    core: int,
-    request: Request,
-    arrival: int,
-) -> None:
-    latency = max(0, session.clock(core) - arrival)
-    recorder.record(
-        latency, _TENANT_KEY + request.tenant, _OP_KEY + request.op
-    )
-
 
 def _open_loop(
     session, service: KVService, spec: TrafficSpec,
@@ -236,7 +203,10 @@ def _open_loop(
             break
         request = in_flight[needy]
         if request is not None:
-            _complete(session, recorder, needy, request, request.arrival)
+            latency = max(0, session.clock(needy) - request.arrival)
+            recorder.record(
+                latency, _TENANT_KEY + request.tenant, _OP_KEY + request.op
+            )
             stats.completed += 1
             stats.acked_ids.append(request.request_id)
             in_flight[needy] = None
@@ -251,86 +221,6 @@ def _open_loop(
         session.advance(needy, nxt.arrival)
         session.feed(needy, service.ops_for(nxt))
         in_flight[needy] = nxt
-    stats.crashed = session.result.crashed
-    return stats
-
-
-def _closed_loop(
-    session, service: KVService, spec: TrafficSpec,
-    recorder: LatencyRecorder,
-) -> LoopStats:
-    n = service.num_cores
-    think_rng = random.Random(spec.seed ^ 0x7417E)
-    #: Per-client queues of that client's requests, in draw order.
-    client_queues: Dict[int, Deque[Request]] = {}
-    for request in iter_requests(spec):
-        client_queues.setdefault(request.client, deque()).append(request)
-    #: Per-core FIFO of (request, ready cycle), in routing order.
-    pending: List[Deque[Tuple[Request, int]]] = [deque() for _ in range(n)]
-    #: Request in flight per core, with its ready (arrival) cycle.
-    in_flight: List[Optional[Tuple[Request, int]]] = [None] * n
-    sleeping = [False] * n
-    stats = LoopStats()
-
-    def dispatch(core: int) -> bool:
-        """Feed ``core``'s oldest routed request; False if none queued."""
-        if not pending[core]:
-            return False
-        request, ready = pending[core].popleft()
-        session.advance(core, ready)
-        session.feed(core, service.ops_for(request))
-        in_flight[core] = (request, ready)
-        sleeping[core] = False
-        return True
-
-    def route(request: Request, ready: int) -> None:
-        core = service.core_of(request)
-        idle_now = sleeping[core] and in_flight[core] is None
-        pending[core].append((request, ready))
-        stats.note_depth(len(pending[core]))
-        if idle_now:
-            dispatch(core)
-
-    # Every client's first request is ready at cycle 0.
-    for client in sorted(client_queues):
-        queue = client_queues[client]
-        if queue:
-            route(queue.popleft(), 0)
-
-    while True:
-        needy = session.pump()
-        if needy is None:
-            if session.result.crashed:
-                break
-            # Everyone is idle: either done, or all queued requests are
-            # in the future — wake the earliest (the timer step).
-            best_core = -1
-            best_ready = 0
-            for core in range(n):
-                if pending[core]:
-                    ready = pending[core][0][1]
-                    if best_core < 0 or ready < best_ready:
-                        best_core, best_ready = core, ready
-            if best_core < 0:
-                break
-            dispatch(best_core)
-            continue
-        flight = in_flight[needy]
-        if flight is not None:
-            request, ready = flight
-            _complete(session, recorder, needy, request, ready)
-            stats.completed += 1
-            stats.acked_ids.append(request.request_id)
-            in_flight[needy] = None
-            # The client thinks, then issues its next request.
-            queue = client_queues.get(request.client)
-            if queue:
-                now = session.clock(needy)
-                route(queue.popleft(), now + think_time(spec, think_rng))
-        if not dispatch(needy):
-            # Nothing routed here right now; requests may arrive later.
-            session.idle(needy)
-            sleeping[needy] = True
     stats.crashed = session.result.crashed
     return stats
 

@@ -20,13 +20,14 @@ on the same core (as a partitioned server would shard it) and repeated
 runs of one spec produce identical per-core op streams.
 
 The service keeps a Python-side model (bucket heads, node contents) so
-op values are exact, and exposes ``make_checker`` with the same durable
-chain-walk invariant as the hashmap workload.
+op values are exact, and :meth:`KVService.recovery_scan` walks the
+durable chains against it with the same invariant as the hashmap
+workload's checker.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.serve.loadgen import (
     OP_INSERT,
@@ -235,46 +236,8 @@ class KVService:
         self.persisting_stores += 4
 
     # ------------------------------------------------------------------
-    # Recovery checking (same invariant as the hashmap workload)
+    # Recovery (same invariant as the hashmap workload)
     # ------------------------------------------------------------------
-    def make_checker(self) -> Callable:
-        """Durable chain walk: every node reachable from a durable bucket
-        head must be fully initialised with the model's key/value."""
-        snapshots = [
-            (store, dict(store.nodes),
-             [store.bucket_addr(b) for b in range(store.buckets)])
-            for store in self._stores.values()
-        ]
-
-        def checker(system, result) -> Tuple[bool, List[str]]:
-            media = system.nvmm_media
-            violations: List[str] = []
-            for store, expected, bucket_addrs in snapshots:
-                for baddr in bucket_addrs:
-                    node = media.read_word(baddr)
-                    hops = 0
-                    while node and hops <= len(expected) + 1:
-                        if node not in expected:
-                            violations.append(
-                                f"tenant {store.name}: bucket 0x{baddr:x} "
-                                f"chain points to 0x{node:x}, not a node"
-                            )
-                            break
-                        key, value, _ = expected[node]
-                        if (media.read_word(node + 0) != key
-                                or media.read_word(node + 8) != value):
-                            violations.append(
-                                f"tenant {store.name}: node 0x{node:x} "
-                                f"reachable but not initialised — pointer "
-                                f"persisted before node"
-                            )
-                            break
-                        node = media.read_word(node + 16)
-                        hops += 1
-            return (not violations, violations)
-
-        return checker
-
     def recovery_scan(self, media) -> Dict[str, object]:
         """The chain-walk repair pass a recovery procedure performs over
         the durable image, as work counters.

@@ -9,19 +9,15 @@ batch traces:
   a small set of hot keys absorbs most of the traffic.
 * **Operation mix** — YCSB-style read/update/insert fractions per
   tenant.
-* **Arrival process** — open loop (Poisson arrivals at a configured
-  offered load, independent of completions) or closed loop (a fixed
-  client population with exponential think times; issue rate adapts to
-  service capacity).  Open-loop is what saturation/tail-latency curves
-  require; closed-loop is what an interactive service sees.
-* **Bursts** — a periodic multiplicative rate surge (open loop), the
-  classic diurnal/batch-arrival overload shape.
+* **Arrival process** — open loop: Poisson arrivals at a configured
+  offered load, independent of completions, which is what
+  saturation/tail-latency curves require.
 * **Tenants** — weighted namespaces; each request belongs to one tenant
   and reports latency under it.
 
 Everything derives from ``TrafficSpec.seed`` via one ``random.Random``;
 generation order is the only consumption contract (requests are yielded
-in arrival order for open loop and issue order for closed loop).
+in arrival order).
 """
 
 from __future__ import annotations
@@ -47,10 +43,6 @@ OP_READ = "read"
 OP_UPDATE = "update"
 OP_INSERT = "insert"
 OP_KINDS = (OP_READ, OP_UPDATE, OP_INSERT)
-
-ARRIVAL_OPEN = "open"
-ARRIVAL_CLOSED = "closed"
-_ARRIVALS = (ARRIVAL_OPEN, ARRIVAL_CLOSED)
 
 
 @dataclass(frozen=True)
@@ -91,22 +83,9 @@ class TrafficSpec:
     tenants: Tuple[TenantSpec, ...] = (TenantSpec("default"),)
     #: Zipf skew parameter theta in [0, 1): 0 = uniform, 0.99 = YCSB hot.
     zipf_theta: float = 0.9
-    #: ``open`` (Poisson arrivals at ``offered_load``) or ``closed``
-    #: (``clients`` with exponential ``think_cycles`` think time).
-    arrival: str = ARRIVAL_OPEN
-    #: Open loop: mean offered load, requests per 1000 cycles.
+    #: Mean offered load of the Poisson arrivals, requests per 1000
+    #: cycles.
     offered_load: float = 1.0
-    #: Closed loop: client population size.
-    clients: int = 8
-    #: Closed loop: mean think time between a completion and the client's
-    #: next request, in cycles.
-    think_cycles: int = 500
-    #: Open-loop burst phases: every ``burst_every`` cycles the arrival
-    #: rate is multiplied by ``burst_factor`` for ``burst_len`` cycles
-    #: (0 = no bursts).
-    burst_every: int = 0
-    burst_len: int = 0
-    burst_factor: float = 4.0
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -121,26 +100,8 @@ class TrafficSpec:
             raise ValueError(
                 f"zipf_theta must be in [0, 1), got {self.zipf_theta}"
             )
-        if self.arrival not in _ARRIVALS:
-            raise ValueError(
-                f"arrival must be one of {_ARRIVALS}, got {self.arrival!r}"
-            )
         if self.offered_load <= 0:
             raise ValueError("offered_load must be > 0")
-        if self.clients < 1:
-            raise ValueError("clients must be >= 1")
-        if self.think_cycles < 0:
-            raise ValueError("think_cycles must be >= 0")
-        if self.burst_every < 0 or self.burst_len < 0:
-            raise ValueError("burst_every/burst_len must be >= 0")
-        if self.burst_every and self.burst_len >= self.burst_every:
-            raise ValueError("burst_len must be shorter than burst_every")
-        if self.burst_factor <= 0:
-            raise ValueError("burst_factor must be > 0")
-
-    @property
-    def open_loop(self) -> bool:
-        return self.arrival == ARRIVAL_OPEN
 
     def with_load(self, offered_load: float) -> "TrafficSpec":
         """The same spec at a different offered load (curve sweeps)."""
@@ -156,11 +117,8 @@ class Request:
     tenant: str
     op: str
     key: int
-    #: Open loop: absolute arrival cycle.  Closed loop: 0 (the client's
-    #: issue time emerges from completions; the frontend stamps it).
-    arrival: int = 0
-    #: Closed loop: issuing client index (open loop: -1).
-    client: int = -1
+    #: Absolute arrival cycle.
+    arrival: int
 
 
 class ZipfSampler:
@@ -204,7 +162,7 @@ class ZipfSampler:
 
 
 class _TenantState:
-    """Per-tenant sampling state shared by both arrival modes."""
+    """Per-tenant sampling state."""
 
     __slots__ = ("spec", "zipf", "next_key")
 
@@ -236,19 +194,8 @@ def _pick_tenant(
     return states[-1]
 
 
-def _burst_rate(spec: TrafficSpec, now: float) -> float:
-    """Offered load (requests/kilocycle) in effect at cycle ``now``."""
-    rate = spec.offered_load
-    if spec.burst_every and spec.burst_len:
-        if (now % spec.burst_every) < spec.burst_len:
-            rate *= spec.burst_factor
-    return rate
-
-
 def iter_requests(spec: TrafficSpec) -> Iterator[Request]:
-    """The request stream of ``spec``, in arrival order (open loop) or
-    draw order (closed loop — the frontend stamps issue times as clients
-    become ready)."""
+    """The request stream of ``spec``, in arrival order."""
     rng = random.Random(spec.seed)
     states = [_TenantState(t, spec.zipf_theta) for t in spec.tenants]
     cumulative: List[float] = []
@@ -257,39 +204,17 @@ def iter_requests(spec: TrafficSpec) -> Iterator[Request]:
         acc += t.weight
         cumulative.append(acc)
 
-    if spec.open_loop:
-        now = 0.0
-        for rid in range(spec.requests):
-            # Poisson process with a piecewise-constant (burst) rate:
-            # exponential gap at the rate in effect when the gap starts.
-            rate = _burst_rate(spec, now) / 1000.0
-            now += rng.expovariate(rate)
-            state = _pick_tenant(rng, states, cumulative)
-            op, key = state.draw(rng)
-            yield Request(
-                request_id=rid,
-                tenant=state.spec.name,
-                op=op,
-                key=key,
-                arrival=int(now),
-            )
-    else:
-        for rid in range(spec.requests):
-            client = rid % spec.clients
-            state = _pick_tenant(rng, states, cumulative)
-            op, key = state.draw(rng)
-            yield Request(
-                request_id=rid,
-                tenant=state.spec.name,
-                op=op,
-                key=key,
-                client=client,
-            )
-
-
-def think_time(spec: TrafficSpec, rng: random.Random) -> int:
-    """One exponential closed-loop think-time draw (mean
-    ``spec.think_cycles``)."""
-    if spec.think_cycles == 0:
-        return 0
-    return int(rng.expovariate(1.0 / spec.think_cycles))
+    # Poisson process: exponential gaps at the offered load.
+    rate = spec.offered_load / 1000.0
+    now = 0.0
+    for rid in range(spec.requests):
+        now += rng.expovariate(rate)
+        state = _pick_tenant(rng, states, cumulative)
+        op, key = state.draw(rng)
+        yield Request(
+            request_id=rid,
+            tenant=state.spec.name,
+            op=op,
+            key=key,
+            arrival=int(now),
+        )

@@ -1,9 +1,9 @@
-"""The versioned ``repro.traffic/v3`` report: schema, validation, render.
+"""The versioned ``repro.traffic/v4`` report: schema, validation, render.
 
 The payload a traffic sweep produces::
 
     {
-      "schema": "repro.traffic/v3",
+      "schema": "repro.traffic/v4",
       "spec": { ...the TrafficSpec, flattened... },
       "schemes": ["bbb", "eadr", "pmem"],
       "loads": [0.5, 1.0, 2.0],
@@ -19,9 +19,11 @@ The payload a traffic sweep produces::
 ``points`` is the full measurement set (per-tenant and per-op breakdowns
 included, plus the deepest per-core queue, ``max_queue_depth``);
 ``curves`` is the derived throughput-vs-offered-load series front-ends
-plot.  v3 drops v2's overload accounting (``shed`` / ``timeouts`` /
+plot.  v3 dropped v2's overload accounting (``shed`` / ``timeouts`` /
 ``retries`` / ``shed_rate`` / ``degraded``): every request is served, so
-past saturation the queues and the tail grow instead.
+past saturation the queues and the tail grow instead.  v4 drops the
+points' ``arrival`` and the spec's closed-loop and burst fields: every
+run is open loop, at a constant offered load.
 :func:`validate_traffic_report` is the schema gate CI smoke-checks
 reports against; it raises ``ValueError`` with a pointed message rather
 than returning False, so failures name the broken field.
@@ -42,10 +44,10 @@ __all__ = [
     "validate_traffic_report",
 ]
 
-TRAFFIC_SCHEMA_VERSION = "repro.traffic/v3"
+TRAFFIC_SCHEMA_VERSION = "repro.traffic/v4"
 
 _POINT_REQUIRED = (
-    "scheme", "arrival", "offered_load", "requests", "completed",
+    "scheme", "offered_load", "requests", "completed",
     "execution_cycles", "achieved_load", "latency", "tenants", "ops",
     "crashed", "max_queue_depth",
 )
@@ -60,7 +62,7 @@ def build_report(
     loads: Sequence[float],
     points: Sequence,
 ) -> Dict[str, object]:
-    """Assemble the ``repro.traffic/v3`` payload from measured points."""
+    """Assemble the ``repro.traffic/v4`` payload from measured points."""
     curves: Dict[str, List[Dict[str, object]]] = {name: [] for name in schemes}
     payloads = []
     for point in points:
@@ -102,7 +104,7 @@ def _check_latency_block(block: object, where: str) -> None:
 
 
 def validate_traffic_report(report: object) -> Dict[str, object]:
-    """Validate a ``repro.traffic/v3`` payload; returns it on success,
+    """Validate a ``repro.traffic/v4`` payload; returns it on success,
     raises ``ValueError`` naming the first broken field otherwise."""
     _check(isinstance(report, dict), "payload is not an object")
     _check(

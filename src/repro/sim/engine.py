@@ -352,18 +352,15 @@ class EngineStream:
 
     * ``pump()`` executes ops only while the globally next key
       ``(clock, core)`` belongs to a core with buffered work.  When the
-      next key belongs to a core whose queue is empty (and that has not
-      been :meth:`end`-ed or marked :meth:`idle`), the pump *starves* and
-      returns that core's index — backpressure telling the caller which
-      stream the engine needs next.  This is what makes any chunking of
-      the feeds bit-identical to feeding every op up front, as
-      :meth:`Engine.run` does: an op fed later to the starved core could
-      order before anything currently buffered elsewhere.
+      next key belongs to a core whose queue is empty and that has not
+      been :meth:`end`-ed, the pump *starves* and returns that core's
+      index — backpressure telling the caller which stream the engine
+      needs next.  This is what makes any chunking of the feeds
+      bit-identical to feeding every op up front, as :meth:`Engine.run`
+      does: an op fed later to the starved core could order before
+      anything currently buffered elsewhere.
     * ``feed(core, ops)`` appends ops to a core's queue; ``end(core)``
-      declares a stream complete; ``idle(core)`` temporarily removes a
-      core from the starvation barrier (closed-loop serving: the core has
-      no request in flight, so it cannot block global progress — a later
-      ``feed`` re-arms it).
+      declares a stream complete.
     * ``advance(core, cycle)`` moves an (empty-queued) core's clock
       forward to a request arrival time, modelling the gap between
       requests in an open-loop workload.
@@ -390,7 +387,6 @@ class EngineStream:
         self.executed = 0
         self._pending: List[Deque[TraceOp]] = [deque() for _ in range(n)]
         self._ended = [False] * n
-        self._idle = [False] * n
         self._finished = False
         schedule = engine.hierarchy.crash_schedule
         self._schedule = schedule
@@ -416,13 +412,12 @@ class EngineStream:
         return self.clocks[core]
 
     def feed(self, core: int, ops: Iterable[TraceOp]) -> None:
-        """Append ops to ``core``'s queue (clears an ``idle`` mark)."""
+        """Append ops to ``core``'s queue."""
         if self._finished:
             raise RuntimeError("stream already finished")
         self._check_core(core)
         if self._ended[core]:
             raise ValueError(f"core {core} already ended")
-        self._idle[core] = False
         self._pending[core].extend(ops)
 
     def end(self, core: int) -> None:
@@ -430,15 +425,6 @@ class EngineStream:
         once its queue drains, and may not be fed again."""
         self._check_core(core)
         self._ended[core] = True
-        self._idle[core] = False
-
-    def idle(self, core: int) -> None:
-        """Remove an empty-queued core from the starvation barrier until
-        the next :meth:`feed` (closed-loop: no request in flight)."""
-        self._check_core(core)
-        if self._pending[core]:
-            raise ValueError(f"core {core} has buffered ops; cannot idle")
-        self._idle[core] = True
 
     def advance(self, core: int, cycle: int) -> None:
         """Move an empty-queued core's clock forward to ``cycle`` (no-op
@@ -453,9 +439,8 @@ class EngineStream:
     def pump(self) -> Optional[int]:
         """Execute every buffered op that can run without violating the
         global interleaving.  Returns the index of the core the engine
-        starved on (feed, idle, or end it, then pump again), or ``None``
-        when nothing blocks progress — every non-ended core is idle or
-        the session is fully drained (or crashed)."""
+        starved on (feed or end it, then pump again), or ``None`` once
+        every core is ended and drained (or the run crashed)."""
         if self._finished:
             raise RuntimeError("stream already finished")
         if self.result.crashed:
@@ -465,16 +450,15 @@ class EngineStream:
         clocks = self.clocks
         pending = self._pending
         ended = self._ended
-        idle = self._idle
         fo = self.flush_outstanding
         schedule_on = self._schedule_on
         schedule = self._schedule
         executed = self.executed
         # Min-heap of (clock, core): the smallest clock wins, ties break
         # toward the lower core index.  Cores with an empty queue that are
-        # neither ended nor idle stay in the heap as barriers.
+        # not ended stay in the heap as barriers.
         heap = [(clocks[c], c) for c in range(self.num_cores)
-                if pending[c] or not (ended[c] or idle[c])]
+                if pending[c] or not ended[c]]
         heapq.heapify(heap)
         while heap:
             clock, core = heapq.heappop(heap)
@@ -504,7 +488,7 @@ class EngineStream:
                     return None
                 if not queue or (limit is not None and clock >= limit):
                     break
-            if queue or not (ended[core] or idle[core]):
+            if queue or not ended[core]:
                 heapq.heappush(heap, (clock, core))
         self.executed = executed
         return None
@@ -524,7 +508,6 @@ class EngineStream:
             return self.result
         for core in range(self.num_cores):
             self._ended[core] = True
-            self._idle[core] = False
         self.pump()
         self._finished = True
         engine = self.engine

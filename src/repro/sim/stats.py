@@ -110,7 +110,9 @@ class SimStats:
     flushes: int = 0
     fences: int = 0
     epoch_barriers: int = 0
-    bsp_conflict_drains: int = 0  # BSP: drains forced by remote requests
+    # BSP drain-throughs of a buffered block, whichever asked: a remote
+    # request, an LLC eviction or an explicit flush.
+    bsp_conflict_drains: int = 0
 
     # PoV/PoP gap instrumentation: cycles between a persisting store
     # becoming visible (L1D write) and becoming durable.  BBB closes the

@@ -97,6 +97,25 @@ class TestPersistBeforeRespond:
         bx = x & ~(two_core_config.block_size - 1)
         assert system.nvmm_media.write_counts[bx] == 1
 
+    def test_conflict_drains_count_eviction_drain_throughs(self):
+        """``bsp_conflict_drains`` counts every drain-through, not only
+        those remote requests force: one thread has no remote requester
+        and issues no flush, yet its LLC evictions drain through
+        buffered blocks."""
+        from repro.sim.config import SystemConfig
+        from repro.workloads.base import WorkloadSpec, registry
+
+        config = SystemConfig(num_cores=4).scaled_for_testing()
+        spec = WorkloadSpec(threads=1, ops=60, elements=512, seed=11)
+        workload = registry(config.mem, spec)["ctree"]
+        system = build_system("bsp", config=config, entries=8)
+        trace = workload.build()
+        workload.seed_media(system.nvmm_media)
+        stats = system.run(trace).stats
+        assert stats.flushes == 0
+        assert stats.llc_evictions > 0
+        assert stats.bsp_conflict_drains > 0
+
 
 class TestCrashSemantics:
     def test_crash_loses_buffered_stores(self, small_config):

@@ -190,7 +190,8 @@ def test_drain_channel_drop_keeps_entry_resident():
     buf = _FakeBuffer()
     delivered, _ = channel.deliver(buf, 0x1000, now=10)
     assert not delivered and buf.drained == []
-    assert channel.dropped == 1
+    assert [(r.site, r.fault, r.addr, r.cycle) for r in injector.injected] \
+        == [(SITE_FORCED_DRAIN, "drop", 0x1000, 10)]
     # The single-shot fault has passed: the next message goes through.
     delivered, done = channel.deliver(buf, 0x1040, now=20)
     assert delivered and buf.drained == [0x1040] and done == 25
@@ -201,11 +202,13 @@ def test_drain_channel_delay_postpones_delivery():
         FaultSpec(site=SITE_FORCED_DRAIN, fault="delay",
                   params=(("cycles", 30),)),
     ))
-    channel = DrainMessageChannel(FaultInjector(plan))
+    injector = FaultInjector(plan)
+    channel = DrainMessageChannel(injector)
     buf = _FakeBuffer()
     delivered, done = channel.deliver(buf, 0x1000, now=10)
     assert delivered and done == 10 + 30 + 5
-    assert channel.delayed == 1
+    assert [(r.site, r.fault, r.addr, r.cycle) for r in injector.injected] \
+        == [(SITE_FORCED_DRAIN, "delay", 0x1000, 10)]
 
 
 # ----------------------------------------------------------------------

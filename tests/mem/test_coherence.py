@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mem.coherence import CoherenceEvent, Directory, DirectoryEntry
+from repro.mem.coherence import Directory, DirectoryEntry
 
 
 @pytest.fixture
@@ -81,9 +81,3 @@ class TestPresence:
 
     def test_eviction_without_entry_is_noop(self, directory):
         directory.record_l1_eviction(0x40, 0)  # must not raise
-
-
-class TestEventVocabulary:
-    def test_events_exist(self):
-        names = {e.value for e in CoherenceEvent}
-        assert {"Rd", "RdX", "Upgr", "Inv", "Int", "WB", "ForcedDrain"} <= names

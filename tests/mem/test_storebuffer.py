@@ -39,15 +39,6 @@ class TestOrdering:
         e2 = sb.push(0x108, 2, 8, False)
         assert e2.seq > e1.seq
 
-    def test_pop_any_removes_middle(self):
-        sb = StoreBuffer(4)
-        sb.push(0x100, 1, 8, False)
-        sb.push(0x108, 2, 8, False)
-        sb.push(0x110, 3, 8, False)
-        entry = sb.pop_any(1)
-        assert entry.value == 2
-        assert [e.value for e in sb.entries()] == [1, 3]
-
 
 class TestForwarding:
     def test_forward_exact_match(self):

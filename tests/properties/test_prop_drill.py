@@ -25,7 +25,6 @@ sessions = st.fixed_dictionaries({
     "requests": st.integers(min_value=8, max_value=24),
     "seed": st.integers(min_value=0, max_value=2 ** 16),
     "offered_load": st.sampled_from([0.5, 2.0, 8.0]),
-    "arrival": st.sampled_from(["open", "closed"]),
 })
 
 

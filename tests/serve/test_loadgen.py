@@ -1,5 +1,5 @@
 """Load-generator tests: spec validation, determinism, skew, mixes,
-arrival processes, bursts."""
+Poisson arrivals."""
 
 import random
 from collections import Counter
@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.serve.loadgen import (OP_KINDS, Request, TenantSpec, TrafficSpec,
-                                 ZipfSampler, iter_requests, think_time)
+                                 ZipfSampler, iter_requests)
 
 
 # ----------------------------------------------------------------------
@@ -25,12 +25,7 @@ def test_tenant_fractions_must_sum_to_one():
     {"tenants": ()},
     {"tenants": (TenantSpec("a"), TenantSpec("a"))},
     {"zipf_theta": 1.0},
-    {"arrival": "batch"},
     {"offered_load": 0.0},
-    {"clients": 0},
-    {"think_cycles": -1},
-    {"burst_every": 100, "burst_len": 100},
-    {"burst_factor": 0.0},
 ])
 def test_traffic_spec_validation(kwargs):
     with pytest.raises(ValueError):
@@ -68,14 +63,7 @@ def test_open_loop_arrivals_are_monotone():
     assert all(isinstance(r, Request) for r in reqs)
     arrivals = [r.arrival for r in reqs]
     assert arrivals == sorted(arrivals)
-    assert all(r.client == -1 for r in reqs)
     assert {r.op for r in reqs} <= set(OP_KINDS)
-
-
-def test_closed_loop_assigns_clients_round_robin():
-    reqs = list(iter_requests(_spec(arrival="closed", clients=4)))
-    assert [r.client for r in reqs[:8]] == [0, 1, 2, 3, 0, 1, 2, 3]
-    assert all(r.arrival == 0 for r in reqs)
 
 
 def test_offered_load_scales_arrival_density():
@@ -83,18 +71,6 @@ def test_offered_load_scales_arrival_density():
     fast = list(iter_requests(_spec(offered_load=8.0)))[-1].arrival
     # 16x the load should compress the span by an order of magnitude.
     assert fast * 4 < slow
-
-
-def test_bursts_compress_arrivals_inside_the_window():
-    spec = _spec(requests=2000, offered_load=0.5, burst_every=4000,
-                 burst_len=1000, burst_factor=10.0)
-    reqs = list(iter_requests(spec))
-    in_burst = sum(1 for r in reqs if (r.arrival % 4000) < 1000)
-    # The burst window is 1/4 of the time at 10x the rate, so the
-    # arrival *density* inside it must clearly exceed the time share
-    # (gaps drawn outside a window can overshoot it, so the fraction
-    # stays below the naive 10:1 rate ratio).
-    assert in_burst > len(reqs) * 0.35
 
 
 def test_tenant_weights_shape_the_mix():
@@ -149,8 +125,3 @@ def test_zipf_validation():
         ZipfSampler(0, 0.5)
     with pytest.raises(ValueError):
         ZipfSampler(10, 1.0)
-
-
-def test_think_time_zero_mean_is_zero():
-    spec = _spec(arrival="closed", think_cycles=0)
-    assert think_time(spec, random.Random(1)) == 0

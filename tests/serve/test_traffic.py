@@ -1,4 +1,4 @@
-"""Traffic frontend tests: run determinism, both reactor loops, scheme
+"""Traffic frontend tests: run determinism, the reactor loop, scheme
 discrimination, the versioned report schema, and the KV service's
 routing/lowering invariants."""
 
@@ -24,15 +24,12 @@ TWO_TENANTS = TrafficSpec(
 # run_traffic
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("arrival", ["open", "closed"])
-def test_run_traffic_is_deterministic(arrival):
-    import dataclasses
-    spec = dataclasses.replace(SPEC, arrival=arrival)
-    a = run_traffic(BBB, spec, entries=16)
-    b = run_traffic(BBB, spec, entries=16)
+def test_run_traffic_is_deterministic():
+    a = run_traffic(BBB, SPEC, entries=16)
+    b = run_traffic(BBB, SPEC, entries=16)
     assert a.to_payload() == b.to_payload()
-    assert a.completed == spec.requests
-    assert a.latency["count"] == spec.requests
+    assert a.completed == SPEC.requests
+    assert a.latency["count"] == SPEC.requests
     assert a.latency["p50"] > 0
     assert a.latency["p50"] <= a.latency["p99"] <= a.latency["p999"]
 
@@ -64,29 +61,6 @@ def test_per_tenant_and_per_op_breakdowns():
     assert set(point.tenants) <= {"alpha", "beta"}
     assert sum(b["count"] for b in point.tenants.values()) == point.completed
     assert sum(b["count"] for b in point.ops.values()) == point.completed
-
-
-def test_closed_loop_completes_every_request():
-    import dataclasses
-    spec = dataclasses.replace(TWO_TENANTS, arrival="closed", clients=4,
-                               think_cycles=200)
-    point = run_traffic(EADR, spec, entries=16)
-    assert point.completed == spec.requests
-    assert not point.crashed
-
-
-def test_closed_loop_finishes_without_deadlines_or_retries():
-    """Twelve clients with no think time saturate the cores, yet the
-    reactor serves every request and ends: each completion re-issues at
-    most one request, and the timer step wakes the earliest queued one
-    when every core idles."""
-    import dataclasses
-    spec = dataclasses.replace(TrafficSpec(requests=60, seed=7),
-                               arrival="closed", clients=12, think_cycles=0)
-    point = run_traffic(BBB, spec, entries=16)
-    assert point.completed == spec.requests
-    assert point.latency["count"] == spec.requests
-    assert not point.crashed
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,16 @@ any order across cores, pumping after every feed, must reproduce the
 recorded fingerprint of the materialized run (full ``SimStats`` plus both
 persist-record streams) for every builtin scheme, under TSO and under
 relaxed consistency.  The manual-session tests pin the protocol itself
-(starve/feed/advance/idle/end/finish).
+(starve/feed/advance/end/finish), and a Hypothesis state machine
+interleaves every session call, ``advance`` among partial feeds
+included.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, precondition, rule)
 
 from repro.analysis.bench import fingerprint_run
 from repro.analysis.experiments import default_sim_config
@@ -86,7 +90,7 @@ def _bbb_session():
 def test_pump_starves_on_the_minimum_clock_core():
     _, session = _bbb_session()
     session.feed(0, [TraceOp.compute(100)])
-    # Core 1 (clock 0) blocks global progress until fed/ended/idled.
+    # Core 1 (clock 0) blocks global progress until fed or ended.
     needy = session.pump()
     assert needy is not None
     assert session.clock(needy) <= min(
@@ -119,19 +123,6 @@ def test_advance_moves_only_forward():
         session.advance(0, 1000)  # buffered ops pin the clock
 
 
-def test_idle_requires_empty_queue_and_feed_rearms():
-    _, session = _bbb_session()
-    session.feed(0, [TraceOp.compute(5)])
-    with pytest.raises(ValueError):
-        session.idle(0)
-    for core in range(1, session.num_cores):
-        session.idle(core)
-    assert session.pump() == 0  # idle cores no longer starve the pump
-    session.feed(1, [TraceOp.compute(5)])  # re-arms core 1
-    session.end(0)
-    assert session.pump() == 1
-
-
 def test_finish_is_terminal():
     system, session = _bbb_session()
     session.feed(0, [TraceOp.compute(5)])
@@ -154,10 +145,9 @@ def test_feed_after_end_rejected():
 @pytest.mark.parametrize("call", [
     lambda s, c: s.feed(c, [TraceOp.compute(1)]),
     lambda s, c: s.end(c),
-    lambda s, c: s.idle(c),
     lambda s, c: s.advance(c, 10),
     lambda s, c: s.clock(c),
-], ids=["feed", "end", "idle", "advance", "clock"])
+], ids=["feed", "end", "advance", "clock"])
 def test_core_outside_the_system_rejected(call):
     """``-1`` must not wrap around to the last core, and ``num_cores`` must
     not surface as a bare ``IndexError``."""
@@ -167,3 +157,99 @@ def test_core_outside_the_system_rejected(call):
             call(session, core)
     assert [session.clock(c) for c in range(session.num_cores)] == \
         [0] * session.num_cores
+
+
+class EngineStreamMachine(RuleBasedStateMachine):
+    """Random interleavings of ``feed``/``pump``/``advance``/``end`` over
+    bbb on a golden TSO cell.  Without an ``advance`` the run must match
+    the cell's recorded fingerprint, however the feeds were cut."""
+
+    @initialize(workload=st.sampled_from(RELAXED_WORKLOADS))
+    def open_session(self, workload):
+        self.info = next(i for i in SCHEMES if i.name == BBB)
+        self.workload = workload
+        self.system, trace = cell_system(self.info, workload)
+        self.session = self.system.stream()
+        n = self.session.num_cores
+        self.ops = [trace.threads[c].ops if c < trace.num_threads else []
+                    for c in range(n)]
+        self.fed = [0] * n
+        self.ended = [False] * n
+        self.clocks = [0] * n
+        self.advanced = False
+
+    def _queued(self, core):
+        return len(self.session._pending[core])
+
+    def _cores(self, eligible):
+        return [c for c in range(self.session.num_cores) if eligible(c)]
+
+    def _feedable(self, core):
+        return not self.ended[core] and self.fed[core] < len(self.ops[core])
+
+    def _waiting(self, core):
+        return not self.ended[core] and not self._queued(core)
+
+    def _complete(self, core):
+        return not self.ended[core] and self.fed[core] == len(self.ops[core])
+
+    @precondition(lambda self: self._cores(self._feedable))
+    @rule(pick=st.integers(0, 7), n=st.integers(1, 32))
+    def feed(self, pick, n):
+        cores = self._cores(self._feedable)
+        core = cores[pick % len(cores)]
+        start = self.fed[core]
+        self.session.feed(core, self.ops[core][start:start + n])
+        self.fed[core] = min(start + n, len(self.ops[core]))
+
+    @rule()
+    def pump(self):
+        needy = self.session.pump()
+        if needy is None:
+            assert all(self.ended)
+            assert not any(self._queued(c)
+                           for c in range(self.session.num_cores))
+        else:
+            assert not self._queued(needy) and not self.ended[needy]
+
+    @precondition(lambda self: self._cores(self._waiting))
+    @rule(pick=st.integers(0, 7), delta=st.integers(-100, 500))
+    def advance(self, pick, delta):
+        """A target at or below the core's clock must leave it alone."""
+        cores = self._cores(self._waiting)
+        core = cores[pick % len(cores)]
+        self.session.advance(core, self.session.clock(core) + delta)
+        self.advanced = self.advanced or delta > 0
+
+    @precondition(lambda self: self._cores(self._complete))
+    @rule(pick=st.integers(0, 7))
+    def end(self, pick):
+        cores = self._cores(self._complete)
+        core = cores[pick % len(cores)]
+        self.session.end(core)
+        self.ended[core] = True
+
+    @invariant()
+    def clocks_never_decrease(self):
+        clocks = [self.session.clock(c) for c in range(self.session.num_cores)]
+        assert all(now >= before for now, before in zip(clocks, self.clocks))
+        self.clocks = clocks
+
+    @invariant()
+    def executed_is_fed_minus_queued(self):
+        queued = sum(self._queued(c) for c in range(self.session.num_cores))
+        assert self.session.executed == sum(self.fed) - queued
+
+    def teardown(self):
+        for core in range(self.session.num_cores):
+            if not self.ended[core]:
+                self.session.feed(core, self.ops[core][self.fed[core]:])
+                self.session.end(core)
+        result = self.session.finish(finalize=False)
+        if not self.advanced:
+            assert fingerprint_run(result) == golden(self.info, self.workload)
+
+
+TestEngineStreamMachine = EngineStreamMachine.TestCase
+TestEngineStreamMachine.settings = settings(
+    max_examples=20, stateful_step_count=30, deadline=None)

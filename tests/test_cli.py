@@ -485,13 +485,15 @@ class TestTrafficCommand:
         assert report["loads"] == [1.0, 4.0]
         assert_golden_report("traffic", out_file, tmp_path)
 
-    def test_serve_alias_and_closed_loop(self, capsys):
-        rc = main(["serve", "--arrival", "closed", "--clients", "4",
-                   "--loads", "1,2,4"] + self.FAST_TRAFFIC)
+    def test_serve_alias(self, capsys):
+        rc = main(["serve", "--loads", "1,2,4"] + self.FAST_TRAFFIC)
         assert rc == 0
         out = capsys.readouterr().out
-        # Closed loop has no offered-load axis: the sweep collapses.
+        # One block per scheme, with a row per offered load.
         assert out.count("bbb:") == 1
+        rows = out.split("bbb:")[1].split("\n\n")[0].strip().splitlines()
+        assert [row.split()[0] for row in rows[1:]] == \
+            ["1.000", "2.000", "4.000"]
 
     def test_unknown_scheme_rejected(self, capsys):
         rc = main(["traffic", "--schemes", "bogus"] + self.FAST_TRAFFIC)
