@@ -3,9 +3,12 @@
 The scheme registry (:mod:`repro.core.registry`) makes schemes plugins: a
 :func:`~repro.core.registry.register_scheme` call from *any* module makes
 the new scheme constructible through :func:`repro.api.build_system`,
-checkable by the crash-consistency model checker (its declared contract is
-picked up automatically), and runnable through a fault campaign — with
-zero edits to the core package.
+checkable by the crash-consistency model checker and the litmus battery,
+and runnable through a fault campaign — with zero edits to the core
+package.  The registration declares the scheme's crash semantics once:
+its ``persistency_model`` (the litmus battery's gate) and
+``exact_durability`` (from which the crash checker derives the ``exact``
+contract).
 
 The scheme here is a write-through BBB ablation, ``bbb-nocoalesce``: every
 persisting store's bbPB entry is drained as it allocates (the ``EAGER``
@@ -25,13 +28,13 @@ from repro.check.checker import CheckUnit, explore
 from repro.core.persistency import BBBScheme
 from repro.core.registry import (
     BBB,
-    CONTRACT_EXACT,
     MODEL_STRICT,
     ORDERING_ALL,
     register_scheme,
     scheme_info,
 )
 from repro.fault.campaign import canonical_plans, run_campaign
+from repro.sim.config import BBBConfig, DrainPolicy
 from repro.workloads.base import registry as workload_registry
 
 SCHEME_NAME = "bbb-nocoalesce"
@@ -53,14 +56,16 @@ class WriteThroughBBB(BBBScheme):
 @register_scheme(
     SCHEME_NAME,
     cls=WriteThroughBBB,
-    contract=CONTRACT_EXACT,
-    has_persist_buffer=True,
-    battery_domain=True,
-    accepted_kwargs=("drain_threshold",),
     # Draining early never weakens ordering: the ablation still persists
     # stores in visibility order, so it inherits BBB's strict model and
     # the litmus battery gates it below with zero core edits.
     persistency_model=MODEL_STRICT,
+    # PoV == PoP: every committed persist survives any crash, so the
+    # crash checker derives the exact contract and applies it below.
+    exact_durability=True,
+    has_persist_buffer=True,
+    battery_domain=True,
+    accepted_kwargs=("drain_threshold",),
     # The battery still covers every in-flight entry, so PoV == PoP holds
     # and the persist optimizer may elide flushes, fences, and epoch
     # boundaries alike — same full contract as stock BBB.
@@ -70,9 +75,8 @@ class WriteThroughBBB(BBBScheme):
         "allocates",
     replace=True,
 )
-def build_write_through_bbb(cls, entries, drain_threshold=0.75):
-    from repro.sim.config import BBBConfig, DrainPolicy
-
+def build_write_through_bbb(cls, entries,
+                            drain_threshold=BBBConfig.drain_threshold):
     return cls(BBBConfig(entries=entries, drain_threshold=drain_threshold,
                          drain_policy=DrainPolicy.EAGER, memory_side=True))
 

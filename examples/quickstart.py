@@ -12,7 +12,7 @@ This is the 60-second tour of the library:
 Run:  python examples/quickstart.py
 """
 
-from repro import SystemConfig, WorkloadSpec, build_system, registry
+from repro import BBBConfig, WorkloadSpec, build_system, registry
 from repro.analysis.experiments import default_sim_config, steady_state_nvmm_writes
 from repro.analysis.tables import render_table
 
@@ -24,7 +24,7 @@ def main() -> None:
     print(f"system: {config.num_cores} cores, "
           f"L1D {config.l1d.size_bytes // 1024} kB, "
           f"LLC {config.llc.size_bytes // 1024} kB, "
-          f"bbPB {config.bbb.entries} entries/core")
+          f"bbPB {BBBConfig.entries} entries/core")
 
     # The hashmap insertion workload from Table IV: every insert allocates
     # a node in the persistent heap and publishes it via the bucket head.

@@ -54,7 +54,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.registry import POP_FLUSH, scheme_info
 from repro.mem.block import block_address
 from repro.mem.hierarchy import C2C_EXTRA_CYCLES, STORE_COMMIT_CYCLES
-from repro.sim.config import SystemConfig
+from repro.sim.config import BBBConfig, SystemConfig
 from repro.sim.stats import CoreStats, SimStats
 from repro.sim.trace import OpKind, ProgramTrace
 
@@ -389,9 +389,8 @@ def _persist_model(info, config: SystemConfig, totals_t, runs_t, shared,
     pstores = sum(t["pstores"] for t in totals_t)
 
     if info.has_persist_buffer:
-        bbb_cfg = config.bbb
-        cap = entries if entries is not None else bbb_cfg.entries
-        threshold = max(1, int(cap * bbb_cfg.drain_threshold))
+        cap = entries if entries is not None else BBBConfig.entries
+        threshold = max(1, int(cap * BBBConfig.drain_threshold))
         # The interleave pass tracked FCFS threshold-drain buffers; read
         # its counts (they include cross-thread removes and re-allocation
         # after drains, which the pure closed form misses).
@@ -470,8 +469,8 @@ def analytical_estimate(
     runs_t, totals_t = _thread_runs(trace, config)
     persist_threshold = None
     if info.has_persist_buffer:
-        cap = entries if entries is not None else config.bbb.entries
-        persist_threshold = max(1, int(cap * config.bbb.drain_threshold))
+        cap = entries if entries is not None else BBBConfig.entries
+        persist_threshold = max(1, int(cap * BBBConfig.drain_threshold))
     clock, l1_miss, shared = _interleave_pass(
         runs_t, config, persist_threshold=persist_threshold)
 

@@ -54,7 +54,7 @@ from repro.core.recovery import (
     claimed_persists,
     exact_durability_violations,
 )
-from repro.core.registry import CONTRACT_EPOCH, DEFAULT_SCHEME, scheme_info
+from repro.core.registry import DEFAULT_SCHEME, MODEL_EPOCH, scheme_info
 from repro.mem.block import BlockData, block_address, block_offset
 
 #: Versioned schema identifier of the model-checker report / artifact.
@@ -434,10 +434,11 @@ def _verdict(
 
     violations = oracles.durability_violations(
         media, claimed_persists(ctx.unit.scheme, run))
-    if ctx.structural is not None and ctx.info.contract != CONTRACT_EPOCH:
+    if (ctx.structural is not None
+            and ctx.info.persistency_model != MODEL_EPOCH):
         # Structural workload invariants (e.g. "a published pointer's
         # target node is initialised") follow from per-core persist order,
-        # which prefix-or-stronger contracts promise.  Epoch-contract
+        # which prefix-or-stronger contracts promise.  Epoch-model
         # schemes legitimately break them mid-epoch, so the invariant is
         # not an oracle for them.
         ok, struct_violations = ctx.structural(crashed, run)

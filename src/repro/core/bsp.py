@@ -34,7 +34,7 @@ from typing import List, Optional
 
 from repro.core.bbpb import ProcessorSideBBPB
 from repro.core.drain import wpq_drain_sink
-from repro.core.persistency import PersistencyScheme, SchemeTraits
+from repro.core.persistency import PersistencyScheme
 from repro.mem.block import BlockData, CacheBlock
 from repro.obs.events import STALL_BBPB_FULL, StallBegin, StallEnd
 from repro.sim.config import BBBConfig
@@ -175,14 +175,3 @@ class BSP(PersistencyScheme):
         already drained."""
         for buf in self.buffers:
             buf.clear()
-
-    def traits(self) -> SchemeTraits:
-        return SchemeTraits(
-            name="BSP",
-            sw_complexity="Low",
-            persist_instructions="None",
-            hw_complexity="High",
-            strict_persistency_penalty="Medium",
-            battery="None",
-            pop_location="Mem",
-        )

@@ -1,9 +1,9 @@
 """Drain-policy helpers (Section III-F of the paper).
 
 The mechanics of draining live in :mod:`repro.core.bbpb`; this module
-provides the policy descriptions and convenience constructors used by the
-ablation benchmarks (``benchmarks/test_ablation_drain_policy.py``) and the
-threshold sweep (``benchmarks/test_ablation_threshold.py``).
+provides the drain sinks the bbPB classes write through, the drain-latency
+probe, and the policy descriptions and constructor used by the drain-policy
+ablation (``benchmarks/test_ablation_drain_policy.py``).
 
 The paper's chosen policy is **FCFS with an occupancy threshold**: keep the
 buffer as full as possible (maximising coalescing, which reduces NVMM
@@ -14,7 +14,6 @@ the paper found to work well.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Dict, List
 
 from repro.check.schedule import SITE_DRAIN
@@ -101,14 +100,6 @@ def config_for_policy(
         drain_policy=policy,
         memory_side=True,
     )
-
-
-def threshold_sweep_configs(
-    thresholds: List[float], entries: int = 32
-) -> Dict[float, BBBConfig]:
-    """Configurations for the drain-threshold ablation."""
-    base = BBBConfig(entries=entries)
-    return {t: replace(base, drain_threshold=t) for t in thresholds}
 
 
 class DrainLatencyProbe:

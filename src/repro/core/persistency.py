@@ -162,12 +162,6 @@ class PersistencyScheme:
         stall cycles imposed on the flushing core."""
         return 0
 
-    def wants_auto_flush(self) -> bool:
-        """Whether the scheme itself issues flush+fence per persisting store
-        (StrictPMEM).  Programmer-inserted FLUSH/FENCE trace ops are always
-        honoured by the hierarchy regardless of scheme."""
-        return False
-
     def on_epoch_boundary(self, core: int, now: int) -> int:
         """Epoch boundary reached; return stall cycles."""
         return 0
@@ -237,9 +231,6 @@ class PersistencyScheme:
         h.lose_volatile_state()
         return report
 
-    def traits(self) -> SchemeTraits:
-        raise NotImplementedError
-
     # -- introspection (used by invariant checks and tests) --------------
     def bbpb_for(self, core: int):
         return None
@@ -252,17 +243,6 @@ class NoPersistency(PersistencyScheme):
     """Volatile caches, no persist ordering: durability happens only through
     natural writebacks, i.e. in cache-replacement order.  Exists to
     demonstrate the inconsistency BBB prevents (Section II-A)."""
-
-    def traits(self) -> SchemeTraits:
-        return SchemeTraits(
-            name=self.name,
-            sw_complexity="n/a (not crash consistent)",
-            persist_instructions="n/a",
-            hw_complexity="None",
-            strict_persistency_penalty="n/a",
-            battery="None",
-            pop_location="NVMM (replacement order)",
-        )
 
 
 class EADR(PersistencyScheme):
@@ -312,25 +292,11 @@ class EADR(PersistencyScheme):
         return [ResidueBlock(False, -1, addr, data)
                 for addr, data in drained.items()]
 
-    def traits(self) -> SchemeTraits:
-        return SchemeTraits(
-            name="eADR",
-            sw_complexity="Low",
-            persist_instructions="None",
-            hw_complexity="Low",
-            strict_persistency_penalty="None",
-            battery="Large",
-            pop_location="L1D",
-        )
-
 
 class StrictPMEM(PersistencyScheme):
     """Intel PMEM-style strict persistency: every persisting store is
     followed by clwb+sfence, so the core stalls until the line reaches the
     WPQ (the PoP stays at the memory controller)."""
-
-    def wants_auto_flush(self) -> bool:
-        return True
 
     def on_persisting_store(
         self, core: int, block_addr: int, block_data: BlockData, now: int
@@ -344,17 +310,6 @@ class StrictPMEM(PersistencyScheme):
         # sfence: wait for acceptance plus the ack returning to the core.
         done += h.config.mem.mc_transfer_cycles
         return max(0, done - now)
-
-    def traits(self) -> SchemeTraits:
-        return SchemeTraits(
-            name="PMEM",
-            sw_complexity="High",
-            persist_instructions="clwb & fence",
-            hw_complexity="Low",
-            strict_persistency_penalty="High",
-            battery="None",
-            pop_location="WPQ/mem",
-        )
 
 
 class BBBScheme(PersistencyScheme):
@@ -377,13 +332,12 @@ class BBBScheme(PersistencyScheme):
 
     def __init__(self, bbb_config: Optional[BBBConfig] = None) -> None:
         super().__init__()
-        self._bbb_config = bbb_config
+        self.bbb_config = bbb_config or BBBConfig()
         self.buffers: List = []
 
     def attach(self, hierarchy: "MemoryHierarchy") -> None:
         super().attach(hierarchy)
-        cfg = self._bbb_config or hierarchy.config.bbb
-        self._bbb_config = cfg
+        cfg = self.bbb_config
         buffer_cls = MemorySideBBPB if cfg.memory_side else ProcessorSideBBPB
         schedule = hierarchy.crash_schedule
         self.buffers = [
@@ -396,11 +350,6 @@ class BBBScheme(PersistencyScheme):
             )
             for core in range(hierarchy.config.num_cores)
         ]
-
-    @property
-    def bbb_config(self) -> BBBConfig:
-        assert self._bbb_config is not None
-        return self._bbb_config
 
     # -- introspection ---------------------------------------------------
     def bbpb_for(self, core: int):
@@ -519,18 +468,6 @@ class BBBScheme(PersistencyScheme):
         for buf in self.buffers:
             buf.clear()
 
-    def traits(self) -> SchemeTraits:
-        side = "memory-side" if self.bbb_config.memory_side else "processor-side"
-        return SchemeTraits(
-            name=f"BBB ({side})",
-            sw_complexity="Low",
-            persist_instructions="None",
-            hw_complexity="Low",
-            strict_persistency_penalty="Low",
-            battery="Small",
-            pop_location="bbPB/L1D",
-        )
-
 
 class BEP(PersistencyScheme):
     """Buffered epoch persistency with *volatile* persist buffers (in the
@@ -625,34 +562,45 @@ class BEP(PersistencyScheme):
         for buf in self._buffers:
             buf.clear()
 
-    def traits(self) -> SchemeTraits:
-        return SchemeTraits(
-            name="BEP",
-            sw_complexity="Medium",
-            persist_instructions="epoch barriers",
-            hw_complexity="Medium",
-            strict_persistency_penalty="Medium",
-            battery="None",
-            pop_location="WPQ/mem",
-        )
-
 
 def table1_rows() -> List[SchemeTraits]:
-    """The qualitative comparison of Table I (PMEM, eADR, BBB; BSP is not
-    implementable without its paper's full protocol, we list the paper's
-    published row for completeness)."""
-    bsp = SchemeTraits(
-        name="BSP",
-        sw_complexity="Low",
-        persist_instructions="None",
-        hw_complexity="High",
-        strict_persistency_penalty="Medium",
-        battery="None",
-        pop_location="Mem",
-    )
+    """The paper's Table I: PMEM, BSP, eADR and memory-side BBB compared
+    on programmer burden, hardware cost and point of persistence."""
     return [
-        StrictPMEM().traits(),
-        bsp,
-        EADR().traits(),
-        BBBScheme(BBBConfig()).traits(),
+        SchemeTraits(
+            name="PMEM",
+            sw_complexity="High",
+            persist_instructions="clwb & fence",
+            hw_complexity="Low",
+            strict_persistency_penalty="High",
+            battery="None",
+            pop_location="WPQ/mem",
+        ),
+        SchemeTraits(
+            name="BSP",
+            sw_complexity="Low",
+            persist_instructions="None",
+            hw_complexity="High",
+            strict_persistency_penalty="Medium",
+            battery="None",
+            pop_location="Mem",
+        ),
+        SchemeTraits(
+            name="eADR",
+            sw_complexity="Low",
+            persist_instructions="None",
+            hw_complexity="Low",
+            strict_persistency_penalty="None",
+            battery="Large",
+            pop_location="L1D",
+        ),
+        SchemeTraits(
+            name="BBB (memory-side)",
+            sw_complexity="Low",
+            persist_instructions="None",
+            hw_complexity="Low",
+            strict_persistency_penalty="Low",
+            battery="Small",
+            pop_location="bbPB/L1D",
+        ),
     ]

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.registry import (
-    CONTRACT_EADR_EXACT,
     CONTRACT_EPOCH,
     CONTRACT_EXACT,
     CONTRACT_PREFIX,
@@ -277,11 +276,6 @@ CONTRACT_DOCS: Dict[str, str] = {
         "Every committed persisting store is durable byte-for-byte after a "
         "crash (PoV == PoP: battery-backed buffers or synchronous flushes "
         "close the visibility/persistence gap)."
-    ),
-    CONTRACT_EADR_EXACT: (
-        "Exact durability via a whole-hierarchy battery: everything that "
-        "reached any cache level is drained on power failure, so the durable "
-        "image equals the architecturally visible one."
     ),
     CONTRACT_PREFIX: (
         "Per-core prefix consistency only: each core's persisting stores "

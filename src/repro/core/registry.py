@@ -19,19 +19,26 @@ capability-driven dispatch cannot silently regress.
 Adding a scheme — including from entirely outside ``src/repro`` (see
 ``examples/custom_scheme.py``) — is one registration::
 
-    from repro.core.registry import register_scheme
+    from repro.core.registry import MODEL_STRICT, register_scheme
 
     @register_scheme(
-        "my-scheme", cls=MyScheme, contract="exact",
-        has_persist_buffer=True, battery_domain=True,
+        "my-scheme", cls=MyScheme, persistency_model=MODEL_STRICT,
+        exact_durability=True, has_persist_buffer=True, battery_domain=True,
         doc="what the scheme guarantees and how",
     )
     def _build_my_scheme(cls, entries):
         return cls(entries=entries)
 
 After that, ``build_system("my-scheme")`` builds it, the CLI accepts it,
-``check_scheme_contract`` applies the declared contract, and the crash
-checker / fault campaigns check it — with zero core edits.
+``check_scheme_contract`` applies the contract its declaration derives,
+and the crash checker / fault campaigns / litmus battery check it — with
+zero core edits.
+
+A scheme's crash semantics is declared once: ``persistency_model`` (the
+formal model its post-crash states must stay inside) plus
+``exact_durability`` (every committed persist survives a crash).  The
+crash checker's contract (:attr:`SchemeInfo.contract`) derives from those
+two; nothing declares it separately.
 """
 
 from __future__ import annotations
@@ -49,17 +56,14 @@ __all__ = [
     "BBB_PROC",
     "BEP",
     "BSP",
-    "CONTRACT_EADR_EXACT",
     "CONTRACT_EPOCH",
     "CONTRACT_EXACT",
-    "CONTRACT_KINDS",
     "CONTRACT_PREFIX",
     "DEFAULT_SCHEME",
     "EADR",
     "MODEL_EPOCH",
     "MODEL_PX86_TSO",
     "MODEL_STRICT",
-    "MODEL_UNDECLARED",
     "NONE",
     "ORDERING_ALL",
     "ORDERING_EPOCH",
@@ -102,14 +106,11 @@ NONE = "none"
 DEFAULT_SCHEME = BBB
 
 #: Consistency-contract kinds (the keys of
-#: :data:`repro.core.recovery.CONTRACT_DOCS`).
+#: :data:`repro.core.recovery.CONTRACT_DOCS`), derived per scheme by
+#: :attr:`SchemeInfo.contract`.
 CONTRACT_EXACT = "exact"
-CONTRACT_EADR_EXACT = "eadr-exact"
 CONTRACT_PREFIX = "prefix"
 CONTRACT_EPOCH = "epoch"
-CONTRACT_KINDS = (
-    CONTRACT_EXACT, CONTRACT_EADR_EXACT, CONTRACT_PREFIX, CONTRACT_EPOCH,
-)
 
 #: Point-of-persistence locations.  ``store-commit`` schemes claim a store
 #: durable the moment it commits (a battery covers the rest of the path);
@@ -139,13 +140,9 @@ _POP_LOCATIONS = (POP_STORE_COMMIT, POP_FLUSH)
 #:     epoch persistency — per core, every store of epoch N is durable
 #:     before any store of epoch N+1 persists; within an epoch stores
 #:     reorder and coalesce freely (any subset may be durable).  BEP.
-#: ``MODEL_UNDECLARED``
-#:     the scheme makes no claim; the litmus battery still reports where
-#:     its behaviors sit, but nothing is enforced.
 MODEL_STRICT = "strict"
 MODEL_PX86_TSO = "px86-tso"
 MODEL_EPOCH = "epoch"
-MODEL_UNDECLARED = ""
 PERSISTENCY_MODELS = (MODEL_STRICT, MODEL_PX86_TSO, MODEL_EPOCH)
 
 #: Ordering-contract vocabulary: the persist-instrumentation op kinds a
@@ -188,12 +185,15 @@ ORDERING_ALL = ORDERING_KINDS
 class SchemeInfo:
     """Everything the rest of the system needs to know about a scheme.
 
-    The descriptor is *capabilities, not names*: recovery reads
-    ``contract`` and ``pop``, the hierarchy reads ``battery_backed_sb``
-    (via the class attribute it mirrors), sweep drivers read ``entries``
-    applicability off ``has_persist_buffer``, the fault campaign reads
-    ``battery_domain``, and comparison front-ends read ``display`` /
-    ``comparison_baseline`` / ``crash_consistent``.
+    The descriptor is *capabilities, not names*, and each fact is
+    declared once: the litmus battery reads ``persistency_model``;
+    recovery reads ``pop`` and the ``contract`` derived from
+    ``persistency_model`` and ``exact_durability``; sweep drivers read
+    ``entries`` applicability off ``has_persist_buffer``; the fault
+    campaign reads ``battery_domain``; and comparison front-ends read
+    ``display`` / ``crash_consistent``.  Whether the store buffers are
+    battery-backed is the scheme class's ``battery_backed_sb`` attribute,
+    which the hierarchy reads directly.
     """
 
     #: Canonical name (stable string; what the CLI and reports use).
@@ -203,8 +203,16 @@ class SchemeInfo:
     #: ``factory(cls, entries, **kwargs) -> PersistencyScheme``.  ``cls``
     #: is passed explicitly so checker mutants can substitute a subclass.
     factory: Callable[..., "_p.PersistencyScheme"]
-    #: Consistency-contract kind (one of :data:`CONTRACT_KINDS`).
-    contract: str
+    #: The formal persistency-model class the scheme's observable crash
+    #: behaviors must stay inside (one of :data:`PERSISTENCY_MODELS`).
+    #: The litmus battery (``repro litmus``) enforces this declaration: a
+    #: scheme observing a post-crash durable state its declared model
+    #: forbids is a hard conformance failure.
+    persistency_model: str
+    #: True when every claimed persist is durable byte-for-byte at any
+    #: crash point (PoV == PoP, or PoP at the flush for ``pop=flush``):
+    #: the exact-durability oracle and the golden differential apply.
+    exact_durability: bool = False
     #: Point-of-persistence location (one of ``POP_STORE_COMMIT`` /
     #: ``POP_FLUSH``); see :func:`repro.core.recovery.claimed_persists`.
     pop: str = POP_STORE_COMMIT
@@ -213,23 +221,9 @@ class SchemeInfo:
     #: Whether a battery covers scheme state (bbPB entries, cache levels),
     #: i.e. whether battery-domain fault sites apply to it.
     battery_domain: bool = False
-    #: Whether the store buffers are battery-backed under this scheme
-    #: (mirrors the scheme class's ``battery_backed_sb`` attribute).
-    battery_backed_sb: bool = False
-    #: Whether comparison front-ends normalise against this scheme
-    #: (exactly one registered scheme should set it — eADR, the paper's
-    #: "Optimal" baseline).
-    comparison_baseline: bool = False
     #: False for schemes that exist to demonstrate inconsistency (``none``)
     #: — comparison drivers skip them.
     crash_consistent: bool = True
-    #: The formal persistency-model class the scheme's observable crash
-    #: behaviors must stay inside (one of :data:`PERSISTENCY_MODELS`, or
-    #: :data:`MODEL_UNDECLARED` for no claim).  The litmus battery
-    #: (``repro litmus``) enforces this declaration: a scheme observing a
-    #: post-crash durable state its declared model forbids is a hard
-    #: conformance failure.
-    persistency_model: str = MODEL_UNDECLARED
     #: The persist-instrumentation op kinds (members of
     #: :data:`ORDERING_KINDS`) this scheme's hardware contract subsumes —
     #: i.e. whose removal cannot enlarge the reachable durable-state set
@@ -257,10 +251,17 @@ class SchemeInfo:
         return self.pop == POP_FLUSH
 
     @property
-    def exact_durability(self) -> bool:
-        """True when the contract promises byte-exact durability of every
-        claimed persist (the golden-differential oracle applies)."""
-        return self.contract in (CONTRACT_EXACT, CONTRACT_EADR_EXACT)
+    def contract(self) -> str:
+        """The crash checker's consistency contract, derived from the
+        declaration: ``exact`` for exact durability, ``epoch`` for the
+        epoch model, ``prefix`` (per-core prefix consistency) otherwise —
+        which for a Px86-TSO scheme (``none``) is a stand-in until a
+        Px86-TSO decider exists."""
+        if self.exact_durability:
+            return CONTRACT_EXACT
+        if self.persistency_model == MODEL_EPOCH:
+            return CONTRACT_EPOCH
+        return CONTRACT_PREFIX
 
     def subsumes_ordering(self, kind: str) -> bool:
         """True when the scheme's hardware contract subsumes
@@ -317,13 +318,12 @@ def register_scheme(
     name: str,
     *,
     cls: type,
-    contract: str,
+    persistency_model: str,
+    exact_durability: bool = False,
     pop: str = POP_STORE_COMMIT,
     has_persist_buffer: bool = False,
     battery_domain: bool = False,
-    comparison_baseline: bool = False,
     crash_consistent: bool = True,
-    persistency_model: str = MODEL_UNDECLARED,
     ordering_contract: Tuple[str, ...] = (),
     aliases: Tuple[str, ...] = (),
     accepted_kwargs: Tuple[str, ...] = (),
@@ -343,21 +343,16 @@ def register_scheme(
     idempotent (useful when a plugin module may be imported twice);
     without it a name collision raises ``ValueError``.
     """
-    if contract not in CONTRACT_KINDS:
-        raise ValueError(
-            f"scheme {name!r}: unknown contract kind {contract!r}; "
-            f"expected one of {', '.join(CONTRACT_KINDS)}"
-        )
     if pop not in _POP_LOCATIONS:
         raise ValueError(
             f"scheme {name!r}: unknown PoP location {pop!r}; "
             f"expected one of {', '.join(_POP_LOCATIONS)}"
         )
-    if persistency_model not in PERSISTENCY_MODELS + (MODEL_UNDECLARED,):
+    if persistency_model not in PERSISTENCY_MODELS:
         raise ValueError(
             f"scheme {name!r}: unknown persistency model "
             f"{persistency_model!r}; expected one of "
-            f"{', '.join(PERSISTENCY_MODELS)} (or '' for undeclared)"
+            f"{', '.join(PERSISTENCY_MODELS)}"
         )
     unknown_ordering = sorted(set(ordering_contract) - set(ORDERING_KINDS))
     if unknown_ordering:
@@ -374,14 +369,12 @@ def register_scheme(
             name=name,
             cls=cls,
             factory=factory,
-            contract=contract,
+            persistency_model=persistency_model,
+            exact_durability=exact_durability,
             pop=pop,
             has_persist_buffer=has_persist_buffer,
             battery_domain=battery_domain,
-            battery_backed_sb=bool(getattr(cls, "battery_backed_sb", False)),
-            comparison_baseline=comparison_baseline,
             crash_consistent=crash_consistent,
-            persistency_model=persistency_model,
             ordering_contract=tuple(ordering_contract),
             aliases=tuple(aliases),
             accepted_kwargs=tuple(accepted_kwargs),
@@ -461,11 +454,9 @@ def scheme_names(include_aliases: bool = False) -> Tuple[str, ...]:
 
 
 def baseline_scheme() -> SchemeInfo:
-    """The scheme comparison front-ends normalise against (eADR)."""
-    for info in iter_schemes():
-        if info.comparison_baseline:
-            return info
-    raise ValueError("no registered scheme is marked comparison_baseline")
+    """The scheme comparison front-ends normalise against: eADR, the
+    paper's "Optimal" baseline."""
+    return scheme_info(EADR)
 
 
 def scheme_for_class(cls: type) -> SchemeInfo:
@@ -488,12 +479,12 @@ def scheme_for_class(cls: type) -> SchemeInfo:
 @register_scheme(
     BBB,
     cls=_p.BBBScheme,
-    contract=CONTRACT_EXACT,
+    persistency_model=MODEL_STRICT,
+    exact_durability=True,
     pop=POP_STORE_COMMIT,
     has_persist_buffer=True,
     battery_domain=True,
     accepted_kwargs=("drain_threshold",),
-    persistency_model=MODEL_STRICT,
     ordering_contract=ORDERING_ALL,
     display="BBB",
     doc="memory-side battery-backed persist buffer (the paper's design)",
@@ -510,12 +501,12 @@ def _build_bbb(cls, entries, drain_threshold=BBBConfig.drain_threshold):
 @register_scheme(
     BBB_PROC,
     cls=_p.BBBScheme,
-    contract=CONTRACT_EXACT,
+    persistency_model=MODEL_STRICT,
+    exact_durability=True,
     pop=POP_STORE_COMMIT,
     has_persist_buffer=True,
     battery_domain=True,
     accepted_kwargs=("coalesce_consecutive",),
-    persistency_model=MODEL_STRICT,
     ordering_contract=ORDERING_ALL,
     display="BBB (proc-side)",
     doc="processor-side bbPB (Section V-C baseline)",
@@ -532,11 +523,10 @@ def _build_bbb_proc(cls, entries, coalesce_consecutive=True):
 @register_scheme(
     EADR,
     cls=_p.EADR,
-    contract=CONTRACT_EADR_EXACT,
+    persistency_model=MODEL_STRICT,
+    exact_durability=True,
     pop=POP_STORE_COMMIT,
     battery_domain=True,
-    comparison_baseline=True,
-    persistency_model=MODEL_STRICT,
     ordering_contract=ORDERING_ALL,
     display="Optimal (eADR)",
     doc='whole-hierarchy battery, the "Optimal" line of Fig. 7',
@@ -549,11 +539,11 @@ def _build_eadr(cls, entries):
 @register_scheme(
     PMEM,
     cls=_p.StrictPMEM,
-    contract=CONTRACT_EXACT,
+    persistency_model=MODEL_STRICT,
+    exact_durability=True,
     pop=POP_FLUSH,
     aliases=(PMEM_STRICT, ADR),
     instance_name=PMEM_STRICT,
-    persistency_model=MODEL_STRICT,
     ordering_contract=(ORDERING_EPOCH,),
     display="PMEM (strict)",
     doc="strict persistency via hardware clwb+sfence; PoP at the WPQ",
@@ -566,10 +556,9 @@ def _build_pmem(cls, entries):
 @register_scheme(
     BSP,
     cls=_bsp.BSP,
-    contract=CONTRACT_PREFIX,
+    persistency_model=MODEL_STRICT,
     pop=POP_STORE_COMMIT,
     has_persist_buffer=True,
-    persistency_model=MODEL_STRICT,
     ordering_contract=(ORDERING_EPOCH,),
     display="BSP",
     doc="bulk strict persistency (MICRO'15), volatile ordered buffers",
@@ -582,10 +571,9 @@ def _build_bsp(cls, entries):
 @register_scheme(
     BEP,
     cls=_p.BEP,
-    contract=CONTRACT_EPOCH,
+    persistency_model=MODEL_EPOCH,
     pop=POP_STORE_COMMIT,
     has_persist_buffer=True,
-    persistency_model=MODEL_EPOCH,
     ordering_contract=(ORDERING_FLUSH, ORDERING_FENCE),
     display="BEP",
     doc="buffered epoch persistency, volatile buffers (DPO/HOPS-style)",
@@ -598,10 +586,9 @@ def _build_bep(cls, entries):
 @register_scheme(
     NONE,
     cls=_p.NoPersistency,
-    contract=CONTRACT_PREFIX,
+    persistency_model=MODEL_PX86_TSO,
     pop=POP_STORE_COMMIT,
     crash_consistent=False,
-    persistency_model=MODEL_PX86_TSO,
     ordering_contract=(ORDERING_EPOCH,),
     display="no persistency",
     doc="volatile caches, no ordering control (the motivating baseline)",

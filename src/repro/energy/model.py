@@ -63,14 +63,6 @@ class DrainCost:
         return self.energy_joules * 1e3
 
     @property
-    def energy_uj(self) -> float:
-        return self.energy_joules * 1e6
-
-    @property
-    def time_ms(self) -> float:
-        return self.time_seconds * 1e3
-
-    @property
     def time_us(self) -> float:
         return self.time_seconds * 1e6
 

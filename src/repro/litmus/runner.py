@@ -38,12 +38,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.check.minimize import ddmin, deinterleave, interleave
 from repro.check.mutants import build_crash_system
 from repro.check.schedule import CrashSchedule
-from repro.core.registry import (
-    MODEL_UNDECLARED,
-    PERSISTENCY_MODELS,
-    iter_schemes,
-    scheme_info,
-)
+from repro.core.registry import PERSISTENCY_MODELS, iter_schemes, scheme_info
 from repro.litmus.dsl import (
     LITMUS_SCHEMA,
     LitmusTest,
@@ -237,7 +232,6 @@ def run_battery(
         forbidden_cells = [
             c for c in cells
             if c["scheme"] == scheme and c["mutant"] == mutant
-            and declared != MODEL_UNDECLARED
             and c["models"][declared]["classification"] == CLASS_FORBIDDEN
         ]
         row = {
@@ -250,7 +244,7 @@ def run_battery(
             caught = bool(forbidden_cells)
             mutants_caught[mutant] = caught
             row["caught"] = caught
-        elif declared != MODEL_UNDECLARED:
+        else:
             row["conformant"] = not forbidden_cells
             for c in forbidden_cells:
                 for state in c["models"][declared]["forbidden"]:
@@ -262,7 +256,7 @@ def run_battery(
                     })
         schemes_out.append(row)
 
-        if minimize and forbidden_cells and declared != MODEL_UNDECLARED:
+        if minimize and forbidden_cells:
             cell = forbidden_cells[0]
             artifact = minimize_cell(
                 scheme, mutant, entries, by_name[cell["test"]], declared
@@ -419,17 +413,14 @@ def render_matrix(report: Dict[str, Any]) -> str:
     for row in report["schemes"]:
         scheme, mutant = row["scheme"], row["mutant"]
         label = mutant or scheme
-        declared = row["declared_model"] or "(undeclared)"
         if mutant is not None:
             verdict = ("caught (expected)" if row["caught"]
                        else "UNCAUGHT MUTANT")
-        elif row["declared_model"]:
+        else:
             verdict = ("conformant" if row["conformant"]
                        else "VIOLATES DECLARATION")
-        else:
-            verdict = "not gated"
         rows.append(tuple(
-            [label, declared]
+            [label, row["declared_model"]]
             + [_cell_summary(report, scheme, mutant, m)
                for m in report["models"]]
             + [verdict]

@@ -57,9 +57,6 @@ class OccupancySampler:
     def bbpb_cores(self) -> List[int]:
         return sorted(self._bbpb)
 
-    def wpq_channels(self) -> List[int]:
-        return sorted(self._wpq)
-
     def bbpb_series(self, core: int) -> Series:
         return list(self._bbpb.get(core, ()))
 

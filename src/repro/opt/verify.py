@@ -54,7 +54,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.check.mutants import build_crash_system
 from repro.check.schedule import CrashSchedule
 from repro.core.registry import (
-    MODEL_UNDECLARED,
     ORDERING_EPOCH,
     ORDERING_FENCE,
     ORDERING_FLUSH,
@@ -515,23 +514,21 @@ def verify_litmus_cell(
         result.optimized.to_trace(), scheme, entries, cfg, test, addrs
     )
     declared = info.persistency_model
-    forbidden: List[Tuple[int, ...]] = []
+    allowed = allowed_states(test, declared)
+    forbidden = sorted(s for s in observed if s not in allowed)
+    for state in forbidden:
+        failures.append(
+            f"optimized {test.name!r} under {info.name!r} observed "
+            f"{state}, forbidden by its declared {declared!r} model "
+            f"(crash point {observed[state]['stop_at']}, site "
+            f"{observed[state]['site']!r})"
+        )
     counterexample = None
-    if declared != MODEL_UNDECLARED:
-        allowed = allowed_states(test, declared)
-        forbidden = sorted(s for s in observed if s not in allowed)
-        for state in forbidden:
-            failures.append(
-                f"optimized {test.name!r} under {info.name!r} observed "
-                f"{state}, forbidden by its declared {declared!r} model "
-                f"(crash point {observed[state]['stop_at']}, site "
-                f"{observed[state]['site']!r})"
-            )
-        if forbidden and minimize:
-            counterexample = _minimize_removals(
-                program, result.optimized, test, addrs, allowed,
-                info.name, entries, cfg,
-            )
+    if forbidden and minimize:
+        counterexample = _minimize_removals(
+            program, result.optimized, test, addrs, allowed,
+            info.name, entries, cfg,
+        )
 
     elided = program.total_ops - result.optimized.total_ops
     return {

@@ -60,7 +60,6 @@ class LoopStats:
     drill tell acked requests from those lost in flight."""
 
     completed: int = 0
-    crashed: bool = False
     max_queue_depth: int = 0
     acked_ids: List[int] = field(default_factory=list)
 
@@ -158,7 +157,7 @@ def run_traffic(
         latency=percentile_summary(recorder.histogram()),
         tenants=tenants,
         ops=ops,
-        crashed=stats.crashed or result.crashed,
+        crashed=result.crashed,
         nvmm_writes=result.stats.nvmm_writes,
         stall_cycles=result.stats.total_bbpb_stalls,
         max_queue_depth=stats.max_queue_depth,
@@ -221,7 +220,6 @@ def _open_loop(
         session.advance(needy, nxt.arrival)
         session.feed(needy, service.ops_for(nxt))
         in_flight[needy] = nxt
-    stats.crashed = session.result.crashed
     return stats
 
 

@@ -54,7 +54,7 @@ _SCRATCH_SLOTS = 32
 class _TenantStore:
     """One tenant's chained hashmap: persistent layout + Python model."""
 
-    __slots__ = ("name", "buckets", "bucket_base", "heads", "nodes", "by_key")
+    __slots__ = ("name", "buckets", "bucket_base", "heads", "nodes")
 
     def __init__(self, name: str, buckets: int, pheap: PersistentHeap) -> None:
         self.name = name
@@ -64,8 +64,6 @@ class _TenantStore:
         self.heads: Dict[int, int] = {}
         #: node addr -> (key, value, next addr).
         self.nodes: Dict[int, Tuple[int, int, int]] = {}
-        #: key -> node addr (the chain walk's destination).
-        self.by_key: Dict[int, int] = {}
 
     def bucket_of(self, key: int) -> int:
         # A deterministic integer mix (not ``hash``: Python randomises
@@ -232,7 +230,6 @@ class KVService:
         ))
         store.heads[bucket] = node
         store.nodes[node] = (request.key, value, old_head)
-        store.by_key[request.key] = node
         self.persisting_stores += 4
 
     # ------------------------------------------------------------------

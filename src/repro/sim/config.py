@@ -185,7 +185,6 @@ class SystemConfig:
         default_factory=lambda: CacheConfig(1 << 20, 8, 64, hit_latency=11)
     )
     mem: MemConfig = field(default_factory=MemConfig)
-    bbb: BBBConfig = field(default_factory=BBBConfig)
     consistency: ConsistencyModel = ConsistencyModel.TSO
     store_buffer_entries: int = 32
     #: Drop LLC writebacks of dirty *persistent* blocks (Section III-E,
@@ -211,10 +210,6 @@ class SystemConfig:
     @property
     def block_size(self) -> int:
         return self.l1d.block_size
-
-    def with_bbb(self, **kwargs) -> "SystemConfig":
-        """Return a copy with bbPB parameters overridden (for sweeps)."""
-        return replace(self, bbb=replace(self.bbb, **kwargs))
 
     def scaled_for_testing(self) -> "SystemConfig":
         """Small caches/memory so unit tests exercise evictions quickly."""

@@ -8,6 +8,7 @@ persist it (and all older stores) before responding.
 import pytest
 
 from repro.core.bsp import BSP
+from repro.core.persistency import table1_rows
 from repro.core.recovery import check_exact_durability, check_prefix_consistency
 from repro.api import build_system
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
@@ -142,9 +143,8 @@ class TestCrashSemantics:
 
 
 class TestTraitsAndGap:
-    def test_table1_row(self, small_config):
-        traits = build_system("bsp", config=small_config).scheme.traits()
-        assert traits.name == "BSP"
+    def test_table1_row(self):
+        traits = next(r for r in table1_rows() if r.name == "BSP")
         assert traits.hw_complexity == "High"
         assert traits.battery == "None"
         assert traits.pop_location == "Mem"

@@ -3,7 +3,7 @@ LEAST_RECENTLY_WRITTEN predictor (repro.core.drain / repro.core.bbpb)."""
 
 import pytest
 
-from repro.core.drain import POLICY_DESCRIPTIONS, config_for_policy, threshold_sweep_configs
+from repro.core.drain import POLICY_DESCRIPTIONS, config_for_policy
 from repro.core.bbpb import MemorySideBBPB
 from repro.mem.block import BlockData
 from repro.sim.config import BBBConfig, DrainPolicy
@@ -27,11 +27,6 @@ class TestPolicyMetadata:
         assert cfg.drain_policy is DrainPolicy.EAGER
         assert cfg.entries == 8
         assert cfg.memory_side
-
-    def test_threshold_sweep_configs(self):
-        sweeps = threshold_sweep_configs([0.25, 0.75])
-        assert sweeps[0.25].drain_threshold == 0.25
-        assert sweeps[0.75].drain_threshold == 0.75
 
 
 class TestLeastRecentlyWritten:

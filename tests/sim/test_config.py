@@ -66,7 +66,7 @@ class TestSystemConfig:
         assert cfg.llc.hit_latency == 11
         assert cfg.mem.nvmm_read_cycles == 300   # 150 ns @ 2 GHz
         assert cfg.mem.dram_read_cycles == 110   # 55 ns
-        assert cfg.bbb.entries == 32
+        assert BBBConfig().entries == 32
 
     def test_block_size_consistency_enforced(self):
         with pytest.raises(ValueError):
@@ -81,12 +81,6 @@ class TestSystemConfig:
                     l1d=CacheConfig(4096, 2, size),
                     llc=CacheConfig(16384, 4, size),
                 )
-
-    def test_with_bbb_override(self):
-        cfg = SystemConfig().with_bbb(entries=128)
-        assert cfg.bbb.entries == 128
-        assert cfg.bbb.drain_threshold == 0.75  # untouched
-        assert SystemConfig().bbb.entries == 32  # original unaffected
 
     def test_scaled_for_testing_shrinks(self):
         cfg = SystemConfig().scaled_for_testing()

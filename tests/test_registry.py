@@ -15,10 +15,18 @@ from repro.api import SCHEMES, Scheme, build_system
 from repro.cli import build_parser
 from repro.core.recovery import CONTRACT_DOCS, claimed_persists
 from repro.core.registry import (
+    BBB,
+    BBB_PROC,
+    BEP,
+    BSP,
+    CONTRACT_EPOCH,
     CONTRACT_EXACT,
-    CONTRACT_KINDS,
-    MODEL_UNDECLARED,
+    CONTRACT_PREFIX,
+    EADR,
+    MODEL_STRICT,
+    NONE,
     PERSISTENCY_MODELS,
+    PMEM,
     POP_FLUSH,
     POP_STORE_COMMIT,
     SchemeInfo,
@@ -31,8 +39,11 @@ from repro.core.registry import (
     scheme_names,
     unregister_scheme,
 )
-from repro.core.persistency import NoPersistency
+from repro.analysis.bench import fingerprint_run
+from repro.core.persistency import BBBScheme, NoPersistency
 from repro.sim.config import SystemConfig
+from repro.sim.system import System
+from repro.workloads.base import WorkloadSpec, registry
 
 
 def all_infos():
@@ -61,7 +72,6 @@ class TestEverySchemeIsComplete:
             assert canonical_name(alias) == info.name
 
     def test_has_contract_and_doc(self, info):
-        assert info.contract in CONTRACT_KINDS
         assert info.contract in CONTRACT_DOCS
         for alias in info.aliases:
             assert scheme_info(alias).contract == info.contract
@@ -79,13 +89,12 @@ class TestEverySchemeIsComplete:
         assert isinstance(system.scheme, resolved.cls)
 
     def test_battery_backed_sb_matches_class(self, info, small_config):
+        # The class attribute is the one declaration: every store buffer
+        # of the built system follows it.
         system = build_system(info.name, entries=8, config=small_config)
-        assert info.battery_backed_sb == bool(
-            getattr(system.scheme, "battery_backed_sb", False)
-        )
-        assert (
-            system.hierarchy.store_buffers[0].battery_backed
-            == info.battery_backed_sb
+        assert all(
+            sb.battery_backed == info.cls.battery_backed_sb
+            for sb in system.hierarchy.store_buffers
         )
 
     def test_unexpected_kwargs_rejected(self, info, small_config):
@@ -120,9 +129,7 @@ class TestCanonicalOrder:
         assert tuple(m.value for m in Scheme) == SCHEMES
 
     def test_exactly_one_comparison_baseline_among_builtins(self):
-        baselines = [i for i in builtin_infos() if i.comparison_baseline]
-        assert len(baselines) == 1
-        assert baseline_scheme().name == baselines[0].name
+        assert baseline_scheme().name == EADR
 
     def test_scheme_names_include_aliases(self):
         with_aliases = scheme_names(include_aliases=True)
@@ -142,7 +149,7 @@ class TestRegistration:
         first = builtin_infos()[0]
         with pytest.raises(ValueError, match="already registered"):
             register_scheme(
-                first.name, cls=NoPersistency, contract=CONTRACT_EXACT
+                first.name, cls=NoPersistency, persistency_model=MODEL_STRICT
             )(lambda cls, entries: cls())
 
     def test_builtins_cannot_be_unregistered(self):
@@ -155,7 +162,8 @@ class TestRegistration:
 
         name = "temp-test-scheme"
         register_scheme(
-            name, cls=TempScheme, contract=CONTRACT_EXACT, replace=True,
+            name, cls=TempScheme, persistency_model=MODEL_STRICT,
+            exact_durability=True, replace=True,
             doc="throwaway scheme for the registration lifecycle test",
         )(lambda cls, entries: cls())
         try:
@@ -173,12 +181,6 @@ class TestRegistration:
         with pytest.raises(ValueError, match="unknown scheme"):
             scheme_info(name)
 
-    def test_invalid_contract_kind_rejected(self):
-        with pytest.raises(ValueError, match="contract kind"):
-            register_scheme(
-                "temp-bad-contract", cls=NoPersistency, contract="vibes"
-            )(lambda cls, entries: cls())
-
     def test_crash_drain_override_rejected(self):
         """What survives a crash is declared through battery_residue: a
         crash_drain override would make the single-pass crash sweep
@@ -192,7 +194,7 @@ class TestRegistration:
         with pytest.raises(TypeError, match="battery_residue"):
             register_scheme(
                 "temp-crash-drain", cls=DrainingScheme,
-                contract=CONTRACT_EXACT,
+                persistency_model=MODEL_STRICT,
             )(lambda cls, entries: cls())
         with pytest.raises(ValueError, match="unknown scheme"):
             scheme_info("temp-crash-drain")
@@ -215,21 +217,10 @@ class TestPersistencyModelCapability:
         for info in builtin_infos():
             assert info.persistency_model in PERSISTENCY_MODELS, info.name
 
-    def test_undeclared_is_the_default_for_plugins(self):
-        name = "temp-undeclared-scheme"
-        register_scheme(
-            name, cls=NoPersistency, contract=CONTRACT_EXACT, replace=True,
-            doc="throwaway scheme for the persistency-model default test",
-        )(lambda cls, entries: cls())
-        try:
-            assert scheme_info(name).persistency_model == MODEL_UNDECLARED
-        finally:
-            unregister_scheme(name)
-
     def test_declared_model_is_kept_on_the_info(self):
         name = "temp-declared-scheme"
         register_scheme(
-            name, cls=NoPersistency, contract=CONTRACT_EXACT, replace=True,
+            name, cls=NoPersistency, replace=True,
             persistency_model=PERSISTENCY_MODELS[0],
             doc="throwaway scheme for the persistency-model plumbing test",
         )(lambda cls, entries: cls())
@@ -242,6 +233,53 @@ class TestPersistencyModelCapability:
     def test_invalid_model_rejected_at_registration(self):
         with pytest.raises(ValueError, match="persistency model"):
             register_scheme(
-                "temp-bad-model", cls=NoPersistency, contract=CONTRACT_EXACT,
+                "temp-bad-model", cls=NoPersistency,
                 persistency_model="vibes",
             )(lambda cls, entries: cls())
+
+
+class TestDerivedContract:
+    """A scheme declares ``persistency_model`` and ``exact_durability``
+    once; the crash checker's contract derives from them."""
+
+    @pytest.mark.parametrize("name, contract, exact", [
+        (BBB, CONTRACT_EXACT, True),
+        (BBB_PROC, CONTRACT_EXACT, True),
+        (EADR, CONTRACT_EXACT, True),
+        (PMEM, CONTRACT_EXACT, True),
+        (BSP, CONTRACT_PREFIX, False),
+        (NONE, CONTRACT_PREFIX, False),
+        (BEP, CONTRACT_EPOCH, False),
+    ])
+    def test_builtin_contracts(self, name, contract, exact):
+        info = scheme_info(name)
+        assert info.contract == contract
+        assert info.exact_durability is exact
+
+    def test_persistency_model_is_required(self):
+        with pytest.raises(TypeError, match="persistency_model"):
+            register_scheme("temp-no-model", cls=NoPersistency)
+
+    def test_empty_persistency_model_rejected(self):
+        with pytest.raises(ValueError, match="persistency model"):
+            register_scheme(
+                "temp-empty-model", cls=NoPersistency, persistency_model="",
+            )(lambda cls, entries: cls())
+        with pytest.raises(ValueError, match="unknown scheme"):
+            scheme_info("temp-empty-model")
+
+
+def test_default_bbb_scheme_matches_the_registry_build(small_config):
+    """``BBBScheme()`` and ``build_system("bbb")`` share one default
+    ``BBBConfig``: the same run produces the same fingerprint.  The cell
+    is sized so that 16 entries or a 0.5 drain threshold would change
+    the fingerprint."""
+    spec = WorkloadSpec(threads=2, ops=100, elements=128, seed=7)
+    fingerprints = []
+    for system in (System(small_config, BBBScheme()),
+                   build_system(BBB, config=small_config)):
+        workload = registry(small_config.mem, spec)["hashmap"]
+        trace = workload.build()
+        workload.seed_media(system.nvmm_media)
+        fingerprints.append(fingerprint_run(system.run(trace)))
+    assert fingerprints[0] == fingerprints[1]
