@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.mem.block import BlockData
 from repro.obs.bus import NULL_BUS, EventBus
@@ -306,6 +306,10 @@ class ProcessorSideBBPB:
         self.stats = stats
         self._bus = bus
         self._fifo: List[BBPBEntry] = []
+        #: Records per block in ``_fifo``, kept beside it so that
+        #: ``contains`` (asked for every core on every persisting store)
+        #: is one probe, not a scan.
+        self._records: Dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._fifo)
@@ -318,7 +322,7 @@ class ProcessorSideBBPB:
         return len(self._fifo)
 
     def contains(self, block_addr: int) -> bool:
-        return any(e.block_addr == block_addr for e in self._fifo)
+        return block_addr in self._records
 
     def resident_blocks(self) -> List[int]:
         return [e.block_addr for e in self._fifo]
@@ -326,7 +330,15 @@ class ProcessorSideBBPB:
     def reap(self, now: int) -> None:
         """In-order retirement: only a completed *head* run can free."""
         while self._fifo and self._fifo[0].in_flight and self._fifo[0].complete_at <= now:
-            self._fifo.pop(0)
+            self._pop_head()
+
+    def _pop_head(self) -> None:
+        block_addr = self._fifo.pop(0).block_addr
+        left = self._records[block_addr] - 1
+        if left:
+            self._records[block_addr] = left
+        else:
+            del self._records[block_addr]
 
     def pending_drain_obligations(self) -> int:
         """Records that still owe an NVMM write (not yet in flight)."""
@@ -365,6 +377,7 @@ class ProcessorSideBBPB:
             stall = max(stall, head.complete_at - now)
             self.reap(now + stall)
         self._fifo.append(BBPBEntry(block_addr, data.copy()))
+        self._records[block_addr] = self._records.get(block_addr, 0) + 1
         self.stats.bbpb_allocations += 1
         if self._bus.enabled:
             self._bus.emit(
@@ -419,7 +432,7 @@ class ProcessorSideBBPB:
                     if self._bus.enabled:
                         self._bus.emit(ForcedDrain(t, self.core_id, block_addr))
             t = max(t, entry.complete_at)
-            self._fifo.pop(0)
+            self._pop_head()
             if entry.block_addr == block_addr:
                 break
         return t
@@ -437,6 +450,7 @@ class ProcessorSideBBPB:
 
     def clear(self) -> None:
         self._fifo.clear()
+        self._records.clear()
 
     def drain_all(self, now: int) -> int:
         t = now
@@ -445,4 +459,5 @@ class ProcessorSideBBPB:
                 self._start_drain(entry, t)
             t = max(t, entry.complete_at)
         self._fifo.clear()
+        self._records.clear()
         return t

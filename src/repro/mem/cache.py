@@ -5,12 +5,13 @@ state, dirtiness, and data.  The coherence *protocol* (who may transition
 what, when invalidations flow) lives in :mod:`repro.mem.coherence`; the
 hierarchy wiring lives in :mod:`repro.mem.hierarchy`.
 
-Each set is a tag-indexed dict (``block_addr -> CacheBlock``) so the
-lookup/insert/remove fast path is O(1) instead of a linear frame scan;
-victim selection still walks the (small, ``assoc``-bounded) set.  The LRU
-use-clock is per-array, which keeps replacement decisions deterministic per
-run regardless of what other arrays exist in the process and lets cache
-state pickle cleanly for batch-runner worker processes.
+Each set is a dict (``block_addr -> CacheBlock``), and one more dict
+indexes every frame of every set by tag, so a lookup is one probe with no
+set arithmetic; insertion and victim selection walk the (small,
+``assoc``-bounded) set.  The LRU use-clock is per-array, which keeps
+replacement decisions deterministic per run regardless of what other arrays
+exist in the process and lets cache state pickle cleanly for batch-runner
+worker processes.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ class CacheArray:
         self.config = config
         self.name = name
         self._sets: Dict[int, Dict[int, CacheBlock]] = {}
+        #: Every frame of every set, by tag: exactly the union of ``_sets``
+        #: (invalidated-in-place frames included, as in their sets).
+        self._frames: Dict[int, CacheBlock] = {}
         self._use = 0
         # block_size is validated to be a power of two; num_sets usually is
         # too, in which case set indexing reduces to a shift and a mask.
@@ -55,10 +59,7 @@ class CacheArray:
     # ------------------------------------------------------------------
     def lookup(self, block_addr: int, touch: bool = True) -> Optional[CacheBlock]:
         """Return the resident valid block for ``block_addr`` or ``None``."""
-        frames = self._sets.get(self.set_index(block_addr))
-        if frames is None:
-            return None
-        blk = frames.get(block_addr)
+        blk = self._frames.get(block_addr)
         if blk is None or blk.state is I:
             return None
         if touch:
@@ -102,6 +103,8 @@ class CacheArray:
             )
         self._use += 1
         block.last_use = self._use
+        index = self._frames
+        index[block.addr] = block
         # Reuse an invalidated-in-place frame if one exists.
         if existing is not None:
             del frames[existing.addr]
@@ -110,6 +113,7 @@ class CacheArray:
         for blk in frames.values():
             if not blk.valid:
                 del frames[blk.addr]
+                del index[blk.addr]
                 frames[block.addr] = block
                 return None
         if len(frames) < self.config.assoc:
@@ -120,6 +124,7 @@ class CacheArray:
             if victim is None or blk.last_use < victim.last_use:
                 victim = blk
         del frames[victim.addr]
+        del index[victim.addr]
         frames[block.addr] = block
         return victim
 
@@ -128,6 +133,7 @@ class CacheArray:
         blk = self.lookup(block_addr, touch=False)
         if blk is None:
             return None
+        del self._frames[block_addr]
         del self._sets[self.set_index(block_addr)][block_addr]
         return blk
 
@@ -149,6 +155,7 @@ class CacheArray:
     def clear(self) -> None:
         """Drop all contents (models power loss of a volatile cache)."""
         self._sets.clear()
+        self._frames.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

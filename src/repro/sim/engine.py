@@ -104,12 +104,7 @@ class Engine:
         #: Record :attr:`RunResult.log` (off: it costs a record per op).
         self._log_enabled = False
         self._seq = 0
-        # Hot-loop bound references (resolved once, not per executed op).
         self._tso = self.config.consistency is ConsistencyModel.TSO
-        #: TSO stores may bypass the store buffer (see _commit_store)
-        #: unless a crash schedule can observe one mid-flight.
-        self._tso_direct = self._tso and not hierarchy.crash_schedule.enabled
-        self._is_persistent = self.config.mem.is_persistent
         #: The result of the run in progress (or of the last run).
         self.result: Optional[RunResult] = None
         self._store_buffers = hierarchy.store_buffers
@@ -152,10 +147,9 @@ class Engine:
         result: RunResult,
         flush_outstanding: List[int],
     ) -> int:
+        """Execute one non-store op (:meth:`EngineStream.pump` sends
+        stores to the store commit it picked for the engine's mode)."""
         kind = op.kind
-        if kind is OpKind.STORE:
-            return self._commit_store(core, op, now, result)
-
         if kind is OpKind.COMPUTE:
             self.stats.core[core].compute_cycles += op.cycles
             return now + op.cycles
@@ -176,9 +170,8 @@ class Engine:
                 # (release is eager), so the hierarchy value is the
                 # architectural one.  Under RELAXED, remote cores' buffered
                 # stores are not yet visible — the log captures that.
-                value_with_local = value
                 result.log.append(
-                    LogRecord(LogKind.LOAD, core, op.addr, op.size, value_with_local)
+                    LogRecord(LogKind.LOAD, core, op.addr, op.size, value)
                 )
             return done
 
@@ -216,41 +209,43 @@ class Engine:
         raise ValueError(f"unknown op kind {kind!r}")  # pragma: no cover
 
     # ------------------------------------------------------------------
-    # Store buffer handling
+    # Store commits: EngineStream.pump picks one per call, by mode
     # ------------------------------------------------------------------
+    def _commit_store_direct(
+        self, core: int, op: TraceOp, now: int, result: RunResult
+    ) -> int:
+        """TSO with no crash schedule.  Release is eager under TSO, so the
+        store buffer is empty at every commit, and with no schedule to
+        observe the store in flight it skips the buffer round trip:
+        records, stats and timing are those of a push followed at once by
+        a release.  The hierarchy classifies the address, and both persist
+        records are appended after the store, since nothing can read them
+        in between."""
+        addr, size, value = op.addr, op.size, op.value
+        # +1: commit cost
+        done, persistent = self.hierarchy.store(core, addr, size, value, now + 1)
+        if self._log_enabled:
+            result.log.append(LogRecord(LogKind.STORE, core, addr, size, value))
+        if persistent:
+            seq = self._seq
+            result.committed_persists.append(
+                PersistRecord(core, addr, size, value, seq + 1)
+            )
+            result.performed_persists.append(
+                PersistRecord(core, addr, size, value, seq + 2)
+            )
+            self._seq = seq + 2
+        return done
+
     def _commit_store(
         self, core: int, op: TraceOp, now: int, result: RunResult
     ) -> int:
-        if self._tso:
-            # Release is eager under TSO: every store leaves the buffer
-            # before the next one commits, so the buffer is empty here.
-            if not self._tso_direct:
-                return self._commit_store_observed(core, op, now, result)
-            # With no crash schedule to observe the store in flight, skip
-            # the buffer round trip; records, stats and timing are those of
-            # a push followed at once by a release.
-            addr, size, value = op.addr, op.size, op.value
-            persistent = self._is_persistent(addr)
-            if persistent:
-                self._seq += 1
-                result.committed_persists.append(
-                    PersistRecord(core, addr, size, value, self._seq)
-                )
-            now += 1  # commit cost
-            done, persistent = self.hierarchy.store(core, addr, size, value, now)
-            if self._log_enabled:
-                result.log.append(LogRecord(LogKind.STORE, core, addr, size, value))
-            if persistent:
-                self._seq += 1
-                result.performed_persists.append(
-                    PersistRecord(core, addr, size, value, self._seq)
-                )
-            return done
-
+        """RELAXED: buffer the store, then give the buffer a release
+        opportunity (:meth:`_release_relaxed`)."""
         sb = self._store_buffers[core]
         if sb.full:
             now = self._release_oldest(core, now, result)
-        persistent = self._is_persistent(op.addr)
+        persistent = self.config.mem.is_persistent(op.addr)
         sb.push(op.addr, op.value, op.size, persistent, now)
         if persistent:
             self._seq += 1
@@ -262,11 +257,11 @@ class Engine:
     def _commit_store_observed(
         self, core: int, op: TraceOp, now: int, result: RunResult
     ) -> int:
-        """The TSO fast path under a crash schedule: the same records,
-        stats, timing and event stream (no SB events), with the store held
-        in the SB's release slot while the hierarchy performs it — where a
-        crash point inside the store must find it."""
-        persistent = self._is_persistent(op.addr)
+        """TSO under a crash schedule: the records, stats, timing and event
+        stream (no SB events) of :meth:`_commit_store_direct`, with the
+        store held in the SB's release slot while the hierarchy performs
+        it — where a crash point inside the store must find it."""
+        persistent = self.config.mem.is_persistent(op.addr)
         if persistent:
             self._seq += 1
             result.committed_persists.append(
@@ -445,13 +440,24 @@ class EngineStream:
             raise RuntimeError("stream already finished")
         if self.result.crashed:
             return None
-        execute = self.engine._execute
+        engine = self.engine
+        execute = engine._execute
+        schedule_on = self._schedule_on
+        # The store commit for the engine's mode.  A pump local, not an
+        # attribute: a bound method stored on the engine would make every
+        # system a reference cycle.
+        if not engine._tso:
+            commit_store = engine._commit_store
+        elif schedule_on:
+            commit_store = engine._commit_store_observed
+        else:
+            commit_store = engine._commit_store_direct
+        store_kind = OpKind.STORE
         result = self.result
         clocks = self.clocks
         pending = self._pending
         ended = self._ended
         fo = self.flush_outstanding
-        schedule_on = self._schedule_on
         schedule = self._schedule
         executed = self.executed
         # Min-heap of (clock, core): the smallest clock wins, ties break
@@ -460,8 +466,10 @@ class EngineStream:
         heap = [(clocks[c], c) for c in range(self.num_cores)
                 if pending[c] or not ended[c]]
         heapq.heapify(heap)
-        while heap:
-            clock, core = heapq.heappop(heap)
+        if not heap:
+            return None
+        clock, core = heapq.heappop(heap)
+        while True:
             queue = pending[core]
             if not queue:
                 self.executed = executed
@@ -477,7 +485,10 @@ class EngineStream:
             while True:
                 op = queue.popleft()
                 try:
-                    clock = execute(core, op, clock, result, flushes)
+                    if op.kind is store_kind:
+                        clock = commit_store(core, op, clock, result)
+                    else:
+                        clock = execute(core, op, clock, result, flushes)
                     clocks[core] = clock
                     executed += 1
                     if schedule_on:
@@ -488,8 +499,13 @@ class EngineStream:
                     return None
                 if not queue or (limit is not None and clock >= limit):
                     break
+            # Requeue the core and pop the next one in one sift.
             if queue or not ended[core]:
-                heapq.heappush(heap, (clock, core))
+                clock, core = heapq.heappushpop(heap, (clock, core))
+            elif heap:
+                clock, core = heapq.heappop(heap)
+            else:
+                break
         self.executed = executed
         return None
 

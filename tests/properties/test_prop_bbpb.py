@@ -154,3 +154,43 @@ def test_invariant_single_residency_within_buffer(seq):
     buf, _, _ = run_buffer(MemorySideBBPB, 8, seq)
     blocks = buf.resident_blocks()
     assert len(blocks) == len(set(blocks))
+
+
+processor_side_ops = st.lists(
+    st.tuples(st.sampled_from(["put", "reap", "drain_through", "force_drain",
+                               "drain_all", "clear"]),
+              st.integers(min_value=0, max_value=5),
+              st.integers(min_value=0, max_value=40)),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(entry_counts, st.booleans(), processor_side_ops)
+def test_processor_side_contains_matches_a_fifo_scan(entries, coalesce, ops):
+    """``contains`` reads a per-block record count kept beside the FIFO;
+    after every operation it must agree with a scan of the records."""
+    cfg = BBBConfig(entries=entries, memory_side=False,
+                    proc_coalesce_consecutive=coalesce)
+    buf = ProcessorSideBBPB(cfg, core_id=0, drain=RecordingSink(),
+                            stats=SimStats())
+    blocks = [0x10000 + i * 64 for i in range(6)]
+    now = 0
+    for op, i, gap in ops:
+        now += gap
+        block = blocks[i]
+        if op == "put":
+            now += buf.put(block, word(now + 1), now)[0]
+        elif op == "reap":
+            buf.reap(now)
+        elif op == "drain_through":
+            now = buf.drain_through(block, now)
+        elif op == "force_drain":
+            now = buf.force_drain(block, now)
+        elif op == "drain_all":
+            now = buf.drain_all(now)
+        else:
+            buf.clear()
+        scanned = buf.resident_blocks()
+        for b in blocks:
+            assert buf.contains(b) == (b in scanned)

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.block import CacheBlock, E
+from repro.mem.block import CacheBlock, E, I
 from repro.mem.cache import CacheArray
 from repro.sim.config import CacheConfig
 
@@ -67,3 +67,29 @@ def test_insert_makes_block_resident(ops, addr):
 def test_occupancy_matches_iteration(ops):
     cache = apply_ops(ops)
     assert cache.occupancy() == len(list(cache.blocks()))
+
+
+@given(st.lists(st.tuples(st.sampled_from(["insert", "lookup", "remove",
+                                           "invalidate"]), block_addrs),
+                max_size=80))
+def test_tag_index_is_the_union_of_the_sets(ops):
+    """The tag index holds exactly the frames of every set, the same
+    objects under the same tags, after every operation; ``invalidate``
+    marks a resident block I in place, leaving its frame in its set."""
+    cache = CacheArray(CONFIG)
+    for op, addr in ops:
+        if op == "insert" and not cache.contains(addr):
+            cache.insert(CacheBlock(addr, state=E))
+        elif op == "lookup":
+            cache.lookup(addr)
+        elif op == "remove":
+            cache.remove(addr)
+        elif op == "invalidate":
+            blk = cache.lookup(addr, touch=False)
+            if blk is not None:
+                blk.state = I
+        union = {}
+        for frames in cache._sets.values():
+            union.update(frames)
+        assert cache._frames.keys() == union.keys()
+        assert all(cache._frames[a] is blk for a, blk in union.items())

@@ -4,10 +4,14 @@ Schemes refer back to their hierarchy weakly, and persist-buffer drain
 sinks close over the hierarchy's parts rather than the scheme, so no part
 of a system's object graph is a reference cycle: dropping the last
 reference frees it at once, without waiting for the cyclic garbage
-collector.  Every test here runs with the collector disabled.
+collector.  Every test here runs with the collector disabled.  The plain run and stream tests cover each store
+commit the engine picks with no schedule installed: the direct one under
+TSO and the buffered one under relaxed consistency; the crashed run covers
+the schedule-aware one.
 """
 
 import contextlib
+import dataclasses
 import gc
 import weakref
 
@@ -18,11 +22,20 @@ from repro.api import RunOptions, build_system
 from repro.check.schedule import CrashSchedule
 from repro.core.registry import BBB, CONTRACT_EPOCH, iter_schemes
 from repro.obs.bus import EventBus
+from repro.sim.config import ConsistencyModel
 from repro.sim.trace import with_epochs
 from repro.workloads.base import WorkloadSpec, build_cached
 
 SPEC = WorkloadSpec(threads=2, ops=10, elements=128, seed=3)
 SCHEMES = [info for info in iter_schemes() if info.builtin]
+#: Every builtin scheme on the default TSO machine (ids as the scheme
+#: name) and under relaxed consistency (ids ``relaxed-<scheme>``).
+MODES = (
+    [pytest.param(info, ConsistencyModel.TSO, id=info.name)
+     for info in SCHEMES]
+    + [pytest.param(info, ConsistencyModel.RELAXED, id=f"relaxed-{info.name}")
+       for info in SCHEMES]
+)
 
 
 @contextlib.contextmanager
@@ -37,9 +50,10 @@ def _collector_off():
             gc.enable()
 
 
-def _system(info, options=None):
+def _system(info, options=None, consistency=ConsistencyModel.TSO):
     kwargs = {"entries": 8} if info.has_persist_buffer else {}
-    return build_system(info.name, config=default_sim_config(),
+    config = dataclasses.replace(default_sim_config(), consistency=consistency)
+    return build_system(info.name, config=config,
                         options=options or RunOptions(), **kwargs)
 
 
@@ -50,11 +64,11 @@ def _trace(info):
     return trace
 
 
-@pytest.mark.parametrize("info", SCHEMES, ids=lambda i: i.name)
-def test_run_frees_the_system(info):
+@pytest.mark.parametrize("info,consistency", MODES)
+def test_run_frees_the_system(info, consistency):
     trace = _trace(info)
     with _collector_off():
-        system = _system(info)
+        system = _system(info, consistency=consistency)
         result = system.run(trace)
         freed = weakref.ref(system.hierarchy)
         del system
@@ -62,11 +76,11 @@ def test_run_frees_the_system(info):
         assert result.stats.total_stores > 0  # results outlive the system
 
 
-@pytest.mark.parametrize("info", SCHEMES, ids=lambda i: i.name)
-def test_stream_frees_the_system(info):
+@pytest.mark.parametrize("info,consistency", MODES)
+def test_stream_frees_the_system(info, consistency):
     trace = _trace(info)
     with _collector_off():
-        system = _system(info)
+        system = _system(info, consistency=consistency)
         session = system.stream()
         for core, thread in enumerate(trace.threads):
             session.feed(core, thread.ops)

@@ -13,6 +13,11 @@ scheme x hashmap settled with ``finalize=True``
 (``finalize/hashmap/<scheme>``).  They were recorded while ``Engine.run``
 still had a scheduling loop of its own beside ``EngineStream.pump``.
 
+Each TSO cell is also rerun under a counting crash schedule, which never
+fires but sends every store through the engine's schedule-aware commit
+(the store held in its store buffer's release slot): it must reproduce
+the same digest as the direct commit of a plain run.
+
 If a timing-model change legitimately alters the numbers, recapture the
 files by running every cell below and writing ``{cell: digest}``.
 """
@@ -26,6 +31,7 @@ import pytest
 from repro.analysis.bench import fingerprint_run
 from repro.analysis.experiments import default_sim_config
 from repro.api import RunOptions, build_system
+from repro.check.schedule import NULL_SCHEDULE, CrashSchedule
 from repro.core.registry import CONTRACT_EPOCH, iter_schemes
 from repro.sim.config import ConsistencyModel
 from repro.sim.trace import with_epochs
@@ -42,7 +48,8 @@ RELAXED_WORKLOADS = ("hashmap", "mutateC")
 RELAXED_SEEDS = (0, 7)
 
 
-def cell_system(info, workload, reorder_seed=None):
+def cell_system(info, workload, reorder_seed=None,
+                crash_schedule=NULL_SCHEDULE):
     """A fresh, seeded system for one golden cell, and the cell's trace.
 
     ``reorder_seed=None`` is the default TSO machine; an int selects
@@ -55,7 +62,8 @@ def cell_system(info, workload, reorder_seed=None):
         trace = with_epochs(trace, every_n_stores=8)
     kwargs = {"entries": 8} if info.has_persist_buffer else {}
     system = build_system(info.name, config=cfg,
-                          options=RunOptions(reorder_seed=reorder_seed or 0),
+                          options=RunOptions(reorder_seed=reorder_seed or 0,
+                                             crash_schedule=crash_schedule),
                           **kwargs)
     seed_media_words(system.nvmm_media, initial_words)
     return system, trace
@@ -85,6 +93,16 @@ def test_variant_file_covers_every_cell():
 def test_run_matches_golden_fingerprint(info, workload):
     system, trace = cell_system(info, workload)
     result = system.run(trace, finalize=False)
+    assert fingerprint_run(result) == golden(info, workload)
+
+
+@pytest.mark.parametrize("info", SCHEMES, ids=lambda i: i.name)
+@pytest.mark.parametrize("workload", WORKLOAD_NAMES)
+def test_observed_run_matches_golden_fingerprint(info, workload):
+    schedule = CrashSchedule()
+    system, trace = cell_system(info, workload, crash_schedule=schedule)
+    result = system.run(trace, finalize=False)
+    assert not result.crashed and schedule.visits > 0
     assert fingerprint_run(result) == golden(info, workload)
 
 
