@@ -36,9 +36,10 @@ visit (:class:`_SweepOracles`): fingerprints are memoized on an exact
 key of log lengths, media write count and crash-overlay content, a key
 miss re-encodes only the blocks written since, and one golden image per
 unit grows with the claimed persists.  The from-scratch functions
-(:func:`durable_fingerprint`, :func:`golden_expected`,
-:func:`diff_golden`) stay the reference: unpruned runs,
-:func:`replay_points` and the minimizer call them.
+(:func:`durable_fingerprint` and :func:`durability_violations`, which
+combines the contract check with :func:`diff_golden` against
+:func:`golden_expected`) stay the reference: unpruned runs,
+:func:`replay_points`, the minimizer and ``check --replay`` call them.
 """
 
 from __future__ import annotations
@@ -111,6 +112,11 @@ class CheckUnit:
     #: form of the workload's program against the same oracles the naive
     #: form faces.
     program: Any = None
+
+    def __post_init__(self) -> None:
+        if self.max_points is not None and self.max_points < 1:
+            raise ValueError(
+                f"max_points must be >= 1, got {self.max_points}")
 
     def describe(self) -> str:
         tag = f"{self.mutant} (as {self.scheme})" if self.mutant else self.scheme
@@ -236,6 +242,27 @@ def _diff_blocks(media, expected, blocks, is_persistent,
     return violations
 
 
+def durability_violations(
+    scheme: str,
+    seed_words: Dict[int, int],
+    is_persistent: Callable[[int], bool],
+    media,
+    claimed: Sequence,
+) -> List[str]:
+    """The crash oracle over one durable image ``media``: the violations
+    of ``scheme``'s contract over the ``claimed`` persists (at most
+    :data:`MAX_VIOLATIONS_PER_POINT`), then, for exact-durability schemes,
+    the golden differential's.  Computed from scratch: the checker's
+    reference path, the minimizer and ``check --replay`` all call it."""
+    contract = check_scheme_contract(scheme, media, claimed)
+    violations = contract.violations[:MAX_VIOLATIONS_PER_POINT]
+    if scheme_info(scheme).exact_durability:
+        violations.extend(diff_golden(
+            media, golden_expected(seed_words, claimed), is_persistent,
+        ))
+    return violations
+
+
 def _block_bytes(baddr: int, data: BlockData) -> bytes:
     """One written block's share of the fingerprint stream: ``B``, the
     block address (8 bytes, little-endian), then an (offset, byte) pair
@@ -284,17 +311,10 @@ class _ReferenceOracles:
                                    run.performed_persists)
 
     def durability_violations(self, media, claimed) -> List[str]:
-        """The contract's violations, then the golden differential's
-        (exact-durability schemes only)."""
         ctx = self.ctx
-        contract = check_scheme_contract(ctx.unit.scheme, media, claimed)
-        violations = contract.violations[:MAX_VIOLATIONS_PER_POINT]
-        if ctx.info.exact_durability:
-            violations.extend(diff_golden(
-                media, golden_expected(ctx.seed_words, claimed),
-                ctx.config.mem.is_persistent,
-            ))
-        return violations
+        return durability_violations(ctx.unit.scheme, ctx.seed_words,
+                                     ctx.config.mem.is_persistent, media,
+                                     claimed)
 
 
 class _SweepOracles(_ReferenceOracles):

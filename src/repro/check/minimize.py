@@ -32,14 +32,13 @@ from repro.check.checker import (
     CHECK_SCHEMA,
     CheckUnit,
     PointVerdict,
-    diff_golden,
-    golden_expected,
+    _UnitContext,
+    durability_violations,
 )
 from repro.check.explore import sweep
 from repro.check.mutants import build_crash_system
 from repro.check.schedule import CrashSchedule
-from repro.core.recovery import check_scheme_contract, claimed_persists
-from repro.core.registry import scheme_info
+from repro.core.recovery import claimed_persists
 from repro.ioutil import atomic_write_json
 from repro.sim.trace import OpKind, ProgramTrace, ThreadTrace, TraceOp
 
@@ -102,30 +101,20 @@ def rebuild_trace(ops: Sequence[FlatOp], num_threads: int) -> ProgramTrace:
                          for t in deinterleave(ops, num_threads)])
 
 
-def _violations(unit, config, seed_words, media, run) -> List[str]:
-    """The contract and golden oracles over one crash state (``media``
-    its durable image, ``run`` its persist logs)."""
-    claimed = claimed_persists(unit.scheme, run)
-    violations = list(check_scheme_contract(unit.scheme, media, claimed).violations)
-    if scheme_info(unit.scheme).exact_durability:
-        violations.extend(diff_golden(
-            media, golden_expected(seed_words, claimed),
-            config.mem.is_persistent,
-        ))
-    return violations
-
-
 def first_failing_point(
     unit: CheckUnit, config, seed_words, trace: ProgramTrace
 ) -> Optional[Tuple[int, str, Tuple[str, ...]]]:
     """Exhaustive micro-step scan of ``trace`` in one sweep, stopping at
-    the first violating crash point.  ``None`` when every point is
-    consistent."""
+    the first crash point that violates the contract or the golden
+    differential (:func:`~repro.check.checker.durability_violations`).
+    ``None`` when every point is consistent."""
     found: List[Tuple[int, str, Tuple[str, ...]]] = []
 
     def observe(visit) -> bool:
-        violations = _violations(unit, config, seed_words,
-                                 visit.nvmm_media, visit)
+        violations = durability_violations(
+            unit.scheme, seed_words, config.mem.is_persistent,
+            visit.nvmm_media, claimed_persists(unit.scheme, visit),
+        )
         if violations:
             found.append((visit.point, visit.site, tuple(violations)))
         return bool(violations)
@@ -198,34 +187,21 @@ def minimize_counterexample(
     it seeds the search (and is the fallback if the full trace somehow no
     longer fails, which would indicate non-determinism and raises).
     """
-    from repro.analysis.experiments import default_sim_config
-    from repro.workloads.base import WorkloadSpec, make_workload
-
-    config = unit.config or default_sim_config()
-    spec = unit.spec or WorkloadSpec()
-    workload = make_workload(unit.workload, config.mem, spec)
-    if unit.program is not None:
-        from repro.opt.ir import Program
-
-        trace = Program.from_payload(unit.program).to_trace()
-    else:
-        trace = workload.build()
-    seed_words = dict(workload.initial_words)
-    flat = flatten_trace(trace)
-    num_threads = trace.num_threads
+    ctx = _UnitContext(unit)
+    flat = flatten_trace(ctx.trace)
+    num_threads = ctx.trace.num_threads
 
     def test(ops: List[FlatOp]):
         if not ops:
             return None
-        return first_failing_point(
-            unit, config, seed_words, rebuild_trace(ops, num_threads)
-        )
+        return first_failing_point(unit, ctx.config, ctx.seed_words,
+                                   rebuild_trace(ops, num_threads))
 
     minimal, (point, site, violations), tests = ddmin(flat, test, budget)
     return Counterexample(
         unit=unit, ops=minimal, num_threads=num_threads,
         point=point, site=site, violations=violations,
-        tests_run=tests, seed_words=seed_words,
+        tests_run=tests, seed_words=ctx.seed_words,
     )
 
 
@@ -339,7 +315,10 @@ def replay_artifact(path: str, config=None) -> Dict[str, Any]:
         raise ArtifactError(
             f"artifact {path!r} crash_point {artifact['crash_point']} did "
             f"not fire: the recorded run has fewer crash points")
-    violations = _violations(unit, cfg, seed_words, system.nvmm_media, result)
+    violations = durability_violations(
+        unit.scheme, seed_words, cfg.mem.is_persistent, system.nvmm_media,
+        claimed_persists(unit.scheme, result),
+    )
     return {
         "reproduced": bool(violations),
         "site": result.crash_point.site,

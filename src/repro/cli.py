@@ -670,10 +670,10 @@ def gate_opt(args):
     from repro.opt import (
         OPT_SCHEMA,
         opt_compare,
+        optimize_workload,
         render_compare_table,
-        run_pipeline,
         smoke_opt,
-        verify_workload_cell,
+        verify_optimized,
     )
 
     if args.smoke:
@@ -711,9 +711,9 @@ def gate_opt(args):
     # Single cell: optimize one workload under one scheme, verified.
     scheme = _names(args.scheme, "scheme")[0]
     workload = _names(args.workload, "workload")[0]
-    cell = verify_workload_cell(
-        workload, scheme, spec=_spec(args), entries=args.entries,
-    )
+    optimized = optimize_workload(workload, scheme, spec=_spec(args),
+                                  entries=args.entries)
+    cell = verify_optimized(optimized)
     lines = [render_table(
         ["metric", "value"],
         [
@@ -729,17 +729,9 @@ def gate_opt(args):
         title=f"persist optimizer: {workload} under {scheme}",
     )]
     if args.save_program:
-        from repro.opt import instrument_naive
         from repro.sim.tracefile import save_program
-        from repro.workloads.base import make_workload
 
-        cfg = default_sim_config()
-        wl = make_workload(workload, cfg.mem, _spec(args))
-        result = run_pipeline(
-            instrument_naive(wl.build_program()), scheme,
-            block_size=cfg.block_size,
-        )
-        count = save_program(result.optimized, args.save_program)
+        count = save_program(optimized.result.optimized, args.save_program)
         lines.append(f"wrote {count:,} optimized ops to {args.save_program}")
     report = {"schema": OPT_SCHEMA, "kind": "cell", **cell}
     return "\n".join(lines), report, cell["failures"]

@@ -9,14 +9,15 @@ checkable, measurable compiler-style transformation:
 - :mod:`repro.opt.ir` — one canonical :class:`~repro.opt.ir.Program`
   representation (per-op provenance + durable-location metadata),
   lossless to and from executable traces, workloads and litmus tests;
-- :mod:`repro.opt.passes` — registered removal-only passes:
-  scheme-independent redundancy elimination plus elision gated purely on
+- :mod:`repro.opt.passes` — the removal-only passes, one ``{name: fn}``
+  table (:data:`~repro.opt.passes.PASSES`): scheme-independent
+  redundancy elimination plus elision gated purely on
   :attr:`~repro.core.registry.SchemeInfo.ordering_contract`;
-- :mod:`repro.opt.pipeline` — ordered pass application with per-pass
-  elision accounting;
-- :mod:`repro.opt.verify` — the trust layer: an independent per-removal
-  audit, exhaustive crash-checker equivalence, and litmus-model gating,
-  with ddmin-minimized counterexamples on regression;
+- :mod:`repro.opt.pipeline` — ordered pass application that audits every
+  removal as it applies it, with predicates independent of the passes;
+- :mod:`repro.opt.verify` — the dynamic evidence: final durable images,
+  exhaustive crash-checker equivalence, and litmus-model gating, with
+  ddmin-minimized counterexamples on regression;
 - :mod:`repro.opt.report` — the fig7-style naive-vs-optimized grid, the
   CI smoke gate, and replayable ``repro.optreport/v1`` artifacts.
 
@@ -34,21 +35,19 @@ from repro.opt.ir import (
     instrument_naive,
 )
 from repro.opt.passes import (
+    DEFAULT_PIPELINE,
+    MUTANT_PIPELINE,
+    PASSES,
     PassContext,
-    PassInfo,
-    apply_pass,
-    iter_passes,
-    pass_info,
-    pass_names,
-    register_pass,
     removed_positions,
 )
 from repro.opt.pipeline import (
-    DEFAULT_PIPELINE,
-    MUTANT_PIPELINE,
-    PassApplication,
     PipelineResult,
+    fence_is_redundant,
+    flush_is_redundant,
+    removal_justified,
     run_pipeline,
+    store_is_coalescible,
 )
 from repro.opt.report import (
     OPT_SCHEMA,
@@ -59,42 +58,33 @@ from repro.opt.report import (
     smoke_opt,
 )
 from repro.opt.verify import (
-    AuditResult,
-    audit_pipeline,
-    fence_is_redundant,
+    OptimizedWorkload,
     final_image_fingerprint,
-    flush_is_redundant,
-    removal_justified,
-    store_is_coalescible,
+    optimize_workload,
     verify_litmus_cell,
+    verify_optimized,
     verify_workload_cell,
 )
 
 __all__ = [
-    "AuditResult",
     "DEFAULT_PIPELINE",
     "INSTRUMENT_FENCE",
     "INSTRUMENT_FLUSH",
     "MUTANT_PIPELINE",
     "OPT_SCHEMA",
     "Op",
-    "PassApplication",
+    "OptimizedWorkload",
+    "PASSES",
     "PassContext",
-    "PassInfo",
     "PipelineResult",
     "Program",
-    "apply_pass",
-    "audit_pipeline",
     "compare_cell",
     "fence_is_redundant",
     "final_image_fingerprint",
     "flush_is_redundant",
     "instrument_naive",
-    "iter_passes",
     "opt_compare",
-    "pass_info",
-    "pass_names",
-    "register_pass",
+    "optimize_workload",
     "removal_justified",
     "removed_positions",
     "render_compare_table",
@@ -103,5 +93,6 @@ __all__ = [
     "smoke_opt",
     "store_is_coalescible",
     "verify_litmus_cell",
+    "verify_optimized",
     "verify_workload_cell",
 ]

@@ -159,15 +159,6 @@ class Program:
             1 for ops in self.threads for op in ops if op.kind is kind
         )
 
-    def kind_counts(self) -> Dict[str, int]:
-        """Op counts keyed by kind value, zero-count kinds included —
-        the shape reports and elision percentages are computed from."""
-        counts = {kind.value: 0 for kind in OpKind}
-        for ops in self.threads:
-            for op in ops:
-                counts[op.kind.value] += 1
-        return counts
-
     def with_threads(
         self, threads: Tuple[Tuple[Op, ...], ...]
     ) -> "Program":

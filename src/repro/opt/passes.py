@@ -1,14 +1,15 @@
 """Optimizer passes: removal-only rewrites over the program IR.
 
-A pass is a pure per-thread function ``(ops, ctx) -> ops`` registered
-with :func:`register_pass`.  Two hard rules keep the pipeline verifiable:
+A pass is a pure per-thread function ``(ops, ctx) -> ops``, listed by
+name in :data:`PASSES`.  Two hard rules keep the pipeline verifiable:
 
 1. **Removal-only.**  A pass returns a *subsequence* of its input ops —
    it may drop ops, never insert, reorder, or mutate them (the surviving
    ops are the same objects).  :func:`removed_positions` exploits this to
-   recover exactly which input positions a pass deleted, and the verifier
-   (:mod:`repro.opt.verify`) re-justifies every deletion with independent
-   predicates.  :func:`apply_pass` enforces the rule structurally.
+   recover exactly which input positions a pass deleted (and raises on
+   anything else), and the pipeline (:mod:`repro.opt.pipeline`)
+   re-justifies every deletion with predicates independent of the code
+   here.
 
 2. **Capability-gated elision.**  Scheme-dependent passes consult only
    :attr:`~repro.core.registry.SchemeInfo.ordering_contract` — which
@@ -25,16 +26,16 @@ an sfence with no clwb outstanding since the previous sfence, and a
 store immediately overwritten by an adjacent same-address store (the
 coalesced run retires as one persist).
 
-``opt-drop-epoch-fence`` is the registered *mutant* pass — deliberately
-unsound, excluded from every default pipeline — which drops all fences
-and epoch boundaries regardless of contract; the verifier must flag it
+``opt-drop-epoch-fence`` is the *mutant* pass (:data:`MUTANT_PIPELINE`)
+— deliberately unsound, in no default pipeline — which drops all fences
+and epoch boundaries regardless of contract; the audit must flag it
 under any scheme whose ordering contract requires them (pmem, bep).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.core.registry import (
     ORDERING_EPOCH,
@@ -43,17 +44,14 @@ from repro.core.registry import (
     SchemeInfo,
 )
 from repro.mem.block import block_address
-from repro.opt.ir import Op, Program
+from repro.opt.ir import Op
 from repro.sim.trace import OpKind
 
 __all__ = [
+    "DEFAULT_PIPELINE",
+    "MUTANT_PIPELINE",
+    "PASSES",
     "PassContext",
-    "PassInfo",
-    "apply_pass",
-    "iter_passes",
-    "pass_info",
-    "pass_names",
-    "register_pass",
     "removed_positions",
 ]
 
@@ -70,62 +68,6 @@ class PassContext:
     block_size: int = 64
 
 
-@dataclass(frozen=True)
-class PassInfo:
-    """Registry entry for one pass."""
-
-    name: str
-    fn: PassFn
-    doc: str
-    #: Consults the scheme's ordering contract (elides subsumed kinds).
-    contract_gated: bool = False
-    #: Deliberately unsound; excluded from default pipelines, exists to
-    #: prove the verifier has teeth.
-    mutant: bool = False
-
-
-_PASSES: Dict[str, PassInfo] = {}
-
-
-def register_pass(
-    name: str, *, doc: str, contract_gated: bool = False,
-    mutant: bool = False,
-) -> Callable[[PassFn], PassFn]:
-    """Decorator registering a per-thread pass function under ``name``."""
-
-    def decorator(fn: PassFn) -> PassFn:
-        if name in _PASSES:
-            raise ValueError(f"optimizer pass {name!r} already registered")
-        _PASSES[name] = PassInfo(
-            name=name, fn=fn, doc=doc, contract_gated=contract_gated,
-            mutant=mutant,
-        )
-        return fn
-
-    return decorator
-
-
-def pass_info(name: str) -> PassInfo:
-    try:
-        return _PASSES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown optimizer pass {name!r}; valid passes: "
-            f"{', '.join(pass_names(include_mutants=True))}"
-        ) from None
-
-
-def iter_passes() -> Iterator[PassInfo]:
-    return iter(tuple(_PASSES.values()))
-
-
-def pass_names(include_mutants: bool = False) -> Tuple[str, ...]:
-    return tuple(
-        info.name for info in iter_passes()
-        if include_mutants or not info.mutant
-    )
-
-
 def removed_positions(before: ThreadOps, after: ThreadOps) -> List[int]:
     """Input positions a removal-only pass deleted.
 
@@ -133,7 +75,7 @@ def removed_positions(before: ThreadOps, after: ThreadOps) -> List[int]:
     op objects it kept, so a single forward walk recovers the removals.
     Raises ``ValueError`` when ``after`` is not an identity-subsequence of
     ``before`` — i.e. the pass inserted, reordered, or rebuilt ops,
-    violating the removal-only contract the verifier depends on."""
+    violating the removal-only contract the audit depends on."""
     removed: List[int] = []
     j = 0
     for i, op in enumerate(before):
@@ -150,31 +92,16 @@ def removed_positions(before: ThreadOps, after: ThreadOps) -> List[int]:
     return removed
 
 
-def apply_pass(program: Program, name: str, ctx: PassContext) -> Program:
-    """Apply one registered pass to every thread, enforcing the
-    removal-only contract (see :func:`removed_positions`)."""
-    info = pass_info(name)
-    threads = []
-    for ops in program.threads:
-        out = tuple(info.fn(ops, ctx))
-        removed_positions(ops, out)  # raises on a non-subsequence
-        threads.append(out)
-    return program.with_threads(tuple(threads))
-
-
 # ----------------------------------------------------------------------
 # Scheme-independent redundancy passes
 # ----------------------------------------------------------------------
 
-@register_pass(
-    "coalesce-stores",
-    doc="drop a store immediately overwritten by an adjacent store to "
-        "the same address and size — the run coalesces into one persist "
-        "(only adjacency makes this sound: a non-adjacent overwrite can "
-        "be separated by stores whose intermediate durable states the "
-        "persistency model exposes)",
-)
 def _coalesce_stores(ops: ThreadOps, ctx: PassContext) -> ThreadOps:
+    """Drop a store immediately overwritten by an adjacent store to the
+    same address and size — the run coalesces into one persist.  Only
+    adjacency makes this sound: a non-adjacent overwrite can be separated
+    by stores whose intermediate durable states the persistency model
+    exposes."""
     out: List[Op] = []
     for i, op in enumerate(ops):
         if op.kind is OpKind.STORE and i + 1 < len(ops):
@@ -186,13 +113,10 @@ def _coalesce_stores(ops: ThreadOps, ctx: PassContext) -> ThreadOps:
     return tuple(out)
 
 
-@register_pass(
-    "drop-dead-flush",
-    doc="drop a clwb of a line this thread never stored to — or has not "
-        "stored to since its previous clwb of the same line (duplicate "
-        "clwb elimination): there is nothing of ours for it to write back",
-)
 def _drop_dead_flush(ops: ThreadOps, ctx: PassContext) -> ThreadOps:
+    """Drop a clwb of a line this thread never stored to — or has not
+    stored to since its previous clwb of the same line (duplicate clwb
+    elimination): there is nothing of ours for it to write back."""
     dirty: set = set()  # lines this thread stored since their last flush
     out: List[Op] = []
     for op in ops:
@@ -210,13 +134,10 @@ def _drop_dead_flush(ops: ThreadOps, ctx: PassContext) -> ThreadOps:
     return tuple(out)
 
 
-@register_pass(
-    "weaken-fence",
-    doc="drop an sfence with no clwb by this thread since the previous "
-        "sfence — an sfence only orders the issuing core's outstanding "
-        "flushes, so with none outstanding it is a timing no-op",
-)
 def _weaken_fence(ops: ThreadOps, ctx: PassContext) -> ThreadOps:
+    """Drop an sfence with no clwb by this thread since the previous
+    sfence — an sfence only orders the issuing core's outstanding
+    flushes, so with none outstanding it is a timing no-op."""
     pending = False  # a flush by this thread since the previous fence
     out: List[Op] = []
     for op in ops:
@@ -245,50 +166,64 @@ def _elide_kind(
     return tuple(op for op in ops if op.kind is not op_kind)
 
 
-@register_pass(
-    "elide-flush",
-    contract_gated=True,
-    doc="remove every clwb when the scheme's ordering contract subsumes "
-        "flushes (battery-backed store-commit persistence: the line is "
-        "durable the moment the store commits)",
-)
 def _elide_flush(ops: ThreadOps, ctx: PassContext) -> ThreadOps:
+    """Remove every clwb when the scheme's ordering contract subsumes
+    flushes (battery-backed store-commit persistence: the line is durable
+    the moment the store commits)."""
     return _elide_kind(ops, ctx, OpKind.FLUSH, ORDERING_FLUSH)
 
 
-@register_pass(
-    "elide-fence",
-    contract_gated=True,
-    doc="remove every sfence when the scheme's ordering contract "
-        "subsumes fences (persists already happen in visibility order)",
-)
 def _elide_fence(ops: ThreadOps, ctx: PassContext) -> ThreadOps:
+    """Remove every sfence when the scheme's ordering contract subsumes
+    fences (persists already happen in visibility order)."""
     return _elide_kind(ops, ctx, OpKind.FENCE, ORDERING_FENCE)
 
 
-@register_pass(
-    "elide-epoch",
-    contract_gated=True,
-    doc="remove every epoch boundary when the scheme's ordering contract "
-        "subsumes epochs (the scheme has no epoch semantics or is "
-        "strictly stronger than epoch ordering)",
-)
 def _elide_epoch(ops: ThreadOps, ctx: PassContext) -> ThreadOps:
+    """Remove every epoch boundary when the scheme's ordering contract
+    subsumes epochs (the scheme has no epoch semantics or is strictly
+    stronger than epoch ordering)."""
     return _elide_kind(ops, ctx, OpKind.EPOCH, ORDERING_EPOCH)
 
 
 # ----------------------------------------------------------------------
-# The mutant pass (verifier teeth)
+# The mutant pass (audit teeth)
 # ----------------------------------------------------------------------
 
-@register_pass(
-    "opt-drop-epoch-fence",
-    mutant=True,
-    doc="DELIBERATELY UNSOUND: drops every sfence and epoch boundary "
-        "regardless of the scheme's ordering contract; the verifier must "
-        "catch it under any scheme that requires them (pmem, bep)",
-)
 def _drop_epoch_fence(ops: ThreadOps, ctx: PassContext) -> ThreadOps:
+    """DELIBERATELY UNSOUND: drops every sfence and epoch boundary
+    regardless of the scheme's ordering contract; the audit must catch
+    it under any scheme that requires them (pmem, bep)."""
     return tuple(
         op for op in ops if op.kind not in (OpKind.FENCE, OpKind.EPOCH)
     )
+
+
+#: Every pass by name.  A custom pass is one more entry: a removal-only
+#: ``(ops, ctx) -> ops`` function that consults ``ctx.scheme``
+#: capabilities, never scheme names.
+PASSES: Dict[str, PassFn] = {
+    "coalesce-stores": _coalesce_stores,
+    "drop-dead-flush": _drop_dead_flush,
+    "weaken-fence": _weaken_fence,
+    "elide-flush": _elide_flush,
+    "elide-fence": _elide_fence,
+    "elide-epoch": _elide_epoch,
+    "opt-drop-epoch-fence": _drop_epoch_fence,
+}
+
+#: The canonical sound pipeline: scheme-independent redundancy removal
+#: first (so even flush-keeping schemes shed dead clwbs and no-op
+#: sfences), then contract-gated elision.
+DEFAULT_PIPELINE: Tuple[str, ...] = (
+    "coalesce-stores",
+    "drop-dead-flush",
+    "weaken-fence",
+    "elide-flush",
+    "elide-fence",
+    "elide-epoch",
+)
+
+#: The deliberately broken pipeline (audit teeth): drops fences and
+#: epoch boundaries regardless of the scheme's ordering contract.
+MUTANT_PIPELINE: Tuple[str, ...] = ("opt-drop-epoch-fence",)

@@ -31,10 +31,11 @@ from __future__ import annotations
 from dataclasses import astuple
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.opt.ir import Op, Program, instrument_naive
-from repro.opt.pipeline import MUTANT_PIPELINE, run_pipeline
+from repro.opt.ir import Op, Program
+from repro.opt.passes import MUTANT_PIPELINE
+from repro.opt.pipeline import run_pipeline
 from repro.opt.verify import (
-    audit_pipeline,
+    optimize_workload,
     verify_litmus_cell,
     verify_workload_cell,
 )
@@ -74,33 +75,22 @@ def compare_cell(
 ) -> Dict[str, Any]:
     """One naive-vs-optimized measurement cell.  Module-level and
     picklable so the grid fans out through the batch runner."""
-    from repro.analysis.experiments import default_sim_config, run_workload
+    from repro.analysis.experiments import run_workload
     from repro.api import build_system
-    from repro.core.registry import scheme_info
-    from repro.opt.verify import _run_to_completion
-    from repro.workloads.base import make_workload
 
-    cfg = default_sim_config()
-    info = scheme_info(scheme)
-    wl = make_workload(workload, cfg.mem, spec)
-    naive = instrument_naive(wl.build_program())
-    result = run_pipeline(naive, scheme, block_size=cfg.block_size)
-    audit = audit_pipeline(naive, scheme, block_size=cfg.block_size)
+    cell = optimize_workload(workload, scheme, spec, entries=entries)
+    cfg, result = cell.config, cell.result
 
     def factory():
         return build_system(scheme, entries=entries, config=cfg)
 
     runs = {}
-    for label, program in (("naive", naive),
+    for label, program in (("naive", cell.naive),
                            ("optimized", result.optimized)):
         runs[label] = run_workload(
-            workload, factory, spec, cfg,
-            trace=program.to_trace(), initial_words=wl.initial_words,
+            workload, factory, spec, cfg, trace=program.to_trace(),
+            initial_words=cell.workload.initial_words,
         )
-    fp_naive = _run_to_completion(naive, scheme, entries, cfg,
-                                  wl.initial_words)
-    fp_opt = _run_to_completion(result.optimized, scheme, entries, cfg,
-                                wl.initial_words)
 
     def stall(run) -> int:
         return sum(int(core["stall_cycles_flush_fence"])
@@ -110,7 +100,7 @@ def compare_cell(
     return {
         "workload": workload,
         "scheme": result.scheme,
-        "ops_naive": naive.total_ops,
+        "ops_naive": cell.naive.total_ops,
         "ops_optimized": result.optimized.total_ops,
         "flush_fence_elision_pct": round(
             result.flush_fence_elision_pct, 2
@@ -127,12 +117,10 @@ def compare_cell(
         ), 2),
         "stall_cycles_naive": stall(naive_run),
         "stall_cycles_optimized": stall(opt_run),
-        "audit_ok": audit.ok,
-        "audit_violations": audit.describe_violations(),
-        "fingerprints_equal": fp_naive == fp_opt,
-        # Image equality gates only exact-durability contracts (epoch
-        # contracts legitimately leave different durable prefixes).
-        "image_ok": fp_naive == fp_opt or not info.exact_durability,
+        "audit_ok": result.ok,
+        "audit_violations": result.describe_violations(),
+        "fingerprints_equal": cell.images_equal,
+        "image_ok": cell.image_ok,
     }
 
 
@@ -316,8 +304,7 @@ def smoke_opt() -> Dict[str, Any]:
     )
     from repro.litmus.corpus import smoke_corpus
     from repro.litmus.dsl import lower_program
-    from repro.opt.verify import _run_to_completion
-    from repro.workloads.base import WORKLOAD_NAMES, make_workload
+    from repro.workloads.base import WORKLOAD_NAMES
 
     spec = _smoke_spec()
     cfg = default_sim_config()
@@ -332,33 +319,22 @@ def smoke_opt() -> Dict[str, Any]:
         subsumes_all = (info.subsumes_ordering(ORDERING_FLUSH)
                         and info.subsumes_ordering(ORDERING_FENCE))
         for workload in WORKLOAD_NAMES:
-            wl = make_workload(workload, cfg.mem, spec)
-            naive = instrument_naive(wl.build_program())
-            result = run_pipeline(naive, scheme,
-                                  block_size=cfg.block_size)
-            audit = audit_pipeline(naive, scheme,
-                                   block_size=cfg.block_size)
-            fp_equal = (
-                _run_to_completion(naive, scheme, 8, cfg, wl.initial_words)
-                == _run_to_completion(result.optimized, scheme, 8, cfg,
-                                      wl.initial_words)
-            )
-            image_ok = fp_equal or not info.exact_durability
+            cell = optimize_workload(workload, scheme, spec, cfg)
+            result = cell.result
             pct = result.flush_fence_elision_pct
-            cell = {
+            grid.append({
                 "workload": workload, "scheme": scheme,
                 "flush_fence_elision_pct": round(pct, 2),
-                "audit_ok": audit.ok,
-                "fingerprints_equal": fp_equal,
-                "image_ok": image_ok,
-            }
-            grid.append(cell)
+                "audit_ok": result.ok,
+                "fingerprints_equal": cell.images_equal,
+                "image_ok": cell.image_ok,
+            })
             tag = f"{workload} x {scheme}"
-            if not audit.ok:
+            if not result.ok:
                 failures.append(
-                    f"{tag}: {audit.describe_violations()[0]}"
+                    f"{tag}: {result.describe_violations()[0]}"
                 )
-            if not image_ok:
+            if not cell.image_ok:
                 failures.append(f"{tag}: final durable images differ")
             if subsumes_all and pct < SMOKE_MIN_ELISION:
                 failures.append(
@@ -407,22 +383,22 @@ def smoke_opt() -> Dict[str, Any]:
     mutant: Dict[str, Any] = {"pass": MUTANT_PIPELINE[0], "caught": {}}
     for scheme in schemes:
         info = scheme_info(scheme)
-        audit = audit_pipeline(probe, scheme, passes=MUTANT_PIPELINE)
+        result = run_pipeline(probe, scheme, passes=MUTANT_PIPELINE)
         expected_caught = not (
             info.subsumes_ordering(ORDERING_FENCE)
             and info.subsumes_ordering(ORDERING_EPOCH)
         )
-        mutant["caught"][scheme] = not audit.ok
-        if expected_caught and audit.ok:
+        mutant["caught"][scheme] = not result.ok
+        if expected_caught and result.ok:
             failures.append(
                 f"mutant {MUTANT_PIPELINE[0]!r} not caught under "
                 f"{scheme!r} — the removal audit has lost its teeth"
             )
-        if not expected_caught and not audit.ok:
+        if not expected_caught and not result.ok:
             failures.append(
                 f"mutant {MUTANT_PIPELINE[0]!r} flagged under {scheme!r} "
                 f"whose contract subsumes fences and epochs: "
-                f"{audit.describe_violations()[0]}"
+                f"{result.describe_violations()[0]}"
             )
     if not any(mutant["caught"].values()):
         failures.append(

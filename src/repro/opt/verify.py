@@ -5,20 +5,10 @@ The pass pipeline (:mod:`repro.opt.pipeline`) earns zero trust by
 construction — its output is accepted only when three independent layers
 of evidence agree:
 
-1.  **The removal audit** (:func:`audit_pipeline`).  Passes are
-    removal-only (:func:`repro.opt.passes.removed_positions` recovers the
-    exact deleted positions), so every single deleted op can be
-    re-justified against the *pre-pass* program with predicates
-    implemented here, independently of the pass code: a deletion stands
-    only if the op's kind is subsumed by the scheme's declared
-    :attr:`~repro.core.registry.SchemeInfo.ordering_contract` or one of
-    the redundancy predicates (:func:`flush_is_redundant`,
-    :func:`fence_is_redundant`, :func:`store_is_coalescible`) confirms it
-    was a no-op at its position.  Loads and computes are never
-    justifiable.  This is the layer with teeth against a plausible-but-
-    wrong pass: the shipped mutant ``opt-drop-epoch-fence`` deletes
-    load-bearing sfences under pmem and epoch boundaries under bep, and
-    the audit names each one by provenance.
+1.  **The removal audit**, run by :func:`~repro.opt.pipeline.run_pipeline`
+    as it applies each pass: every deleted op is re-justified against
+    the thread the pass saw, with predicates independent of the pass
+    code (:func:`~repro.opt.pipeline.removal_justified`).
 
 2.  **Crash-checker equivalence** (:func:`verify_workload_cell`).  The
     optimized program runs through the same exhaustive crash-state
@@ -27,13 +17,14 @@ of evidence agree:
     structural oracles — and must be at least as consistent: optimization
     never turns a consistent program inconsistent (an input already
     violating the scheme's discipline is recorded, not blamed on the
-    pipeline).  The final durable images of both programs, taken at the
-    final micro-step crash point so battery-covered domains are drained,
-    must match byte-for-byte over the persistent region
+    pipeline).  The final durable images of both programs — what a crash
+    right after the last op would leave, battery-covered domains drained
+    — must match byte-for-byte over the persistent region
     (:func:`final_image_fingerprint`) wherever the scheme's contract
     promises exact durability — epoch contracts legitimately leave
-    different (all epoch-consistent) prefixes durable.  A regression is ddmin-minimized
-    through the shared checker path into a replayable counterexample.
+    different (all epoch-consistent) prefixes durable.  A regression is
+    ddmin-minimized through the shared checker path into a replayable
+    counterexample.
 
 3.  **Litmus gating** (:func:`verify_litmus_cell`).  The optimized form
     of each litmus test is crash-swept exactly like the battery sweeps
@@ -43,37 +34,34 @@ of evidence agree:
     it.  A forbidden observation is ddmin-minimized over the *removal
     set* (which deletions, re-applied to the original, still break it),
     the exact shape an optimizer bug report needs.
+
+Every workload cell — the checker cell here, the compare grid and the
+smoke grid in :mod:`repro.opt.report` — starts from one
+:func:`optimize_workload`: instrument the workload naively, run the
+audited pipeline once, and fingerprint each program's final image from
+one run.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.check.explore import DurableImage, crash_writes
 from repro.check.mutants import build_crash_system
 from repro.check.schedule import CrashSchedule
-from repro.core.registry import (
-    ORDERING_EPOCH,
-    ORDERING_FENCE,
-    ORDERING_FLUSH,
-    scheme_info,
-)
-from repro.mem.block import block_address
-from repro.opt.ir import Op, Program, instrument_naive
-from repro.opt.passes import PassContext, pass_info, removed_positions
-from repro.opt.pipeline import DEFAULT_PIPELINE, run_pipeline
-from repro.sim.trace import OpKind
+from repro.core.registry import scheme_info
+from repro.opt.ir import Program, instrument_naive
+from repro.opt.passes import removed_positions
+from repro.opt.pipeline import PipelineResult, run_pipeline
 
 __all__ = [
-    "AuditResult",
-    "audit_pipeline",
-    "fence_is_redundant",
+    "OptimizedWorkload",
     "final_image_fingerprint",
-    "flush_is_redundant",
-    "removal_justified",
-    "store_is_coalescible",
+    "optimize_workload",
     "verify_litmus_cell",
+    "verify_optimized",
     "verify_workload_cell",
 ]
 
@@ -82,280 +70,117 @@ REMOVAL_MINIMIZE_BUDGET = 64
 
 
 # ----------------------------------------------------------------------
-# Independent redundancy predicates
-# ----------------------------------------------------------------------
-#
-# These deliberately re-derive, from first principles and separately from
-# the pass implementations, whether an op could have had any effect at
-# its position.  A pass and its predicate agreeing is evidence; a pass
-# citing its own reasoning would be circular.
-
-def flush_is_redundant(
-    ops: Sequence[Op], i: int, block_size: int = 64
-) -> bool:
-    """A clwb at ``i`` is redundant iff this thread has not stored to its
-    line since the line's previous clwb (or ever): walking back, a store
-    to the same block means the flush has work to do; another flush of
-    the same block — or the start of the thread — means it does not."""
-    line = block_address(ops[i].addr, block_size)
-    for j in range(i - 1, -1, -1):
-        op = ops[j]
-        if op.kind is OpKind.STORE and block_address(
-            op.addr, block_size
-        ) == line:
-            return False
-        if op.kind is OpKind.FLUSH and block_address(
-            op.addr, block_size
-        ) == line:
-            return True
-    return True
-
-
-def fence_is_redundant(ops: Sequence[Op], i: int) -> bool:
-    """An sfence at ``i`` is redundant iff this thread has no clwb
-    outstanding since its previous sfence: walking back, a flush means the
-    fence orders it; another fence — or the start — means nothing is
-    outstanding."""
-    for j in range(i - 1, -1, -1):
-        kind = ops[j].kind
-        if kind is OpKind.FLUSH:
-            return False
-        if kind is OpKind.FENCE:
-            return True
-    return True
-
-
-def store_is_coalescible(ops: Sequence[Op], i: int) -> bool:
-    """A store at ``i`` may be dropped iff the *immediately next* op is a
-    store to the same address, size, and durability — the pair coalesces
-    into one persist with no op between them that could expose the
-    intermediate value.  Non-adjacent overwrites are never coalescible:
-    an intervening op can be an ordering point the persistency model
-    exposes."""
-    if i + 1 >= len(ops):
-        return False
-    op, nxt = ops[i], ops[i + 1]
-    return (
-        nxt.kind is OpKind.STORE
-        and nxt.addr == op.addr
-        and nxt.size == op.size
-        and nxt.durable == op.durable
-    )
-
-
-#: OpKind -> the ordering-contract kind whose subsumption justifies
-#: removing it outright.
-_CONTRACT_KIND = {
-    OpKind.FLUSH: ORDERING_FLUSH,
-    OpKind.FENCE: ORDERING_FENCE,
-    OpKind.EPOCH: ORDERING_EPOCH,
-}
-
-#: OpKind -> the positional redundancy predicate that can justify a
-#: removal when the contract does not.
-_REDUNDANCY = {
-    OpKind.FLUSH: lambda ops, i, bs: flush_is_redundant(ops, i, bs),
-    OpKind.FENCE: lambda ops, i, bs: fence_is_redundant(ops, i),
-    OpKind.STORE: lambda ops, i, bs: store_is_coalescible(ops, i),
-}
-
-
-def removal_justified(
-    ops: Sequence[Op], i: int, ctx: PassContext
-) -> Tuple[bool, str]:
-    """Judge one removal against the pre-pass thread ``ops``.  Returns
-    ``(justified, why)`` — ``why`` names the accepting rule or the
-    objection."""
-    op = ops[i]
-    contract_kind = _CONTRACT_KIND.get(op.kind)
-    if contract_kind is not None and ctx.scheme.subsumes_ordering(
-        contract_kind
-    ):
-        return True, (
-            f"scheme {ctx.scheme.name!r} ordering contract subsumes "
-            f"{contract_kind}"
-        )
-    predicate = _REDUNDANCY.get(op.kind)
-    if predicate is not None and predicate(ops, i, ctx.block_size):
-        if op.kind is OpKind.STORE:
-            return True, "coalesces into the adjacent same-address store"
-        return True, "redundant at its position"
-    if op.kind in (OpKind.LOAD, OpKind.COMPUTE):
-        return False, f"a {op.kind.value} op is never removable"
-    return False, (
-        f"not subsumed by scheme {ctx.scheme.name!r}'s ordering contract "
-        f"{ctx.scheme.ordering_contract!r} and not redundant at its "
-        f"position"
-    )
-
-
-# ----------------------------------------------------------------------
-# The removal audit
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AuditResult:
-    """Stepwise re-application of a pipeline with every removal judged."""
-
-    scheme: str
-    program: Program
-    optimized: Program
-    passes: Tuple[str, ...]
-    #: ``(pass, thread, position, op description, objection)`` rows for
-    #: every removal no independent rule justified.  Empty == sound.
-    violations: Tuple[Tuple[str, int, int, str, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def describe_violations(self) -> List[str]:
-        return [
-            f"pass {name!r}: thread {tid} op {pos}: removed "
-            f"[{desc}] — {why}"
-            for name, tid, pos, desc, why in self.violations
-        ]
-
-
-def audit_pipeline(
-    program: Program,
-    scheme: str,
-    passes: Optional[Sequence[str]] = None,
-    block_size: int = 64,
-) -> AuditResult:
-    """Re-apply ``passes`` step by step, judging every removal against the
-    program each pass actually saw (see module docstring, layer 1)."""
-    info = scheme_info(scheme)
-    ctx = PassContext(scheme=info, block_size=block_size)
-    names = tuple(passes if passes is not None else DEFAULT_PIPELINE)
-    current = program
-    violations: List[Tuple[str, int, int, str, str]] = []
-    for name in names:
-        fn = pass_info(name).fn
-        threads = []
-        for tid, ops in enumerate(current.threads):
-            out = tuple(fn(ops, ctx))
-            for pos in removed_positions(ops, out):
-                ok, why = removal_justified(ops, pos, ctx)
-                if not ok:
-                    violations.append(
-                        (name, tid, pos, ops[pos].describe(), why)
-                    )
-            threads.append(out)
-        current = current.with_threads(tuple(threads))
-    return AuditResult(
-        scheme=info.name, program=program, optimized=current,
-        passes=names, violations=tuple(violations),
-    )
-
-
-# ----------------------------------------------------------------------
-# Dynamic oracles
+# Workload cells
 # ----------------------------------------------------------------------
 
 def final_image_fingerprint(
-    media, is_persistent: Callable[[int], bool]
+    program: Program,
+    scheme: str,
+    entries: int = 8,
+    config=None,
+    seed_words=None,
 ) -> str:
-    """SHA-256 over the persistent region's written blocks — the durable
-    image a crash-free run leaves.  Optimization must preserve this
-    bit-for-bit: elision changes *when* data persists, never what the
-    completed program persisted."""
+    """SHA-256 over the persistent region of the durable image ``program``
+    leaves when it runs to completion under ``scheme`` and the machine
+    crashes right after: the media overlaid with the scheme's crash
+    writes (:func:`~repro.check.explore.crash_writes`).  For schemes
+    whose battery covers volatile structures (eADR and friends) the
+    clean-run media alone is not the durable state the scheme
+    guarantees.  One run.  Optimization must preserve this bit-for-bit
+    where the contract promises exact durability: elision changes *when*
+    data persists, never what the completed program persisted."""
+    from repro.analysis.experiments import default_sim_config
+
+    cfg = config or default_sim_config()
+    system = build_crash_system(scheme, entries=entries, config=cfg,
+                                seed_words=seed_words)
+    system.run(program.to_trace())
+    image = DurableImage(system.nvmm_media, crash_writes(system))
     h = hashlib.sha256()
-    for baddr in sorted(media.written_blocks()):
-        if not is_persistent(baddr):
+    for baddr in sorted(image.written_blocks()):
+        if not cfg.mem.is_persistent(baddr):
             continue
         h.update(baddr.to_bytes(8, "little"))
-        h.update(media.peek_block(baddr).pairs())
+        h.update(image.peek_block(baddr).pairs())
     return h.hexdigest()
 
 
-def _run_to_completion(program: Program, scheme: str, entries, config,
-                       seed_words=None) -> str:
-    """Run ``program`` to its *final micro-step crash point* (firing after
-    the last op) and fingerprint the durable image.
+@dataclass(frozen=True)
+class OptimizedWorkload:
+    """One (workload x scheme) cell's shared steps: the naively
+    instrumented program, its audited optimization, and the final
+    durable image of each (:func:`optimize_workload`)."""
 
-    The crash-point route matters: for schemes whose battery covers
-    volatile structures (eADR and friends) a clean run's media image is
-    not the durable state — the final point's ``crash_drain`` is what
-    flushes the covered domain, yielding the full-store image the scheme
-    actually guarantees.  It takes two runs: the first counts the visits,
-    because the final index must be known before a run can crash there."""
-    trace = program.to_trace()
+    name: str
+    spec: Any                 # Optional[WorkloadSpec], as given
+    config: Any               # the resolved SystemConfig
+    entries: int
+    workload: Any             # the built Workload (seeds, checker)
+    naive: Program
+    result: PipelineResult
+    naive_image: str
+    optimized_image: str
 
-    def crashed_system(schedule):
-        return build_crash_system(scheme, entries=entries, config=config,
-                                  crash_schedule=schedule,
-                                  seed_words=seed_words)
+    @property
+    def images_equal(self) -> bool:
+        return self.naive_image == self.optimized_image
 
-    counting = CrashSchedule(stop_at=None)
-    counting_system = crashed_system(counting)
-    counting_system.run(trace)
-    if counting.visits == 0:
-        # A fully-elided program retires no ops, so no crash point ever
-        # fires; with nothing in flight the clean-run media already is
-        # the durable image.
-        return final_image_fingerprint(
-            counting_system.nvmm_media, config.mem.is_persistent
-        )
-    system = crashed_system(CrashSchedule(stop_at=counting.visits))
-    system.run(trace)
-    return final_image_fingerprint(
-        system.nvmm_media, config.mem.is_persistent
-    )
+    @property
+    def image_ok(self) -> bool:
+        """Image equality gates only exact-durability contracts: an epoch
+        contract legitimately leaves different (all epoch-consistent)
+        prefixes durable with and without clwbs."""
+        return (self.images_equal
+                or not scheme_info(self.result.scheme).exact_durability)
 
 
-def verify_workload_cell(
+def optimize_workload(
     workload: str,
     scheme: str,
     spec=None,
     config=None,
     entries: int = 8,
-    passes: Optional[Sequence[str]] = None,
-    max_points: Optional[int] = None,
-    sample_seed: int = 0,
-    minimize: bool = True,
-) -> Dict[str, Any]:
-    """Verify one (workload x scheme x pipeline) cell end to end.
-
-    Instruments the workload's program naively, runs the pipeline, audits
-    every removal, and then demands dynamic equivalence: identical
-    crash-free final durable images and an optimized crash exploration
-    exactly as consistent as the naive one.  Returns a JSON-able cell
-    with ``ok``/``failures`` plus elision stats; a checker regression is
-    ddmin-minimized into ``counterexample``.
-    """
+) -> OptimizedWorkload:
+    """Instrument ``workload``'s program naively, run the default
+    pipeline once under ``scheme`` (audited as it applies), and
+    fingerprint each program's final durable image."""
     from repro.analysis.experiments import default_sim_config
-    from repro.check.checker import CheckUnit, explore
     from repro.workloads.base import make_workload
 
     cfg = config or default_sim_config()
-    info = scheme_info(scheme)
     wl = make_workload(workload, cfg.mem, spec)
     naive = instrument_naive(wl.build_program())
-    result = run_pipeline(naive, scheme, passes=passes,
-                          block_size=cfg.block_size)
-    audit = audit_pipeline(naive, scheme, passes=passes,
-                           block_size=cfg.block_size)
-    failures: List[str] = audit.describe_violations()
-
-    fp_naive = _run_to_completion(naive, scheme, entries, cfg,
-                                  wl.initial_words)
-    fp_opt = _run_to_completion(result.optimized, scheme, entries, cfg,
+    result = run_pipeline(naive, scheme, block_size=cfg.block_size)
+    images = [
+        final_image_fingerprint(program, scheme, entries, cfg,
                                 wl.initial_words)
-    # Image equality is an oracle only where the scheme's contract
-    # promises byte-exact durability — mirroring the checker's golden
-    # differential.  An epoch contract legitimately leaves different
-    # (all epoch-consistent) prefixes durable with and without clwbs;
-    # there the epoch oracle in the exploration below is the gate.
-    if info.exact_durability and fp_naive != fp_opt:
+        for program in (naive, result.optimized)
+    ]
+    return OptimizedWorkload(workload, spec, cfg, entries, wl, naive,
+                             result, *images)
+
+
+def verify_optimized(cell: OptimizedWorkload) -> Dict[str, Any]:
+    """Verify one optimized workload cell end to end: the audit's
+    violations, durable-image equality where the contract is exact, and
+    an optimized crash exploration at least as consistent as the naive
+    one.  Returns a JSON-able cell with ``ok``/``failures`` plus elision
+    stats; a checker regression is ddmin-minimized into
+    ``counterexample``."""
+    from repro.check.checker import CheckUnit, explore
+    from repro.check.minimize import minimize_counterexample
+
+    result, naive = cell.result, cell.naive
+    failures: List[str] = result.describe_violations()
+    if not cell.image_ok:
         failures.append(
-            f"final durable images differ: naive {fp_naive[:16]}… vs "
-            f"optimized {fp_opt[:16]}…"
+            f"final durable images differ: naive {cell.naive_image[:16]}… "
+            f"vs optimized {cell.optimized_image[:16]}…"
         )
 
     base_unit = CheckUnit(
-        scheme=scheme, workload=workload, spec=spec, entries=entries,
-        config=config, max_points=max_points, sample_seed=sample_seed,
+        scheme=result.scheme, workload=cell.name, spec=cell.spec,
+        entries=cell.entries, config=cell.config,
         program=naive.to_payload(),
     )
     opt_unit = replace(base_unit, program=result.optimized.to_payload())
@@ -376,38 +201,48 @@ def verify_workload_cell(
             f"{naive_total} points, optimized inconsistent (first "
             f"violation: {first.violations[0]})"
         )
-        if minimize:
-            from repro.check.minimize import minimize_counterexample
+        cex = minimize_counterexample(opt_unit, first)
+        counterexample = {
+            "num_ops": cex.num_ops,
+            "crash_point": cex.point,
+            "site": cex.site,
+            "violations": list(cex.violations),
+        }
 
-            cex = minimize_counterexample(opt_unit, first)
-            counterexample = {
-                "num_ops": cex.num_ops,
-                "crash_point": cex.point,
-                "site": cex.site,
-                "violations": list(cex.violations),
-            }
-
-    elided = naive.total_ops - result.optimized.total_ops
     return {
-        "workload": workload,
+        "workload": cell.name,
         "scheme": result.scheme,
-        "passes": list(audit.passes),
+        "passes": list(result.passes),
         "ops_naive": naive.total_ops,
         "ops_optimized": result.optimized.total_ops,
-        "elided": elided,
+        "elided": naive.total_ops - result.optimized.total_ops,
         "flush_fence_elision_pct": round(
             result.flush_fence_elision_pct, 2
         ),
         "checker_points": {"naive": naive_total, "optimized": opt_total},
         "naive_consistent": naive_ok,
         "optimized_consistent": opt_ok,
-        "final_fingerprint": fp_opt,
-        "fingerprints_equal": fp_naive == fp_opt,
-        "fingerprint_gated": info.exact_durability,
+        "final_fingerprint": cell.optimized_image,
+        "fingerprints_equal": cell.images_equal,
+        "fingerprint_gated": scheme_info(result.scheme).exact_durability,
         "ok": not failures,
         "failures": failures,
         "counterexample": counterexample,
     }
+
+
+def verify_workload_cell(
+    workload: str,
+    scheme: str,
+    spec=None,
+    config=None,
+    entries: int = 8,
+) -> Dict[str, Any]:
+    """Verify one (workload x scheme) cell under the default pipeline:
+    :func:`verify_optimized` of :func:`optimize_workload`."""
+    return verify_optimized(
+        optimize_workload(workload, scheme, spec, config, entries)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -506,9 +341,7 @@ def verify_litmus_cell(
     program, addrs = lower_program(test, cfg)
     result = run_pipeline(program, scheme, passes=passes,
                           block_size=cfg.block_size)
-    audit = audit_pipeline(program, scheme, passes=passes,
-                           block_size=cfg.block_size)
-    failures: List[str] = audit.describe_violations()
+    failures: List[str] = result.describe_violations()
 
     observed, points = _sweep_states(
         result.optimized.to_trace(), scheme, entries, cfg, test, addrs
@@ -535,7 +368,7 @@ def verify_litmus_cell(
         "test": test.name,
         "scheme": info.name,
         "declared_model": declared,
-        "passes": list(audit.passes),
+        "passes": list(result.passes),
         "ops_naive": program.total_ops,
         "ops_optimized": result.optimized.total_ops,
         "elided": elided,

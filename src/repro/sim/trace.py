@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 
 class OpKind(enum.Enum):
@@ -68,44 +68,16 @@ class TraceOp:
 
 
 class ThreadTrace:
-    """A per-thread operation list with small summary helpers.
-
-    Kind counts are maintained incrementally at ``append``/``extend`` time
-    so :meth:`count` is O(1) — summary passes (``total_stores``, the
-    analytical model's statistics) call it per thread per kind.  Direct
-    mutation of ``self.ops`` bypasses the bookkeeping; callers that do so
-    must call :meth:`invalidate_counts`.
-    """
+    """A per-thread operation list."""
 
     def __init__(self, ops: Optional[Iterable[TraceOp]] = None) -> None:
         self.ops: List[TraceOp] = list(ops or [])
-        self._counts: Optional[Dict[OpKind, int]] = None
 
     def append(self, op: TraceOp) -> None:
         self.ops.append(op)
-        if self._counts is not None:
-            self._counts[op.kind] = self._counts.get(op.kind, 0) + 1
 
     def extend(self, ops: Iterable[TraceOp]) -> None:
-        counts = self._counts
-        if counts is None:
-            self.ops.extend(ops)
-            return
-        for op in ops:
-            self.ops.append(op)
-            counts[op.kind] = counts.get(op.kind, 0) + 1
-
-    def invalidate_counts(self) -> None:
-        """Drop the cached kind counts after direct ``self.ops`` surgery."""
-        self._counts = None
-
-    def _kind_counts(self) -> Dict[OpKind, int]:
-        if self._counts is None:
-            counts: Dict[OpKind, int] = {}
-            for op in self.ops:
-                counts[op.kind] = counts.get(op.kind, 0) + 1
-            self._counts = counts
-        return self._counts
+        self.ops.extend(ops)
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -116,11 +88,8 @@ class ThreadTrace:
     def __getitem__(self, idx):
         return self.ops[idx]
 
-    def stores(self) -> List[TraceOp]:
-        return [op for op in self.ops if op.kind is OpKind.STORE]
-
     def count(self, kind: OpKind) -> int:
-        return self._kind_counts().get(kind, 0)
+        return sum(1 for op in self.ops if op.kind is kind)
 
 
 class ProgramTrace:
@@ -137,9 +106,6 @@ class ProgramTrace:
 
     def total_ops(self) -> int:
         return sum(len(t) for t in self.threads)
-
-    def total_stores(self) -> int:
-        return sum(t.count(OpKind.STORE) for t in self.threads)
 
     def persistent_store_fraction(self, is_persistent) -> float:
         """Fraction of stores that target the persistent region (Table IV's

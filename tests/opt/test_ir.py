@@ -59,8 +59,8 @@ class TestProgram:
         assert program.num_threads == 2
         assert program.total_ops == 7
         assert program.count(OpKind.STORE) == 2
-        assert program.kind_counts()["flush"] == 1
-        assert program.kind_counts()["load"] == 1
+        assert program.count(OpKind.FLUSH) == 1
+        assert program.count(OpKind.LOAD) == 1
 
     def test_trace_round_trip_is_lossless_on_executable_fields(self):
         program = sample_program()

@@ -1,17 +1,16 @@
-"""Tests for the optimizer passes and their registry (repro.opt.passes)."""
+"""Tests for the optimizer passes and their table (repro.opt.passes)."""
 
 import pytest
 
-from repro.core.registry import iter_schemes, scheme_info
+from repro.core.registry import iter_schemes
 from repro.opt import (
+    DEFAULT_PIPELINE,
+    MUTANT_PIPELINE,
+    PASSES,
     Op,
-    PassContext,
     Program,
-    apply_pass,
-    iter_passes,
-    pass_info,
-    pass_names,
     removed_positions,
+    run_pipeline,
 )
 from repro.sim.config import SystemConfig
 from repro.sim.trace import OpKind
@@ -27,9 +26,10 @@ KEEPS_FLUSH = next(s.name for s in iter_schemes()
                    if not s.subsumes_ordering("flush"))
 
 
-def ctx(scheme):
-    return PassContext(scheme=scheme_info(scheme),
-                       block_size=CFG.block_size)
+def apply_one(program, name, scheme):
+    """``program`` after the single pass ``name`` under ``scheme``."""
+    return run_pipeline(program, scheme, passes=(name,),
+                        block_size=CFG.block_size).optimized
 
 
 def prog(*ops):
@@ -50,20 +50,14 @@ EPOCH = Op(OpKind.EPOCH)
 
 class TestRegistry:
     def test_default_names_exclude_mutants(self):
-        names = pass_names()
-        assert "opt-drop-epoch-fence" not in names
-        assert "elide-flush" in names
-        assert "opt-drop-epoch-fence" in pass_names(include_mutants=True)
+        assert "opt-drop-epoch-fence" not in DEFAULT_PIPELINE
+        assert "elide-flush" in DEFAULT_PIPELINE
+        assert MUTANT_PIPELINE == ("opt-drop-epoch-fence",)
+        assert set(PASSES) == set(DEFAULT_PIPELINE) | set(MUTANT_PIPELINE)
 
     def test_unknown_pass_raises_with_valid_names(self):
         with pytest.raises(ValueError, match="elide-flush"):
-            pass_info("no-such-pass")
-
-    def test_mutant_and_gating_flags(self):
-        infos = {info.name: info for info in iter_passes()}
-        assert infos["opt-drop-epoch-fence"].mutant
-        assert infos["elide-fence"].contract_gated
-        assert not infos["drop-dead-flush"].contract_gated
+            run_pipeline(prog(FENCE), FULL, passes=("no-such-pass",))
 
 
 class TestRemovedPositions:
@@ -85,27 +79,27 @@ class TestRemovedPositions:
 class TestIndependentPasses:
     def test_coalesce_drops_adjacent_same_address_store(self):
         s1, s2 = store(PBASE, 1), store(PBASE, 2)
-        out = apply_pass(prog(s1, s2), "coalesce-stores", ctx(KEEPS_FLUSH))
+        out = apply_one(prog(s1, s2), "coalesce-stores", KEEPS_FLUSH)
         assert out.threads[0] == (s2,)
 
     def test_coalesce_keeps_separated_stores(self):
         s1, s2 = store(PBASE, 1), store(PBASE, 2)
-        out = apply_pass(prog(s1, FENCE, s2), "coalesce-stores",
-                         ctx(KEEPS_FLUSH))
+        out = apply_one(prog(s1, FENCE, s2), "coalesce-stores",
+                        KEEPS_FLUSH)
         assert out.threads[0] == (s1, FENCE, s2)
 
     def test_drop_dead_flush(self):
         s = store(PBASE)
         f1, f2, f3 = flush(PBASE), flush(PBASE), flush(PBASE + 64)
-        out = apply_pass(prog(s, f1, f2, f3), "drop-dead-flush",
-                         ctx(KEEPS_FLUSH))
+        out = apply_one(prog(s, f1, f2, f3), "drop-dead-flush",
+                        KEEPS_FLUSH)
         # f2 is a duplicate clwb, f3 flushes a line never stored to.
         assert out.threads[0] == (s, f1)
 
     def test_weaken_fence(self):
         s, f = store(PBASE), flush(PBASE)
-        out = apply_pass(prog(FENCE, s, f, FENCE, FENCE), "weaken-fence",
-                         ctx(KEEPS_FLUSH))
+        out = apply_one(prog(FENCE, s, f, FENCE, FENCE), "weaken-fence",
+                        KEEPS_FLUSH)
         # Only the fence with an outstanding clwb survives.
         assert [op.kind for op in out.threads[0]] == \
             [OpKind.STORE, OpKind.FLUSH, OpKind.FENCE]
@@ -116,16 +110,16 @@ class TestContractGatedPasses:
         s, f = store(PBASE), flush(PBASE)
         p = prog(s, f, FENCE, EPOCH)
         for name in ("elide-flush", "elide-fence", "elide-epoch"):
-            assert apply_pass(p, name, ctx(FULL)).total_ops < p.total_ops
+            assert apply_one(p, name, FULL).total_ops < p.total_ops
 
     def test_elision_noop_when_contract_keeps_the_kind(self):
         s, f = store(PBASE), flush(PBASE)
         p = prog(s, f, FENCE)
-        assert apply_pass(p, "elide-flush", ctx(KEEPS_FLUSH)).threads == \
+        assert apply_one(p, "elide-flush", KEEPS_FLUSH).threads == \
             p.threads
 
     def test_mutant_drops_fences_regardless_of_contract(self):
         p = prog(store(PBASE), flush(PBASE), FENCE, EPOCH)
-        out = apply_pass(p, "opt-drop-epoch-fence", ctx(KEEPS_FLUSH))
+        out = apply_one(p, "opt-drop-epoch-fence", KEEPS_FLUSH)
         assert [op.kind for op in out.threads[0]] == \
             [OpKind.STORE, OpKind.FLUSH]

@@ -5,6 +5,7 @@ import pytest
 from repro.core.registry import iter_schemes
 from repro.opt import (
     DEFAULT_PIPELINE,
+    PASSES,
     Op,
     Program,
     instrument_naive,
@@ -50,17 +51,19 @@ class TestRunPipeline:
         assert result.optimized.total_ops == naive.total_ops
 
     def test_per_pass_accounting_sums_to_the_total_removal(self):
+        # Per-pass counts come from single-pass pipelines, chained.
         naive = instrumented()
         result = run_pipeline(naive, FULL, block_size=CFG.block_size)
-        removed = sum(app.removed for app in result.passes)
+        program, removed = naive, 0
+        for name in DEFAULT_PIPELINE:
+            step = run_pipeline(program, FULL, passes=(name,),
+                                block_size=CFG.block_size)
+            assert step.passes == (name,) and step.ok
+            removed += program.total_ops - step.optimized.total_ops
+            program = step.optimized
+        assert program == result.optimized
         assert removed == naive.total_ops - result.optimized.total_ops
-        assert [app.name for app in result.passes] == list(DEFAULT_PIPELINE)
-
-    def test_removed_of_matches_kind_counts(self):
-        result = run_pipeline(instrumented(), FULL,
-                              block_size=CFG.block_size)
-        assert result.removed_of("flush") == \
-            result.input_counts["flush"] - result.output_counts["flush"]
+        assert result.passes == DEFAULT_PIPELINE
 
     def test_elision_pct_of_absent_kind_is_zero(self):
         program = Program(threads=((Op(OpKind.COMPUTE, cycles=1),),))
@@ -70,3 +73,35 @@ class TestRunPipeline:
     def test_unknown_pass_fails_fast(self):
         with pytest.raises(ValueError, match="unknown optimizer pass"):
             run_pipeline(instrumented(), FULL, passes=("no-such-pass",))
+
+    def test_result_carries_a_clean_audit(self):
+        result = run_pipeline(instrumented(), FULL,
+                              block_size=CFG.block_size)
+        assert result.ok
+        assert result.violations == ()
+        assert result.describe_violations() == []
+
+
+class TestPassTable:
+    def test_custom_pass_is_a_table_entry(self, monkeypatch):
+        def drop_computes(ops, ctx):
+            return tuple(op for op in ops if op.kind is not OpKind.COMPUTE)
+
+        monkeypatch.setitem(PASSES, "drop-computes", drop_computes)
+        compute = Op(OpKind.COMPUTE, cycles=1, origin="t/0")
+        program = Program(threads=((compute, Op(OpKind.FENCE)),))
+        result = run_pipeline(program, FULL, passes=("drop-computes",))
+        assert result.optimized.threads == ((program.threads[0][1],),)
+        # The audit judges a custom pass like any other: a compute is
+        # never removable.
+        assert not result.ok
+        assert "never removable" in result.describe_violations()[0]
+        assert "drop-computes" in result.describe_violations()[0]
+
+    def test_pass_that_rebuilds_ops_is_rejected(self, monkeypatch):
+        def rebuild(ops, ctx):
+            return tuple(Op(op.kind, addr=op.addr) for op in ops)
+
+        monkeypatch.setitem(PASSES, "rebuild", rebuild)
+        with pytest.raises(ValueError, match="identity-subsequence"):
+            run_pipeline(instrumented(), FULL, passes=("rebuild",))

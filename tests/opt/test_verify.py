@@ -1,4 +1,7 @@
-"""Tests for the optimizer's verification layer (repro.opt.verify)."""
+"""Tests for the optimizer's verification layer (repro.opt.verify) and
+the removal audit that runs inside the pipeline (repro.opt.pipeline)."""
+
+from collections import Counter
 
 import pytest
 
@@ -9,14 +12,17 @@ from repro.core.registry import (
     scheme_info,
 )
 from repro.opt import (
+    DEFAULT_PIPELINE,
     MUTANT_PIPELINE,
+    PASSES,
     Op,
     PassContext,
     Program,
-    audit_pipeline,
+    compare_cell,
     fence_is_redundant,
     flush_is_redundant,
     removal_justified,
+    run_pipeline,
     store_is_coalescible,
     verify_litmus_cell,
     verify_workload_cell,
@@ -107,14 +113,14 @@ class TestAudit:
 
     def test_default_pipeline_is_audit_clean_everywhere(self):
         for info in iter_schemes():
-            audit = audit_pipeline(self.probe(), info.name,
-                                   block_size=CFG.block_size)
+            audit = run_pipeline(self.probe(), info.name,
+                                 block_size=CFG.block_size)
             assert audit.ok, (info.name, audit.describe_violations())
 
     def test_mutant_caught_exactly_where_the_contract_says(self):
         for info in iter_schemes():
-            audit = audit_pipeline(self.probe(), info.name,
-                                   passes=MUTANT_PIPELINE)
+            audit = run_pipeline(self.probe(), info.name,
+                                 passes=MUTANT_PIPELINE)
             expected_caught = not (
                 info.subsumes_ordering(ORDERING_FENCE)
                 and info.subsumes_ordering(ORDERING_EPOCH)
@@ -122,8 +128,8 @@ class TestAudit:
             assert (not audit.ok) == expected_caught, info.name
 
     def test_violation_rows_name_the_op_by_provenance(self):
-        audit = audit_pipeline(self.probe(), STRICT_KEEPER,
-                               passes=MUTANT_PIPELINE)
+        audit = run_pipeline(self.probe(), STRICT_KEEPER,
+                             passes=MUTANT_PIPELINE)
         assert not audit.ok
         text = audit.describe_violations()[0]
         assert "opt-drop-epoch-fence" in text
@@ -148,6 +154,40 @@ class TestWorkloadCell:
         # Fewer ops -> fewer micro-step crash points to explore.
         assert cell["checker_points"]["optimized"] < \
             cell["checker_points"]["naive"]
+
+    def test_bep_images_match_once_finalize_has_drained(self):
+        # bep's last crash point is the WPQ write of the final drain in
+        # its finalize, and a crash there loses the block being written.
+        # The final image is taken after the completed run.  The spec is
+        # opt --smoke's.
+        spec = WorkloadSpec(threads=2, ops=6, elements=128, seed=11)
+        cell = verify_workload_cell("hashmap", "bep", spec=spec)
+        assert cell["fingerprints_equal"]
+        assert not cell["fingerprint_gated"]
+
+
+class TestOnePassLoop:
+    """Each pass runs once per thread of the one program a cell
+    optimizes: the audit judges the removals of that application."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for name, fn in list(PASSES.items()):
+            def counted(ops, ctx, name=name, fn=fn):
+                calls[name] += 1
+                return fn(ops, ctx)
+            monkeypatch.setitem(PASSES, name, counted)
+        return calls
+
+    def test_verify_workload_cell(self, calls):
+        verify_workload_cell("mutateNC", FULL, spec=SPEC, config=CFG,
+                             entries=2)
+        assert calls == {name: SPEC.threads for name in DEFAULT_PIPELINE}
+
+    def test_compare_cell(self, calls):
+        compare_cell("hashmap", STRICT_KEEPER, SPEC, entries=2)
+        assert calls == {name: SPEC.threads for name in DEFAULT_PIPELINE}
 
 
 class TestLitmusCell:

@@ -19,11 +19,10 @@ from repro.opt import (
     MUTANT_PIPELINE,
     Op,
     Program,
-    audit_pipeline,
+    final_image_fingerprint,
     instrument_naive,
     run_pipeline,
 )
-from repro.opt.verify import _run_to_completion
 from repro.sim.config import SystemConfig
 from repro.sim.trace import OpKind
 
@@ -85,9 +84,8 @@ def test_pipeline_is_audit_clean_under_every_scheme(threads):
     subsequence (the pipeline only ever deletes)."""
     naive = instrument_naive(build_program(threads))
     for scheme in SCHEMES:
-        audit = audit_pipeline(naive, scheme, block_size=CFG.block_size)
-        assert audit.ok, (scheme, audit.describe_violations())
         result = run_pipeline(naive, scheme, block_size=CFG.block_size)
+        assert result.ok, (scheme, result.describe_violations())
         assert result.optimized.total_ops <= naive.total_ops
 
 
@@ -103,8 +101,8 @@ def test_exact_schemes_keep_the_final_durable_image(threads):
         if not scheme_info(scheme).exact_durability:
             continue
         result = run_pipeline(naive, scheme, block_size=CFG.block_size)
-        fp_naive = _run_to_completion(naive, scheme, 2, CFG)
-        fp_opt = _run_to_completion(result.optimized, scheme, 2, CFG)
+        fp_naive = final_image_fingerprint(naive, scheme, 2, CFG)
+        fp_opt = final_image_fingerprint(result.optimized, scheme, 2, CFG)
         assert fp_naive == fp_opt, scheme
 
 
@@ -152,7 +150,7 @@ def test_mutant_drop_epoch_fence_is_caught():
     caught_somewhere = False
     for scheme in SCHEMES:
         info = scheme_info(scheme)
-        audit = audit_pipeline(probe, scheme, passes=MUTANT_PIPELINE)
+        audit = run_pipeline(probe, scheme, passes=MUTANT_PIPELINE)
         expected_caught = not (info.subsumes_ordering(ORDERING_FENCE)
                                and info.subsumes_ordering(ORDERING_EPOCH))
         assert (not audit.ok) == expected_caught, (

@@ -570,6 +570,10 @@ class TestGateRunner:
             (["faults", "--threads", "0"], "threads must be >= 1"),
             (["check", "--ops", "-5"], "ops must be >= 0"),
             (["faults", "--crashes", "0"], "crashes must be >= 1"),
+            (["check", "--max-points", "0"],
+             "max_points must be >= 1, got 0"),
+            (["check", "--max-points", "-2"],
+             "max_points must be >= 1, got -2"),
         )
     ])
     def test_bad_size_refused_before_any_work(
