@@ -43,7 +43,6 @@ unexpected keyword argument (``TypeError``).
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -88,10 +87,10 @@ class RunOptions:
 
     Every field defaults to "off", so ``RunOptions()`` is the plain
     un-instrumented run.  The value is frozen — derive variants with
-    :meth:`replace`::
+    ``dataclasses.replace``::
 
         base = RunOptions(bus=bus)
-        checked = base.replace(crash_schedule=schedule)
+        checked = dataclasses.replace(base, crash_schedule=schedule)
     """
 
     #: Event bus receiving the run's typed obs events (default: the
@@ -103,10 +102,6 @@ class RunOptions:
     fault_injector: FaultInjector = NULL_INJECTOR
     #: Micro-step crash schedule (model checker; default: never fires).
     crash_schedule: CrashSchedule = NULL_SCHEDULE
-
-    def replace(self, **changes) -> "RunOptions":
-        """A copy with ``changes`` applied (``dataclasses.replace``)."""
-        return dataclasses.replace(self, **changes)
 
 
 #: The default (un-instrumented) run wiring.

@@ -104,10 +104,9 @@ class CheckUnit:
     max_points: Optional[int] = None
     sample_seed: int = 0
     config: Any = None        # Optional[SystemConfig]; None = default_sim_config
-    #: Optional IR-program payload (:meth:`repro.opt.ir.Program.to_payload`
-    #: — a plain dict, so the unit stays picklable for batch workers).
-    #: When set, the unit executes this program instead of the workload's
-    #: own build; ``workload`` still names the media seeds and structural
+    #: Optional IR program (a :class:`repro.opt.ir.Program`).  When set,
+    #: the unit executes this program instead of the workload's own
+    #: build; ``workload`` still names the media seeds and structural
     #: checker that apply.  The optimizer uses this to run a *rewritten*
     #: form of the workload's program against the same oracles the naive
     #: form faces.
@@ -151,9 +150,7 @@ class _UnitContext:
         self.spec = unit.spec or WorkloadSpec()
         self.workload = make_workload(unit.workload, self.config.mem, self.spec)
         if unit.program is not None:
-            from repro.opt.ir import Program
-
-            self.trace = Program.from_payload(unit.program).to_trace()
+            self.trace = unit.program.to_trace()
         else:
             self.trace = self.workload.build()
         self.seed_words: Dict[int, int] = dict(self.workload.initial_words)
@@ -549,9 +546,8 @@ def _unit_payload(unit: CheckUnit) -> Dict[str, Any]:
         "sites": list(unit.sites) if unit.sites is not None else None,
         "max_points": unit.max_points,
         "sample_seed": unit.sample_seed,
-        # Embedded IR programs are reported by name, not payload — the
-        # full op list belongs in the optreport artifact, not here.
-        "program": unit.program.get("name") if unit.program else None,
+        # An IR program is reported by name, not by its ops.
+        "program": unit.program.name if unit.program is not None else None,
     }
 
 

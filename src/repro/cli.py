@@ -101,7 +101,7 @@ from repro.energy.platforms import MOBILE, SERVER
 from repro.ioutil import atomic_write_json
 from repro.obs.bus import NULL_BUS, EventBus, EventRecorder
 from repro.sim.tracefile import save_trace
-from repro.workloads.base import WORKLOAD_NAMES, WorkloadSpec, registry
+from repro.workloads.base import WORKLOAD_NAMES, WorkloadSpec, make_workload
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -154,7 +154,7 @@ def _scheme_path(path: str, scheme: str) -> str:
 def cmd_run(args) -> int:
     config = default_sim_config()
     spec = _spec(args)
-    workload = registry(config.mem, spec)[args.workload]
+    workload = make_workload(args.workload, config.mem, spec)
     trace = workload.build()
     bus, recorder = _observability(args)
     if args.mode == "analytical":
@@ -290,7 +290,7 @@ def cmd_table1(args) -> int:
 def cmd_trace(args) -> int:
     config = default_sim_config()
     spec = _spec(args)
-    workload = registry(config.mem, spec)[args.workload]
+    workload = make_workload(args.workload, config.mem, spec)
     trace = workload.build()
     count = save_trace(trace, args.out)
     print(f"wrote {count:,} ops ({trace.num_threads} threads) to {args.out}")
@@ -506,6 +506,7 @@ def gate_faults(args):
     from repro.fault.campaign import (
         SMOKE_WORKLOADS,
         canonical_plans,
+        idle_plans,
         run_campaign,
         smoke_campaign,
     )
@@ -535,7 +536,9 @@ def gate_faults(args):
         title=f"fault campaign ({len(report['units'])} units, "
               f"seed {report['seed']})",
     ) + (f"\nbattery-domain units: {domain['units']}, "
-         f"silent corruption: {domain['silent_corruption']}")
+         f"silent corruption: {domain['silent_corruption']}"
+         f"\nplans that injected nothing: "
+         f"{', '.join(idle_plans(report)) or '-'}")
     failures = (["battery-domain fault produced SILENT corruption"]
                 if domain["silent_corruption"] else [])
     return text, report, failures

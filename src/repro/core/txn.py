@@ -147,14 +147,6 @@ class TransactionContext:
         self.committed_states.append(dict(self.shadow))
         return ops
 
-    def transaction(self, writes: Dict[int, int]) -> List[TraceOp]:
-        """Convenience: begin + stores + commit as one op list."""
-        ops = self.begin()
-        for addr, value in writes.items():
-            ops.extend(self.txn_store(addr, value))
-        ops.extend(self.commit())
-        return ops
-
 
 @dataclass
 class RecoveryResult:

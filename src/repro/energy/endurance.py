@@ -8,9 +8,7 @@ bbPB, silent writeback drops).  This module provides:
 * the endurance constants the paper cites: SRAM ~1e15 writes, STT-RAM
   4e12, ReRAM 1e11, PCM 1e8;
 * per-structure lifetime estimation: given a measured per-block write
-  rate, how long until the hottest cell wears out;
-* a relative-lifetime helper comparing two hottest-block write counts
-  (the endurance angle on Fig. 7(b)'s write counts).
+  rate, how long until the hottest cell wears out.
 """
 
 from __future__ import annotations
@@ -83,18 +81,6 @@ def media_lifetime(
     """Lifetime estimate straight from a simulation's media write counts."""
     window_seconds = window_cycles / (clock_ghz * 1e9)
     return lifetime(media.max_block_writes(), window_seconds, technology)
-
-
-def relative_lifetime(
-    baseline_max_writes: int, scheme_max_writes: int
-) -> float:
-    """How much longer (>1) or shorter (<1) a scheme's hottest block lives
-    relative to a baseline, all else equal."""
-    if scheme_max_writes == 0:
-        return float("inf")
-    if baseline_max_writes == 0:
-        return 0.0
-    return baseline_max_writes / scheme_max_writes
 
 
 def nvcache_writes_per_second(

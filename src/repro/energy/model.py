@@ -14,7 +14,8 @@ Constants come from the paper:
 
 eADR drains every dirty byte of every cache level; BBB drains at most
 ``cores x entries x 64 B`` — the two-to-three-orders-of-magnitude gap of
-Tables VII and VIII.
+Tables VII and VIII (:func:`repro.analysis.experiments.table7` and
+``table8`` divide :func:`eadr_cost` by :func:`bbb_cost`).
 """
 
 from __future__ import annotations
@@ -57,14 +58,6 @@ class DrainCost:
     bytes_drained: int
     energy_joules: float
     time_seconds: float
-
-    @property
-    def energy_mj(self) -> float:
-        return self.energy_joules * 1e3
-
-    @property
-    def time_us(self) -> float:
-        return self.time_seconds * 1e6
 
 
 def eadr_drain_bytes(
@@ -132,24 +125,3 @@ def bbb_cost(platform: Platform, bbpb_entries: int = 32) -> DrainCost:
         energy_joules=bbb_drain_energy(platform, bbpb_entries),
         time_seconds=drain_time_seconds(nbytes, platform),
     )
-
-
-def energy_ratio(
-    platform: Platform,
-    bbpb_entries: int = 32,
-    dirty_fraction: float = DEFAULT_DIRTY_FRACTION,
-) -> float:
-    """eADR/BBB drain-energy ratio (320x mobile, 709x server in Table VII)."""
-    return eadr_drain_energy(platform, dirty_fraction) / bbb_drain_energy(
-        platform, bbpb_entries
-    )
-
-
-def time_ratio(
-    platform: Platform,
-    bbpb_entries: int = 32,
-    dirty_fraction: float = DEFAULT_DIRTY_FRACTION,
-) -> float:
-    """eADR/BBB drain-time ratio (307x mobile, 750x server in Table VIII)."""
-    eadr_bytes = sum(eadr_drain_bytes(platform, dirty_fraction).values())
-    return eadr_bytes / bbb_drain_bytes(platform, bbpb_entries)

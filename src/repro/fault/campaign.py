@@ -61,6 +61,7 @@ __all__ = [
     "FaultUnit",
     "canonical_plans",
     "execute_fault_unit",
+    "idle_plans",
     "run_campaign",
     "smoke_campaign",
 ]
@@ -278,6 +279,17 @@ def run_campaign(
             "silent_corruption": battery_silent,
         },
     }
+
+
+def idle_plans(report: Dict[str, Any]) -> List[str]:
+    """Labels of the ``report``'s plans that injected no fault in any of
+    their units: no run reached the site they target, so they test
+    nothing at this campaign's size."""
+    return [
+        plan["label"] for plan in report["plans"]
+        if not any(unit["injected"] for unit in report["units"]
+                   if unit["plan"] == plan)
+    ]
 
 
 def smoke_campaign(

@@ -102,9 +102,6 @@ class FaultInjector:
                 return spec
         return None
 
-    def visits(self, site: str) -> int:
-        return self._visits.get(site, 0)
-
     def record_injection(self, site: str, fault: str, addr: int, cycle: int,
                          detail: str = "") -> None:
         self.injected.append(FaultRecord(site, fault, addr, cycle, detail))
@@ -120,18 +117,6 @@ class FaultInjector:
     @property
     def detected_count(self) -> int:
         return len(self.detected)
-
-    def summary(self) -> Dict[str, object]:
-        """Plain-data recap for campaign reports."""
-        return {
-            "plan": self.plan.to_dict(),
-            "injected": [vars(r) for r in self.injected],
-            "detected": [vars(r) for r in self.detected],
-            "battery": (
-                {"drained": self.battery.drained, "lost": self.battery.lost}
-                if self.battery is not None else None
-            ),
-        }
 
     # ------------------------------------------------------------------
     # Site: nvmm.write (memory controller)

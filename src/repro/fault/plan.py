@@ -125,16 +125,6 @@ class FaultSpec:
             "params": {k: v for k, v in self.params},
         }
 
-    @staticmethod
-    def from_dict(payload: Dict[str, Any]) -> "FaultSpec":
-        return FaultSpec(
-            site=payload["site"],
-            fault=payload["fault"],
-            nth=int(payload.get("nth", 1)),
-            count=int(payload.get("count", 1)),
-            params=tuple(sorted(payload.get("params", {}).items())),
-        )
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -149,12 +139,6 @@ class FaultPlan:
     seed: int = 0
     label: str = ""
 
-    def __bool__(self) -> bool:
-        return bool(self.faults)
-
-    def sites(self) -> Tuple[str, ...]:
-        return tuple(sorted({f.site for f in self.faults}))
-
     def for_site(self, site: str) -> List[FaultSpec]:
         return [f for f in self.faults if f.site == site]
 
@@ -167,14 +151,6 @@ class FaultPlan:
             "seed": self.seed,
             "faults": [f.to_dict() for f in self.faults],
         }
-
-    @staticmethod
-    def from_dict(payload: Dict[str, Any]) -> "FaultPlan":
-        return FaultPlan(
-            faults=tuple(FaultSpec.from_dict(f) for f in payload.get("faults", ())),
-            seed=int(payload.get("seed", 0)),
-            label=str(payload.get("label", "")),
-        )
 
 
 # ----------------------------------------------------------------------

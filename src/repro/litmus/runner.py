@@ -33,7 +33,7 @@ registered only in the driving process is visible to every cell.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.minimize import ddmin, deinterleave, interleave
 from repro.check.mutants import build_crash_system
@@ -84,11 +84,10 @@ def run_cell(
     scheme: str,
     mutant: Optional[str],
     entries: int,
-    payload: Mapping[str, Any],
+    test: LitmusTest,
 ) -> Dict[str, Any]:
     """Sweep every micro-step crash point of one (scheme, test) cell and
     return the observed durable states with first-seen provenance."""
-    test = LitmusTest.from_payload(payload)
     config = _default_config()
     trace, addrs = lower(test, config)
     schedule = CrashSchedule(stop_at=None)
@@ -218,7 +217,7 @@ def run_battery(
     total = len(targets) * len(test_list)
     for scheme, mutant, _ in targets:
         for test in test_list:
-            cell = run_cell(scheme, mutant, entries, test.to_payload())
+            cell = run_cell(scheme, mutant, entries, test)
             _classify_cell(cell, test)
             cells.append(cell)
             if progress is not None:
@@ -318,7 +317,7 @@ def minimize_cell(
         except ValueError:
             return None
         allowed = allowed_states(candidate, model)
-        cell = run_cell(scheme, mutant, entries, candidate.to_payload())
+        cell = run_cell(scheme, mutant, entries, candidate)
         for rec in cell["observed"]:
             state = tuple(rec["state"])
             if state not in allowed:
@@ -369,10 +368,8 @@ def replay_counterexample(path: str) -> Dict[str, Any]:
     test = LitmusTest.from_payload(artifact["test"])
     model = artifact["model"]
     allowed = allowed_states(test, model)
-    cell = run_cell(
-        artifact["scheme"], artifact["mutant"], artifact["entries"],
-        test.to_payload(),
-    )
+    cell = run_cell(artifact["scheme"], artifact["mutant"],
+                    artifact["entries"], test)
     state = tuple(artifact["forbidden_state"])
     observed = {tuple(rec["state"]) for rec in cell["observed"]}
     reproduced = state in observed and state not in allowed

@@ -13,6 +13,9 @@ which audits the BBB-specific persistence invariants):
 * **Dirty-bit sanity** — S/E-state copies are never dirty in an L1 (dirty
   data lives only under M, or in the LLC after a writeback/downgrade
   merge).
+* **Resident frames are valid** — no L1 or LLC frame is in state ``I``: a
+  block leaves its array before it is marked invalid, so a probe never
+  tests the state (:mod:`repro.mem.cache`).
 
 Property tests drive random programs and audit after every burst of
 operations; a violation message pinpoints the block and structure.
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.mem.block import E, M, S
+from repro.mem.block import E, I, M, S
 from repro.mem.hierarchy import MemoryHierarchy
 
 
@@ -31,7 +34,7 @@ class HierarchyAuditError(AssertionError):
 
 
 def _l1_presence(h: MemoryHierarchy) -> Dict[int, Dict[int, str]]:
-    """block -> {core: state-letter} for every valid L1 block."""
+    """block -> {core: state-letter} for every L1-resident block."""
     presence: Dict[int, Dict[int, str]] = {}
     for core, l1 in enumerate(h.l1s):
         for blk in l1.blocks():
@@ -99,8 +102,18 @@ def check_dirty_bits(h: MemoryHierarchy) -> None:
                 )
 
 
+def check_resident_frames_valid(h: MemoryHierarchy) -> None:
+    for cache in (*h.l1s, h.llc):
+        for blk in cache.blocks():
+            if blk.state is I:
+                raise HierarchyAuditError(
+                    f"{cache.name} holds 0x{blk.addr:x} resident in state I"
+                )
+
+
 def audit_hierarchy(h: MemoryHierarchy) -> None:
     """Run every structural check."""
+    check_resident_frames_valid(h)
     check_llc_inclusion(h)
     check_single_writer(h)
     check_directory_agreement(h)

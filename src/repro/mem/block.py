@@ -27,15 +27,6 @@ class MESIState(enum.Enum):
     SHARED = "S"
     INVALID = "I"
 
-    @property
-    def is_valid(self) -> bool:
-        return self is not MESIState.INVALID
-
-    @property
-    def can_write(self) -> bool:
-        """Whether a store may hit in this state without a coherence upgrade."""
-        return self in (MESIState.MODIFIED, MESIState.EXCLUSIVE)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -79,7 +70,7 @@ class BlockData:
         self.mask = 0
         if data:
             for offset, byte in data.items():
-                self.write(offset, byte)
+                self.write_word(offset, byte, 1)
 
     @property
     def bytes(self) -> Mapping[int, int]:
@@ -98,11 +89,6 @@ class BlockData:
         """The written bytes as ``(offset, byte)`` byte pairs in offset
         order: the block's share of the durable-image fingerprints."""
         return bytes(chain.from_iterable(self._written()))
-
-    def write(self, offset: int, value: int) -> None:
-        shift = offset << 3
-        self.value = (self.value & ~(0xFF << shift)) | ((value & 0xFF) << shift)
-        self.mask |= 0xFF << shift
 
     def write_word(self, offset: int, value: int, size: int = 8) -> None:
         """Write ``size`` bytes of ``value`` little-endian at ``offset``."""
@@ -148,6 +134,11 @@ class CacheBlock:
     ``persistent`` implements the per-block bit from Section III-B of the
     paper: a dirty block holding persistent data is *not* written back to
     NVMM on eviction because its durable copy lives (or lived) in a bbPB.
+
+    A block in a :class:`~repro.mem.cache.CacheArray` is never in state
+    ``I``: the array refuses to insert one, and the hierarchy marks a block
+    ``I`` only once it has left its array (removed, or evicted as a
+    victim).
     """
 
     addr: int
@@ -156,16 +147,6 @@ class CacheBlock:
     dirty: bool = False
     persistent: bool = False
     last_use: int = 0
-
-    @property
-    def valid(self) -> bool:
-        return self.state is not I
-
-    def invalidate(self) -> None:
-        self.state = I
-        self.dirty = False
-        self.persistent = False
-        self.data = BlockData()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = ("D" if self.dirty else "") + ("P" if self.persistent else "")

@@ -7,19 +7,24 @@ hierarchy wiring lives in :mod:`repro.mem.hierarchy`.
 
 Each set is a dict (``block_addr -> CacheBlock``), and one more dict
 indexes every frame of every set by tag, so a lookup is one probe with no
-set arithmetic; insertion and victim selection walk the (small,
-``assoc``-bounded) set.  The LRU use-clock is per-array, which keeps
-replacement decisions deterministic per run regardless of what other arrays
-exist in the process and lets cache state pickle cleanly for batch-runner
-worker processes.
+set arithmetic.  Every frame is resident: a block leaves only through
+:meth:`CacheArray.remove` or as :meth:`CacheArray.insert`'s victim, never
+by an in-place invalidation, so a probe tests no state and insertion into
+a full set is one LRU pass over its (``assoc``-bounded) frames.  The LRU
+use-clock is per-array, which keeps replacement decisions deterministic
+per run regardless of what other arrays exist in the process and lets
+cache state pickle cleanly for batch-runner worker processes.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Iterator, Optional
 
 from repro.mem.block import CacheBlock, I
 from repro.sim.config import CacheConfig
+
+_LAST_USE = attrgetter("last_use")
 
 
 class CacheArray:
@@ -33,8 +38,7 @@ class CacheArray:
         self.config = config
         self.name = name
         self._sets: Dict[int, Dict[int, CacheBlock]] = {}
-        #: Every frame of every set, by tag: exactly the union of ``_sets``
-        #: (invalidated-in-place frames included, as in their sets).
+        #: Every frame of every set, by tag: exactly the union of ``_sets``.
         self._frames: Dict[int, CacheBlock] = {}
         self._use = 0
         # block_size is validated to be a power of two; num_sets usually is
@@ -58,9 +62,9 @@ class CacheArray:
     # Lookup / touch
     # ------------------------------------------------------------------
     def lookup(self, block_addr: int, touch: bool = True) -> Optional[CacheBlock]:
-        """Return the resident valid block for ``block_addr`` or ``None``."""
+        """Return the resident block for ``block_addr`` or ``None``."""
         blk = self._frames.get(block_addr)
-        if blk is None or blk.state is I:
+        if blk is None:
             return None
         if touch:
             self._use += 1
@@ -68,73 +72,43 @@ class CacheArray:
         return blk
 
     def contains(self, block_addr: int) -> bool:
-        return self.lookup(block_addr, touch=False) is not None
+        return block_addr in self._frames
 
     # ------------------------------------------------------------------
     # Insertion / eviction
     # ------------------------------------------------------------------
-    def victim_for(self, block_addr: int) -> Optional[CacheBlock]:
-        """Return the block that must be evicted to make room for
-        ``block_addr``, or ``None`` if a free frame exists."""
-        frames = self._set_for(block_addr)
-        if len(frames) < self.config.assoc:
-            return None
-        victim = None
-        for blk in frames.values():
-            if not blk.valid:
-                return None
-            if victim is None or blk.last_use < victim.last_use:
-                victim = blk
-        return victim
-
     def insert(self, block: CacheBlock) -> Optional[CacheBlock]:
         """Install ``block``; return the evicted victim block, if any.
 
         The caller (the hierarchy) is responsible for handling the victim:
         writeback, silent drop, back-invalidation, forced bbPB drain.
         """
-        if not block.valid:
+        if block.state is I:
             raise ValueError("cannot insert an invalid block")
-        frames = self._set_for(block.addr)
-        existing = frames.get(block.addr)
-        if existing is not None and existing.valid:
+        index = self._frames
+        if block.addr in index:
             raise ValueError(
                 f"{self.name}: block 0x{block.addr:x} already resident"
             )
+        frames = self._set_for(block.addr)
         self._use += 1
         block.last_use = self._use
-        index = self._frames
         index[block.addr] = block
-        # Reuse an invalidated-in-place frame if one exists.
-        if existing is not None:
-            del frames[existing.addr]
-            frames[block.addr] = block
-            return None
-        for blk in frames.values():
-            if not blk.valid:
-                del frames[blk.addr]
-                del index[blk.addr]
-                frames[block.addr] = block
-                return None
         if len(frames) < self.config.assoc:
             frames[block.addr] = block
             return None
-        victim = None
-        for blk in frames.values():
-            if victim is None or blk.last_use < victim.last_use:
-                victim = blk
+        victim = min(frames.values(), key=_LAST_USE)
         del frames[victim.addr]
         del index[victim.addr]
         frames[block.addr] = block
         return victim
 
     def remove(self, block_addr: int) -> Optional[CacheBlock]:
-        """Invalidate and return the block (e.g. on coherence invalidation)."""
-        blk = self.lookup(block_addr, touch=False)
-        if blk is None:
-            return None
-        del self._frames[block_addr]
-        del self._sets[self.set_index(block_addr)][block_addr]
+        """Take the block out of the array and return it (e.g. on a
+        coherence invalidation), or ``None`` if it is not resident."""
+        blk = self._frames.pop(block_addr, None)
+        if blk is not None:
+            del self._sets[self.set_index(block_addr)][block_addr]
         return blk
 
     # ------------------------------------------------------------------
@@ -142,15 +116,13 @@ class CacheArray:
     # ------------------------------------------------------------------
     def blocks(self) -> Iterator[CacheBlock]:
         for frames in self._sets.values():
-            for blk in frames.values():
-                if blk.valid:
-                    yield blk
+            yield from frames.values()
 
     def dirty_blocks(self) -> Iterator[CacheBlock]:
         return (b for b in self.blocks() if b.dirty)
 
     def occupancy(self) -> int:
-        return sum(1 for _ in self.blocks())
+        return len(self._frames)
 
     def clear(self) -> None:
         """Drop all contents (models power loss of a volatile cache)."""

@@ -39,7 +39,6 @@ Typical use::
 
 from repro.obs.bus import NULL_BUS, EventBus, EventRecorder
 from repro.obs.events import (
-    EVENT_TYPES,
     BbpbAlloc,
     BbpbCoalesce,
     BbpbReject,
@@ -54,7 +53,6 @@ from repro.obs.events import (
     StallEnd,
     WpqDrain,
     WpqEnqueue,
-    event_from_payload,
     event_to_payload,
 )
 from repro.obs.latency import (
@@ -71,7 +69,6 @@ __all__ = [
     "EventRecorder",
     "NULL_BUS",
     "Event",
-    "EVENT_TYPES",
     "BbpbAlloc",
     "BbpbCoalesce",
     "BbpbReject",
@@ -86,7 +83,6 @@ __all__ = [
     "StallBegin",
     "StallEnd",
     "event_to_payload",
-    "event_from_payload",
     "ExactLatencies",
     "LatencyHistogram",
     "LatencyRecorder",

@@ -25,7 +25,6 @@ Design constraints (in priority order):
 
 from __future__ import annotations
 
-from collections import Counter as _Counter
 from typing import Callable, List
 
 from repro.obs.events import Event
@@ -50,18 +49,12 @@ class EventBus:
         self._subscribers.append(fn)
         return fn
 
-    def unsubscribe(self, fn: Subscriber) -> None:
-        self._subscribers.remove(fn)
-
     def emit(self, event: Event) -> None:
         """Deliver ``event`` to all subscribers (no-op when disabled)."""
         if not self.enabled:
             return
         for fn in self._subscribers:
             fn(event)
-
-    def __len__(self) -> int:
-        return len(self._subscribers)
 
 
 class _NullBus(EventBus):
@@ -93,7 +86,7 @@ class EventRecorder:
         bus = EventBus()
         rec = EventRecorder(bus)
         ...  # run
-        rec.counts()["bbpb_alloc"]
+        rec.events  # every event, in emission order
     """
 
     def __init__(self, bus: EventBus = None) -> None:  # type: ignore[assignment]
@@ -103,13 +96,3 @@ class EventRecorder:
 
     def __call__(self, event: Event) -> None:
         self.events.append(event)
-
-    def counts(self) -> "_Counter[str]":
-        """Event count per ``kind``."""
-        return _Counter(e.kind for e in self.events)
-
-    def clear(self) -> None:
-        self.events.clear()
-
-    def __len__(self) -> int:
-        return len(self.events)

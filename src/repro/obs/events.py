@@ -11,15 +11,15 @@ invalidation takes out of a bbPB (Fig. 6), WPQ acceptance/backpressure
 (Section III-F), and which cause each stall cycle is attributable to
 (Fig. 7a's differentials).
 
-``event_to_payload``/``event_from_payload`` are the JSONL wire format:
-a flat dict with a ``kind`` discriminator, round-trippable through
-:data:`EVENT_TYPES`.
+``event_to_payload`` is the JSONL wire format: a flat dict with a
+``kind`` discriminator.  The program writes event logs and never parses
+them back.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import ClassVar, Dict, Type
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Dict
 
 #: Stall causes attached to :class:`StallBegin`/:class:`StallEnd`.
 STALL_BBPB_FULL = "bbpb_full"
@@ -185,44 +185,8 @@ class StallEnd(Event):
     cause: str
 
 
-#: kind-string -> event class, the JSONL round-trip registry.
-EVENT_TYPES: Dict[str, Type[Event]] = {
-    cls.kind: cls
-    for cls in (
-        BbpbAlloc,
-        BbpbCoalesce,
-        BbpbReject,
-        BbpbRemove,
-        DrainStart,
-        DrainEnd,
-        ForcedDrain,
-        WpqEnqueue,
-        WpqDrain,
-        SbPush,
-        SbRelease,
-        StallBegin,
-        StallEnd,
-    )
-}
-
-
 def event_to_payload(event: Event) -> Dict[str, object]:
     """Flat JSON-serialisable dict with a ``kind`` discriminator."""
     payload: Dict[str, object] = {"kind": event.kind}
     payload.update(asdict(event))
     return payload
-
-
-def event_from_payload(payload: Dict[str, object]) -> Event:
-    """Inverse of :func:`event_to_payload`."""
-    data = dict(payload)
-    kind = data.pop("kind")
-    try:
-        cls = EVENT_TYPES[kind]  # type: ignore[index]
-    except KeyError:
-        raise ValueError(f"unknown event kind {kind!r}")
-    names = {f.name for f in fields(cls)}
-    unknown = set(data) - names
-    if unknown:
-        raise ValueError(f"unexpected fields for {kind!r}: {sorted(unknown)}")
-    return cls(**data)  # type: ignore[arg-type]

@@ -1,15 +1,15 @@
 """Event exporters: JSONL logs, Chrome ``trace_event`` files, ASCII tables.
 
-* :func:`write_jsonl` / :func:`read_jsonl` — one JSON object per line with
-  a ``kind`` discriminator; lossless round-trip through
-  :func:`repro.obs.events.event_from_payload`.
+* :func:`write_jsonl` — one JSON object per line with a ``kind``
+  discriminator (:func:`repro.obs.events.event_to_payload`).
 * :func:`to_chrome_trace` / :func:`write_chrome_trace` — the Chrome
   ``trace_event`` JSON format (load the file in ``chrome://tracing`` or
   https://ui.perfetto.dev).  Drains and stalls become duration events on
   per-core tracks, bbPB/WPQ activity becomes instant events, and
   occupancy becomes counter tracks.
-* :func:`summarize_events` — ASCII per-kind summary rendered through
-  :func:`repro.analysis.tables.render_table`.
+* :func:`event_counts` / :func:`stall_attribution` — per-kind counts and
+  per-cause stall cycles, which ``repro profile`` reconciles with
+  ``SimStats``.
 
 Timestamps are simulated cycles, reported as microseconds to the trace
 viewer (1 cycle == 1 us) so the viewer's zoom/ruler stay usable.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, Iterable, List, Sequence
 
 from repro.obs.events import (
     BbpbAlloc,
@@ -36,7 +36,6 @@ from repro.obs.events import (
     StallEnd,
     WpqDrain,
     WpqEnqueue,
-    event_from_payload,
     event_to_payload,
 )
 
@@ -69,17 +68,6 @@ def write_jsonl(events: Iterable[Event], path: str) -> int:
             fh.write("\n")
             count += 1
     return count
-
-
-def read_jsonl(path: str) -> List[Event]:
-    """Parse a JSONL event log back into typed events."""
-    events: List[Event] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(event_from_payload(json.loads(line)))
-    return events
 
 
 # ----------------------------------------------------------------------
@@ -169,23 +157,12 @@ def write_chrome_trace(events: Sequence[Event], path: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# ASCII summary
+# Counts
 # ----------------------------------------------------------------------
 
 def event_counts(events: Iterable[Event]) -> "Counter[str]":
     """Event count per kind."""
     return Counter(e.kind for e in events)
-
-
-def summarize_events(events: Sequence[Event],
-                     title: str = "event summary") -> str:
-    """Per-kind count table (rendered via :mod:`repro.analysis.tables`)."""
-    from repro.analysis.tables import render_table
-
-    counts = event_counts(events)
-    rows = [(kind, counts[kind]) for kind in sorted(counts)]
-    rows.append(("total", sum(counts.values())))
-    return render_table(["event", "count"], rows, title=title)
 
 
 def stall_attribution(events: Sequence[Event]) -> Dict[str, int]:

@@ -4,9 +4,9 @@ Two accumulators with one quantile API:
 
 * :class:`LatencyHistogram` — a geometric (log-bucketed) histogram with a
   bounded *relative* quantile error.  Bucket ``i`` covers
-  ``[growth**i, growth**(i+1))`` cycles, so with the default growth of
-  ``2**(1/8)`` every reported quantile is within ~9% of the exact value
-  while memory stays O(log(max latency)) regardless of request count.
+  ``[GROWTH**i, GROWTH**(i+1))`` cycles, so with ``GROWTH = 2**(1/8)``
+  every reported quantile is within ~9% of the exact value while memory
+  stays O(log(max latency)) regardless of request count.
   This is the accumulator the frontend uses: a load sweep observes
   millions of requests and must not hold them all.
 * :class:`ExactLatencies` — keeps every sample; exact quantiles.  Used by
@@ -22,10 +22,10 @@ more than one bucket's width).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
-    "DEFAULT_GROWTH",
+    "GROWTH",
     "ExactLatencies",
     "LatencyHistogram",
     "LatencyRecorder",
@@ -33,8 +33,9 @@ __all__ = [
     "percentile_summary",
 ]
 
-#: Default bucket growth factor: 8 buckets per octave (~9% relative error).
-DEFAULT_GROWTH = 2.0 ** (1.0 / 8.0)
+#: Bucket growth factor: 8 buckets per octave (~9% relative error).
+GROWTH = 2.0 ** (1.0 / 8.0)
+_LOG_GROWTH = math.log(GROWTH)
 
 #: The quantiles the traffic reports publish, with their report labels.
 PERCENTILE_LABELS: Tuple[Tuple[str, float], ...] = (
@@ -48,20 +49,15 @@ class LatencyHistogram:
     """Geometric log-bucket histogram over positive integer latencies.
 
     Bucket index of value ``v`` (``v >= 1``) is
-    ``floor(log(v) / log(growth))``; value 0 gets its own underflow
+    ``floor(log(v) / log(GROWTH))``; value 0 gets its own underflow
     bucket.  Quantiles return the bucket's inclusive *upper* bound, so
     estimates are conservative (never below the true nearest-rank value)
-    and the relative error is bounded by ``growth - 1``.
+    and the relative error is bounded by ``GROWTH - 1``.
     """
 
-    __slots__ = ("growth", "_log_growth", "_buckets", "_count", "_sum",
-                 "_min", "_max")
+    __slots__ = ("_buckets", "_count", "_sum", "_min", "_max")
 
-    def __init__(self, growth: float = DEFAULT_GROWTH) -> None:
-        if growth <= 1.0:
-            raise ValueError(f"growth must exceed 1.0, got {growth!r}")
-        self.growth = growth
-        self._log_growth = math.log(growth)
+    def __init__(self) -> None:
         self._buckets: Dict[int, int] = {}
         self._count = 0
         self._sum = 0
@@ -72,13 +68,13 @@ class LatencyHistogram:
     def _index(self, value: int) -> int:
         if value <= 0:
             return -1  # underflow bucket: exactly the value 0
-        return int(math.log(value) / self._log_growth)
+        return int(math.log(value) / _LOG_GROWTH)
 
     def _upper_bound(self, index: int) -> int:
         """Largest integer value mapping to bucket ``index``."""
         if index < 0:
             return 0
-        hi = int(math.ceil(self.growth ** (index + 1))) - 1
+        hi = int(math.ceil(GROWTH ** (index + 1))) - 1
         # Float round-off can land the boundary value in the next bucket;
         # walk back until the bound really maps here.
         while hi > 1 and self._index(hi) > index:
@@ -96,18 +92,6 @@ class LatencyHistogram:
         self._sum += value
         self._min = value if self._min is None else min(self._min, value)
         self._max = value if self._max is None else max(self._max, value)
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        if other.growth != self.growth:
-            raise ValueError("cannot merge histograms with different growth")
-        for idx, n in other._buckets.items():
-            self._buckets[idx] = self._buckets.get(idx, 0) + n
-        self._count += other._count
-        self._sum += other._sum
-        for bound in (other._min, other._max):
-            if bound is not None:
-                self._min = bound if self._min is None else min(self._min, bound)
-                self._max = bound if self._max is None else max(self._max, bound)
 
     # ------------------------------------------------------------------
     @property
@@ -135,17 +119,6 @@ class LatencyHistogram:
             if seen >= rank:
                 return min(self._upper_bound(idx), self._max or 0)
         return self._max or 0  # pragma: no cover — rank <= count always hits
-
-    def to_payload(self) -> Dict[str, object]:
-        """JSON-serialisable form (bucket index -> count, plus summary)."""
-        return {
-            "growth": self.growth,
-            "count": self._count,
-            "sum": self._sum,
-            "min": self._min,
-            "max": self._max,
-            "buckets": {str(i): n for i, n in sorted(self._buckets.items())},
-        }
 
 
 class ExactLatencies:
@@ -199,8 +172,7 @@ class LatencyRecorder:
 
     AGGREGATE = ""
 
-    def __init__(self, growth: float = DEFAULT_GROWTH) -> None:
-        self.growth = growth
+    def __init__(self) -> None:
         self._hists: Dict[str, LatencyHistogram] = {}
 
     def record(self, value: int, *keys: str) -> None:
@@ -208,20 +180,17 @@ class LatencyRecorder:
         for key in (self.AGGREGATE,) + keys:
             hist = self._hists.get(key)
             if hist is None:
-                hist = self._hists[key] = LatencyHistogram(self.growth)
+                hist = self._hists[key] = LatencyHistogram()
             hist.record(value)
 
     def histogram(self, key: str = AGGREGATE) -> LatencyHistogram:
         hist = self._hists.get(key)
         if hist is None:
-            hist = self._hists[key] = LatencyHistogram(self.growth)
+            hist = self._hists[key] = LatencyHistogram()
         return hist
 
     def keys(self) -> Tuple[str, ...]:
         return tuple(k for k in self._hists if k != self.AGGREGATE)
-
-    def summary(self, key: str = AGGREGATE) -> Dict[str, object]:
-        return percentile_summary(self.histogram(key))
 
 
 def percentile_summary(hist) -> Dict[str, object]:

@@ -8,7 +8,7 @@ checkable, measurable compiler-style transformation:
 
 - :mod:`repro.opt.ir` — one canonical :class:`~repro.opt.ir.Program`
   representation (per-op provenance + durable-location metadata),
-  lossless to and from executable traces, workloads and litmus tests;
+  lowered from executable traces, workloads and litmus tests;
 - :mod:`repro.opt.passes` — the removal-only passes, one ``{name: fn}``
   table (:data:`~repro.opt.passes.PASSES`): scheme-independent
   redundancy elimination plus elision gated purely on
@@ -58,8 +58,10 @@ from repro.opt.report import (
     smoke_opt,
 )
 from repro.opt.verify import (
+    OptimizedLitmus,
     OptimizedWorkload,
     final_image_fingerprint,
+    optimize_litmus,
     optimize_workload,
     verify_litmus_cell,
     verify_optimized,
@@ -73,6 +75,7 @@ __all__ = [
     "MUTANT_PIPELINE",
     "OPT_SCHEMA",
     "Op",
+    "OptimizedLitmus",
     "OptimizedWorkload",
     "PASSES",
     "PassContext",
@@ -84,6 +87,7 @@ __all__ = [
     "flush_is_redundant",
     "instrument_naive",
     "opt_compare",
+    "optimize_litmus",
     "optimize_workload",
     "removal_justified",
     "removed_positions",

@@ -9,8 +9,8 @@ enriched with two pieces of metadata the executable trace never carried:
 
 ``origin``
     per-op provenance — which workload, litmus location, or
-    instrumentation step produced the op.  Survives the trace-file
-    round-trip (:func:`repro.sim.tracefile.save_program`) and lets the
+    instrumentation step produced the op.  Written into saved trace
+    files (:func:`repro.sim.tracefile.save_program`), and lets the
     verifier name exactly which op an unsound pass removed.
 
 ``durable``
@@ -34,7 +34,7 @@ that is all of it, which is the paper's point, quantified.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.sim.trace import OpKind, ProgramTrace, ThreadTrace, TraceOp
 
@@ -92,44 +92,6 @@ class Op:
         if self.origin:
             parts.append(f"[{self.origin}]")
         return " ".join(parts)
-
-    # -- serialization (compact JSON-able dict; defaults omitted) -------
-    def to_payload(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {"k": self.kind.value}
-        if self.addr:
-            out["a"] = self.addr
-        if self.size != 8:
-            out["s"] = self.size
-        if self.value:
-            out["v"] = self.value
-        if self.cycles:
-            out["c"] = self.cycles
-        if self.tag:
-            out["g"] = self.tag
-        if self.origin:
-            out["p"] = self.origin
-        if self.durable:
-            out["d"] = True
-        return out
-
-    @staticmethod
-    def from_payload(payload: Mapping[str, Any]) -> "Op":
-        try:
-            kind = OpKind(payload["k"])
-        except (KeyError, ValueError) as exc:
-            raise ValueError(
-                f"bad IR op payload: unknown kind {payload.get('k')!r}"
-            ) from exc
-        return Op(
-            kind,
-            addr=int(payload.get("a", 0)),
-            size=int(payload.get("s", 8)),
-            value=int(payload.get("v", 0)),
-            cycles=int(payload.get("c", 0)),
-            tag=payload.get("g"),
-            origin=str(payload.get("p", "")),
-            durable=bool(payload.get("d", False)),
-        )
 
 
 @dataclass(frozen=True)
@@ -197,30 +159,6 @@ class Program:
             for thread in trace.threads
         )
         return Program(threads=threads, name=name)
-
-    # -- serialization -------------------------------------------------
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-able (and picklable) payload: embedded in
-        ``repro.optreport/v1`` artifacts and carried by
-        :class:`repro.check.checker.CheckUnit` into batch workers."""
-        return {
-            "name": self.name,
-            "threads": [
-                [op.to_payload() for op in ops] for ops in self.threads
-            ],
-        }
-
-    @staticmethod
-    def from_payload(payload: Mapping[str, Any]) -> "Program":
-        threads = payload.get("threads")
-        if not isinstance(threads, (list, tuple)):
-            raise ValueError("bad IR program payload: no 'threads' list")
-        return Program(
-            threads=tuple(
-                tuple(Op.from_payload(op) for op in ops) for ops in threads
-            ),
-            name=str(payload.get("name", "")),
-        )
 
 
 def instrument_naive(program: Program) -> Program:

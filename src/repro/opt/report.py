@@ -35,9 +35,11 @@ from repro.opt.ir import Op, Program
 from repro.opt.passes import MUTANT_PIPELINE
 from repro.opt.pipeline import run_pipeline
 from repro.opt.verify import (
+    OptimizedWorkload,
+    optimize_litmus,
     optimize_workload,
     verify_litmus_cell,
-    verify_workload_cell,
+    verify_optimized,
 )
 from repro.sim.trace import OpKind
 
@@ -58,6 +60,9 @@ OPT_SCHEMA = "repro.optreport/v1"
 #: instrumentation; schemes that keep it must shed at most this much.
 SMOKE_MIN_ELISION = 50.0
 SMOKE_MAX_RESIDUAL_ELISION = 5.0
+
+#: The smoke grid's workload whose cells the checker sweep explores.
+SMOKE_CHECKER_WORKLOAD = "hashmap"
 
 
 def _pct_delta(naive: float, optimized: float) -> float:
@@ -303,7 +308,6 @@ def smoke_opt() -> Dict[str, Any]:
         scheme_info,
     )
     from repro.litmus.corpus import smoke_corpus
-    from repro.litmus.dsl import lower_program
     from repro.workloads.base import WORKLOAD_NAMES
 
     spec = _smoke_spec()
@@ -314,12 +318,15 @@ def smoke_opt() -> Dict[str, Any]:
     # 1. The elision grid: every workload x every scheme, audited, final
     #    images compared, elision gated per scheme class.
     grid: List[Dict[str, Any]] = []
+    checked: Dict[str, OptimizedWorkload] = {}  # scheme -> step 2's cell
     for scheme in schemes:
         info = scheme_info(scheme)
         subsumes_all = (info.subsumes_ordering(ORDERING_FLUSH)
                         and info.subsumes_ordering(ORDERING_FENCE))
         for workload in WORKLOAD_NAMES:
             cell = optimize_workload(workload, scheme, spec, cfg)
+            if workload == SMOKE_CHECKER_WORKLOAD:
+                checked[scheme] = cell
             result = cell.result
             pct = result.flush_fence_elision_pct
             grid.append({
@@ -348,10 +355,10 @@ def smoke_opt() -> Dict[str, Any]:
                 )
 
     # 2. Checker-clean sweep: one workload explored exhaustively per
-    #    scheme, naive vs optimized, same oracles.
+    #    scheme, naive vs optimized, same oracles — step 1's cell.
     checker_cells: List[Dict[str, Any]] = []
     for scheme in schemes:
-        cell = verify_workload_cell("hashmap", scheme, spec=spec, entries=8)
+        cell = verify_optimized(checked[scheme])
         checker_cells.append(cell)
         failures.extend(
             f"checker {cell['workload']} x {scheme}: {msg}"
@@ -363,12 +370,11 @@ def smoke_opt() -> Dict[str, Any]:
     litmus_cells: List[Dict[str, Any]] = []
     for scheme in schemes:
         for test in smoke_corpus():
-            program, _ = lower_program(test, cfg)
-            result = run_pipeline(program, scheme,
-                                  block_size=cfg.block_size)
-            if result.optimized.total_ops == program.total_ops:
+            optimized = optimize_litmus(test, scheme, cfg)
+            if (optimized.result.optimized.total_ops
+                    == optimized.program.total_ops):
                 continue
-            cell = verify_litmus_cell(test, scheme, config=cfg)
+            cell = verify_litmus_cell(optimized)
             litmus_cells.append(cell)
             failures.extend(
                 f"litmus {test.name} x {scheme}: {msg}"

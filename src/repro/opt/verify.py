@@ -12,8 +12,8 @@ of evidence agree:
 
 2.  **Crash-checker equivalence** (:func:`verify_workload_cell`).  The
     optimized program runs through the same exhaustive crash-state
-    explorer as the naive one (:class:`repro.check.checker.CheckUnit`
-    with an embedded IR-program payload) — same contract, golden, and
+    explorer as the naive one (a :class:`repro.check.checker.CheckUnit`
+    that carries the IR program) — same contract, golden, and
     structural oracles — and must be at least as consistent: optimization
     never turns a consistent program inconsistent (an input already
     violating the scheme's discipline is recorded, not blamed on the
@@ -26,9 +26,10 @@ of evidence agree:
     ddmin-minimized through the shared checker path into a replayable
     counterexample.
 
-3.  **Litmus gating** (:func:`verify_litmus_cell`).  The optimized form
-    of each litmus test is crash-swept exactly like the battery sweeps
-    the naive form, and every observed durable state must lie inside the
+3.  **Litmus gating** (:func:`verify_litmus_cell` of one
+    :func:`optimize_litmus`).  The optimized form of each litmus test is
+    crash-swept exactly like the battery sweeps the naive form, and
+    every observed durable state must lie inside the
     allowed set of the *original* test under the scheme's declared
     persistency model — elision may shrink the reachable set, never grow
     it.  A forbidden observation is ddmin-minimized over the *removal
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.check.explore import DurableImage, crash_writes
 from repro.check.mutants import build_crash_system
@@ -57,8 +58,10 @@ from repro.opt.passes import removed_positions
 from repro.opt.pipeline import PipelineResult, run_pipeline
 
 __all__ = [
+    "OptimizedLitmus",
     "OptimizedWorkload",
     "final_image_fingerprint",
+    "optimize_litmus",
     "optimize_workload",
     "verify_litmus_cell",
     "verify_optimized",
@@ -181,9 +184,9 @@ def verify_optimized(cell: OptimizedWorkload) -> Dict[str, Any]:
     base_unit = CheckUnit(
         scheme=result.scheme, workload=cell.name, spec=cell.spec,
         entries=cell.entries, config=cell.config,
-        program=naive.to_payload(),
+        program=naive,
     )
-    opt_unit = replace(base_unit, program=result.optimized.to_payload())
+    opt_unit = replace(base_unit, program=result.optimized)
     naive_verdicts, naive_total, _ = explore(base_unit)
     opt_verdicts, opt_total, _ = explore(opt_unit)
     naive_ok = all(v.consistent for v in naive_verdicts)
@@ -317,34 +320,48 @@ def _minimize_removals(
     }
 
 
-def verify_litmus_cell(
-    test,
-    scheme: str,
-    config=None,
-    entries: int = 8,
-    passes: Optional[Sequence[str]] = None,
-    minimize: bool = True,
-) -> Dict[str, Any]:
-    """Verify one (litmus test x scheme x pipeline) cell: lower to IR,
-    optimize, audit every removal, crash-sweep the optimized program, and
-    gate every observed durable state against the allowed set of the
-    *original* test under the scheme's declared persistency model.
-    Elision may make allowed states unreachable; it must never expose a
-    forbidden one.  Returns a JSON-able cell; a forbidden observation is
-    ddmin-minimized over the removal set."""
+@dataclass(frozen=True)
+class OptimizedLitmus:
+    """One (litmus test x scheme) cell's shared step: the test lowered to
+    IR and its audited optimization (:func:`optimize_litmus`)."""
+
+    test: Any                 # the LitmusTest
+    config: Any               # the resolved SystemConfig
+    program: Program          # the lowered (unoptimized) program
+    addrs: Any                # location name -> address
+    result: PipelineResult
+
+
+def optimize_litmus(test, scheme: str, config=None) -> OptimizedLitmus:
+    """Lower ``test`` to IR and run the default pipeline once under
+    ``scheme`` (audited as it applies)."""
     from repro.analysis.experiments import default_sim_config
     from repro.litmus.dsl import lower_program
-    from repro.litmus.models import allowed_states
 
     cfg = config or default_sim_config()
-    info = scheme_info(scheme)
     program, addrs = lower_program(test, cfg)
-    result = run_pipeline(program, scheme, passes=passes,
-                          block_size=cfg.block_size)
+    result = run_pipeline(program, scheme, block_size=cfg.block_size)
+    return OptimizedLitmus(test, cfg, program, addrs, result)
+
+
+def verify_litmus_cell(cell: OptimizedLitmus,
+                       entries: int = 8) -> Dict[str, Any]:
+    """Verify one (litmus test x scheme) cell of :func:`optimize_litmus`:
+    crash-sweep the optimized program and gate every observed durable
+    state against the allowed set of the *original* test under the
+    scheme's declared persistency model.  Elision may make allowed states
+    unreachable; it must never expose a forbidden one.  Returns a
+    JSON-able cell with the audit's violations; a forbidden observation
+    is ddmin-minimized over the removal set."""
+    from repro.litmus.models import allowed_states
+
+    test, cfg, program, addrs, result = (
+        cell.test, cell.config, cell.program, cell.addrs, cell.result)
+    info = scheme_info(result.scheme)
     failures: List[str] = result.describe_violations()
 
     observed, points = _sweep_states(
-        result.optimized.to_trace(), scheme, entries, cfg, test, addrs
+        result.optimized.to_trace(), info.name, entries, cfg, test, addrs
     )
     declared = info.persistency_model
     allowed = allowed_states(test, declared)
@@ -357,7 +374,7 @@ def verify_litmus_cell(
             f"{observed[state]['site']!r})"
         )
     counterexample = None
-    if forbidden and minimize:
+    if forbidden:
         counterexample = _minimize_removals(
             program, result.optimized, test, addrs, allowed,
             info.name, entries, cfg,

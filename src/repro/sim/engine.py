@@ -20,7 +20,9 @@ Store buffers sit between the core and the hierarchy:
   battery-backed, which is exactly the paper's point.
 
 The engine records every *committed* and every *performed* (L1D-written)
-persisting store; the recovery checker uses them as the golden state.
+persisting store; the recovery checker uses them as the golden state.  It
+keeps no per-op execution log: a differential test that needs one wraps
+the hierarchy's ``load``/``store`` (see :mod:`repro.sim.reference`).
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from repro.obs.events import (
     StallEnd,
 )
 from repro.sim.config import ConsistencyModel
-from repro.sim.reference import LogKind, LogRecord
 from repro.sim.stats import SimStats
 from repro.sim.trace import OpKind, ProgramTrace, TraceOp
 
@@ -76,11 +77,6 @@ class RunResult:
     drain_report: Optional[DrainReport] = None
     #: Crash-schedule point that fired (None when the run completed).
     crash_point: Optional[FiredPoint] = None
-    #: Architectural execution log — the exact order operations took
-    #: effect — recorded only while the engine's ``_log_enabled`` flag is
-    #: set (the differential test against :mod:`repro.sim.reference` sets
-    #: it).
-    log: List[LogRecord] = field(default_factory=list)
 
     @property
     def execution_cycles(self) -> int:
@@ -101,8 +97,6 @@ class Engine:
         self.config = hierarchy.config
         self.stats = hierarchy.stats
         self._rng = random.Random(reorder_seed)
-        #: Record :attr:`RunResult.log` (off: it costs a record per op).
-        self._log_enabled = False
         self._seq = 0
         self._tso = self.config.consistency is ConsistencyModel.TSO
         #: The result of the run in progress (or of the last run).
@@ -159,21 +153,8 @@ class Engine:
             if forwarded is not None:
                 self.stats.core[core].sb_forwards += 1
                 self.stats.core[core].loads += 1
-                if self._log_enabled:
-                    result.log.append(
-                        LogRecord(LogKind.LOAD, core, op.addr, op.size, forwarded)
-                    )
                 return now + 1
-            value, done = self.hierarchy.load(core, op.addr, op.size, now)
-            if self._log_enabled:
-                # NOTE: under TSO, unreleased remote SB entries do not exist
-                # (release is eager), so the hierarchy value is the
-                # architectural one.  Under RELAXED, remote cores' buffered
-                # stores are not yet visible — the log captures that.
-                result.log.append(
-                    LogRecord(LogKind.LOAD, core, op.addr, op.size, value)
-                )
-            return done
+            return self.hierarchy.load(core, op.addr, op.size, now)[1]
 
         if kind is OpKind.FLUSH:
             # clwb is asynchronous: it starts the writeback and retires.
@@ -224,8 +205,6 @@ class Engine:
         addr, size, value = op.addr, op.size, op.value
         # +1: commit cost
         done, persistent = self.hierarchy.store(core, addr, size, value, now + 1)
-        if self._log_enabled:
-            result.log.append(LogRecord(LogKind.STORE, core, addr, size, value))
         if persistent:
             seq = self._seq
             result.committed_persists.append(
@@ -278,10 +257,6 @@ class Engine:
         done, persistent = self.hierarchy.store(
             core, entry.addr, entry.size, entry.value, now
         )
-        if self._log_enabled:
-            result.log.append(
-                LogRecord(LogKind.STORE, core, entry.addr, entry.size, entry.value)
-            )
         if persistent:
             self._seq += 1
             result.performed_persists.append(

@@ -8,9 +8,11 @@ oracle for the cache/coherence/store-buffer implementation: any lost
 update, stale copy, forwarding bug, or merge error shows up as a value
 divergence.
 
-The engine produces the log when run with ``log`` enabled (see
-:class:`~repro.sim.engine.Engine`); the log records operations in the
-exact order they took architectural effect, so replay is deterministic.
+The engine keeps no log of its own: a test records one by wrapping the
+hierarchy's ``load``/``store`` and each store buffer's ``forward`` (see
+``tests/properties/test_prop_reference_model.py``).  The log lists
+operations in the exact order they took architectural effect, so replay
+is deterministic.
 """
 
 from __future__ import annotations

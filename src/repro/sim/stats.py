@@ -12,7 +12,7 @@ Serialisation
 
 :meth:`SimStats.to_dict` emits the versioned ``repro.simstats/v1`` schema —
 the one JSON shape shared by ``repro run --json``, ``repro bench``, and the
-batch runner — and :meth:`SimStats.from_dict` parses it back losslessly::
+batch runner.  Nothing in the program reads it back (``json.loads`` does)::
 
     {
       "schema": "repro.simstats/v1",
@@ -20,7 +20,7 @@ batch runner — and :meth:`SimStats.from_dict` parses it back losslessly::
       "totals":   {<scalar counter>: <int>, ...},   # SCALAR_FIELDS
       "bbpb_per_core": {"<core>": <drains>, ...},
       "cores":    [{<per-core counter>: <int>, ...}, ...],  # CORE_FIELDS
-      "derived":  {...}   # recomputed on load, informational only
+      "derived":  {...}   # computed from the counters, informational only
     }
 
 The authoritative field lists are :data:`SCALAR_FIELDS` and
@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-#: Schema tag emitted/required by to_dict/from_dict.
+#: Schema tag emitted by to_dict.
 STATS_SCHEMA = "repro.simstats/v1"
 
 #: Whole-run scalar counters, in emission order.
@@ -71,11 +71,6 @@ class CoreStats:
     l1_misses: int = 0
     sb_forwards: int = 0
     cycles: int = 0
-
-    @property
-    def l1_hit_rate(self) -> float:
-        total = self.l1_hits + self.l1_misses
-        return self.l1_hits / total if total else 0.0
 
 
 @dataclass
@@ -215,35 +210,6 @@ class SimStats:
                 "total_bbpb_stalls": self.total_bbpb_stalls,
             },
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "SimStats":
-        """Parse a :meth:`to_dict` payload back into a :class:`SimStats`.
-
-        Validates the schema tag; the ``derived`` block is ignored (those
-        values are recomputed from the counters).
-        """
-        schema = payload.get("schema")
-        if schema != STATS_SCHEMA:
-            raise ValueError(
-                f"unsupported stats schema {schema!r} (expected "
-                f"{STATS_SCHEMA!r})"
-            )
-        cores_payload = payload.get("cores", [])
-        stats = cls(
-            num_cores=int(payload.get("num_cores", len(cores_payload))),
-            core=[
-                CoreStats(**{f: c[f] for f in CORE_FIELDS})
-                for c in cores_payload
-            ],
-        )
-        totals = payload.get("totals", {})
-        for f in SCALAR_FIELDS:
-            setattr(stats, f, totals[f])
-        stats.bbpb_per_core = Counter(
-            {int(k): v for k, v in payload.get("bbpb_per_core", {}).items()}
-        )
-        return stats
 
     def to_json(self, indent: int = 2) -> str:
         import json

@@ -8,14 +8,13 @@ traces can be produced or consumed by external tools (or hand-written for
 directed experiments).  The loaders validate every field and raise
 :class:`TraceFormatError` naming the offending line.
 
-IR programs (:class:`repro.opt.ir.Program` — e.g. optimizer output) use
-the same format via :func:`save_program` / :func:`load_program`, with
-two extra per-op fields carrying the IR metadata: ``"p"`` (provenance
-origin) and ``"d"`` (durable location), plus an optional ``"program"``
-name in the header.  The plain loaders ignore the extra fields, so an
-optimized program file is also a valid executable trace file; and
-because every field is emitted in a fixed order with defaults omitted,
-re-saving a loaded program is byte-identical.
+IR programs (:class:`repro.opt.ir.Program` — e.g. optimizer output) are
+written in the same format by :func:`save_program`, with two extra per-op
+fields carrying the IR metadata: ``"p"`` (provenance origin) and ``"d"``
+(durable location), plus an optional ``"program"`` name in the header.
+:func:`load_trace` ignores the extra fields, so an optimized program file
+is also a valid executable trace file.  Every field is emitted in a fixed
+order with defaults omitted, so equal programs save byte-identically.
 """
 
 from __future__ import annotations
@@ -111,9 +110,7 @@ def save_trace(trace: ProgramTrace, path: Union[str, Path]) -> int:
 def save_program(program, path: Union[str, Path]) -> int:
     """Write an IR :class:`~repro.opt.ir.Program` with its provenance and
     durability metadata; returns the number of ops written.  The file is
-    loadable by :func:`load_trace` (metadata fields are ignored there)
-    and exactly re-saveable: ``save_program(load_program(p))`` writes
-    byte-identical content."""
+    loadable by :func:`load_trace` (metadata fields are ignored there)."""
     path = Path(path)
     count = 0
     with path.open("w") as fh:
@@ -130,26 +127,7 @@ def save_program(program, path: Union[str, Path]) -> int:
     return count
 
 
-def load_program(path: Union[str, Path]):
-    """Read a program written by :func:`save_program` back into an IR
-    :class:`~repro.opt.ir.Program`, provenance and durability preserved.
-    Also accepts a plain trace file (metadata reads as empty/volatile)."""
-    from repro.opt.ir import Op, Program
-
-    records = _load_records(Path(path), want_name=True)
-    _, (num_threads, name) = next(records)
-    threads: List[List[Op]] = [[] for _ in range(num_threads)]
-    for line_no, record in records:
-        base = _decode_op(line_no, record)
-        threads[record.get("t", 0)].append(Op.from_trace_op(
-            base,
-            origin=str(record.get("p", "")),
-            durable=bool(record.get("d", 0)),
-        ))
-    return Program(threads=tuple(tuple(t) for t in threads), name=name)
-
-
-def _load_records(path: Path, want_name: bool = False):
+def _load_records(path: Path):
     """Yield ``(line_no, record)`` for every op line, after validating the
     header; the first yield is ``(0, num_threads)``."""
     with path.open() as fh:
@@ -167,10 +145,7 @@ def _load_records(path: Path, want_name: bool = False):
         num_threads = header.get("threads")
         if not _is_int(num_threads) or num_threads < 1:
             raise TraceFormatError(f"bad thread count {num_threads!r}")
-        if want_name:
-            yield 0, (num_threads, str(header.get("program", "")))
-        else:
-            yield 0, num_threads
+        yield 0, num_threads
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:

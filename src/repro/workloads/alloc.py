@@ -6,15 +6,14 @@ allocated in the heap with a persistent memory allocator whose pages map
 into the persistent portion of the NVMM physical range.
 
 :class:`PersistentHeap` is that allocator for the simulator: a bump
-allocator with a size-segregated free list over the persistent address
-range of a :class:`~repro.sim.config.MemConfig`.  A companion
+allocator over the persistent address range of a
+:class:`~repro.sim.config.MemConfig`.  Nothing the simulator runs frees
+memory, so there is no free list.  A companion
 :class:`VolatileHeap` hands out DRAM addresses for non-persistent data so
 workloads can mix both (Table IV's %P-Stores ratios depend on it).
 """
 
 from __future__ import annotations
-
-from typing import Dict, List
 
 from repro.sim.config import MemConfig
 
@@ -24,7 +23,7 @@ class OutOfMemoryError(MemoryError):
 
 
 class _BumpHeap:
-    """Bump allocation with per-size free lists, over [base, limit)."""
+    """Bump allocation over [base, limit)."""
 
     def __init__(self, base: int, limit: int, align: int = 8) -> None:
         if base >= limit:
@@ -33,8 +32,6 @@ class _BumpHeap:
         self.limit = limit
         self.align = align
         self._next = base
-        self._free: Dict[int, List[int]] = {}
-        self.allocated_bytes = 0
 
     def _round(self, size: int) -> int:
         return (size + self.align - 1) & ~(self.align - 1)
@@ -44,30 +41,14 @@ class _BumpHeap:
         if size <= 0:
             raise ValueError("allocation size must be positive")
         size = self._round(size)
-        bucket = self._free.get(size)
-        if bucket:
-            addr = bucket.pop()
-        else:
-            if self._next + size > self.limit:
-                raise OutOfMemoryError(
-                    f"heap exhausted: need {size} bytes, "
-                    f"{self.limit - self._next} remain"
-                )
-            addr = self._next
-            self._next += size
-        self.allocated_bytes += size
+        if self._next + size > self.limit:
+            raise OutOfMemoryError(
+                f"heap exhausted: need {size} bytes, "
+                f"{self.limit - self._next} remain"
+            )
+        addr = self._next
+        self._next += size
         return addr
-
-    def free(self, addr: int, size: int) -> None:
-        """Return a region to the size-segregated free list."""
-        size = self._round(size)
-        if not (self.base <= addr and addr + size <= self.limit):
-            raise ValueError(f"free of 0x{addr:x} outside heap range")
-        self._free.setdefault(size, []).append(addr)
-        self.allocated_bytes -= size
-
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.limit
 
 
 class PersistentHeap(_BumpHeap):

@@ -175,14 +175,6 @@ def make_workload(
         raise KeyError(f"unknown workload {name!r}; pick from {WORKLOAD_NAMES}")
 
 
-def build_program(
-    name: str, mem: MemConfig, spec: Optional[WorkloadSpec] = None
-):
-    """One workload's program in IR form (see
-    :meth:`Workload.build_program`)."""
-    return make_workload(name, mem, spec).build_program()
-
-
 def registry(mem: MemConfig, spec: Optional[WorkloadSpec] = None) -> Dict[str, Workload]:
     """All Table IV workloads, keyed by the paper's names."""
     return {name: make_workload(name, mem, spec) for name in WORKLOAD_NAMES}

@@ -31,14 +31,14 @@ def build_bank(config, transfers=10, barriers=False, seed=3):
     for _ in range(transfers):
         src, dst = rng.sample(range(ACCOUNTS), 2)
         amount = rng.randrange(1, 30)
-        ops.extend(
-            ctx.transaction(
-                {
-                    accounts[src]: ctx.shadow[accounts[src]] - amount,
-                    accounts[dst]: ctx.shadow[accounts[dst]] + amount,
-                }
-            )
-        )
+        writes = {
+            accounts[src]: ctx.shadow[accounts[src]] - amount,
+            accounts[dst]: ctx.shadow[accounts[dst]] + amount,
+        }
+        ops.extend(ctx.begin())
+        for addr, value in writes.items():
+            ops.extend(ctx.txn_store(addr, value))
+        ops.extend(ctx.commit())
     return ctx, accounts, ProgramTrace([ThreadTrace(ops)])
 
 

@@ -59,20 +59,6 @@ class TestMediaLifetime:
         assert est.writes_per_second == pytest.approx(10.0)
 
 
-class TestRelativeLifetime:
-    def test_fewer_writes_live_longer(self):
-        assert endurance.relative_lifetime(100, 50) == 2.0
-
-    def test_equal_writes(self):
-        assert endurance.relative_lifetime(100, 100) == 1.0
-
-    def test_zero_scheme_writes_infinite(self):
-        assert math.isinf(endurance.relative_lifetime(100, 0))
-
-    def test_zero_baseline(self):
-        assert endurance.relative_lifetime(0, 100) == 0.0
-
-
 class TestNVCacheArgument:
     def test_l1_level_pcm_wears_out_fast(self):
         """The paper's argument against PCM NVCaches: at L1 store rates a

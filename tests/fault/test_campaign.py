@@ -10,6 +10,7 @@ from repro.fault.campaign import (
     FaultUnit,
     canonical_plans,
     execute_fault_unit,
+    idle_plans,
     run_campaign,
 )
 from repro.fault.plan import (
@@ -86,6 +87,24 @@ def test_small_campaign_report_schema_and_no_battery_silence(tmp_path):
     path = atomic_write_json(str(tmp_path / "faults.json"), report)
     with open(path) as fh:
         assert json.load(fh) == report
+
+
+def test_idle_plans_name_the_plans_that_injected_nothing():
+    exhaust = FaultPlan(faults=(
+        FaultSpec(site=SITE_BATTERY, fault="exhaustion",
+                  params=(("blocks", 0),)),
+    ), label="exhaust")
+    drop = FaultPlan(faults=(
+        FaultSpec(site=SITE_FORCED_DRAIN, fault="drop", count=0),
+    ), label="drop-all")
+    report = run_campaign(["bbb", "eadr"], ["hashmap"], [exhaust, drop],
+                          SPEC, seed=9, jobs=1)
+    injected = {plan["label"]: 0 for plan in report["plans"]}
+    for unit in report["units"]:
+        injected[unit["plan"]["label"]] += unit["injected"]
+    # No LLC eviction forces a drain at this size; the battery always dies.
+    assert injected["exhaust"] > 0 and injected["drop-all"] == 0
+    assert idle_plans(report) == ["drop-all"]
 
 
 def test_campaign_deterministic_in_seed_and_jobs():

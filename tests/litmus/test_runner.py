@@ -37,7 +37,7 @@ class TestClassifyStates:
 class TestRunCell:
     def test_honest_cell_observes_within_strict(self):
         test = corpus_test("prefix-pair")
-        cell = run_cell(BBB, None, 8, test.to_payload())
+        cell = run_cell(BBB, None, 8, test)
         assert cell["scheme"] == BBB and cell["mutant"] is None
         assert cell["points"] > 0
         observed = {tuple(rec["state"]) for rec in cell["observed"]}
@@ -52,13 +52,13 @@ class TestRunCell:
         # scheme's clean finalize leaves durable-but-volatile lines);
         # the last crash point's crash_drain stands in for it.
         test = corpus_test("prefix-pair")
-        cell = run_cell(BBB, None, 8, test.to_payload())
+        cell = run_cell(BBB, None, 8, test)
         observed = {tuple(rec["state"]) for rec in cell["observed"]}
         assert (1, 1) in observed
 
     def test_mutant_cell_escapes_strict(self):
         test = corpus_test("prefix-pair")
-        cell = run_cell(BBB, "bbb-delayed-alloc", 8, test.to_payload())
+        cell = run_cell(BBB, "bbb-delayed-alloc", 8, test)
         observed = {tuple(rec["state"]) for rec in cell["observed"]}
         assert observed - strict_states(test)
 

@@ -37,14 +37,6 @@ class TestAddressHelpers:
 
 
 class TestMESIState:
-    def test_valid_states(self):
-        assert M.is_valid and E.is_valid and S.is_valid
-        assert not I.is_valid
-
-    def test_writable_states(self):
-        assert M.can_write and E.can_write
-        assert not S.can_write and not I.can_write
-
     def test_aliases_match_enum(self):
         assert M is MESIState.MODIFIED
         assert E is MESIState.EXCLUSIVE
@@ -58,12 +50,12 @@ class TestBlockData:
 
     def test_write_read_byte(self):
         d = BlockData()
-        d.write(3, 0xAB)
+        d.write_word(3, 0xAB, 1)
         assert d.read(3) == 0xAB
 
     def test_write_masks_to_byte(self):
         d = BlockData()
-        d.write(0, 0x1FF)
+        d.write_word(0, 0x1FF, 1)
         assert d.read(0) == 0xFF
 
     def test_write_word_little_endian(self):
@@ -93,7 +85,7 @@ class TestBlockData:
     def test_copy_is_independent(self):
         a = BlockData({0: 1})
         b = a.copy()
-        b.write(0, 2)
+        b.write_word(0, 2, 1)
         assert a.read(0) == 1
 
     def test_equality_is_value_based(self):
@@ -113,19 +105,5 @@ class TestCacheBlock:
     def test_defaults(self):
         blk = CacheBlock(0x1000)
         assert blk.state is I
-        assert not blk.valid
         assert not blk.dirty
         assert not blk.persistent
-
-    def test_invalidate_clears_everything(self):
-        blk = CacheBlock(0x40, state=M, dirty=True, persistent=True)
-        blk.data.write(0, 7)
-        blk.invalidate()
-        assert blk.state is I
-        assert not blk.dirty
-        assert not blk.persistent
-        assert not blk.data
-
-    def test_valid_follows_state(self):
-        blk = CacheBlock(0x40, state=S)
-        assert blk.valid

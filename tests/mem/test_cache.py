@@ -69,14 +69,6 @@ class TestLookupInsert:
         victim = cache.insert(blk(c))
         assert victim is not None and victim.addr == b
 
-    def test_victim_for_reports_future_eviction(self):
-        cache = make_cache(1024, 2, 64)
-        a, b, c = 0x000, 0x200, 0x400
-        cache.insert(blk(a))
-        assert cache.victim_for(c) is None  # free way remains
-        cache.insert(blk(b))
-        assert cache.victim_for(c).addr == a
-
     def test_different_sets_do_not_conflict(self):
         cache = make_cache(1024, 2, 64)
         for i in range(8):

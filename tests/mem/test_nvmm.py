@@ -39,7 +39,7 @@ class TestReadWrite:
     def test_read_returns_copy(self, media):
         media.write_block(0x10000, BlockData({0: 1}))
         copy = media.read_block(0x10000)
-        copy.write(0, 99)
+        copy.write_word(0, 99, 1)
         assert media.peek_block(0x10000).read(0) == 1
 
     def test_unwritten_block_reads_empty(self, media):
@@ -83,5 +83,5 @@ class TestCopy:
     def test_image_snapshot(self, media):
         media.write_block(0x10000, BlockData({0: 1}))
         image = media.image()
-        image[0x10000].write(0, 5)
+        image[0x10000].write_word(0, 5, 1)
         assert media.peek_block(0x10000).read(0) == 1

@@ -27,24 +27,19 @@ class TestEventBus:
         bus.emit(_alloc())
         assert seen == []
 
-    def test_unsubscribe(self):
-        bus = EventBus()
-        seen = []
-        fn = bus.subscribe(seen.append)
-        bus.unsubscribe(fn)
-        bus.emit(_alloc())
-        assert seen == []
-        assert len(bus) == 0
-
     def test_subscribe_returns_fn_for_decorator_use(self):
         bus = EventBus()
 
+        seen = []
+
         @bus.subscribe
         def handler(event):
-            pass
+            seen.append(event)
 
         assert handler is not None
-        assert len(bus) == 1
+        event = _alloc()
+        bus.emit(event)
+        assert seen == [event]
 
 
 class TestNullBus:
@@ -67,12 +62,6 @@ class TestEventRecorder:
         bus.emit(_alloc(cycle=2))
         bus.emit(DrainStart(cycle=3, core=0, addr=0x40, complete_at=10,
                             occupancy=2))
-        assert len(rec) == 3
-        assert rec.counts() == {"bbpb_alloc": 2, "drain_start": 1}
-
-    def test_clear(self):
-        bus = EventBus()
-        rec = EventRecorder(bus)
-        bus.emit(_alloc())
-        rec.clear()
-        assert len(rec) == 0
+        assert [e.kind for e in rec.events] == \
+            ["bbpb_alloc", "bbpb_alloc", "drain_start"]
+        assert [e.cycle for e in rec.events] == [1, 2, 3]

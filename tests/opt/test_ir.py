@@ -1,7 +1,5 @@
 """Tests for the unified program IR (repro.opt.ir)."""
 
-import pytest
-
 from repro.opt import INSTRUMENT_FENCE, INSTRUMENT_FLUSH, Op, Program, \
     instrument_naive
 from repro.sim.config import SystemConfig
@@ -37,17 +35,6 @@ class TestOp:
         back = Op.from_trace_op(op.to_trace_op(), origin="who", durable=True)
         assert back == op
 
-    def test_payload_round_trip_keeps_metadata(self):
-        for _, _, op in sample_program().iter_ops():
-            assert Op.from_payload(op.to_payload()) == op
-
-    def test_payload_omits_defaults(self):
-        assert Op(OpKind.FENCE).to_payload() == {"k": "fence"}
-
-    def test_bad_payload_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown kind"):
-            Op.from_payload({"k": "teleport"})
-
     def test_describe_names_origin(self):
         text = Op(OpKind.STORE, addr=0x40, value=1, origin="wl/3").describe()
         assert "0x40" in text and "wl/3" in text
@@ -75,14 +62,6 @@ class TestProgram:
         stores = [op for _, _, op in back.iter_ops()
                   if op.kind is OpKind.STORE]
         assert all(op.durable for op in stores)
-
-    def test_payload_round_trip_exact(self):
-        program = sample_program()
-        assert Program.from_payload(program.to_payload()) == program
-
-    def test_bad_payload_raises(self):
-        with pytest.raises(ValueError, match="threads"):
-            Program.from_payload({"name": "x"})
 
     def test_from_trace_without_predicate_reads_volatile(self):
         program = Program.from_trace(sample_program().to_trace())

@@ -16,11 +16,13 @@ from repro.opt import (
     MUTANT_PIPELINE,
     PASSES,
     Op,
+    OptimizedLitmus,
     PassContext,
     Program,
     compare_cell,
     fence_is_redundant,
     flush_is_redundant,
+    optimize_litmus,
     removal_justified,
     run_pipeline,
     store_is_coalescible,
@@ -189,6 +191,43 @@ class TestOnePassLoop:
         compare_cell("hashmap", STRICT_KEEPER, SPEC, entries=2)
         assert calls == {name: SPEC.threads for name in DEFAULT_PIPELINE}
 
+    def test_smoke_opt_does_each_cell_once(self, monkeypatch):
+        """The smoke gate optimizes each workload cell once (its checker
+        sweep verifies step 1's cells) and each litmus cell once (its
+        re-gate consumes that optimization)."""
+        import repro.opt.report as report
+        import repro.opt.verify as verify
+        from repro.litmus.corpus import smoke_corpus
+        from repro.sim.system import System
+        from repro.workloads.base import WORKLOAD_NAMES
+
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        pipeline = counted("run_pipeline", run_pipeline)
+        for module in (report, verify):
+            monkeypatch.setattr(module, "run_pipeline", pipeline)
+            monkeypatch.setattr(module, "optimize_workload", counted(
+                "optimize_workload", verify.optimize_workload))
+        monkeypatch.setattr(System, "run", counted("run", System.run))
+        out = report.smoke_opt()
+        assert out["ok"], out["failures"]
+        schemes = len(out["checker_cells"])
+        cells = schemes * len(WORKLOAD_NAMES)
+        assert counts["optimize_workload"] == len(out["grid"]) == cells
+        # One pipeline per workload cell, per litmus cell, per mutant probe.
+        assert counts["run_pipeline"] == \
+            cells + schemes * len(smoke_corpus()) + schemes
+        # Two final images per workload cell, two explorations per checker
+        # cell, one sweep per re-gated litmus cell.
+        assert counts["run"] == \
+            2 * cells + 2 * schemes + len(out["litmus_cells"])
+
 
 class TestLitmusCell:
     def test_smoke_cells_verify_clean(self):
@@ -196,7 +235,8 @@ class TestLitmusCell:
 
         test = smoke_corpus()[0]
         for scheme in (FULL, STRICT_KEEPER):
-            cell = verify_litmus_cell(test, scheme, config=CFG, entries=2)
+            cell = verify_litmus_cell(optimize_litmus(test, scheme, CFG),
+                                      entries=2)
             assert cell["ok"], cell["failures"]
             assert cell["forbidden"] == []
             assert cell["observed_states"] >= 1
@@ -209,8 +249,12 @@ class TestLitmusCell:
 
         test = next(t for t in smoke_corpus()
                     if t.name == "mp-flush-fence")
-        cell = verify_litmus_cell(test, STRICT_KEEPER, config=CFG,
-                                  entries=2, passes=MUTANT_PIPELINE,
-                                  minimize=False)
+        from repro.litmus.dsl import lower_program
+
+        program, addrs = lower_program(test, CFG)
+        audit = run_pipeline(program, STRICT_KEEPER, passes=MUTANT_PIPELINE,
+                             block_size=CFG.block_size)
+        cell = verify_litmus_cell(
+            OptimizedLitmus(test, CFG, program, addrs, audit), entries=2)
         assert not cell["ok"]
         assert any("opt-drop-epoch-fence" in f for f in cell["failures"])

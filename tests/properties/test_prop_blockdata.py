@@ -19,7 +19,7 @@ sizes = st.sampled_from([1, 2, 4, 8])
 def test_write_read_roundtrip(mapping):
     d = BlockData()
     for off, val in mapping.items():
-        d.write(off, val)
+        d.write_word(off, val, 1)
     for off, val in mapping.items():
         assert d.read(off) == val
 
@@ -47,7 +47,7 @@ def test_copy_equal_but_independent(mapping, offset):
     a = BlockData(dict(mapping))
     b = a.copy()
     assert a == b
-    b.write(offset, (b.read(offset) + 1) % 256)
+    b.write_word(offset, (b.read(offset) + 1) % 256, 1)
     assert a != b
     assert a.read(offset) == mapping.get(offset, 0)
     assert dict(a.bytes) == mapping
@@ -130,7 +130,7 @@ def test_packed_form_matches_byte_dict_model(program):
         op, dst = step[0], step[1]
         if op == "write":
             _, _, off, value = step
-            blocks[dst].write(off, value)
+            blocks[dst].write_word(off, value, 1)
             refs[dst][off] = value & 0xFF
         elif op == "write_word":
             _, _, off, value, size = step

@@ -50,9 +50,9 @@ def test_blocks_live_in_their_set(ops):
     cache = apply_ops(ops)
     for set_idx, frames in cache._sets.items():
         for addr, blk in frames.items():
-            if blk.valid:
-                assert blk.addr == addr
-                assert cache.set_index(blk.addr) == set_idx
+            assert blk.state is not I
+            assert blk.addr == addr
+            assert cache.set_index(blk.addr) == set_idx
 
 
 @given(op_lists, block_addrs)
@@ -69,13 +69,10 @@ def test_occupancy_matches_iteration(ops):
     assert cache.occupancy() == len(list(cache.blocks()))
 
 
-@given(st.lists(st.tuples(st.sampled_from(["insert", "lookup", "remove",
-                                           "invalidate"]), block_addrs),
-                max_size=80))
+@given(op_lists)
 def test_tag_index_is_the_union_of_the_sets(ops):
     """The tag index holds exactly the frames of every set, the same
-    objects under the same tags, after every operation; ``invalidate``
-    marks a resident block I in place, leaving its frame in its set."""
+    objects under the same tags, after every operation."""
     cache = CacheArray(CONFIG)
     for op, addr in ops:
         if op == "insert" and not cache.contains(addr):
@@ -84,10 +81,6 @@ def test_tag_index_is_the_union_of_the_sets(ops):
             cache.lookup(addr)
         elif op == "remove":
             cache.remove(addr)
-        elif op == "invalidate":
-            blk = cache.lookup(addr, touch=False)
-            if blk is not None:
-                blk.state = I
         union = {}
         for frames in cache._sets.values():
             union.update(frames)

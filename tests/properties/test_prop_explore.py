@@ -65,7 +65,7 @@ def test_sweep_equals_per_point_replay(scheme, mutant, program, model):
     unit = CheckUnit(
         scheme=scheme, mutant=mutant, workload="mutateNC",
         spec=WorkloadSpec(threads=2, ops=1, elements=64), entries=2,
-        prune=False, config=MODELS[model], program=program.to_payload(),
+        prune=False, config=MODELS[model], program=program,
     )
     ctx = _UnitContext(unit)
     schedule = CrashSchedule()

@@ -9,9 +9,10 @@ from repro.mem.audit import (
     audit_hierarchy,
     check_directory_agreement,
     check_llc_inclusion,
+    check_resident_frames_valid,
     check_single_writer,
 )
-from repro.mem.block import CacheBlock, E, M
+from repro.mem.block import CacheBlock, I, M
 from repro.sim.config import SystemConfig
 from repro.api import build_system
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
@@ -111,3 +112,17 @@ class TestAuditorsCatchSeededBugs:
             assert "no directory entry" in str(exc)
         else:
             raise AssertionError("seeded untracked block not caught")
+
+    def test_resident_invalid_frame(self):
+        # The cache probes no state: a frame marked I in place would still
+        # hit, so the auditor must refuse one in the L1s and the LLC.
+        for level in ("l1", "llc"):
+            system, h, bx = self._system()
+            cache = h.l1s[0] if level == "l1" else h.llc
+            cache.lookup(bx, touch=False).state = I
+            try:
+                check_resident_frames_valid(h)
+            except HierarchyAuditError as exc:
+                assert "state I" in str(exc)
+            else:
+                raise AssertionError(f"resident I frame in {level} not caught")

@@ -118,13 +118,13 @@ def test_optimizing_never_breaks_a_consistent_program(threads, scheme):
     if result.optimized.total_ops == naive.total_ops:
         return
     verdicts, _, _ = explore(CheckUnit(
-        scheme=scheme, entries=2, config=CFG, program=naive.to_payload(),
+        scheme=scheme, entries=2, config=CFG, program=naive,
     ))
     if not all(v.consistent for v in verdicts):
         return
     opt_verdicts, _, _ = explore(CheckUnit(
         scheme=scheme, entries=2, config=CFG,
-        program=result.optimized.to_payload(),
+        program=result.optimized,
     ))
     bad = [v for v in opt_verdicts if not v.consistent]
     assert not bad, (scheme, bad[0].violations)

@@ -1,17 +1,17 @@
 """Differential testing: the full hierarchy vs a flat-memory oracle.
 
 Random multicore programs run through the complete simulator (caches,
-MESI directory, store buffers, bbPBs, evictions, drains) with execution
-logging on; replaying the log against :class:`FlatMemory` must reproduce
-every load value exactly.  Any coherence, forwarding, merge, or writeback
-bug diverges.
+MESI directory, store buffers, bbPBs, evictions, drains) while wrappers
+round the hierarchy's ``load``/``store`` and each store buffer's
+``forward`` log every operation as it takes effect; replaying the log
+against :class:`FlatMemory` must reproduce every load value exactly.  Any
+coherence, forwarding, merge, or writeback bug diverges.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.config import SystemConfig
-from repro.sim.engine import Engine
 from repro.sim.reference import FlatMemory, LogKind, LogRecord, check_against_reference
 from repro.api import build_system
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
@@ -40,42 +40,85 @@ programs = st.lists(
 )
 
 
+def record_log(system):
+    """Wrap ``system``'s hierarchy ``load``/``store`` and each store
+    buffer's ``forward`` so that every operation is logged, in the order
+    it took effect: a store once the hierarchy performs it, a load with
+    the value it observed (from the buffer only when it forwards)."""
+    log = []
+    hierarchy = system.hierarchy
+    load, store = hierarchy.load, hierarchy.store
+
+    def logged_load(core, addr, size, now):
+        value, done = load(core, addr, size, now)
+        log.append(LogRecord(LogKind.LOAD, core, addr, size, value))
+        return value, done
+
+    def logged_store(core, addr, size, value, now):
+        out = store(core, addr, size, value, now)
+        log.append(LogRecord(LogKind.STORE, core, addr, size, value))
+        return out
+
+    def logged_forward(core, forward):
+        def wrapper(addr, size):
+            value = forward(addr, size)
+            if value is not None:
+                log.append(LogRecord(LogKind.LOAD, core, addr, size, value))
+            return value
+        return wrapper
+
+    hierarchy.load, hierarchy.store = logged_load, logged_store
+    for core, sb in enumerate(hierarchy.store_buffers):
+        sb.forward = logged_forward(core, sb.forward)
+    return log
+
+
 def run_logged(scheme, threads):
+    """The execution log of ``threads`` run under ``scheme``.
+
+    The log must be complete: every load leaves one record (from the
+    store buffer or from the hierarchy) and every store one, or a wrapper
+    that the engine bypasses would let the oracle pass on a partial log.
+    """
     system = build_system(scheme, config=CFG)
-    system.engine._log_enabled = True
+    log = record_log(system)
     trace = ProgramTrace(
         [ThreadTrace([to_trace_op(*op) for op in ops]) for ops in threads]
     )
-    return system.engine.run(trace)
+    system.engine.run(trace)
+    stores = sum(op[0] == "store" for ops in threads for op in ops)
+    assert len(log) == sum(len(ops) for ops in threads)
+    assert sum(r.kind is LogKind.STORE for r in log) == stores
+    return log
 
 
 @settings(max_examples=50, deadline=None)
 @given(programs)
 def test_bbb_hierarchy_matches_flat_memory(threads):
-    result = run_logged("bbb", threads)
-    divergences = check_against_reference(result.log)
+    log = run_logged("bbb", threads)
+    divergences = check_against_reference(log)
     assert not divergences, divergences[0]
 
 
 @settings(max_examples=25, deadline=None)
 @given(programs)
 def test_eadr_hierarchy_matches_flat_memory(threads):
-    result = run_logged("eadr", threads)
-    assert not check_against_reference(result.log)
+    log = run_logged("eadr", threads)
+    assert not check_against_reference(log)
 
 
 @settings(max_examples=25, deadline=None)
 @given(programs)
 def test_bsp_hierarchy_matches_flat_memory(threads):
-    result = run_logged("bsp", threads)
-    assert not check_against_reference(result.log)
+    log = run_logged("bsp", threads)
+    assert not check_against_reference(log)
 
 
 @settings(max_examples=15, deadline=None)
 @given(programs)
 def test_pmem_hierarchy_matches_flat_memory(threads):
-    result = run_logged("pmem", threads)
-    assert not check_against_reference(result.log)
+    log = run_logged("pmem", threads)
+    assert not check_against_reference(log)
 
 
 @settings(max_examples=15, deadline=None)
@@ -83,8 +126,8 @@ def test_pmem_hierarchy_matches_flat_memory(threads):
 def test_no_persistency_hierarchy_matches_flat_memory(threads):
     """Even the volatile scheme must be *functionally* coherent while
     running — only its crash behaviour differs."""
-    result = run_logged("none", threads)
-    assert not check_against_reference(result.log)
+    log = run_logged("none", threads)
+    assert not check_against_reference(log)
 
 
 class TestOracleItself:

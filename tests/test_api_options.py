@@ -1,6 +1,7 @@
 """RunOptions surface: the typed run-wiring value, the modes it no longer
 has, and the removed bare keyword spelling of its fields."""
 
+import dataclasses
 import warnings
 
 import pytest
@@ -22,7 +23,7 @@ def test_run_options_is_frozen_and_replace_derives():
     with pytest.raises(AttributeError):
         opts.reorder_seed = 4
     bus = EventBus()
-    derived = opts.replace(bus=bus)
+    derived = dataclasses.replace(opts, bus=bus)
     assert derived.reorder_seed == 3 and derived.bus is bus
     assert not opts.bus.enabled  # original untouched
 

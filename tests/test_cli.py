@@ -220,6 +220,11 @@ class TestFaultsCommand:
         assert "battery-domain" in out
         with open(out_file) as fh:
             report = json.load(fh)
+        idle = [plan["label"] for plan in report["plans"]
+                if not any(u["injected"] for u in report["units"]
+                           if u["plan"] == plan)]
+        assert f"plans that injected nothing: {', '.join(idle) or '-'}" \
+            in out
         assert report["schema"] == "repro.faultcampaign/v1"
         assert report["battery_domain"]["silent_corruption"] == 0
         assert report["units"]
@@ -382,11 +387,11 @@ class TestOptCommand:
         assert rc == 0
         assert "100.0%" in out
         assert "verified" in out
-        from repro.sim.tracefile import load_program
-
-        program = load_program(out_file)
-        assert program.total_ops > 0
-        assert all(op.origin for _, _, op in program.iter_ops())
+        # Every saved op carries its provenance in its "p" field.
+        ops = [json.loads(line)
+               for line in out_file.read_text().splitlines()[1:]]
+        assert ops
+        assert all(op.get("p") for op in ops)
 
     def test_single_cell_writes_its_cell_to_out(self, capsys, tmp_path):
         out_file = tmp_path / "cell.json"

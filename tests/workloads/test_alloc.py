@@ -31,25 +31,6 @@ class TestPersistentHeap:
         heap.alloc(3)
         assert heap.alloc(8) % 8 == 0
 
-    def test_free_list_reuse(self, mem):
-        heap = PersistentHeap(mem)
-        a = heap.alloc(32)
-        heap.free(a, 32)
-        assert heap.alloc(32) == a
-
-    def test_free_different_size_not_reused(self, mem):
-        heap = PersistentHeap(mem)
-        a = heap.alloc(32)
-        heap.free(a, 32)
-        assert heap.alloc(64) != a
-
-    def test_accounting(self, mem):
-        heap = PersistentHeap(mem)
-        a = heap.alloc(32)
-        assert heap.allocated_bytes == 32
-        heap.free(a, 32)
-        assert heap.allocated_bytes == 0
-
     def test_out_of_memory(self, mem):
         heap = PersistentHeap(mem)
         with pytest.raises(OutOfMemoryError):
@@ -61,11 +42,6 @@ class TestPersistentHeap:
             heap.alloc(0)
         with pytest.raises(ValueError):
             heap.alloc(-8)
-
-    def test_free_outside_range_rejected(self, mem):
-        heap = PersistentHeap(mem)
-        with pytest.raises(ValueError):
-            heap.free(0, 8)
 
 
 class TestVolatileHeap:
