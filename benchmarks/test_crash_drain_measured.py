@@ -12,7 +12,7 @@ from repro.analysis.experiments import default_sim_config
 from repro.analysis.tables import render_table
 from repro.api import RunOptions, build_system
 from repro.check import SITE_OP, CrashSchedule
-from repro.workloads.base import registry
+from repro.workloads.base import make_workload
 
 WORKLOADS = ("swapNC", "hashmap", "rtree")
 
@@ -21,7 +21,7 @@ def test_crash_drain_footprint(benchmark, report, sim_config, sweep_spec):
     def sweep():
         rows = []
         for name in WORKLOADS:
-            trace = registry(sim_config.mem, sweep_spec)[name].build()
+            trace = make_workload(name, sim_config.mem, sweep_spec).build()
             crash_at = trace.total_ops() // 2
 
             def crashed_run(scheme, **kw):

@@ -35,7 +35,7 @@ from repro.core.registry import (
 )
 from repro.fault.campaign import canonical_plans, run_campaign
 from repro.sim.config import BBBConfig, DrainPolicy
-from repro.workloads.base import registry as workload_registry
+from repro.workloads.base import make_workload
 
 SCHEME_NAME = "bbb-nocoalesce"
 
@@ -92,7 +92,7 @@ def main() -> int:
 
     def run_scheme(name):
         system = build_system(name, entries=8, config=config)
-        workload = workload_registry(config.mem, spec)["hashmap"]
+        workload = make_workload("hashmap", config.mem, spec)
         trace = workload.build()
         workload.seed_media(system.nvmm_media)
         return system.run(trace)

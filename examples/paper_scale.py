@@ -19,7 +19,7 @@ import time
 from repro import TABLE_III_CONFIG, WorkloadSpec, build_system
 from repro.analysis.experiments import steady_state_nvmm_writes
 from repro.analysis.tables import render_table
-from repro.workloads.base import registry
+from repro.workloads.base import make_workload
 
 
 def main() -> None:
@@ -42,7 +42,7 @@ def main() -> None:
         ("BBB (32)", lambda c: build_system("bbb", entries=32, config=c)),
         ("eADR", lambda c: build_system("eadr", config=c)),
     ):
-        workload = registry(config.mem, spec)["mutateNC"]
+        workload = make_workload("mutateNC", config.mem, spec)
         trace = workload.build()
         system = factory(config)
         workload.seed_media(system.nvmm_media)

@@ -12,9 +12,10 @@ This is the 60-second tour of the library:
 Run:  python examples/quickstart.py
 """
 
-from repro import BBBConfig, WorkloadSpec, build_system, registry
+from repro import BBBConfig, WorkloadSpec, build_system
 from repro.analysis.experiments import default_sim_config, steady_state_nvmm_writes
 from repro.analysis.tables import render_table
+from repro.workloads.base import make_workload
 
 
 def main() -> None:
@@ -29,7 +30,7 @@ def main() -> None:
     # The hashmap insertion workload from Table IV: every insert allocates
     # a node in the persistent heap and publishes it via the bucket head.
     spec = WorkloadSpec(threads=8, ops=200, elements=16384)
-    workload = registry(config.mem, spec)["hashmap"]
+    workload = make_workload("hashmap", config.mem, spec)
     trace = workload.build()
     print(f"workload: {workload.description}")
     print(f"trace: {trace.total_ops():,} ops, "

@@ -33,9 +33,10 @@ that, and also that a deliberately broken scheme mutant
 
 A pruned sweep pays per visit for what changed since the previous
 visit (:class:`_SweepOracles`): fingerprints are memoized on an exact
-key of log lengths, media write count and crash-overlay content, a key
-miss re-encodes only the blocks written since, and one golden image per
-unit grows with the claimed persists.  The from-scratch functions
+key of log lengths, media write count and the raw crash writes (so a
+known state merges no image), a key miss re-encodes only the blocks
+written since, and one golden image per unit grows with the claimed
+persists.  The from-scratch functions
 (:func:`durable_fingerprint` and :func:`durability_violations`, which
 combines the contract check with :func:`diff_golden` against
 :func:`golden_expected`) stay the reference: unpruned runs,
@@ -45,8 +46,9 @@ combines the contract check with :func:`diff_golden` against
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, astuple, dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass, replace
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.check.schedule import SITE_OP, CrashSchedule
 from repro.core.recovery import (
@@ -122,8 +124,7 @@ class CheckUnit:
         return f"{self.workload} under {tag}"
 
 
-@dataclass(frozen=True)
-class PointVerdict:
+class PointVerdict(NamedTuple):
     """The outcome of crashing at micro-step visit ``point``."""
 
     point: int
@@ -320,11 +321,14 @@ class _SweepOracles(_ReferenceOracles):
 
     * **Fingerprint memo.**  Both persist logs are append-only, and the
       media changes only by counted writes (seeding precedes the sweep),
-      so ``(len(committed), len(performed), media.total_writes, overlay
-      content)`` determines the durable state: equal keys have equal
-      fingerprints.  A key miss hashes the :func:`durable_fingerprint`
-      stream, joined from per-block chunks cached by the block's write
-      count and from log records encoded once.
+      so ``(len(committed), len(performed), media.total_writes, crash
+      writes)`` determines the durable state: the raw crash writes, in
+      drain order, determine their merge onto that media, so equal keys
+      have equal fingerprints.  The key is read before the image merges
+      anything, and a hit merges nothing.  A key miss hashes the
+      :func:`durable_fingerprint` stream, joined from per-block chunks
+      cached by the block's write count and from log records encoded
+      once.
     * **One golden image.**  The seeded image is built once and extended
       with newly claimed persists, which also only grow.  It serves the
       exact-durability contract and the golden differential; the diff
@@ -350,8 +354,8 @@ class _SweepOracles(_ReferenceOracles):
     def fingerprint(self, image, run) -> str:
         committed, performed = run.committed_persists, run.performed_persists
         key = (len(committed), len(performed), self.media.total_writes,
-               tuple((baddr, blk.value, blk.mask)
-                     for baddr, blk in image.overlay.items()))
+               tuple([(baddr, data.value, data.mask)
+                      for baddr, data in image.writes]))
         fp = self._fingerprints.get(key)
         if fp is None:
             fp = self._fingerprints[key] = self._hash(image, committed,
@@ -573,7 +577,7 @@ def build_report(
         "unique_states": len({v.fingerprint for v in verdicts}),
         "num_violations": len(bad),
         "consistent": not bad,
-        "violations": [asdict(v) for v in bad[:MAX_VIOLATIONS_PER_REPORT]],
+        "violations": [v._asdict() for v in bad[:MAX_VIOLATIONS_PER_REPORT]],
     }
 
 
@@ -612,7 +616,7 @@ def _replay_mismatches(unit: CheckUnit, verdicts: Sequence[PointVerdict]
         f"{unit.describe()}: point {v.point} ({v.site}): the single-pass "
         f"verdict differs from a real crash there"
         for v, ref in zip(chosen, replayed)
-        if replace(v, pruned=False) != ref
+        if v._replace(pruned=False) != ref
     ]
 
 
@@ -654,7 +658,7 @@ def smoke_check(progress=None) -> Dict[str, Any]:
     plain_unit = replace(pruned_unit, prune=False)
     pruned_v, _, _ = explore(pruned_unit)
     plain_v, _, _ = explore(plain_unit)
-    if [replace(v, pruned=False) for v in pruned_v] != plain_v:
+    if [v._replace(pruned=False) for v in pruned_v] != plain_v:
         failures.append(
             f"{DEFAULT_SCHEME}: pruned run verdicts differ from exhaustive run"
         )

@@ -20,9 +20,10 @@ hold it to that), at the cost of one execution plus the per-visit reads.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.mem.block import BlockData
+from repro.mem.block import WORD_MASKS, BlockData
 
 __all__ = ["DurableImage", "Visit", "crash_writes", "sample_points", "sweep"]
 
@@ -31,26 +32,35 @@ class DurableImage:
     """Read-only view of the NVMM image a crash would leave: the live
     media overlaid with the battery's crash writes.
 
-    It reads through to the running system's media, so it is valid only
-    during the observer call that received it.  It offers the read side
-    of :class:`~repro.mem.nvmm.NVMMedia` that the recovery oracles use.
-    ``live`` is that media and ``overlay`` maps each block the crash
-    writes to its merged content; both are for reading only.
+    ``writes`` are the crash writes as given, in drain order.  They are
+    merged into ``overlay`` (each block the crash writes -> its merged
+    content) on the first read, from the live media's blocks and the live
+    structures the writes reference, so a visit nobody reads costs no
+    merge.  The image therefore reads through to the running system and
+    is valid only during the observer call that received it.  It offers
+    the read side of :class:`~repro.mem.nvmm.NVMMedia` that the recovery
+    oracles use; ``live`` is that media.  All of it is for reading only.
     """
 
-    def __init__(self, media, writes: Iterable[Tuple[int, BlockData]]) -> None:
+    def __init__(self, media, writes: List[Tuple[int, BlockData]]) -> None:
         self.live = media
         self.block_size = media.block_size
-        overlay = {}
-        for baddr, data in writes:
+        self.writes = writes
+        self._stored = media.blocks
+        self._offset_mask = media.block_size - 1
+
+    @cached_property
+    def overlay(self) -> Dict[int, BlockData]:
+        overlay: Dict[int, BlockData] = {}
+        for baddr, data in self.writes:
             blk = overlay.get(baddr)
             if blk is None:
-                blk = overlay[baddr] = media.peek_block(baddr)
+                blk = overlay[baddr] = self.live.peek_block(baddr)
             blk.merge_from(data)
-        self.overlay = overlay
+        return overlay
 
     def written_blocks(self):
-        if not self.overlay:
+        if not self.writes:
             return self.live.written_blocks()
         return self.live.written_blocks() | self.overlay.keys()
 
@@ -60,10 +70,13 @@ class DurableImage:
             block_addr)
 
     def read_word(self, addr: int, size: int = 8) -> int:
-        blk = self.overlay.get(addr & ~(self.block_size - 1))
+        off = addr & self._offset_mask
+        blk = self.overlay.get(addr - off)
         if blk is None:
-            return self.live.read_word(addr, size)
-        return blk.read_word(addr & (self.block_size - 1), size)
+            blk = self._stored.get(addr - off)
+            if blk is None:
+                return 0
+        return (blk.value >> (off << 3)) & WORD_MASKS[size]
 
 
 class Visit(NamedTuple):

@@ -87,8 +87,9 @@ class MemorySideBBPB:
         #: The run's counters; this buffer's work is counted nowhere else.
         self.stats = stats
         self._bus = bus
-        #: Resident (coalescible) entries, in allocation (FCFS) order.
-        self._resident: "OrderedDict[int, BBPBEntry]" = OrderedDict()
+        #: Resident (coalescible) entries, in allocation (FCFS) order: the
+        #: battery-covered ones.  Read-only outside this class.
+        self.resident: "OrderedDict[int, BBPBEntry]" = OrderedDict()
         #: Entries whose drain is in flight; they still occupy capacity
         #: until the WPQ accepts them, but are no longer coalescible and a
         #: new entry for the same block may coexist.
@@ -98,7 +99,7 @@ class MemorySideBBPB:
     # Capacity / occupancy
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._resident) + len(self._inflight)
+        return len(self.resident) + len(self._inflight)
 
     @property
     def full(self) -> bool:
@@ -112,19 +113,19 @@ class MemorySideBBPB:
         self._inflight = [e for e in self._inflight if e.complete_at > now]
 
     def resident_blocks(self) -> List[int]:
-        return list(self._resident.keys())
+        return list(self.resident.keys())
 
     def pending_drain_obligations(self) -> int:
         """Blocks that still owe exactly one NVMM write each (resident
         entries; in-flight drains already reached the WPQ).  Used by the
         steady-state write accounting of the benchmarks."""
-        return len(self._resident)
+        return len(self.resident)
 
     def contains(self, block_addr: int) -> bool:
-        return block_addr in self._resident
+        return block_addr in self.resident
 
     def entry(self, block_addr: int) -> Optional[BBPBEntry]:
-        return self._resident.get(block_addr)
+        return self.resident.get(block_addr)
 
     # ------------------------------------------------------------------
     # Allocation path (persisting store)
@@ -139,7 +140,7 @@ class MemorySideBBPB:
         counted as a rejection (Fig. 8a).
         """
         self.reap(now)
-        existing = self._resident.get(block_addr)
+        existing = self.resident.get(block_addr)
         if existing is not None:
             # Free coalescing: the entry is already durable; replace value.
             existing.data = data.copy()
@@ -161,7 +162,7 @@ class MemorySideBBPB:
             freed_at = self._wait_for_space(now + stall)
             stall = max(stall, freed_at - now)
             self.reap(now + stall)
-        self._resident[block_addr] = BBPBEntry(
+        self.resident[block_addr] = BBPBEntry(
             block_addr, data.copy(), last_write=now + stall
         )
         self.stats.bbpb_allocations += 1
@@ -176,7 +177,7 @@ class MemorySideBBPB:
         """Block until at least one entry frees; returns that cycle."""
         if not self._inflight:
             # Nothing draining: start one now (oldest first).
-            assert self._resident, "full buffer with no entries"
+            assert self.resident, "full buffer with no entries"
             entry = self._start_oldest_drain(now)
             return entry.complete_at
         return min(e.complete_at for e in self._inflight)
@@ -190,7 +191,7 @@ class MemorySideBBPB:
         owns it, so a crash point inside the sink finds it resident."""
         entry.complete_at = self._drain(entry.block_addr, entry.data, now)
         entry.in_flight = True
-        del self._resident[entry.block_addr]
+        del self.resident[entry.block_addr]
         self._inflight.append(entry)
         if self._bus.enabled:
             self._bus.emit(DrainStart(now, self.core_id, entry.block_addr,
@@ -203,9 +204,9 @@ class MemorySideBBPB:
         the oldest allocation; LEAST_RECENTLY_WRITTEN predicts reuse and
         picks the entry idle the longest."""
         if self.config.drain_policy is DrainPolicy.LEAST_RECENTLY_WRITTEN:
-            entry = min(self._resident.values(), key=lambda e: e.last_write)
+            entry = min(self.resident.values(), key=lambda e: e.last_write)
         else:
-            entry = next(iter(self._resident.values()))
+            entry = next(iter(self.resident.values()))
         self._start_drain(entry, now)
         return entry
 
@@ -223,7 +224,7 @@ class MemorySideBBPB:
                 return
         # Start drains oldest-first until the occupancy *projected after
         # the in-flight drains complete* falls below the threshold.
-        while len(self._resident) > target:
+        while len(self.resident) > target:
             self._start_oldest_drain(now)
 
     # ------------------------------------------------------------------
@@ -237,7 +238,7 @@ class MemorySideBBPB:
         path; it simply completes (the value it carries is older than what
         the new owner will write, and NVMM overwrites are value-safe).
         """
-        entry = self._resident.pop(block_addr, None)
+        entry = self.resident.pop(block_addr, None)
         if entry is None:
             return None
         self.stats.bbpb_removes += 1
@@ -250,7 +251,7 @@ class MemorySideBBPB:
         push the block to the WPQ so the LLC may evict it.  Returns the
         completion cycle (0-cost if the block is absent; an in-flight drain
         just completes)."""
-        entry = self._resident.get(block_addr)
+        entry = self.resident.get(block_addr)
         if entry is None:
             pending = [e for e in self._inflight if e.block_addr == block_addr]
             return max((e.complete_at for e in pending), default=now)
@@ -268,17 +269,17 @@ class MemorySideBBPB:
         to NVMM on a crash.  In-flight entries already reached the WPQ
         (durable) and need no extra action.  Pure: the data is not copied
         and the buffer is left as is."""
-        return [(e.block_addr, e.data) for e in self._resident.values()]
+        return [(e.block_addr, e.data) for e in self.resident.values()]
 
     def clear(self) -> None:
         """Power loss after the crash drain: the buffer is empty."""
-        self._resident.clear()
+        self.resident.clear()
         self._inflight.clear()
 
     def drain_all(self, now: int) -> int:
         """Synchronously drain everything (end-of-run settling)."""
         t = now
-        while self._resident:
+        while self.resident:
             entry = self._start_oldest_drain(t)
             t = max(t, entry.complete_at)
         t = max([t] + [e.complete_at for e in self._inflight])
@@ -305,35 +306,39 @@ class ProcessorSideBBPB:
         #: The run's counters; this buffer's work is counted nowhere else.
         self.stats = stats
         self._bus = bus
-        self._fifo: List[BBPBEntry] = []
-        #: Records per block in ``_fifo``, kept beside it so that
+        #: Resident records in program order, in-flight ones included
+        #: until they retire: the battery-covered ones.  Read-only outside
+        #: this class.
+        self.resident: List[BBPBEntry] = []
+        #: Records per block in ``resident``, kept beside it so that
         #: ``contains`` (asked for every core on every persisting store)
         #: is one probe, not a scan.
         self._records: Dict[int, int] = {}
 
     def __len__(self) -> int:
-        return len(self._fifo)
+        return len(self.resident)
 
     @property
     def full(self) -> bool:
-        return len(self._fifo) >= self.config.entries
+        return len(self.resident) >= self.config.entries
 
     def occupancy(self) -> int:
-        return len(self._fifo)
+        return len(self.resident)
 
     def contains(self, block_addr: int) -> bool:
         return block_addr in self._records
 
     def resident_blocks(self) -> List[int]:
-        return [e.block_addr for e in self._fifo]
+        return [e.block_addr for e in self.resident]
 
     def reap(self, now: int) -> None:
         """In-order retirement: only a completed *head* run can free."""
-        while self._fifo and self._fifo[0].in_flight and self._fifo[0].complete_at <= now:
+        fifo = self.resident
+        while fifo and fifo[0].in_flight and fifo[0].complete_at <= now:
             self._pop_head()
 
     def _pop_head(self) -> None:
-        block_addr = self._fifo.pop(0).block_addr
+        block_addr = self.resident.pop(0).block_addr
         left = self._records[block_addr] - 1
         if left:
             self._records[block_addr] = left
@@ -342,7 +347,7 @@ class ProcessorSideBBPB:
 
     def pending_drain_obligations(self) -> int:
         """Records that still owe an NVMM write (not yet in flight)."""
-        return sum(1 for e in self._fifo if not e.in_flight)
+        return sum(1 for e in self.resident if not e.in_flight)
 
     # ------------------------------------------------------------------
     # Allocation path
@@ -350,7 +355,7 @@ class ProcessorSideBBPB:
     def put(self, block_addr: int, data: BlockData, now: int) -> Tuple[int, bool]:
         """Append a store record; returns ``(stall_cycles, allocated)``."""
         self.reap(now)
-        tail = self._fifo[-1] if self._fifo else None
+        tail = self.resident[-1] if self.resident else None
         if (
             self.config.proc_coalesce_consecutive
             and tail is not None
@@ -371,12 +376,12 @@ class ProcessorSideBBPB:
                 self._bus.emit(
                     BbpbReject(now + stall, self.core_id, block_addr, len(self))
                 )
-            head = self._fifo[0]
+            head = self.resident[0]
             if not head.in_flight:
                 self._start_drain(head, now + stall)
             stall = max(stall, head.complete_at - now)
             self.reap(now + stall)
-        self._fifo.append(BBPBEntry(block_addr, data.copy()))
+        self.resident.append(BBPBEntry(block_addr, data.copy()))
         self._records[block_addr] = self._records.get(block_addr, 0) + 1
         self.stats.bbpb_allocations += 1
         if self._bus.enabled:
@@ -398,12 +403,12 @@ class ProcessorSideBBPB:
                                     entry.block_addr, now))
 
     def _maybe_start_drains(self, now: int) -> None:
-        if len(self._fifo) < self.config.threshold_entries:
+        if len(self.resident) < self.config.threshold_entries:
             return
         # Ordered drain: only the oldest not-yet-draining prefix may go.
         t = now
-        excess = len(self._fifo) - (self.config.threshold_entries - 1)
-        for entry in self._fifo[:excess]:
+        excess = len(self.resident) - (self.config.threshold_entries - 1)
+        for entry in self.resident[:excess]:
             if not entry.in_flight:
                 self._start_drain(entry, t)
             t = entry.complete_at
@@ -423,8 +428,8 @@ class ProcessorSideBBPB:
         if not self.contains(block_addr):
             return now
         t = now
-        while self._fifo:
-            entry = self._fifo[0]
+        while self.resident:
+            entry = self.resident[0]
             if not entry.in_flight:
                 self._start_drain(entry, t)
                 if forced:
@@ -446,18 +451,18 @@ class ProcessorSideBBPB:
         """Every record, in program order — in-flight ones included — as
         the battery drains them on a crash.  Pure, like
         :meth:`MemorySideBBPB.battery_entries`."""
-        return [(e.block_addr, e.data) for e in self._fifo]
+        return [(e.block_addr, e.data) for e in self.resident]
 
     def clear(self) -> None:
-        self._fifo.clear()
+        self.resident.clear()
         self._records.clear()
 
     def drain_all(self, now: int) -> int:
         t = now
-        for entry in self._fifo:
+        for entry in self.resident:
             if not entry.in_flight:
                 self._start_drain(entry, t)
             t = max(t, entry.complete_at)
-        self._fifo.clear()
+        self.resident.clear()
         self._records.clear()
         return t

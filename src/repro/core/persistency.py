@@ -273,21 +273,22 @@ class EADR(PersistencyScheme):
     def _dirty_nvmm_lines(self, l1s) -> List[ResidueBlock]:
         """The residue with the private caches ``l1s`` covered."""
         h = self.hierarchy
-        is_nvmm = h.config.mem.is_nvmm
+        mem = h.config.mem
+        lo, hi = mem.nvmm_base, mem.nvmm_limit
         # L1 dirty copies take precedence over (possibly stale) LLC copies.
         drained: Dict[int, BlockData] = {}
         for l1 in l1s:
             for blk in l1.dirty_blocks():
-                if is_nvmm(blk.addr):
+                if lo <= blk.addr < hi:
                     drained[blk.addr] = blk.data
         for blk in h.llc.dirty_blocks():
-            if is_nvmm(blk.addr) and blk.addr not in drained:
+            if lo <= blk.addr < hi and blk.addr not in drained:
                 drained[blk.addr] = blk.data
         # Eviction writebacks in flight to the controller: the whole
         # cache-to-controller path is inside eADR's battery domain, so the
         # packet completes.  Cache copies (if any) are newer.
         for addr, data in h.inflight_writebacks:
-            if is_nvmm(addr) and addr not in drained:
+            if lo <= addr < hi and addr not in drained:
                 drained[addr] = data
         return [ResidueBlock(False, -1, addr, data)
                 for addr, data in drained.items()]
@@ -447,9 +448,10 @@ class BBBScheme(PersistencyScheme):
         """Every bbPB entry, plus coherence moves in flight."""
         h = self.hierarchy
         assert h is not None
+        # Most buffers (every idle core's) hold nothing the battery covers.
         residue = [
             ResidueBlock(True, buf.core_id, block_addr, data)
-            for buf in self.buffers
+            for buf in self.buffers if buf.resident
             for block_addr, data in buf.battery_entries()
         ]
         # In-flight coherence moves (Fig. 6a/b) whose new owner never

@@ -48,8 +48,8 @@ def block_offset(addr: int, block_size: int) -> int:
     return addr & (block_size - 1)
 
 
-#: ``_WORD_MASKS[n]`` covers the low ``n`` bytes of a word.
-_WORD_MASKS = tuple((1 << (8 * n)) - 1 for n in range(65))
+#: ``WORD_MASKS[n]`` covers the low ``n`` bytes of a word.
+WORD_MASKS = tuple((1 << (8 * n)) - 1 for n in range(65))
 
 
 class BlockData:
@@ -93,7 +93,7 @@ class BlockData:
     def write_word(self, offset: int, value: int, size: int = 8) -> None:
         """Write ``size`` bytes of ``value`` little-endian at ``offset``."""
         shift = offset << 3
-        m = _WORD_MASKS[size] << shift
+        m = WORD_MASKS[size] << shift
         self.value = (self.value & ~m) | ((value << shift) & m)
         self.mask |= m
 
@@ -101,7 +101,7 @@ class BlockData:
         return (self.value >> (offset << 3)) & 0xFF
 
     def read_word(self, offset: int, size: int = 8) -> int:
-        return (self.value >> (offset << 3)) & _WORD_MASKS[size]
+        return (self.value >> (offset << 3)) & WORD_MASKS[size]
 
     def merge_from(self, other: "BlockData") -> None:
         """Overlay ``other``'s written bytes onto this block (other wins)."""

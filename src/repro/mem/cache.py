@@ -19,7 +19,7 @@ cache state pickle cleanly for batch-runner worker processes.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.mem.block import CacheBlock, I
 from repro.sim.config import CacheConfig
@@ -118,8 +118,14 @@ class CacheArray:
         for frames in self._sets.values():
             yield from frames.values()
 
-    def dirty_blocks(self) -> Iterator[CacheBlock]:
-        return (b for b in self.blocks() if b.dirty)
+    def dirty_blocks(self) -> List[CacheBlock]:
+        """The dirty blocks, in :meth:`blocks` order: one pass over the
+        frames, none for an empty array (a crash sweep asks every array
+        at every visit)."""
+        if not self._frames:
+            return []
+        return [b for frames in self._sets.values()
+                for b in frames.values() if b.dirty]
 
     def occupancy(self) -> int:
         return len(self._frames)

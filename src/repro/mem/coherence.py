@@ -96,7 +96,11 @@ class Directory:
         return self._entries.get(block_addr)
 
     def ensure(self, block_addr: int) -> DirectoryEntry:
-        return self._entries.setdefault(block_addr, DirectoryEntry(block_addr))
+        ent = self._entries.get(block_addr)
+        if ent is None:
+            # Built only on a miss: most calls find the entry.
+            ent = self._entries[block_addr] = DirectoryEntry(block_addr)
+        return ent
 
     def drop(self, block_addr: int) -> Optional[DirectoryEntry]:
         return self._entries.pop(block_addr, None)

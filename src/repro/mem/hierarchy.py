@@ -464,6 +464,8 @@ class MemoryHierarchy:
         program order (Section III-C).  Pure."""
         writes = []
         for sb in self.store_buffers:
+            if sb.releasing is None and not sb.fifo:
+                continue  # nothing to drain, battery-backed or not
             for entry in sb.drain_order_on_crash():
                 if entry.persistent:
                     data = BlockData()

@@ -34,7 +34,10 @@ class NVMMedia:
         self.base = base
         self.size = size
         self.block_size = block_size
-        self._blocks: Dict[int, BlockData] = {}
+        #: The stored image: block address -> its bytes, for written
+        #: blocks only.  Read-only outside this class; crash images read
+        #: it in place (:class:`~repro.check.explore.DurableImage`).
+        self.blocks: Dict[int, BlockData] = {}
         self.write_counts: Counter = Counter()
         self.total_writes = 0
         self.total_reads = 0
@@ -59,7 +62,7 @@ class NVMMedia:
     def write_block(self, block_addr: int, data: BlockData) -> None:
         """Persist one block: overlay written bytes onto the image."""
         self._check(block_addr)
-        dest = self._blocks.setdefault(block_addr, BlockData())
+        dest = self.blocks.setdefault(block_addr, BlockData())
         dest.merge_from(data)
         self.write_counts[block_addr] += 1
         self.total_writes += 1
@@ -78,7 +81,7 @@ class NVMMedia:
         kept = (1 << (8 * max(keep_bytes, 0))) - 1
         partial.value &= kept
         partial.mask &= kept
-        dest = self._blocks.setdefault(block_addr, BlockData())
+        dest = self.blocks.setdefault(block_addr, BlockData())
         dest.merge_from(partial)
         self.write_counts[block_addr] += 1
         self.total_writes += 1
@@ -87,18 +90,18 @@ class NVMMedia:
     def read_block(self, block_addr: int) -> BlockData:
         self._check(block_addr)
         self.total_reads += 1
-        blk = self._blocks.get(block_addr)
+        blk = self.blocks.get(block_addr)
         return blk.copy() if blk is not None else BlockData()
 
     def peek_block(self, block_addr: int) -> BlockData:
         """Read without counting (used by checkers, not the simulation)."""
-        blk = self._blocks.get(block_addr)
+        blk = self.blocks.get(block_addr)
         return blk.copy() if blk is not None else BlockData()
 
     def read_word(self, addr: int, size: int = 8) -> int:
         """Checker helper: read ``size`` bytes at byte address ``addr``
         (uncounted, and without copying the block)."""
-        blk = self._blocks.get(addr & ~(self.block_size - 1))
+        blk = self.blocks.get(addr & ~(self.block_size - 1))
         if blk is None:
             return 0
         return blk.read_word(addr & (self.block_size - 1), size)
@@ -108,20 +111,11 @@ class NVMMedia:
     # ------------------------------------------------------------------
     def image(self) -> Dict[int, BlockData]:
         """Snapshot of the durable image (block addr -> copy of data)."""
-        return {addr: data.copy() for addr, data in self._blocks.items()}
+        return {addr: data.copy() for addr, data in self.blocks.items()}
 
     def written_blocks(self) -> Iterable[int]:
-        return self._blocks.keys()
+        return self.blocks.keys()
 
     def max_block_writes(self) -> int:
         """Hottest block's write count — the endurance-limiting figure."""
         return max(self.write_counts.values(), default=0)
-
-    def copy(self) -> "NVMMedia":
-        clone = NVMMedia(self.base, self.size, self.block_size)
-        clone._blocks = {a: d.copy() for a, d in self._blocks.items()}
-        clone.write_counts = Counter(self.write_counts)
-        clone.total_writes = self.total_writes
-        clone.total_reads = self.total_reads
-        clone.torn_blocks = set(self.torn_blocks)
-        return clone

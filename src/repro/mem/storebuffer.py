@@ -51,7 +51,9 @@ class StoreBuffer:
         self.battery_backed = battery_backed
         self.core_id = core_id
         self._bus = bus
-        self._fifo: Deque[SBEntry] = deque()
+        #: Committed stores not yet released, oldest first.  Read-only
+        #: outside this class.
+        self.fifo: Deque[SBEntry] = deque()
         self._seq = 0
         #: The store whose L1D write (and persist hook) is in progress.  It
         #: has left the FIFO, but until the write completes the hardware
@@ -60,11 +62,11 @@ class StoreBuffer:
         self.releasing: Optional[SBEntry] = None
 
     def __len__(self) -> int:
-        return len(self._fifo)
+        return len(self.fifo)
 
     @property
     def full(self) -> bool:
-        return len(self._fifo) >= self.capacity
+        return len(self.fifo) >= self.capacity
 
     def push(self, addr: int, value: int, size: int, persistent: bool,
              now: int = 0) -> SBEntry:
@@ -73,18 +75,18 @@ class StoreBuffer:
             raise RuntimeError("store buffer full; drain before pushing")
         self._seq += 1
         entry = SBEntry(addr, size, value, self._seq, persistent)
-        self._fifo.append(entry)
+        self.fifo.append(entry)
         if self._bus.enabled:
-            self._bus.emit(SbPush(now, self.core_id, addr, len(self._fifo)))
+            self._bus.emit(SbPush(now, self.core_id, addr, len(self.fifo)))
         return entry
 
     def pop_oldest(self, now: int = 0) -> Optional[SBEntry]:
-        if not self._fifo:
+        if not self.fifo:
             return None
-        entry = self._fifo.popleft()
+        entry = self.fifo.popleft()
         if self._bus.enabled:
             self._bus.emit(
-                SbRelease(now, self.core_id, entry.addr, len(self._fifo))
+                SbRelease(now, self.core_id, entry.addr, len(self.fifo))
             )
         return entry
 
@@ -95,7 +97,7 @@ class StoreBuffer:
         to the cache (the engine merges bytes at the data level anyway, so
         declining to forward is always safe).
         """
-        for entry in reversed(self._fifo):
+        for entry in reversed(self.fifo):
             if entry.addr <= addr and addr + size <= entry.addr + entry.size:
                 shift = (addr - entry.addr) * 8
                 mask = (1 << (size * 8)) - 1
@@ -103,7 +105,7 @@ class StoreBuffer:
         return None
 
     def entries(self) -> List[SBEntry]:
-        return list(self._fifo)
+        return list(self.fifo)
 
     def requeue(self, entries: Iterable[SBEntry]) -> None:
         """Replace the buffer contents with ``entries`` (in the given order).
@@ -115,8 +117,8 @@ class StoreBuffer:
         kept = list(entries)
         if len(kept) > self.capacity:
             raise RuntimeError("cannot requeue more entries than capacity")
-        self._fifo.clear()
-        self._fifo.extend(kept)
+        self.fifo.clear()
+        self.fifo.extend(kept)
 
     def drain_order_on_crash(self) -> List[SBEntry]:
         """Entries in the order they must reach the WPQ on power failure
@@ -124,9 +126,9 @@ class StoreBuffer:
         if not self.battery_backed:
             return []
         if self.releasing is not None:
-            return [self.releasing, *self._fifo]
-        return list(self._fifo)
+            return [self.releasing, *self.fifo]
+        return list(self.fifo)
 
     def clear(self) -> None:
-        self._fifo.clear()
+        self.fifo.clear()
         self.releasing = None

@@ -17,7 +17,6 @@ running :func:`check_digest` on every cell below and writing
 import hashlib
 import json
 import pathlib
-from dataclasses import astuple
 
 import pytest
 
@@ -41,7 +40,7 @@ def check_digest(workload: str, scheme: str, mutant=None) -> str:
         CheckUnit(scheme=scheme, workload=workload, spec=SPEC, mutant=mutant),
         jobs=1,
     )
-    blob = {"report": report, "verdicts": [astuple(v) for v in verdicts]}
+    blob = {"report": report, "verdicts": [tuple(v) for v in verdicts]}
     return hashlib.sha256(
         json.dumps(blob, sort_keys=True).encode()).hexdigest()
 

@@ -173,7 +173,7 @@ class TestExplore:
                              spec=TINY_SEEDED if workload == "ctree" else TINY)
             pruned, _, _ = explore(unit)
             plain, _, _ = explore(replace(unit, prune=False))
-            assert [replace(v, pruned=False) for v in pruned] == plain
+            assert [v._replace(pruned=False) for v in pruned] == plain
             assert any(v.pruned for v in pruned)
             assert not any(v.pruned for v in plain)
             assert (mutant is None) == all(v.consistent for v in plain)
@@ -187,7 +187,7 @@ class TestExplore:
                          spec=TINY_SEEDED)
         pruned, _, _ = explore(unit)
         plain, _, _ = explore(replace(unit, prune=False))
-        assert [replace(v, pruned=False) for v in pruned] == plain
+        assert [v._replace(pruned=False) for v in pruned] == plain
         limit = default_sim_config().mem.nvmm_limit
         seen = " ".join(s for v in plain for s in v.violations)
         for stray in _StrayBBB.STRAYS:

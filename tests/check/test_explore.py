@@ -4,7 +4,9 @@ Every test sweeps a trace once and replays each observed visit ``k`` on a
 fresh system crashed with ``CrashSchedule(stop_at=k)`` — the scheme's real
 ``crash_drain`` — demanding the same durable image, persist logs, crash
 op and cycle.  Each hook situation gets its own scenario, and each
-scenario asserts the situation actually occurred.
+scenario asserts the situation actually occurred.  The residue test
+instead holds :func:`~repro.check.explore.crash_writes`, which reads only
+occupied structures, to a full scan of every structure at every visit.
 """
 
 import dataclasses
@@ -12,7 +14,8 @@ import dataclasses
 import pytest
 
 from repro.api import RunOptions, build_system
-from repro.check.explore import sweep
+from repro.check.explore import crash_writes, sweep
+from repro.check.mutants import ForgetfulEADR, build_crash_system
 from repro.check.schedule import (
     SITE_DRAIN,
     SITE_FORCED_DRAIN,
@@ -21,12 +24,14 @@ from repro.check.schedule import (
     SITE_WPQ,
     CrashSchedule,
 )
+from repro.core.persistency import EADR, BBBScheme
 from repro.core.recovery import check_exact_durability
 from repro.fault.injector import FaultInjector
 from repro.fault.plan import FaultPlan
+from repro.mem.block import BlockData
 from repro.sim.config import ConsistencyModel
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
-from tests.conftest import conflict_addresses, paddr
+from tests.conftest import conflict_addresses, daddr, paddr
 
 
 def _image(media):
@@ -268,3 +273,115 @@ class TestSweep:
                          options=RunOptions(**options)).run(trace)
             streams.append(events)
         assert streams[0] == streams[1]
+
+
+def full_scan_writes(system):
+    """The crash writes by a scan of every structure of every core, in
+    drain order: each cache array block by block (eADR: the L1s in core
+    order, then the LLC, then writebacks in flight), every bbPB's battery
+    entries (BBB: then coherence moves in flight), then every store
+    buffer's crash-drain order.  The reference for :func:`crash_writes`,
+    which reads occupied structures only."""
+    h, scheme = system.hierarchy, system.scheme
+    is_nvmm = h.config.mem.is_nvmm
+    writes = []
+    if isinstance(scheme, EADR):
+        drained = {}
+        l1s = () if isinstance(scheme, ForgetfulEADR) else h.l1s
+        for l1 in l1s:
+            for blk in l1.blocks():
+                if blk.dirty and is_nvmm(blk.addr):
+                    drained[blk.addr] = blk.data
+        for blk in h.llc.blocks():
+            if blk.dirty and is_nvmm(blk.addr) and blk.addr not in drained:
+                drained[blk.addr] = blk.data
+        for addr, data in h.inflight_writebacks:
+            if is_nvmm(addr) and addr not in drained:
+                drained[addr] = data
+        writes.extend(drained.items())
+    elif isinstance(scheme, BBBScheme):
+        for buf in scheme.buffers:
+            writes.extend(buf.battery_entries())
+        resident = {baddr for baddr, _ in writes}
+        writes.extend((baddr, data)
+                      for baddr, data in h.inflight_bbpb_moves.items()
+                      if baddr not in resident)
+    block = h.config.block_size
+    for sb in h.store_buffers:
+        for entry in sb.drain_order_on_crash():
+            if entry.persistent:
+                data = BlockData()
+                data.write_word(entry.addr % block, entry.value, entry.size)
+                writes.append((entry.addr - entry.addr % block, data))
+    return writes
+
+
+class TestResidueReadsOccupiedStructuresOnly:
+    """On a machine whose idle cores sit between busy ones, with bbPB
+    entries, store-buffer entries and dirty L1 and LLC lines live at once,
+    :func:`crash_writes` must equal the full scan at every visit: the
+    same blocks, in the same order, with the same bytes."""
+
+    @pytest.mark.parametrize("scheme,mutant", [
+        ("eadr", None), ("bbb", None), ("bbb-proc", None),
+        ("eadr", "eadr-skip-l1"),
+    ], ids=["eadr", "bbb", "bbb-proc", "eadr-skip-l1"])
+    def test_crash_writes_equal_a_full_scan(self, small_config, scheme,
+                                            mutant):
+        # Relaxed consistency keeps stores waiting in the store buffers.
+        config = dataclasses.replace(
+            small_config, consistency=ConsistencyModel.RELAXED)
+        mem = config.mem
+        shared = paddr(config, 0)
+        nvmm_volatile = mem.nvmm_base
+        assert mem.is_nvmm(nvmm_volatile)
+        assert not mem.is_persistent(nvmm_volatile)
+        busy0 = _stores(config, range(4)) + [
+            TraceOp.store(daddr(config, 1), 5),
+            TraceOp.store(nvmm_volatile, 6),
+            TraceOp.compute(400),
+            TraceOp.store(paddr(config, 4), 7),
+        ]
+        # Core 2's load downgrades core 0's dirty copy: the line is then
+        # dirty in the LLC alone.
+        busy2 = [TraceOp.compute(60), TraceOp.load(shared)] + \
+            _stores(config, range(8, 12), value=50) + [
+                TraceOp.store(a, 90 + i) for i, a in enumerate(
+                    conflict_addresses(config, paddr(config, 9), 4))]
+        # Core 1 runs nothing, core 3 has no thread at all.
+        trace = ProgramTrace([ThreadTrace(busy0), ThreadTrace([]),
+                              ThreadTrace(busy2)])
+        system = build_crash_system(scheme, mutant=mutant, entries=8,
+                                    config=config,
+                                    crash_schedule=CrashSchedule())
+        h = system.hierarchy
+        seen = set()
+
+        def dirty_nvmm(cache):
+            return {b.addr for b in cache.blocks()
+                    if b.dirty and mem.is_nvmm(b.addr)}
+
+        def observe(visit):
+            got = [(b, d.value, d.mask) for b, d in crash_writes(system)]
+            want = [(b, d.value, d.mask) for b, d in full_scan_writes(system)]
+            assert got == want, (visit.point, visit.site)
+            if any(sb.fifo for sb in h.store_buffers):
+                seen.add("store buffer")
+            if isinstance(system.scheme, BBBScheme):
+                full = [c for c, buf in enumerate(system.scheme.buffers)
+                        if buf.battery_entries()]
+                if full == [0, 2]:
+                    seen.add("bbPBs of two cores")
+            else:
+                l1_dirty = [c for c, l1 in enumerate(h.l1s)
+                            if dirty_nvmm(l1)]
+                if l1_dirty == [0, 2]:
+                    seen.add("dirty L1s of two cores")
+                if dirty_nvmm(h.llc) - set().union(*map(dirty_nvmm, h.l1s)):
+                    seen.add("dirty in the LLC alone")
+
+        assert sweep(system, trace, observe)
+        expected = {"store buffer"} | (
+            {"bbPBs of two cores"} if scheme != "eadr" else
+            {"dirty L1s of two cores", "dirty in the LLC alone"})
+        assert seen == expected

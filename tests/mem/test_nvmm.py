@@ -72,14 +72,6 @@ class TestAccounting:
 
 
 class TestCopy:
-    def test_copy_is_deep(self, media):
-        media.write_block(0x10000, BlockData({0: 1}))
-        clone = media.copy()
-        clone.write_block(0x10000, BlockData({0: 9}))
-        assert media.peek_block(0x10000).read(0) == 1
-        assert clone.peek_block(0x10000).read(0) == 9
-        assert clone.total_writes == media.total_writes + 1
-
     def test_image_snapshot(self, media):
         media.write_block(0x10000, BlockData({0: 1}))
         image = media.image()

@@ -8,6 +8,12 @@ crash point, the durable image and the :class:`PointVerdict` the sweep
 system crashed there with ``CrashSchedule(stop_at=k)`` and the scheme's
 real ``crash_drain``.  The sweep's verdicts come from the pruned path's
 incremental oracles, the replay's from the from-scratch reference.
+
+The pruned path's fingerprint memo keys a visit on its raw crash writes,
+before its image merges them: visits with equal keys must have equal
+merged overlays and reference fingerprints, and the lazily merged image
+must read exactly as an eager merge of the same writes onto a snapshot
+of the media.
 """
 
 import dataclasses
@@ -17,11 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check.checker import (CheckUnit, _ReferenceOracles, _SweepOracles,
-                                 _UnitContext, _verdict)
+                                 _UnitContext, _verdict, durable_fingerprint)
 from repro.check.explore import sweep
 from repro.check.mutants import MUTANTS
 from repro.check.schedule import CrashSchedule
 from repro.core.registry import iter_schemes
+from repro.mem.block import BlockData
 from repro.opt.ir import Program
 from repro.sim.config import ConsistencyModel, SystemConfig
 from repro.workloads.base import WorkloadSpec
@@ -93,3 +100,53 @@ def test_sweep_equals_per_point_replay(scheme, mutant, program, model):
                             system, result, None)
         assert verdict == replayed
         assert image == _image(system.nvmm_media), verdict.point
+
+
+def _eager_image(media, writes):
+    """The crash image merged up front: a snapshot of the media with
+    every crash write laid over it in order."""
+    image = media.image()
+    for baddr, data in writes:
+        image.setdefault(baddr, BlockData()).merge_from(data)
+    return image
+
+
+@pytest.mark.parametrize("scheme,mutant", TARGETS,
+                         ids=[m or s for s, m in TARGETS])
+@settings(max_examples=15, deadline=None)
+@given(program=programs, model=st.sampled_from(sorted(MODELS)))
+def test_raw_write_key_determines_the_merged_image(scheme, mutant, program,
+                                                   model):
+    unit = CheckUnit(
+        scheme=scheme, mutant=mutant, workload="mutateNC",
+        spec=WorkloadSpec(threads=2, ops=1, elements=64), entries=2,
+        config=MODELS[model], program=program,
+    )
+    ctx = _UnitContext(unit)
+    system = ctx.build_system(CrashSchedule())
+    media = system.nvmm_media
+    by_key = {}
+
+    def observe(visit):
+        image = visit.nvmm_media
+        committed, performed = (visit.committed_persists,
+                                visit.performed_persists)
+        key = (len(committed), len(performed), media.total_writes,
+               tuple((baddr, data.value, data.mask)
+                     for baddr, data in image.writes))
+        eager = _eager_image(media, image.writes)
+        # Nothing has read the image yet: this read merges it.
+        assert set(image.written_blocks()) == set(eager)
+        for baddr, blk in eager.items():
+            got = image.peek_block(baddr)
+            assert (got.value, got.mask) == (blk.value, blk.mask)
+            for off in range(0, 64, 8):
+                for size in (1, 4, 8):
+                    assert image.read_word(baddr + off, size) == \
+                        blk.read_word(off, size)
+        state = ({b: (d.value, d.mask) for b, d in image.overlay.items()},
+                 durable_fingerprint(scheme, image, committed, performed))
+        assert by_key.setdefault(key, state) == state, visit.point
+
+    sweep(system, ctx.trace, observe)
+    assert by_key
