@@ -45,6 +45,21 @@ PERCENTILE_LABELS: Tuple[Tuple[str, float], ...] = (
 )
 
 
+def _checked(value: int) -> int:
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"latency must be >= 0, got {value}")
+    return value
+
+
+def _bucket_index(value: int) -> int:
+    """Histogram bucket of ``value``: ``floor(log(v) / log(GROWTH))``,
+    with -1 the underflow bucket of exactly 0."""
+    if value <= 0:
+        return -1
+    return int(math.log(value) / _LOG_GROWTH)
+
+
 class LatencyHistogram:
     """Geometric log-bucket histogram over positive integer latencies.
 
@@ -65,11 +80,6 @@ class LatencyHistogram:
         self._max: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def _index(self, value: int) -> int:
-        if value <= 0:
-            return -1  # underflow bucket: exactly the value 0
-        return int(math.log(value) / _LOG_GROWTH)
-
     def _upper_bound(self, index: int) -> int:
         """Largest integer value mapping to bucket ``index``."""
         if index < 0:
@@ -77,21 +87,25 @@ class LatencyHistogram:
         hi = int(math.ceil(GROWTH ** (index + 1))) - 1
         # Float round-off can land the boundary value in the next bucket;
         # walk back until the bound really maps here.
-        while hi > 1 and self._index(hi) > index:
+        while hi > 1 and _bucket_index(hi) > index:
             hi -= 1
         return hi
 
     # ------------------------------------------------------------------
     def record(self, value: int) -> None:
-        value = int(value)
-        if value < 0:
-            raise ValueError(f"latency must be >= 0, got {value}")
-        idx = self._index(value)
-        self._buckets[idx] = self._buckets.get(idx, 0) + 1
+        value = _checked(value)
+        self._add(value, _bucket_index(value))
+
+    def _add(self, value: int, idx: int) -> None:
+        """Count a checked ``value`` whose bucket index is ``idx``."""
+        buckets = self._buckets
+        buckets[idx] = buckets.get(idx, 0) + 1
         self._count += 1
         self._sum += value
-        self._min = value if self._min is None else min(self._min, value)
-        self._max = value if self._max is None else max(self._max, value)
+        if self._min is None or value < self._min:
+            self._min = value
+        if self._max is None or value > self._max:
+            self._max = value
 
     # ------------------------------------------------------------------
     @property
@@ -132,9 +146,7 @@ class ExactLatencies:
         self._sorted = True
 
     def record(self, value: int) -> None:
-        value = int(value)
-        if value < 0:
-            raise ValueError(f"latency must be >= 0, got {value}")
+        value = _checked(value)
         if self._values and value < self._values[-1]:
             self._sorted = False
         self._values.append(value)
@@ -166,8 +178,9 @@ class LatencyRecorder:
     """Per-key latency accumulation (one histogram per tenant/op/...).
 
     The frontend keeps one recorder per run and records each completed
-    request under both the aggregate key ``""`` and its tenant, so reports
-    can break latency out per namespace without a second pass.
+    request under the aggregate key ``""`` plus its tenant and op keys,
+    so reports can break latency out per namespace without a second
+    pass.
     """
 
     AGGREGATE = ""
@@ -176,12 +189,16 @@ class LatencyRecorder:
         self._hists: Dict[str, LatencyHistogram] = {}
 
     def record(self, value: int, *keys: str) -> None:
-        """Record under the aggregate plus every key in ``keys``."""
+        """Record under the aggregate plus every key in ``keys``; the
+        bucket index is computed once for all of them."""
+        value = _checked(value)
+        idx = _bucket_index(value)
+        hists = self._hists
         for key in (self.AGGREGATE,) + keys:
-            hist = self._hists.get(key)
+            hist = hists.get(key)
             if hist is None:
-                hist = self._hists[key] = LatencyHistogram()
-            hist.record(value)
+                hist = hists[key] = LatencyHistogram()
+            hist._add(value, idx)
 
     def histogram(self, key: str = AGGREGATE) -> LatencyHistogram:
         hist = self._hists.get(key)

@@ -49,15 +49,22 @@ _NODE_SIZE = 3 * WORD
 _PARSE_STORES = 4
 #: Scratch slots per core.
 _SCRATCH_SLOTS = 32
+#: The parse step's busy time; ``TraceOp`` is frozen, so one op serves
+#: every request.
+_PARSE_COMPUTE = TraceOp.compute(4)
 
 
 class _TenantStore:
     """One tenant's chained hashmap: persistent layout + Python model."""
 
-    __slots__ = ("name", "buckets", "bucket_base", "heads", "nodes")
+    __slots__ = ("name", "index", "buckets", "bucket_base", "heads", "nodes")
 
-    def __init__(self, name: str, buckets: int, pheap: PersistentHeap) -> None:
+    def __init__(self, name: str, index: int, buckets: int,
+                 pheap: PersistentHeap) -> None:
         self.name = name
+        #: Position in the spec's tenant list: offsets the tenant's
+        #: bucket -> core placement.
+        self.index = index
         self.buckets = buckets
         self.bucket_base = pheap.alloc(buckets * WORD)
         #: bucket index -> newest node addr (0 = empty chain).
@@ -74,15 +81,6 @@ class _TenantStore:
 
     def bucket_addr(self, bucket: int) -> int:
         return self.bucket_base + bucket * WORD
-
-    def chain(self, bucket: int) -> List[int]:
-        """Node addrs from head to tail."""
-        out = []
-        addr = self.heads.get(bucket, 0)
-        while addr:
-            out.append(addr)
-            addr = self.nodes[addr][2]
-        return out
 
 
 class KVService:
@@ -105,13 +103,14 @@ class KVService:
             self.vheap.alloc(_SCRATCH_SLOTS * WORD) for _ in range(num_cores)
         ]
         self._stores: Dict[str, _TenantStore] = {}
-        self._tenant_index: Dict[str, int] = {}
         for i, tenant in enumerate(spec.tenants):
             buckets = max(8, tenant.keys // 4)
             self._stores[tenant.name] = _TenantStore(
-                tenant.name, buckets, self.pheap
+                tenant.name, i, buckets, self.pheap
             )
-            self._tenant_index[tenant.name] = i
+        #: addr -> the one (frozen) load op of that word, shared by every
+        #: request that reads it.
+        self._loads: Dict[int, TraceOp] = {}
         self.requests_lowered = 0
         self.persisting_stores = 0
         #: request id -> [(addr, size, value)] persisting footprint, in
@@ -131,9 +130,16 @@ class KVService:
     def core_of(self, request: Request) -> int:
         """Deterministic key -> bucket -> core placement."""
         store = self._stores[request.tenant]
-        bucket = store.bucket_of(request.key)
-        offset = self._tenant_index[request.tenant]
-        return (bucket + offset) % self.num_cores
+        return self._core(store, store.bucket_of(request.key))
+
+    def _core(self, store: _TenantStore, bucket: int) -> int:
+        return (bucket + store.index) % self.num_cores
+
+    def _load(self, addr: int) -> TraceOp:
+        op = self._loads.get(addr)
+        if op is None:
+            op = self._loads[addr] = TraceOp(OpKind.LOAD, addr)
+        return op
 
     # ------------------------------------------------------------------
     # Lowering
@@ -145,33 +151,37 @@ class KVService:
         lowered exactly once, in issue order — the frontend lowers at
         feed time, when the request's position in the global order is
         already fixed.
+
+        Only the stores are built per request, untagged: the load of a
+        word and the parse step's compute op are immutable, so one
+        instance of each is shared by every request.
         """
         store = self._stores[request.tenant]
-        bucket = store.bucket_of(request.key)
-        core = self.core_of(request)
-        scratch = self._scratch[core]
+        key = request.key
+        bucket = store.bucket_of(key)
+        scratch = self._scratch[self._core(store, bucket)]
         rid = request.request_id
-        ops: List[TraceOp] = []
 
         # Request parsing / response serialisation: volatile traffic.
-        for i in range(_PARSE_STORES):
-            slot = scratch + ((rid + i) % _SCRATCH_SLOTS) * WORD
-            ops.append(TraceOp.store(slot, (request.key + i) & 0xFFFFFFFF))
-        ops.append(TraceOp.compute(4))
+        ops = [
+            TraceOp(OpKind.STORE,
+                    scratch + ((rid + i) % _SCRATCH_SLOTS) * WORD, WORD,
+                    (key + i) & 0xFFFFFFFF)
+            for i in range(_PARSE_STORES)
+        ]
+        ops.append(_PARSE_COMPUTE)
 
         # Every op starts at the bucket head.
-        ops.append(TraceOp.load(store.bucket_addr(bucket)))
+        ops.append(self._load(store.bucket_addr(bucket)))
 
         if request.op == OP_READ:
-            self._walk(store, bucket, request.key, ops)
+            self._walk(store, bucket, key, ops)
         elif request.op == OP_UPDATE:
-            found = self._walk(store, bucket, request.key, ops)
+            found = self._walk(store, bucket, key, ops)
             if found is not None:
                 value = self._value_of(request)
-                ops.append(TraceOp.store(
-                    found + 8, value, tag=f"upd:{request.tenant}:{rid}"
-                ))
-                key, _, nxt = store.nodes[found]
+                ops.append(TraceOp(OpKind.STORE, found + 8, WORD, value))
+                _, _, nxt = store.nodes[found]
                 store.nodes[found] = (key, value, nxt)
                 self.persisting_stores += 1
             else:
@@ -197,12 +207,17 @@ class KVService:
     ) -> Optional[int]:
         """Chain walk: key load per node, value load on the hit.  Returns
         the matching node addr (None = miss)."""
-        for addr in store.chain(bucket):
-            ops.append(TraceOp.load(addr + 0))
-            if store.nodes[addr][0] == key:
-                ops.append(TraceOp.load(addr + 8))
+        load = self._load
+        nodes = store.nodes
+        addr = store.heads.get(bucket, 0)
+        while addr:
+            node_key, _, nxt = nodes[addr]
+            ops.append(load(addr))
+            if node_key == key:
+                ops.append(load(addr + 8))
                 return addr
-            ops.append(TraceOp.load(addr + 16))
+            ops.append(load(addr + 16))
+            addr = nxt
         return None
 
     def _insert(
@@ -212,22 +227,15 @@ class KVService:
         request: Request,
         ops: List[TraceOp],
     ) -> None:
-        rid = request.request_id
         old_head = store.heads.get(bucket, 0)
         node = self.pheap.alloc(_NODE_SIZE)
         value = self._value_of(request)
-        ops.append(TraceOp.store(
-            node + 0, request.key, tag=f"key:{store.name}:{rid}"
-        ))
-        ops.append(TraceOp.store(
-            node + 8, value, tag=f"val:{store.name}:{rid}"
-        ))
-        ops.append(TraceOp.store(
-            node + 16, old_head, tag=f"next:{store.name}:{rid}"
-        ))
-        ops.append(TraceOp.store(
-            store.bucket_addr(bucket), node, tag=f"head:{store.name}:{rid}"
-        ))
+        ops += (
+            TraceOp(OpKind.STORE, node + 0, WORD, request.key),
+            TraceOp(OpKind.STORE, node + 8, WORD, value),
+            TraceOp(OpKind.STORE, node + 16, WORD, old_head),
+            TraceOp(OpKind.STORE, store.bucket_addr(bucket), WORD, node),
+        )
         store.heads[bucket] = node
         store.nodes[node] = (request.key, value, old_head)
         self.persisting_stores += 4

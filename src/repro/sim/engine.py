@@ -31,7 +31,7 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, List, NamedTuple, Optional
+from typing import Deque, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.check.schedule import SITE_OP, CrashNow, FiredPoint
 from repro.core.persistency import DrainReport
@@ -142,18 +142,24 @@ class Engine:
         flush_outstanding: List[int],
     ) -> int:
         """Execute one non-store op (:meth:`EngineStream.pump` sends
-        stores to the store commit it picked for the engine's mode)."""
+        stores to the store commit it picked for the engine's mode).
+
+        A load probes its core's store buffer only under RELAXED: no TSO
+        commit ever puts an entry in the buffer's FIFO (the direct commit
+        bypasses the buffer and the observed one holds the store in the
+        release slot only), so under TSO the probe would always miss."""
         kind = op.kind
         if kind is OpKind.COMPUTE:
             self.stats.core[core].compute_cycles += op.cycles
             return now + op.cycles
 
         if kind is OpKind.LOAD:
-            forwarded = self._store_buffers[core].forward(op.addr, op.size)
-            if forwarded is not None:
-                self.stats.core[core].sb_forwards += 1
-                self.stats.core[core].loads += 1
-                return now + 1
+            if not self._tso:
+                forwarded = self._store_buffers[core].forward(op.addr, op.size)
+                if forwarded is not None:
+                    self.stats.core[core].sb_forwards += 1
+                    self.stats.core[core].loads += 1
+                    return now + 1
             return self.hierarchy.load(core, op.addr, op.size, now)[1]
 
         if kind is OpKind.FLUSH:
@@ -342,6 +348,15 @@ class EngineStream:
     fed — per-request latency falls out of ``clock(core)`` with no per-op
     completion callbacks (:mod:`repro.serve` builds on this).
 
+    The scheduler's ``(clock, core)`` heap is kept between pumps, less
+    the core the last pump starved on; the next pump pushes that core
+    back with its current clock while it still blocks (it has ops, or it
+    is not ended).  ``feed`` never changes a key, so the heap survives
+    it, and a server that feeds, advances and ends only the core it was
+    handed never pays for a rebuild.  ``advance`` or ``end`` of any other
+    core, ``finish()`` and a crash drop the heap, and the next pump
+    rebuilds it over every core.
+
     The session publishes its result as ``engine.result`` as soon as it is
     built, so a crash-schedule observer can read the persist records of
     the run in progress (:func:`repro.check.explore.sweep` does).
@@ -358,6 +373,11 @@ class EngineStream:
         self._pending: List[Deque[TraceOp]] = [deque() for _ in range(n)]
         self._ended = [False] * n
         self._finished = False
+        #: The scheduler heap kept between pumps: ``(clock, core)`` of every
+        #: core that blocks except ``_starved``, the one the last pump
+        #: returned.  ``None``: the next pump rebuilds it.
+        self._heap: Optional[List[Tuple[int, int]]] = None
+        self._starved = 0
         schedule = engine.hierarchy.crash_schedule
         self._schedule = schedule
         self._schedule_on = schedule.enabled
@@ -395,6 +415,8 @@ class EngineStream:
         once its queue drains, and may not be fed again."""
         self._check_core(core)
         self._ended[core] = True
+        if core != self._starved:
+            self._heap = None
 
     def advance(self, core: int, cycle: int) -> None:
         """Move an empty-queued core's clock forward to ``cycle`` (no-op
@@ -404,6 +426,8 @@ class EngineStream:
             raise ValueError(f"core {core} has buffered ops; cannot advance")
         if cycle > self.clocks[core]:
             self.clocks[core] = cycle
+            if core != self._starved:
+                self._heap = None
 
     # -- execution -----------------------------------------------------
     def pump(self) -> Optional[int]:
@@ -438,9 +462,15 @@ class EngineStream:
         # Min-heap of (clock, core): the smallest clock wins, ties break
         # toward the lower core index.  Cores with an empty queue that are
         # not ended stay in the heap as barriers.
-        heap = [(clocks[c], c) for c in range(self.num_cores)
-                if pending[c] or not ended[c]]
-        heapq.heapify(heap)
+        heap = self._heap
+        if heap is None:
+            heap = self._heap = [(clocks[c], c) for c in range(self.num_cores)
+                                 if pending[c] or not ended[c]]
+            heapq.heapify(heap)
+        else:
+            core = self._starved
+            if pending[core] or not ended[core]:
+                heapq.heappush(heap, (clocks[core], core))
         if not heap:
             return None
         clock, core = heapq.heappop(heap)
@@ -448,6 +478,7 @@ class EngineStream:
             queue = pending[core]
             if not queue:
                 self.executed = executed
+                self._starved = core
                 return core  # starved: an op fed here could order first
             # The core keeps running while its (clock, core) key stays
             # below the next one in the heap: clock < limit.
@@ -470,6 +501,7 @@ class EngineStream:
                         schedule.reached(SITE_OP, clock)
                 except CrashNow as crash:
                     self.executed = executed
+                    self._heap = None
                     self._crashed(crash)
                     return None
                 if not queue or (limit is not None and clock >= limit):
@@ -499,6 +531,7 @@ class EngineStream:
             return self.result
         for core in range(self.num_cores):
             self._ended[core] = True
+        self._heap = None
         self.pump()
         self._finished = True
         engine = self.engine

@@ -2,6 +2,7 @@
 discrimination, the versioned report schema, and the KV service's
 routing/lowering invariants."""
 
+import hashlib
 import json
 
 import pytest
@@ -17,6 +18,15 @@ SPEC = TrafficSpec(requests=40, seed=7)
 TWO_TENANTS = TrafficSpec(
     requests=40, seed=7,
     tenants=(TenantSpec("alpha", keys=128), TenantSpec("beta", keys=128)),
+)
+#: Small keyspaces and a write-heavy mix: long chains, update hits,
+#: update misses that upsert, and fresh inserts on two tenants.
+WRITE_HEAVY = TrafficSpec(
+    requests=300, seed=5,
+    tenants=(TenantSpec("w", keys=24, read_fraction=0.2,
+                        update_fraction=0.5, insert_fraction=0.3),
+             TenantSpec("v", weight=0.5, keys=12, read_fraction=0.4,
+                        update_fraction=0.3, insert_fraction=0.3)),
 )
 
 
@@ -88,6 +98,48 @@ def test_lowering_counts_persisting_stores():
     assert service.requests_lowered == SPEC.requests
     # The default mix has updates and inserts: something must persist.
     assert service.persisting_stores > 0
+
+
+#: Per spec, the sha256 of every request's placement, lowered ops and
+#: persisting footprint (see ``_lowering_digest``), recorded while every
+#: serving op was still built per request and stores carried tags.
+LOWERING_DIGESTS = {
+    "spec": (
+        SPEC,
+        "0b5ab2eb83433f68a2a77bff63ad26967976b18869269080303b38e76fd22d38",
+    ),
+    "two_tenants": (
+        TWO_TENANTS,
+        "21c0556793ace3b7a1b0ffe4a350651947fd151cfcc487b71273eb876ef75def",
+    ),
+    "write_heavy": (
+        WRITE_HEAVY,
+        "8d80f71845998fcdfc2a137c255a02550ed3360e243562b958e4218077d80a69",
+    ),
+}
+
+
+def _lowering_digest(spec):
+    """Each request's core, then every op ``ops_for`` returns, in order,
+    as ``(kind, addr, size, value, cycles)`` (tags excluded), then its
+    ``persist_log`` entry."""
+    service = _service(spec)
+    service.enable_persist_log()
+    records = []
+    for request in iter_requests(spec):
+        core = service.core_of(request)
+        ops = [(op.kind.value, op.addr, op.size, op.value, op.cycles)
+               for op in service.ops_for(request)]
+        records.append([core, ops, service.persist_log[request.request_id]])
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LOWERING_DIGESTS))
+def test_lowering_matches_recorded_digest(name):
+    """Pins the volatile parse-store values and the op order, which the
+    timing goldens see only through cycles."""
+    spec, digest = LOWERING_DIGESTS[name]
+    assert _lowering_digest(spec) == digest
 
 
 def test_reads_never_persist():

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.api import build_system
+from repro.api import RunOptions, build_system
+from repro.check.schedule import NULL_SCHEDULE, CrashSchedule
+from repro.mem.storebuffer import StoreBuffer
 from repro.sim.trace import ProgramTrace, ThreadTrace, TraceOp
+from repro.workloads.base import WORKLOAD_NAMES
 from tests.conftest import crash_after, daddr, paddr, single_thread_trace
+from tests.sim.test_run_fingerprints import SCHEMES as GOLDEN_SCHEMES
+from tests.sim.test_run_fingerprints import cell_system
 
 
 class TestBasicExecution:
@@ -93,6 +98,55 @@ class TestStoreBufferForwarding:
         # Forward happened if the store was still buffered; either way the
         # loads counter reflects one load.
         assert result.stats.core[0].loads == 1
+
+
+class TestStoreBufferProbe:
+    """A load probes the store buffer only under RELAXED: the probe must
+    still forward there, and under TSO nothing may ever enter the FIFO
+    it would search."""
+
+    def test_relaxed_load_forwards_the_buffered_store(self, small_config):
+        import dataclasses
+
+        from repro.sim.config import ConsistencyModel
+
+        cfg = dataclasses.replace(small_config,
+                                  consistency=ConsistencyModel.RELAXED)
+        # Reorder seed 0's first draw keeps the store buffered.
+        system = build_system("bbb", config=cfg,
+                              options=RunOptions(reorder_seed=0))
+        sb = system.hierarchy.store_buffers[0]
+        forwarded = []
+        forward = sb.forward
+
+        def logged(addr, size):
+            value = forward(addr, size)
+            forwarded.append(value)
+            return value
+
+        sb.forward = logged
+        x = paddr(cfg, 0)
+        result = system.run(single_thread_trace(TraceOp.store(x, 0x77),
+                                                TraceOp.load(x)))
+        assert result.stats.core[0].sb_forwards == 1
+        assert forwarded == [0x77]
+
+    @pytest.mark.parametrize("info", GOLDEN_SCHEMES, ids=lambda i: i.name)
+    def test_tso_never_pushes(self, info, monkeypatch):
+        pushes = []
+        push = StoreBuffer.push
+
+        def counted(sb, *args, **kwargs):
+            pushes.append(args)
+            return push(sb, *args, **kwargs)
+
+        monkeypatch.setattr(StoreBuffer, "push", counted)
+        for workload in WORKLOAD_NAMES:
+            for schedule in (NULL_SCHEDULE, CrashSchedule()):
+                system, trace = cell_system(info, workload,
+                                            crash_schedule=schedule)
+                system.run(trace, finalize=False)
+        assert pushes == []
 
 
 class TestFlushFence:

@@ -8,7 +8,8 @@ persist-record streams) for every builtin scheme, under TSO and under
 relaxed consistency.  The manual-session tests pin the protocol itself
 (starve/feed/advance/end/finish), and a Hypothesis state machine
 interleaves every session call, ``advance`` among partial feeds
-included.
+included, against a twin session whose scheduler heap is rebuilt before
+every pump.
 """
 
 import pytest
@@ -135,6 +136,48 @@ def test_finish_is_terminal():
         session.feed(0, [TraceOp.compute(1)])
 
 
+def _starved_hashmap_session():
+    """bbb's golden hashmap cell fed in full and pumped once: the pump
+    starves on the first idle core and keeps its heap.  The system is
+    returned too, to keep it alive (a scheme holds it weakly)."""
+    info = next(i for i in SCHEMES if i.name == BBB)
+    system, trace = cell_system(info, "hashmap")
+    session = system.stream()
+    for core, thread in enumerate(trace.threads):
+        session.feed(core, thread.ops)
+    starved = session.pump()
+    assert starved == trace.num_threads
+    return info, system, session, starved
+
+
+def test_ending_other_cores_drops_the_kept_heap():
+    """A stale entry for an ended idle core would starve the next pump on
+    a core that is already ended."""
+    info, _system, session, _ = _starved_hashmap_session()
+    for core in reversed(range(session.num_cores)):  # the starved one last
+        session.end(core)
+    assert session.pump() is None
+    result = session.finish(finalize=False)
+    assert fingerprint_run(result) == golden(info, "hashmap")
+
+
+def test_advancing_another_core_drops_the_kept_heap():
+    """The next pump must order the advanced core by its new clock, not
+    by the key the kept heap still holds."""
+    _info, _system, session, starved = _starved_hashmap_session()
+    session.advance(starved + 1, 10 ** 6)
+    session.end(starved)
+    assert session.pump() == starved + 2
+
+
+def test_finish_drops_the_kept_heap():
+    """``finish()`` ends every core by assignment, not through ``end()``,
+    and must still run the fed cores to the golden fingerprint."""
+    info, _system, session, _ = _starved_hashmap_session()
+    result = session.finish(finalize=False)
+    assert fingerprint_run(result) == golden(info, "hashmap")
+
+
 def test_feed_after_end_rejected():
     _, session = _bbb_session()
     session.end(0)
@@ -162,7 +205,12 @@ def test_core_outside_the_system_rejected(call):
 class EngineStreamMachine(RuleBasedStateMachine):
     """Random interleavings of ``feed``/``pump``/``advance``/``end`` over
     bbb on a golden TSO cell.  Without an ``advance`` the run must match
-    the cell's recorded fingerprint, however the feeds were cut."""
+    the cell's recorded fingerprint, however the feeds were cut.
+
+    A twin session on a second identical system gets every call too, but
+    its kept scheduler heap is dropped before each of its pumps, so it
+    schedules from a heap rebuilt over every core: each pump must starve
+    on the same core and leave the same clocks and ``executed`` count."""
 
     @initialize(workload=st.sampled_from(RELAXED_WORKLOADS))
     def open_session(self, workload):
@@ -170,6 +218,8 @@ class EngineStreamMachine(RuleBasedStateMachine):
         self.workload = workload
         self.system, trace = cell_system(self.info, workload)
         self.session = self.system.stream()
+        self.twin_system, _ = cell_system(self.info, workload)
+        self.twin = self.twin_system.stream()
         n = self.session.num_cores
         self.ops = [trace.threads[c].ops if c < trace.num_threads else []
                     for c in range(n)]
@@ -199,12 +249,17 @@ class EngineStreamMachine(RuleBasedStateMachine):
         cores = self._cores(self._feedable)
         core = cores[pick % len(cores)]
         start = self.fed[core]
-        self.session.feed(core, self.ops[core][start:start + n])
+        for session in (self.session, self.twin):
+            session.feed(core, self.ops[core][start:start + n])
         self.fed[core] = min(start + n, len(self.ops[core]))
 
     @rule()
     def pump(self):
         needy = self.session.pump()
+        self.twin._heap = None
+        assert self.twin.pump() == needy
+        assert self.twin.clocks == self.session.clocks
+        assert self.twin.executed == self.session.executed
         if needy is None:
             assert all(self.ended)
             assert not any(self._queued(c)
@@ -218,7 +273,9 @@ class EngineStreamMachine(RuleBasedStateMachine):
         """A target at or below the core's clock must leave it alone."""
         cores = self._cores(self._waiting)
         core = cores[pick % len(cores)]
-        self.session.advance(core, self.session.clock(core) + delta)
+        cycle = self.session.clock(core) + delta
+        for session in (self.session, self.twin):
+            session.advance(core, cycle)
         self.advanced = self.advanced or delta > 0
 
     @precondition(lambda self: self._cores(self._complete))
@@ -226,7 +283,8 @@ class EngineStreamMachine(RuleBasedStateMachine):
     def end(self, pick):
         cores = self._cores(self._complete)
         core = cores[pick % len(cores)]
-        self.session.end(core)
+        for session in (self.session, self.twin):
+            session.end(core)
         self.ended[core] = True
 
     @invariant()
@@ -241,13 +299,16 @@ class EngineStreamMachine(RuleBasedStateMachine):
         assert self.session.executed == sum(self.fed) - queued
 
     def teardown(self):
-        for core in range(self.session.num_cores):
-            if not self.ended[core]:
-                self.session.feed(core, self.ops[core][self.fed[core]:])
-                self.session.end(core)
+        for session in (self.session, self.twin):
+            for core in range(session.num_cores):
+                if not self.ended[core]:
+                    session.feed(core, self.ops[core][self.fed[core]:])
+                    session.end(core)
         result = self.session.finish(finalize=False)
+        digest = fingerprint_run(self.twin.finish(finalize=False))
+        assert fingerprint_run(result) == digest
         if not self.advanced:
-            assert fingerprint_run(result) == golden(self.info, self.workload)
+            assert digest == golden(self.info, self.workload)
 
 
 TestEngineStreamMachine = EngineStreamMachine.TestCase
